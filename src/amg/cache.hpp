@@ -1,25 +1,27 @@
 #pragma once
 /// \file cache.hpp
-/// AMG hierarchy cache: setup's structural outputs frozen once, value-only
-/// refreshes every Picard iteration after that.
+/// AMG hierarchy cache: setup's structural outputs frozen once, then
+/// reused untouched while the fine values stay the same and refreshed
+/// value-only when they change.
 ///
 /// AMG setup — SoC, PMIS, interpolation, and the Galerkin SpGEMMs — is a
-/// pure function of the fine matrix's *pattern* plus its values. Inside a
-/// time step the pressure-Poisson pattern is frozen (the equation graph
-/// runs once, PR "assembly plan" reuses it), so every Picard solve after
-/// the first re-derives the same coarsening, the same interpolation
-/// pattern and the same product structures. The cache freezes those once
-/// (AmgHierarchy's freeze_replay mode records a RapRecord per level and
-/// converts it into a LevelReplay here) and then replays frozen
-/// ProductPlans to refill every level's values in place: no graph
-/// traversal, no hashing, no steady-state allocation, bitwise-identical
-/// to re-running setup against the frozen coarsening. This is the setup
-/// half of the algorithmic-scalability program of "Alya towards Exascale"
-/// (PAPERS.md) applied to our §4 pressure solve.
+/// pure function of the fine matrix's *pattern* plus its values (and the
+/// PMIS seed). The pressure-Poisson pattern is frozen for as long as the
+/// equation graph lives, so every solve after the first re-derives the
+/// same coarsening, the same interpolation pattern and the same product
+/// structures. The cache freezes those once (AmgHierarchy's freeze_replay
+/// mode records a RapRecord per level and converts it into a LevelReplay
+/// here) and then replays frozen ProductPlans to refill every level's
+/// values in place: no graph traversal, no hashing, no steady-state
+/// allocation, bitwise-identical to re-running setup against the frozen
+/// coarsening. When the fine values have not changed at all — rigid rotor
+/// motion keeps every pressure coefficient — even the refresh is skipped.
+/// This is the setup half of the algorithmic-scalability program of "Alya
+/// towards Exascale" (PAPERS.md) applied to our §4 pressure solve.
 ///
-/// What is frozen vs refilled per level is documented in DESIGN.md §12;
-/// the drift policy (refresh lag, stagnation rebuilds) lives in
-/// cfd::Simulation and is keyed through HierarchyCache below.
+/// What is frozen vs refilled per level, and the key -> reuse -> refresh
+/// -> rebuild order HierarchyCache::update follows, are documented in
+/// DESIGN.md §12.
 
 #include <cstdint>
 #include <memory>
@@ -67,9 +69,13 @@ std::unique_ptr<LevelReplay> freeze_level_replay(par::Runtime& rt,
 void replay_level(par::Runtime& rt, LevelReplay& lr,
                   const linalg::ParCsr& fine_a, linalg::ParCsr& coarse_a);
 
+/// What HierarchyCache::update did to make the hierarchy fit the matrix.
+enum class CacheAction { kRebuild, kRefresh, kReuse };
+
 /// Pressure-preconditioner cache: one AmgHierarchy kept across Picard
-/// solves, keyed on (equation-graph generation, AmgConfig), with rebuild
-/// vs refresh bookkeeping for the drift policy and the solver stats.
+/// solves and time steps, keyed on (equation-graph generation, AmgConfig).
+/// update() is the one place that decides between a structural rebuild,
+/// a value-only refresh and reusing the hierarchy untouched.
 class HierarchyCache {
  public:
   bool valid() const { return valid_; }
@@ -79,7 +85,7 @@ class HierarchyCache {
 
   long rebuilds() const { return rebuilds_; }
   long refreshes() const { return refreshes_; }
-  int solves_since_rebuild() const { return solves_since_rebuild_; }
+  long reuses() const { return reuses_; }
 
   /// True when the key no longer matches (invalid cache, new graph
   /// generation, or changed AMG configuration).
@@ -87,8 +93,22 @@ class HierarchyCache {
     return !valid_ || generation_ != generation || !(cfg_ == cfg);
   }
 
+  /// Make the hierarchy fit `a` for the next solve, deciding in order:
+  ///   1. rebuild when `use_cache` is false (every solve; no value copy
+  ///      is kept), or when the key is stale;
+  ///   2. reuse, untouched, when a's diag/offd values equal bit for bit
+  ///      the values the hierarchy was last set up from;
+  ///   3. otherwise refresh — or rebuild, if the last solve stagnated by
+  ///      `stagnation_ratio` (see stagnating()).
+  /// Stagnation never forces a rebuild on its own: a rebuild from
+  /// unchanged values reproduces the same hierarchy.
+  CacheAction update(const linalg::ParCsr& a, const AmgConfig& cfg,
+                     std::uint64_t generation, bool use_cache,
+                     double stagnation_ratio);
+
   /// Structural rebuild from `a`. `freeze` additionally records the
-  /// replay plans so later solves can refresh() instead.
+  /// replay plans so later solves can refresh() instead, and keeps an
+  /// FP64 copy of a's values for update()'s reuse check.
   void rebuild(const linalg::ParCsr& a, const AmgConfig& cfg,
                std::uint64_t generation, bool freeze);
 
@@ -105,19 +125,31 @@ class HierarchyCache {
 
   /// True when the last solve's iterations drifted `ratio`x above the
   /// post-rebuild baseline — the preconditioner has gone stale enough
-  /// that the drift policy should force a rebuild.
+  /// that a value change should rebuild rather than refresh.
   bool stagnating(double ratio) const;
 
  private:
+  /// True unless every rank's diag/offd values match fine_values_ bit for
+  /// bit. All ranks must agree to reuse, so the per-rank verdicts meet in
+  /// one allreduce.
+  bool values_changed(const linalg::ParCsr& a);
+  /// Copy a's values into fine_values_ (sized by rebuild()).
+  void store_values(const linalg::ParCsr& a);
+
   std::unique_ptr<AmgHierarchy> hierarchy_;
   AmgConfig cfg_;
   std::uint64_t generation_ = 0;
   bool valid_ = false;
   long rebuilds_ = 0;
   long refreshes_ = 0;
-  int solves_since_rebuild_ = 0;
+  long reuses_ = 0;
   int baseline_iters_ = -1;
   int last_iters_ = -1;
+  /// Per rank, the FP64 [diag | offd] values the frozen hierarchy was last
+  /// set up from; empty for an unfrozen hierarchy.
+  std::vector<RealVector> fine_values_;
+  /// Per-rank reuse-check verdicts (1 = changed), the allreduce payload.
+  std::vector<double> changed_;
 };
 
 }  // namespace exw::amg

@@ -58,8 +58,8 @@ class AmgHierarchy {
   /// re-split. No graph traversal, no hashing, no steady-state
   /// allocation; bitwise-identical to rebuilding against the frozen
   /// coarsening. The coarse direct solver keeps its factorization — the
-  /// O(n^3) charge is rebuild-only; the resulting (slight, bounded)
-  /// coarse-solve lag is governed by the drift policy in cfd::SimConfig.
+  /// O(n^3) charge is rebuild-only; the resulting (slight) coarse-solve
+  /// lag is bounded by the stagnation rule of HierarchyCache::update.
   /// Throws exw::Error if the hierarchy is not frozen or the structure
   /// changed.
   void refresh_values(const linalg::ParCsr& a);

@@ -46,20 +46,17 @@ struct SimConfig {
   solver::GmresOptions pressure_gmres{
       .max_iters = 100, .restart = 50, .rel_tol = 1e-5,
       .ortho = solver::OrthoMethod::kOneReduce};
-  /// Cache the pressure AMG hierarchy across Picard solves and refresh
-  /// its values in place (frozen coarsening + Galerkin-product replay;
-  /// amg/cache.hpp) instead of rebuilding setup from scratch. Keyed on
-  /// (equation-graph generation, pressure_amg); bitwise-identical
-  /// V-cycles against the frozen coarsening.
+  /// Cache the pressure AMG hierarchy across solves (amg/cache.hpp):
+  /// reuse it untouched while the matrix values are bitwise unchanged,
+  /// refresh its values in place (frozen coarsening + Galerkin-product
+  /// replay) when they change, and rebuild setup from scratch only for a
+  /// new key (equation-graph generation, pressure_amg). Bitwise-identical
+  /// V-cycles to a rebuild at the same values. Off: rebuild every solve.
   bool use_amg_cache = true;
-  /// Drift policy: force a structural rebuild after this many solves on
-  /// the same hierarchy (refreshed or not). 4 = once per time step at the
-  /// paper's picard_iters, since mesh motion regenerates the graph
-  /// between steps anyway.
-  int amg_rebuild_lag = 4;
-  /// Drift policy: force a rebuild when a solve's GMRES iterations
-  /// exceed this multiple of the first post-rebuild solve's count
-  /// (preconditioner gone stale through value drift).
+  /// Force a rebuild instead of a refresh when the values changed and the
+  /// last solve's GMRES iterations exceeded this multiple of the first
+  /// post-rebuild solve's count (preconditioner gone stale through value
+  /// drift).
   double amg_stagnation_ratio = 1.5;
 
   // Momentum / scalar transport: SGS2-preconditioned GMRES.

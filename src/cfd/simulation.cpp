@@ -43,6 +43,14 @@ void charge_per_rank(perf::Tracer& tracer, const std::vector<double>& items,
   }
 }
 
+/// Fold one solve's outcome into the step's counters.
+void count_solve(EquationStats& stats, const solver::SolveStats& st) {
+  stats.gmres_iterations += st.iterations;
+  stats.solves += 1;
+  stats.unconverged_solves += st.converged ? 0 : 1;
+  stats.final_residual = st.final_residual;
+}
+
 }  // namespace
 
 void Simulation::assemble_system(EquationCache& cache,
@@ -404,9 +412,7 @@ void Simulation::solve_momentum(MeshBlock& blk) {
       st = solver::gmres_solve_multi(a, b, x, *precond, cfg_.momentum_gmres);
     }
     for (const auto& lane : st.lane) {
-      mom_stats_.gmres_iterations += lane.iterations;
-      mom_stats_.solves += 1;
-      mom_stats_.final_residual = lane.final_residual;
+      count_solve(mom_stats_, lane);
     }
     assembly::lane_to_field(blk.layout, x, 0, blk.u);
     assembly::lane_to_field(blk.layout, x, 1, blk.v);
@@ -422,9 +428,7 @@ void Simulation::solve_momentum(MeshBlock& blk) {
       perf::PhaseScope ph(tracer, "solve");
       st = solver::gmres_solve(a, rhs, x, *precond, cfg_.momentum_gmres);
     }
-    mom_stats_.gmres_iterations += st.iterations;
-    mom_stats_.solves += 1;
-    mom_stats_.final_residual = st.final_residual;
+    count_solve(mom_stats_, st);
     assembly::rows_to_field(blk.layout, x, field);
   };
 
@@ -506,10 +510,8 @@ void Simulation::solve_continuity(MeshBlock& blk) {
     a.matvec(p_old_vec, rhs, 1.0, 1.0);
   }
 
-  // Preconditioner: structural AMG setup only when the hierarchy cache is
-  // off, stale (graph generation or AmgConfig changed), past the refresh
-  // lag, or stagnating; otherwise a value-only refresh of the frozen
-  // hierarchy (amg/cache.hpp).
+  // Preconditioner: the hierarchy cache decides between rebuild, refresh
+  // and reuse (amg/cache.hpp); this only counts its answer.
   amg::HierarchyCache& pc = blk.prs_precond;
   {
     perf::PhaseScope ph(tracer, "setup");
@@ -517,18 +519,17 @@ void Simulation::solve_continuity(MeshBlock& blk) {
     // participates in the cache key: toggling it forces a rebuild.
     amg::AmgConfig acfg = cfg_.pressure_amg;
     acfg.precision = cfg_.precond_precision;
-    const std::uint64_t gen = blk.prs_graph->generation();
-    const bool must_rebuild =
-        !cfg_.use_amg_cache || pc.stale(gen, acfg) ||
-        pc.solves_since_rebuild() >= cfg_.amg_rebuild_lag ||
-        pc.stagnating(cfg_.amg_stagnation_ratio);
-    if (must_rebuild) {
-      pc.rebuild(a, acfg, gen, /*freeze=*/cfg_.use_amg_cache);
-      prs_stats_.amg_rebuilds += 1;
-    } else {
-      EXW_PURITY_REGION("picard-amg-refresh");
-      pc.refresh(a);
-      prs_stats_.amg_refreshes += 1;
+    switch (pc.update(a, acfg, blk.prs_graph->generation(),
+                      cfg_.use_amg_cache, cfg_.amg_stagnation_ratio)) {
+      case amg::CacheAction::kRebuild:
+        prs_stats_.amg_rebuilds += 1;
+        break;
+      case amg::CacheAction::kRefresh:
+        prs_stats_.amg_refreshes += 1;
+        break;
+      case amg::CacheAction::kReuse:
+        prs_stats_.amg_reuses += 1;
+        break;
     }
   }
   solver::AmgPrecond precond(pc.hierarchy());
@@ -543,9 +544,7 @@ void Simulation::solve_continuity(MeshBlock& blk) {
     st = solver::gmres_solve(a, rhs, x, precond, cfg_.pressure_gmres);
   }
   pc.note_solve(st.iterations);
-  prs_stats_.gmres_iterations += st.iterations;
-  prs_stats_.solves += 1;
-  prs_stats_.final_residual = st.final_residual;
+  count_solve(prs_stats_, st);
 
   // Projection: u -= (dt / rho) grad(p_new - p_old); p := p_new.
   {
@@ -652,9 +651,7 @@ void Simulation::solve_scalar(MeshBlock& blk) {
     perf::PhaseScope ph(tracer, "solve");
     st = solver::gmres_solve(a, rhs, x, *precond, cfg_.momentum_gmres);
   }
-  scl_stats_.gmres_iterations += st.iterations;
-  scl_stats_.solves += 1;
-  scl_stats_.final_residual = st.final_residual;
+  count_solve(scl_stats_, st);
   assembly::rows_to_field(blk.layout, x, blk.scl);
 }
 

@@ -41,18 +41,23 @@
 namespace exw::cfd {
 
 /// Solver statistics of the last time step, per equation: counters
-/// (solves, iterations, rebuilds/refreshes) accumulate over all Picard
-/// iterations and mesh blocks of the step — a 3-Picard step reports
-/// solves == 3 per single-mesh equation — while final_residual and the
-/// AMG shape fields reflect the step's last solve.
+/// (solves, iterations, rebuilds/refreshes/reuses) accumulate over all
+/// Picard iterations and mesh blocks of the step — a 3-Picard step
+/// reports solves == 3 per single-mesh equation — while final_residual
+/// and the AMG shape fields reflect the step's last solve. For the
+/// pressure equation amg_rebuilds + amg_refreshes + amg_reuses == solves.
 struct EquationStats {
   int gmres_iterations = 0;
   int solves = 0;
+  /// Solves that ended without reaching their tolerance
+  /// (SolveStats::converged false; each fused momentum lane counts).
+  int unconverged_solves = 0;
   Real final_residual = 0;
   int amg_levels = 0;
   double amg_operator_complexity = 0;
   int amg_rebuilds = 0;   ///< structural AMG setups this step
   int amg_refreshes = 0;  ///< value-only hierarchy refreshes this step
+  int amg_reuses = 0;     ///< solves on the hierarchy reused untouched
   int smoother_rebuilds = 0;  ///< SGS2 L/D/U splits built this step
   int smoother_rebinds = 0;   ///< value-only smoother rebinds this step
 };
@@ -125,8 +130,8 @@ class Simulation {
       std::uint64_t epoch = 0;
     };
     SmootherSlot mom_smoother;
-    /// Pressure AMG hierarchy kept across Picard solves; the drift policy
-    /// in solve_continuity decides rebuild vs value-only refresh.
+    /// Pressure AMG hierarchy kept across Picard solves and time steps;
+    /// HierarchyCache::update decides rebuild, refresh or reuse.
     amg::HierarchyCache prs_precond;
     // Nodal fields (indexed by mesh node id).
     RealVector u, v, w, p, scl;

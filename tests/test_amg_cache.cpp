@@ -1,9 +1,10 @@
 // Tests for the AMG hierarchy cache: frozen SpGEMM replay plans, the
 // value-only refresh of a frozen hierarchy (bitwise against rebuilds and
 // against cold Galerkin products), stale-structure detection, and the
-// HierarchyCache rebuild/refresh bookkeeping behind the drift policy.
+// HierarchyCache rebuild/refresh/reuse decision and its charges.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <span>
 
@@ -217,13 +218,78 @@ TEST(HierarchyCache, CountsSolvesAndDetectsStagnation) {
   EXPECT_FALSE(cache.stagnating(1.5));  // 12 <= 1.5 * 10
   cache.note_solve(16);
   EXPECT_TRUE(cache.stagnating(1.5));  // 16 > 1.5 * 10
-  EXPECT_EQ(cache.solves_since_rebuild(), 3);
 
-  // A rebuild resets the baseline and the solve counter.
+  // A rebuild resets the baseline.
   cache.rebuild(a1, cfg, 1, /*freeze=*/true);
   EXPECT_EQ(cache.rebuilds(), 2);
-  EXPECT_EQ(cache.solves_since_rebuild(), 0);
   EXPECT_FALSE(cache.stagnating(1.5));
+}
+
+/// Copy of `a` with one diag/offd value of one rank replaced.
+linalg::ParCsr with_value(const linalg::ParCsr& a, RankId r, bool offd,
+                          Real value) {
+  linalg::ParCsr c = a;
+  linalg::RankBlock& blk = c.block_mut(r);
+  (offd ? blk.offd : blk.diag).vals_vec().front() = value;
+  return c;
+}
+
+TEST(HierarchyCache, DecidesRebuildRefreshOrReuse) {
+  par::Runtime rt(2);
+  const auto a = distribute(rt, laplace3d(6, 0.0));
+  const linalg::ParCsr same = a;  // another matrix, identical values
+  const Real d = a.block(RankId{1}).diag.vals().raw().front();
+  const auto ulp = with_value(a, RankId{1}, /*offd=*/false,
+                              std::nextafter(d, 2 * d));
+  const auto pos_zero = with_value(a, RankId{0}, /*offd=*/true, +0.0);
+  const auto neg_zero = with_value(a, RankId{0}, /*offd=*/true, -0.0);
+  AmgConfig cfg;
+  AmgConfig other = cfg;
+  other.strong_threshold = 0.5;
+  HierarchyCache cache;
+  auto update = [&](const linalg::ParCsr& m, std::uint64_t gen = 1,
+                    const AmgConfig* c = nullptr, bool use_cache = true) {
+    return cache.update(m, c != nullptr ? *c : cfg, gen, use_cache, 1.5);
+  };
+
+  EXPECT_EQ(update(a), CacheAction::kRebuild);         // empty cache
+  EXPECT_EQ(update(same), CacheAction::kReuse);        // identical values
+  EXPECT_EQ(update(ulp), CacheAction::kRefresh);       // one ULP, one rank
+  EXPECT_EQ(update(a), CacheAction::kRefresh);         // and back
+  EXPECT_EQ(update(pos_zero), CacheAction::kRefresh);  // entry set to +0.0
+  EXPECT_EQ(update(neg_zero), CacheAction::kRefresh);  // -0.0 for +0.0
+  EXPECT_EQ(update(neg_zero), CacheAction::kReuse);    // -0.0 again
+  cache.note_solve(10);  // post-rebuild baseline
+  cache.note_solve(16);  // 16 > 1.5 * 10: stagnating
+  EXPECT_EQ(update(neg_zero), CacheAction::kReuse);   // unchanged, stagnating
+  EXPECT_EQ(update(a), CacheAction::kRebuild);        // changed, stagnating
+  EXPECT_EQ(update(a, 2), CacheAction::kRebuild);     // new generation
+  EXPECT_EQ(update(a, 2, &other), CacheAction::kRebuild);  // new AmgConfig
+  EXPECT_EQ(update(a, 2, &other, false), CacheAction::kRebuild);  // cache off
+  EXPECT_EQ(update(a, 2, &other), CacheAction::kRebuild);  // unfrozen: rebuild
+  EXPECT_EQ(update(a, 2, &other), CacheAction::kReuse);
+
+  EXPECT_EQ(cache.rebuilds(), 6);
+  EXPECT_EQ(cache.refreshes(), 4);
+  EXPECT_EQ(cache.reuses(), 4);
+}
+
+TEST(HierarchyCache, ReuseCheckChargesOneStreamPerRankAndOneAllreduce) {
+  par::Runtime rt(4);
+  const auto a = distribute(rt, laplace3d(6, 0.0));
+  HierarchyCache cache;
+  ASSERT_EQ(cache.update(a, AmgConfig{}, 1, true, 1.5), CacheAction::kRebuild);
+  rt.tracer().reset();
+  rt.tracer().push_phase("check");
+  ASSERT_EQ(cache.update(a, AmgConfig{}, 1, true, 1.5), CacheAction::kReuse);
+  rt.tracer().pop_phase();
+  const perf::PhaseStats& ph = rt.tracer().phase("check");
+  EXPECT_EQ(ph.total_kernels(), rt.nranks());
+  EXPECT_EQ(ph.collectives, 1);
+  EXPECT_EQ(ph.total_messages(), 0);
+  // One compare per stored value: the value stream reads the matrix and
+  // the copy once each.
+  EXPECT_EQ(ph.total_flops(), static_cast<double>(a.global_nnz().value()));
 }
 
 TEST(HierarchyCache, RefreshWithoutFreezeThrows) {

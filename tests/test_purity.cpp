@@ -2,8 +2,8 @@
 // region/allow scoping and attribution, fatal-mode diagnostics naming the
 // region and its open site, propagation through par::ThreadPool workers,
 // and the zero-allocation steady-state contract of every warm cache
-// (assembly-plan refill, AMG value refresh, smoother rebind, fused
-// momentum kernels). Everything must also compile and pass — vacuously —
+// (assembly-plan refill, AMG value refresh and reuse check, smoother
+// rebind, fused momentum kernels). Everything must also compile and pass — vacuously —
 // when EXW_PURITY_CHECKS=OFF.
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "amg/cache.hpp"
 #include "amg/hierarchy.hpp"
 #include "assembly/graph.hpp"
 #include "assembly/layout.hpp"
@@ -287,6 +288,26 @@ TEST(PurityWarmPath, AmgValueRefreshIsAllocationPure) {
   h.refresh_values(a0);
   EXPECT_EQ(purity::region("amg-refresh").allocs, 0);
   EXPECT_EQ(purity::region("amg-replay-level").allocs, 0);
+}
+
+TEST(PurityWarmPath, AmgCacheReuseCheckAndRefreshAreAllocationPure) {
+  using namespace amg;
+  par::Runtime rt(4);
+  const auto a0 = distribute(rt, laplace3d(8, 0.0));
+  const auto a1 = distribute(rt, laplace3d(8, 0.5));
+  AmgConfig cfg;
+  HierarchyCache cache;
+  ASSERT_EQ(cache.update(a0, cfg, 1, true, 1.5), CacheAction::kRebuild);
+  ASSERT_EQ(cache.update(a1, cfg, 1, true, 1.5), CacheAction::kRefresh);
+
+  purity::reset();
+  FatalModeGuard guard;
+  purity::set_fatal(true);
+  EXPECT_EQ(cache.update(a1, cfg, 1, true, 1.5), CacheAction::kReuse);
+  EXPECT_EQ(cache.update(a0, cfg, 1, true, 1.5), CacheAction::kRefresh);
+  EXPECT_GE(purity::region("amg-reuse-check").entries, 2);
+  EXPECT_EQ(purity::region("amg-reuse-check").allocs, 0);
+  EXPECT_EQ(purity::region("amg-cache-refresh").allocs, 0);
 }
 
 TEST(PurityWarmPath, SmootherRebindIsAllocationPure) {
