@@ -27,7 +27,6 @@ enum class SmootherType : std::uint8_t {
   kHybridGs,    ///< process-local true Gauss-Seidel, Jacobi across ranks
   kTwoStageGs,  ///< two-stage GS: inner Jacobi-Richardson sweeps (Eqs. 5-7)
   kSgs2,        ///< two-stage *symmetric* GS, compact form (Eqs. 11-14)
-  kChebyshev,   ///< polynomial smoother (collective-free alternative)
 };
 
 struct AmgConfig {

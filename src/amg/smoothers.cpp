@@ -101,60 +101,15 @@ void LduSplit::refresh_values(const linalg::ParCsr& a) {
   });
 }
 
-Real estimate_eig_max(const linalg::ParCsr& a) {
-  // Gershgorin on Dinv A: max_i (1 + sum_{j != i} |a_ij| / |a_ii|).
-  // Rows with a negative diagonal must contribute through |a_ii| — the
-  // old `dii > 0` guard silently skipped them and could return a bound
-  // of 0, which collapses the Chebyshev interval to a point and poisons
-  // the smoother. A zero diagonal has no valid Dinv A row at all, so
-  // that fails loudly instead.
-  std::vector<Real> per_rank(static_cast<std::size_t>(a.nranks()), 0.0);
-  a.runtime().parallel_for_ranks([&](RankId r) {
-    const auto& b = a.block(r);
-    const auto d = b.diag.diagonal();
-    Real bound = 0;
-    for (LocalIndex i{0}; i < b.diag.nrows(); ++i) {
-      Real row = 0;
-      for (EntryOffset k = b.diag.row_begin(i); k < b.diag.row_end(i); ++k) {
-        if (b.diag.cols()[k] != i) {
-          row += std::abs(b.diag.vals()[k]);
-        }
-      }
-      for (EntryOffset k = b.offd.row_begin(i); k < b.offd.row_end(i); ++k) {
-        row += std::abs(b.offd.vals()[k]);
-      }
-      const Real dii = d[static_cast<std::size_t>(i)];
-      EXW_REQUIRE(dii != 0.0, "zero diagonal in eigenvalue estimate");
-      bound = std::max(bound, 1.0 + row / std::abs(dii));
-    }
-    per_rank[static_cast<std::size_t>(r)] = bound;
-  });
-  Real bound = 0;
-  for (Real b : per_rank) bound = std::max(bound, b);
-  return bound;
-}
-
 Smoother::Smoother(const linalg::ParCsr& a, SmootherType type,
                    int inner_sweeps, Real jacobi_weight)
     : a_(&a), type_(type), inner_sweeps_(inner_sweeps), weight_(jacobi_weight),
-      ldu_(LduSplit::build(a)) {
-  if (type == SmootherType::kChebyshev) {
-    eig_max_ = estimate_eig_max(a);
-    a.runtime().tracer().collective(sizeof(Real));  // eig-bound reduction
-  }
-}
+      ldu_(LduSplit::build(a)) {}
 
 EXW_WARM_FN
 void Smoother::refresh_values() {
   EXW_PURITY_REGION("smoother-rebind");
   ldu_.refresh_values(*a_);
-  if (type_ == SmootherType::kChebyshev) {
-    // Per-rank bound staging + the diagonal view inside the estimate are
-    // reduction buffers, the collective's payload in a real run.
-    EXW_PURITY_ALLOW("collective payload staging");
-    eig_max_ = estimate_eig_max(*a_);
-    a_->runtime().tracer().collective(sizeof(Real));
-  }
 }
 
 void Smoother::apply(const linalg::ParVector& b, linalg::ParVector& x,
@@ -166,7 +121,6 @@ void Smoother::apply(const linalg::ParVector& b, linalg::ParVector& x,
       case SmootherType::kHybridGs: sweep_hybrid_gs(b, x); break;
       case SmootherType::kTwoStageGs: sweep_two_stage(b, x); break;
       case SmootherType::kSgs2: sweep_sgs2(b, x); break;
-      case SmootherType::kChebyshev: sweep_chebyshev(b, x); break;
     }
   }
 }
@@ -526,63 +480,6 @@ void Smoother::sweep_sgs2_multi(const linalg::ParMultiVector& b,
     a_->runtime().tracer().kernel_split_prec(
         rk, 2.0 * nl * static_cast<double>(n), f64, f32, 0.0);
   });
-}
-
-void Smoother::sweep_chebyshev(const linalg::ParVector& b,
-                               linalg::ParVector& x) const {
-  // Degree-k Chebyshev on Dinv A over [eig_max/30, 1.1 eig_max] (the
-  // upper part of the spectrum that smoothers must damp). Entirely made
-  // of SpMVs and AXPYs: no triangular solves and no extra collectives —
-  // the classic GPU-friendly alternative to Gauss-Seidel.
-  const Real lmax = 1.1 * eig_max_;
-  const Real lmin = lmax / 30.0;
-  const Real theta = 0.5 * (lmax + lmin);
-  const Real delta = 0.5 * (lmax - lmin);
-  const int degree = std::max(1, inner_sweeps_ + 1);
-
-  const Precision pr = a_->value_precision();
-  par::Runtime& rt = a_->runtime();
-  linalg::ParVector r(rt, a_->rows());
-  linalg::ParVector d(rt, a_->rows());
-  linalg::ParVector dinv_r(rt, a_->rows());
-  r.set_value_precision(pr);
-  d.set_value_precision(pr);
-  dinv_r.set_value_precision(pr);
-  a_->residual(b, x, r);
-
-  auto scale_dinv = [&](const linalg::ParVector& src, linalg::ParVector& dst) {
-    rt.parallel_for_ranks([&](RankId rk) {
-      const auto& dv = ldu_.dinv[static_cast<std::size_t>(rk)];
-      auto& out = dst.local(rk);
-      const auto& in = src.local(rk);
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i] = store_value(dv[i] * in[i], pr);
-      }
-      double f64 = 0, f32 = 0;
-      split_value_bytes(
-          pr, 3.0 * bytes_of(pr) * static_cast<double>(out.size()), f64, f32);
-      rt.tracer().kernel_split_prec(rk, static_cast<double>(out.size()), f64,
-                                    f32, 0.0);
-    });
-  };
-
-  // d_0 = (1/theta) Dinv r.
-  scale_dinv(r, d);
-  d.scale(1.0 / theta);
-  Real sigma = theta / delta;
-  for (std::int64_t k = 0; k < degree; ++k) {
-    x.axpy(1.0, d);
-    if (k + 1 == degree) break;
-    a_->matvec(d, dinv_r);     // dinv_r = A d (reuse as scratch)
-    r.axpy(-1.0, dinv_r);      // r -= A d
-    scale_dinv(r, dinv_r);     // dinv_r = Dinv r
-    const Real sigma_next = 1.0 / (2.0 * theta / delta - sigma);
-    const Real rho = sigma * sigma_next;
-    // d = rho d + (2 sigma_next / delta) Dinv r.
-    d.scale(rho);
-    d.axpy(2.0 * sigma_next / delta, dinv_r);
-    sigma = sigma_next;
-  }
 }
 
 }  // namespace exw::amg

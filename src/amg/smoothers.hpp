@@ -22,10 +22,6 @@
 
 namespace exw::amg {
 
-/// Gershgorin bound on the largest eigenvalue of Dinv A (used to set the
-/// Chebyshev interval; a few power iterations would be the alternative).
-Real estimate_eig_max(const linalg::ParCsr& a);
-
 /// Per-rank L/D/U split of the diag block, shared by the GS variants.
 struct LduSplit {
   std::vector<sparse::Csr> lower;   ///< strictly lower triangles
@@ -48,8 +44,8 @@ class Smoother {
 
   SmootherType type() const { return type_; }
 
-  /// Refresh the L/D/U split (and the Chebyshev eigenvalue bound) from
-  /// the matrix's current values; the structure must be unchanged.
+  /// Refresh the L/D/U split from the matrix's current values; the
+  /// structure must be unchanged.
   void refresh_values();
 
   /// Apply `sweeps` relaxation steps to A x = b in place.
@@ -76,7 +72,6 @@ class Smoother {
   void sweep_hybrid_gs(const linalg::ParVector& b, linalg::ParVector& x) const;
   void sweep_two_stage(const linalg::ParVector& b, linalg::ParVector& x) const;
   void sweep_sgs2(const linalg::ParVector& b, linalg::ParVector& x) const;
-  void sweep_chebyshev(const linalg::ParVector& b, linalg::ParVector& x) const;
 
   void sweep_jacobi_multi(const linalg::ParMultiVector& b,
                           linalg::ParMultiVector& x, bool l1) const;
@@ -100,7 +95,6 @@ class Smoother {
   int inner_sweeps_;
   Real weight_;
   LduSplit ldu_;
-  Real eig_max_ = 0;  ///< Chebyshev: estimated largest eigenvalue of Dinv A
 };
 
 }  // namespace exw::amg

@@ -70,7 +70,6 @@ class EquationGraph {
   const RankSystem& rank(RankId r) const {
     return ranks_[static_cast<std::size_t>(r)];
   }
-  std::vector<RankSystem>& rank_systems() { return ranks_; }
 
   const MeshLayout& layout() const { return *layout_; }
   const mesh::MeshDB& mesh() const { return *db_; }

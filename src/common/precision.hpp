@@ -45,10 +45,6 @@ constexpr double bytes_of(Precision p) {
                               : static_cast<double>(sizeof(double));
 }
 
-constexpr const char* precision_name(Precision p) {
-  return p == Precision::kF32 ? "f32" : "f64";
-}
-
 /// Round one double through FP32 storage: the value a float load would
 /// produce. Finite values that overflow float range throw; subnormal
 /// results flush to signed zero; NaN/inf pass through.
@@ -65,9 +61,6 @@ inline Real demote_value(Real v) {
   }
   return static_cast<Real>(f);
 }
-
-/// FP32 -> FP64 promotion is exact; named for symmetry at call sites.
-constexpr Real promote_value(Real v) { return v; }
 
 /// Store `v` under precision `p`: rounds through FP32 when the target
 /// storage is tagged kF32, the identity otherwise. Every charged store

@@ -509,15 +509,6 @@ void ParCsr::matvec_transpose(const ParVector& x, ParVector& y, Real alpha,
   });
 }
 
-std::vector<RealVector> ParCsr::diagonals() const {
-  std::vector<RealVector> out(static_cast<std::size_t>(nranks()));
-  for (RankId r{0}; r.value() < nranks(); ++r) {
-    out[static_cast<std::size_t>(r)] =
-        blocks_[static_cast<std::size_t>(r)].diag.diagonal();
-  }
-  return out;
-}
-
 sparse::Csr ParCsr::to_serial() const {
   std::vector<LocalIndex> ti, tj;
   std::vector<Real> tv;

@@ -18,7 +18,6 @@
 #include "common/precision.hpp"
 #include "common/types.hpp"
 #include "linalg/multivector.hpp"
-#include "linalg/parmatrix.hpp"
 #include "linalg/parvector.hpp"
 #include "par/partition.hpp"
 #include "par/runtime.hpp"
@@ -61,7 +60,7 @@ struct CommPkg {
   std::vector<std::vector<Recv>> recvs;  ///< [rank], ascending src
 };
 
-class ParCsr final : public ParMatrix {
+class ParCsr {
  public:
   ParCsr() = default;
 
@@ -75,12 +74,11 @@ class ParCsr final : public ParMatrix {
                             const par::RowPartition& rows,
                             const par::RowPartition& cols);
 
-  const char* format_name() const override { return "csr"; }
-  const par::RowPartition& rows() const override { return rows_; }
-  const par::RowPartition& cols() const override { return cols_; }
-  int nranks() const override { return rows_.nranks(); }
-  GlobalIndex global_rows() const override { return rows_.global_size(); }
-  GlobalIndex global_cols() const override { return cols_.global_size(); }
+  const par::RowPartition& rows() const { return rows_; }
+  const par::RowPartition& cols() const { return cols_; }
+  int nranks() const { return rows_.nranks(); }
+  GlobalIndex global_rows() const { return rows_.global_size(); }
+  GlobalIndex global_cols() const { return cols_.global_size(); }
 
   const RankBlock& block(RankId r) const {
     return blocks_[static_cast<std::size_t>(r)];
@@ -121,7 +119,7 @@ class ParCsr final : public ParMatrix {
   void copy_demoted_values_from(const ParCsr& src);
 
   GlobalIndex nnz_of_rank(RankId r) const;
-  GlobalIndex global_nnz() const override;
+  GlobalIndex global_nnz() const;
   /// Per-rank nonzero counts — the quantity of Figs. 5 and 10.
   std::vector<double> nnz_per_rank() const;
 
@@ -137,17 +135,23 @@ class ParCsr final : public ParMatrix {
 
   /// y = alpha * A * x + beta * y (x over cols(), y over rows()).
   void matvec(const ParVector& x, ParVector& y, Real alpha = 1.0,
-              Real beta = 0.0) const override;
+              Real beta = 0.0) const;
 
   /// r = b - A * x.
-  void residual(const ParVector& b, const ParVector& x,
-                ParVector& r) const override;
+  void residual(const ParVector& b, const ParVector& x, ParVector& r) const;
 
+  /// Fused multi-vector SpMV: lane c of y gets alpha * A * (lane c of x)
+  /// + beta * (lane c of y), bitwise-identical per lane to `matvec` on
+  /// that lane alone. The u/v/w momentum systems share one sparsity
+  /// pattern, so one pass reads row_ptr/cols once for all lanes; the
+  /// index bytes are charged separately through
+  /// perf::Tracer::kernel_split_prec so the saving is auditable.
   void matvec_multi(const ParMultiVector& x, ParMultiVector& y,
-                    Real alpha = 1.0, Real beta = 0.0) const override;
+                    Real alpha = 1.0, Real beta = 0.0) const;
 
+  /// Fused multi-vector residual: lane c of r = lane c of b - A x_c.
   void residual_multi(const ParMultiVector& b, const ParMultiVector& x,
-                      ParMultiVector& r) const override;
+                      ParMultiVector& r) const;
 
   /// y = alpha * A^T * x + beta * y (x over rows(), y over cols()).
   /// Off-diagonal contributions are sent to the owning ranks — the
@@ -155,13 +159,10 @@ class ParCsr final : public ParMatrix {
   void matvec_transpose(const ParVector& x, ParVector& y, Real alpha = 1.0,
                         Real beta = 0.0) const;
 
-  /// Per-rank diagonal of the diag block.
-  std::vector<RealVector> diagonals() const override;
-
   /// Reassemble the full matrix on one "rank" (tests only).
   sparse::Csr to_serial() const;
 
-  par::Runtime& runtime() const override { return *rt_; }
+  par::Runtime& runtime() const { return *rt_; }
 
  private:
   void build_comm_pkg();

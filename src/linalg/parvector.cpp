@@ -143,22 +143,6 @@ void ParVector::axpy(Real alpha, const ParVector& x) {
   });
 }
 
-void ParVector::aypx(Real alpha, const ParVector& x) {
-  EXW_REQUIRE(x.global_size() == global_size(), "vector size mismatch");
-  rt_->parallel_for_ranks([&](RankId r) {
-    auto& y = local_[static_cast<std::size_t>(r)];
-    const auto& xs = x.local_[static_cast<std::size_t>(r)];
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      y[i] = store_value(alpha * y[i] + xs[i], prec_);
-    }
-    const auto n = static_cast<double>(y.size());
-    double f64 = 0, f32 = 0;
-    split_value_bytes(prec_, 2.0 * bytes_of(prec_) * n, f64, f32);
-    split_value_bytes(x.prec_, bytes_of(x.prec_) * n, f64, f32);
-    rt_->tracer().kernel_split_prec(r, 2.0 * n, f64, f32, 0.0);
-  });
-}
-
 double ParVector::dot(const ParVector& other) const {
   EXW_REQUIRE(other.global_size() == global_size(), "vector size mismatch");
   std::vector<double> partial(static_cast<std::size_t>(nranks()), 0.0);
@@ -180,32 +164,6 @@ double ParVector::dot(const ParVector& other) const {
 }
 
 double ParVector::norm2() const { return std::sqrt(dot(*this)); }
-
-double ParVector::dot_compensated(const ParVector& other) const {
-  EXW_REQUIRE(other.global_size() == global_size(), "vector size mismatch");
-  std::vector<double> partial(static_cast<std::size_t>(nranks()), 0.0);
-  rt_->parallel_for_ranks([&](RankId r) {
-    const auto& x = local_[static_cast<std::size_t>(r)];
-    const auto& y = other.local_[static_cast<std::size_t>(r)];
-    // Neumaier (Kahan-Babuska) compensation: robust even when a term is
-    // larger in magnitude than the running sum.
-    double sum = 0, comp = 0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const double v = x[i] * y[i];
-      const double t = sum + v;
-      if (std::abs(sum) >= std::abs(v)) {
-        comp += (sum - t) + v;
-      } else {
-        comp += (v - t) + sum;
-      }
-      sum = t;
-    }
-    partial[static_cast<std::size_t>(r)] = sum + comp;
-    rt_->tracer().kernel(r, 8.0 * static_cast<double>(x.size()),
-                         2.0 * kRead * static_cast<double>(x.size()));
-  });
-  return rt_->allreduce_sum(partial);
-}
 
 RealVector ParVector::gather() const {
   RealVector out(static_cast<std::size_t>(global_size()));

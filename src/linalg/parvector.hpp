@@ -79,17 +79,8 @@ class ParVector {
   void scale(Real alpha);
   /// this += alpha * x
   void axpy(Real alpha, const ParVector& x);
-  /// this = alpha * this + x  (useful for smoother updates)
-  void aypx(Real alpha, const ParVector& x);
   double dot(const ParVector& other) const;
   double norm2() const;
-
-  /// Kahan-compensated dot product — the paper's §3.2 future-work item
-  /// ("one could perform compensated summation [27] to minimize the
-  /// effect of the potential discrepancies"): per-rank compensated
-  /// partial sums make the reduction insensitive to local accumulation
-  /// order, at ~4x the flops of a plain dot.
-  double dot_compensated(const ParVector& other) const;
 
   /// Gather to one dense global vector (tests only; not charged).
   RealVector gather() const;

@@ -108,9 +108,6 @@ class StructuredBlockBuilder {
     return GlobalIndex{(ni_.value() + 1) * (nj_.value() + 1) *
                        (nk_.value() + 1)};
   }
-  GlobalIndex num_cells() const {
-    return GlobalIndex{ni_.value() * nj_.value() * nk_.value()};
-  }
   GlobalIndex ni() const { return ni_; }
   GlobalIndex nj() const { return nj_; }
   GlobalIndex nk() const { return nk_; }

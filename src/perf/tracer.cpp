@@ -113,11 +113,10 @@ double PhaseStats::max_kernel_flops() const {
 
 Tracer::Tracer(int nranks) : nranks_(nranks) {
   EXW_REQUIRE(nranks >= 1, "tracer needs at least one rank");
-  stats_for("");  // root phase: untagged work is never lost
-  stack_.push_back("");
+  stack_.push_back(&intern(""));  // root phase: untagged work is never lost
 }
 
-PhaseStats& Tracer::stats_for(const std::string& name) {
+Tracer::Phase& Tracer::intern(const std::string& name) {
   auto it = phases_.find(name);  // exw-warm-ok: the tracer IS the instrument
   if (it == phases_.end()) {
     it = phases_.emplace(  // exw-warm-ok: once per phase name (cold)
@@ -126,15 +125,13 @@ PhaseStats& Tracer::stats_for(const std::string& name) {
         static_cast<std::size_t>(nranks_), RankWork{});
     order_.push_back(name);  // exw-warm-ok: cold first touch of phase name
   }
-  return it->second;
+  return *it;
 }
 
 void Tracer::push_phase(const std::string& name) {
   EXW_CONTRACT_CHECK(par::contract::check_phase_mutation("push_phase"));
-  const std::string full =
-      stack_.back().empty() ? name : stack_.back() + "/" + name;
-  stats_for(full);
-  stack_.push_back(full);
+  const std::string& parent = stack_.back()->first;
+  stack_.push_back(&intern(parent.empty() ? name : parent + "/" + name));
   const auto t = purity::totals();
   alloc_snap_.emplace_back(t.allocs, t.bytes);
 }
@@ -147,11 +144,12 @@ void Tracer::pop_phase() {
   // kernel charges accrue to every open phase.
   const auto t = purity::totals();
   const auto& [a0, b0] = alloc_snap_.back();
-  PhaseStats& s = find_stats(stack_.back());
+  PhaseStats& s = stack_.back()->second;
   s.allocs += static_cast<long long>(t.allocs - a0);
   s.alloc_bytes += static_cast<double>(t.bytes - b0);
   alloc_snap_.pop_back();
-  const std::string closed = std::move(stack_.back());
+  // The registry's key, so it outlives the pop.
+  const std::string& closed = stack_.back()->first;
   stack_.pop_back();
   // Boundary hook last, with the pop fully applied, so a listener that
   // throws (a failed boundary audit) leaves the phase stack consistent.
@@ -160,19 +158,8 @@ void Tracer::pop_phase() {
   }
 }
 
-PhaseStats& Tracer::find_stats(const std::string& name) {
-  auto it = phases_.find(name);  // exw-warm-ok: the tracer IS the instrument
-  EXW_ASSERT(it != phases_.end());
-  return it->second;
-}
-
 void Tracer::kernel(RankId r, double flops, double bytes) {
-  kernel_split(r, flops, bytes, 0.0);
-}
-
-void Tracer::kernel_split(RankId r, double flops, double value_bytes,
-                          double index_bytes) {
-  kernel_split_prec(r, flops, value_bytes, 0.0, index_bytes);
+  kernel_split_prec(r, flops, bytes, 0.0, 0.0);
 }
 
 void Tracer::kernel_split_prec(RankId r, double flops, double value_bytes_f64,
@@ -181,12 +168,13 @@ void Tracer::kernel_split_prec(RankId r, double flops, double value_bytes_f64,
   EXW_CONTRACT_CHECK(par::contract::check_kernel_charge(r));
   // Rank r's flops/bytes/kernels are written only by the thread running
   // rank r's body, so plain accumulation is race-free even inside
-  // parallel regions (the stack is frozen there and find_stats never
-  // inserts). The msgs/msg_bytes members are NOT single-writer — any
-  // thread may charge rank r as a message endpoint — so Tracer::message
-  // uses atomic RMWs for them; they must never be touched here.
-  for (const auto& name : stack_) {
-    auto& w = find_stats(name).rank[static_cast<std::size_t>(r)];
+  // parallel regions (the stack is frozen there and charges never look
+  // up or insert phases). The msgs/msg_bytes members are NOT
+  // single-writer — any thread may charge rank r as a message endpoint —
+  // so Tracer::message uses atomic RMWs for them; they must never be
+  // touched here.
+  for (Phase* phase : stack_) {
+    auto& w = phase->second.rank[static_cast<std::size_t>(r)];
     w.flops += flops;
     w.bytes += value_bytes_f64 + value_bytes_f32 + index_bytes;
     w.index_bytes += index_bytes;
@@ -200,8 +188,8 @@ void Tracer::message(RankId src, RankId dst, double bytes) {
   EXW_ASSERT(src.value() >= 0 && src.value() < nranks_ &&
              dst.value() >= 0 && dst.value() < nranks_);
   EXW_CONTRACT_CHECK(par::contract::check_message_charge(src));
-  for (const auto& name : stack_) {
-    auto& s = find_stats(name);
+  for (Phase* phase : stack_) {
+    auto& s = phase->second;
     // In a halo exchange every rank is simultaneously a sender (charged
     // here by its own thread) and a destination (charged by neighbor
     // threads), so BOTH endpoint charges must be atomic: mixing plain
@@ -224,16 +212,16 @@ void Tracer::message(RankId src, RankId dst, double bytes) {
 }
 
 void Tracer::collective(double bytes) {
-  for (const auto& name : stack_) {
-    auto& s = stats_for(name);
+  for (Phase* phase : stack_) {
+    auto& s = phase->second;
     s.collectives += 1;
     s.coll_bytes += bytes;
   }
 }
 
 void Tracer::collective_overlapped(double bytes) {
-  for (const auto& name : stack_) {
-    auto& s = stats_for(name);
+  for (Phase* phase : stack_) {
+    auto& s = phase->second;
     s.overlapped_collectives += 1;
     s.overlapped_coll_bytes += bytes;
   }

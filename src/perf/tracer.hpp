@@ -106,8 +106,6 @@ struct PhaseStats {
   /// Per-precision split of total_value_bytes (f32 label + complement).
   double total_value_bytes_f32() const;
   double total_value_bytes_f64() const;
-  /// Heap allocations observed while the phase was open (see `allocs`).
-  long long total_allocs() const { return allocs; }
   /// Largest single kernel charged by any rank in this phase (flops).
   double max_kernel_flops() const;
 };
@@ -131,6 +129,9 @@ class PhasePopListener {
 class Tracer {
  public:
   explicit Tracer(int nranks);
+  /// The phase stack points into this tracer's own registry.
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
 
   int nranks() const { return nranks_; }
 
@@ -140,7 +141,7 @@ class Tracer {
   void push_phase(const std::string& name);
   void pop_phase();
   /// Fully-qualified name of the innermost open phase.
-  const std::string& current_phase() const { return stack_.back(); }
+  const std::string& current_phase() const { return stack_.back()->first; }
 
   /// One kernel on rank `r` doing `flops` work over `bytes` traffic.
   /// Thread-safe during parallel rank regions as long as it is called
@@ -150,17 +151,10 @@ class Tracer {
   void kernel(RankId r, double flops, double bytes);
 
   /// Same as kernel(), but labels how the traffic splits into value
-  /// bytes and index-structure bytes (total charged = value + index).
-  /// Kernels that stream sparse structure should prefer this so the
-  /// index-vs-value ledger stays meaningful; kernel() charges everything
-  /// as value traffic.
-  void kernel_split(RankId r, double flops, double value_bytes,
-                    double index_bytes);
-
-  /// Full split: value traffic by precision plus index structure (total
-  /// charged = f64 + f32 + index). Kernels streaming FP32-tagged storage
-  /// charge their value bytes through the f32 lane so the per-precision
-  /// ledger stays meaningful; kernel_split() labels everything f64.
+  /// bytes by precision and index-structure bytes (total charged = f64 +
+  /// f32 + index). Kernels that stream sparse structure or FP32-tagged
+  /// storage use this so the index-vs-value and per-precision ledgers
+  /// stay meaningful; kernel() charges everything as f64 value traffic.
   void kernel_split_prec(RankId r, double flops, double value_bytes_f64,
                          double value_bytes_f32, double index_bytes);
 
@@ -197,16 +191,17 @@ class Tracer {
   }
 
  private:
-  PhaseStats& stats_for(const std::string& name);
-  /// Lookup without insertion — the hot accounting path. Never mutates
-  /// the phase registry, so concurrent rank bodies can charge work while
-  /// the orchestrator holds the phase stack fixed.
-  PhaseStats& find_stats(const std::string& name);
+  using Phase = std::map<std::string, PhaseStats>::value_type;
+  /// The registry entry of `name`, created on first use (cold).
+  Phase& intern(const std::string& name);
 
   int nranks_;
   std::map<std::string, PhaseStats> phases_;
   std::vector<std::string> order_;
-  std::vector<std::string> stack_;  ///< open fully-qualified names
+  /// Open phases, root first. Map nodes never move, so charges walk
+  /// these pointers without a lookup, and concurrent rank bodies can
+  /// charge work while the orchestrator holds the stack fixed.
+  std::vector<Phase*> stack_;
   /// Purity-counter snapshot (allocs, bytes) taken when each open phase
   /// was pushed; the delta at pop is folded into that phase's `allocs`.
   /// Parallel to stack_ minus the root entry.

@@ -52,7 +52,7 @@ std::vector<double> fused_dots(const std::vector<linalg::ParVector>& v,
 /// un-orthogonalized candidate. The auxiliary basis q_i = A M^-1 v_i
 /// turns that early matvec into the next candidate without a second
 /// operator application.
-SolveStats pipelined_cycles(const linalg::ParMatrix& a,
+SolveStats pipelined_cycles(const linalg::ParCsr& a,
                             const linalg::ParVector& b, linalg::ParVector& x,
                             Preconditioner& m, const GmresOptions& opts,
                             Real target, SolveStats stats) {
@@ -241,7 +241,7 @@ SolveStats pipelined_cycles(const linalg::ParMatrix& a,
 
 }  // namespace
 
-SolveStats gmres_solve(const linalg::ParMatrix& a, const linalg::ParVector& b,
+SolveStats gmres_solve(const linalg::ParCsr& a, const linalg::ParVector& b,
                        linalg::ParVector& x, Preconditioner& m,
                        const GmresOptions& opts) {
   par::Runtime& rt = a.runtime();

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "linalg/multivector.hpp"
-#include "linalg/parmatrix.hpp"
+#include "linalg/parcsr.hpp"
 #include "linalg/parvector.hpp"
 #include "solver/precond.hpp"
 
@@ -95,9 +95,7 @@ struct SolveStats {
 };
 
 /// Solve A x = b with right preconditioning (x holds the initial guess).
-/// `a` is consumed through the storage-format seam (linalg::ParMatrix),
-/// so any backend exposing matvec/residual can drive the solver.
-SolveStats gmres_solve(const linalg::ParMatrix& a, const linalg::ParVector& b,
+SolveStats gmres_solve(const linalg::ParCsr& a, const linalg::ParVector& b,
                        linalg::ParVector& x, Preconditioner& m,
                        const GmresOptions& opts);
 
@@ -122,7 +120,7 @@ struct MultiSolveStats {
 /// reductions of par::Runtime make the batched collectives exact).
 /// Lanes that converge drop out of the fused work via lane masks; lanes
 /// whose true-residual confirmation fails rejoin at the next restart.
-MultiSolveStats gmres_solve_multi(const linalg::ParMatrix& a,
+MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
                                   const linalg::ParMultiVector& b,
                                   linalg::ParMultiVector& x, Preconditioner& m,
                                   const GmresOptions& opts);

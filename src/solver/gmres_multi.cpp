@@ -86,7 +86,7 @@ std::vector<double> fused_dots_multi(
 
 }  // namespace
 
-MultiSolveStats gmres_solve_multi(const linalg::ParMatrix& a,
+MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
                                   const linalg::ParMultiVector& b,
                                   linalg::ParMultiVector& x, Preconditioner& m,
                                   const GmresOptions& opts) {

@@ -163,33 +163,6 @@ Csr Csr::transpose() const {
   return out;
 }
 
-void Csr::sort_rows() {
-  std::vector<std::pair<LocalIndex, Real>> tmp;
-  for (LocalIndex i{0}; i < nrows_; ++i) {
-    const auto b = static_cast<std::size_t>(row_begin(i));
-    const auto e = static_cast<std::size_t>(row_end(i));
-    tmp.clear();
-    for (std::size_t k = b; k < e; ++k) {
-      tmp.emplace_back(cols_[k], vals_[k]);
-    }
-    std::sort(tmp.begin(), tmp.end(),
-              [](const auto& a, const auto& c) { return a.first < c.first; });
-    for (std::size_t k = b; k < e; ++k) {
-      cols_[k] = tmp[k - b].first;
-      vals_[k] = tmp[k - b].second;
-    }
-  }
-}
-
-void Csr::scale_rows(std::span<const Real> s) {
-  EXW_ASSERT(s.size() >= static_cast<std::size_t>(nrows_));
-  for (LocalIndex i{0}; i < nrows_; ++i) {
-    for (EntryOffset k = row_begin(i); k < row_end(i); ++k) {
-      vals_[static_cast<std::size_t>(k)] *= s[static_cast<std::size_t>(i)];
-    }
-  }
-}
-
 Real Csr::at(LocalIndex i, LocalIndex j) const {
   for (EntryOffset k = row_begin(i); k < row_end(i); ++k) {
     if (cols_[static_cast<std::size_t>(k)] == j) {
@@ -205,63 +178,6 @@ Real Csr::max_abs() const {
     m = std::max(m, std::abs(v));
   }
   return m;
-}
-
-Csr add(const Csr& a, const Csr& b) {
-  EXW_REQUIRE(a.nrows() == b.nrows() && a.ncols() == b.ncols(),
-              "matrix add shape mismatch");
-  Csr out(a.nrows(), a.ncols());
-  auto& rp = out.row_ptr_mut();
-  auto& cols = out.cols_vec();
-  auto& vals = out.vals_vec();
-  std::vector<Real> accum(static_cast<std::size_t>(a.ncols()), 0.0);
-  std::vector<LocalIndex> marker(static_cast<std::size_t>(a.ncols()),
-                                 kInvalidLocal);
-  std::vector<LocalIndex> live;
-  for (LocalIndex i{0}; i < a.nrows(); ++i) {
-    live.clear();
-    auto absorb = [&](const Csr& m) {
-      for (EntryOffset k = m.row_begin(i); k < m.row_end(i); ++k) {
-        const LocalIndex c = m.cols()[k];
-        if (marker[static_cast<std::size_t>(c)] != i) {
-          marker[static_cast<std::size_t>(c)] = i;
-          accum[static_cast<std::size_t>(c)] = 0.0;
-          live.push_back(c);
-        }
-        accum[static_cast<std::size_t>(c)] += m.vals()[k];
-      }
-    };
-    absorb(a);
-    absorb(b);
-    std::sort(live.begin(), live.end());
-    for (LocalIndex c : live) {
-      cols.push_back(c);
-      vals.push_back(accum[static_cast<std::size_t>(c)]);
-    }
-    rp[static_cast<std::size_t>(i) + 1] = EntryOffset{cols.size()};
-  }
-  return out;
-}
-
-Csr extract(const Csr& a, std::span<const LocalIndex> rows,
-            std::span<const LocalIndex> col_map, LocalIndex ncols_out) {
-  Csr out(checked_narrow<LocalIndex>(rows.size()), ncols_out);
-  auto& rp = out.row_ptr_mut();
-  auto& cols = out.cols_vec();
-  auto& vals = out.vals_vec();
-  for (std::size_t oi = 0; oi < rows.size(); ++oi) {
-    const LocalIndex i = rows[oi];
-    for (EntryOffset k = a.row_begin(i); k < a.row_end(i); ++k) {
-      const LocalIndex c = a.cols()[k];
-      const LocalIndex nc = col_map[static_cast<std::size_t>(c)];
-      if (nc != kInvalidLocal) {
-        cols.push_back(nc);
-        vals.push_back(a.vals()[k]);
-      }
-    }
-    rp[oi + 1] = EntryOffset{cols.size()};
-  }
-  return out;
 }
 
 Real residual_inf_norm(const Csr& a, std::span<const Real> x,

@@ -3,10 +3,9 @@
 /// Compressed-sparse-row matrix and the core kernels built on it.
 ///
 /// CSR is the solver-side format: SpMV ("the primary workhorse of Krylov
-/// and AMG algorithms", paper §3.3), transposition, matrix addition, and
-/// submatrix extraction (for the FF/FC blocks of the MM-ext interpolation
-/// operators, §4.1). Indices here are rank-local; the distributed layer
-/// (linalg/ParCsr) pairs a local CSR "diag" block with an "offd" block.
+/// and AMG algorithms", paper §3.3) and transposition. Indices here are
+/// rank-local; the distributed layer (linalg/ParCsr) pairs a local CSR
+/// "diag" block with an "offd" block.
 ///
 /// Index spaces: rows/columns are LocalIndex (32-bit), but positions in
 /// the entry storage — row_ptr values and subscripts of cols()/vals() —
@@ -47,7 +46,6 @@ class Csr {
   }
   IndexedSpan<EntryOffset, const LocalIndex> cols() const { return {cols_}; }
   IndexedSpan<EntryOffset, const Real> vals() const { return {vals_}; }
-  IndexedSpan<EntryOffset, LocalIndex> cols_mut() { return {cols_}; }
   IndexedSpan<EntryOffset, Real> vals_mut() { return {vals_}; }
 
   EntryOffset row_begin(LocalIndex i) const {
@@ -91,12 +89,6 @@ class Csr {
   /// A^T as a new CSR (counting-sort by column; O(nnz)).
   Csr transpose() const;
 
-  /// Sort column indices (and values) ascending within each row.
-  void sort_rows();
-
-  /// Scale row i by s[i].
-  void scale_rows(std::span<const Real> s);
-
   /// Value at (i, j) or 0; linear scan of row i.
   Real at(LocalIndex i, LocalIndex j) const;
 
@@ -110,15 +102,6 @@ class Csr {
   std::vector<LocalIndex> cols_;
   std::vector<Real> vals_;
 };
-
-/// C = A + B (same shape).
-Csr add(const Csr& a, const Csr& b);
-
-/// Extract A(rows, cols): `rows` lists kept rows in output order;
-/// `col_map[j]` is the new index of column j or kInvalidLocal to drop;
-/// `ncols_out` is the output column count.
-Csr extract(const Csr& a, std::span<const LocalIndex> rows,
-            std::span<const LocalIndex> col_map, LocalIndex ncols_out);
 
 /// Dense |residual| check helper: y = A*x - b, returns max |y_i|.
 Real residual_inf_norm(const Csr& a, std::span<const Real> x,

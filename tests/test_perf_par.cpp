@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 
 #include "par/runtime.hpp"
 #include "par/tags.hpp"
@@ -63,10 +64,31 @@ TEST(Tracer, PhaseNestingChargesAllOpenPhases) {
       perf::PhaseScope inner(t, "solve");
       t.kernel(RankId{1}, 200, 20);
     }
+    // The open phases are charged through pointers into the registry;
+    // 64 new names must not move the entries "" and "eq" live in.
+    for (int i = 0; i < 64; ++i) {
+      perf::PhaseScope inner(t, std::to_string(i));
+      t.kernel(RankId{0}, 1, 1);
+      t.message(RankId{0}, RankId{1}, 8);
+      t.collective(8);
+    }
+    perf::PhaseScope again(t, "7");
+    t.kernel(RankId{1}, 2, 2);
   }
-  EXPECT_DOUBLE_EQ(t.phase("eq").total_flops(), 300);
+  for (const char* name : {"", "eq"}) {
+    const auto& s = t.phase(name);
+    EXPECT_DOUBLE_EQ(s.total_flops(), 100 + 200 + 64 + 2);
+    EXPECT_EQ(s.total_kernels(), 2 + 64 + 1);
+    EXPECT_EQ(s.total_messages(), 64);
+    EXPECT_EQ(s.collectives, 64);
+  }
   EXPECT_DOUBLE_EQ(t.phase("eq/solve").total_flops(), 200);
-  EXPECT_DOUBLE_EQ(t.phase("").total_flops(), 300);
+  // Re-opening a name charges its first entry.
+  const auto& s7 = t.phase("eq/7");
+  EXPECT_DOUBLE_EQ(s7.total_flops(), 1 + 2);
+  EXPECT_EQ(s7.total_kernels(), 2);
+  EXPECT_EQ(s7.total_messages(), 1);
+  EXPECT_EQ(s7.collectives, 1);
 }
 
 TEST(Tracer, ModeledTimeIsMaxOverRanks) {

@@ -116,35 +116,6 @@ TEST(Smoother, ThrowsOnZeroDiagonal) {
   EXPECT_THROW(Smoother(a, SmootherType::kJacobi, 1, 1.0), Error);
 }
 
-TEST(Smoother, EigEstimateHandlesNegativeDiagonal) {
-  // Regression: rows with a negative diagonal used to be skipped, so a
-  // matrix whose diagonal is entirely negative produced a Gershgorin
-  // bound of 0 — which collapses the Chebyshev interval to a point.
-  // -laplace3d is symmetric negative definite with all-negative diagonal.
-  auto mat = testutil::laplace3d(4, 0.2);
-  for (auto& v : mat.vals_vec()) v = -v;
-  par::Runtime rt(2);
-  const auto rows = par::RowPartition::even(GlobalIndex{mat.nrows().value()}, 2);
-  const auto a = linalg::ParCsr::from_serial(rt, mat, rows, rows);
-  const Real bound = estimate_eig_max(a);
-  EXPECT_GT(bound, 1.0);  // 1 + row/|d| >= 1 with equality only if no off-diag
-  // And it matches the bound of the positive twin: |.| makes it sign-blind.
-  par::Runtime rt2(2);
-  const auto pos = linalg::ParCsr::from_serial(rt2, testutil::laplace3d(4, 0.2),
-                                               rows, rows);
-  EXPECT_DOUBLE_EQ(bound, estimate_eig_max(pos));
-}
-
-TEST(Smoother, EigEstimateThrowsOnZeroDiagonal) {
-  sparse::Csr bad = sparse::Csr::from_triples(LocalIndex{2}, LocalIndex{2},
-                                        {LocalIndex{0}, LocalIndex{1}},
-                                        {LocalIndex{1}, LocalIndex{0}}, {1.0, 1.0});
-  par::Runtime rt(1);
-  const auto rows = par::RowPartition::even(GlobalIndex{2}, 1);
-  const auto a = linalg::ParCsr::from_serial(rt, bad, rows, rows);
-  EXPECT_THROW(estimate_eig_max(a), Error);
-}
-
 TEST(LduSplit, SplitsDiagBlock) {
   par::Runtime rt(2);
   const auto mat = laplace3d(4, 0.5);

@@ -67,48 +67,12 @@ TEST(Csr, TransposeMatchesSpmvTranspose) {
   EXPECT_LT(max_diff(y1, y2), 1e-12);
 }
 
-TEST(Csr, AddMatchesEntrywise) {
-  const Csr a = random_rect(LocalIndex{20}, LocalIndex{20}, 4, 1);
-  const Csr b = random_rect(LocalIndex{20}, LocalIndex{20}, 4, 2);
-  const Csr c = add(a, b);
-  for (LocalIndex i{0}; i < LocalIndex{20}; ++i) {
-    for (LocalIndex j{0}; j < LocalIndex{20}; ++j) {
-      EXPECT_NEAR(c.at(i, j), a.at(i, j) + b.at(i, j), 1e-14);
-    }
-  }
-}
-
-TEST(Csr, ExtractSubmatrix) {
-  const Csr a = laplace3d(3);
-  // Keep even rows, remap even columns.
-  std::vector<LocalIndex> rows;
-  std::vector<LocalIndex> col_map(static_cast<std::size_t>(a.ncols()),
-                                  kInvalidLocal);
-  LocalIndex nc{0};
-  for (LocalIndex i{0}; i < a.nrows(); i += 2) {
-    rows.push_back(i);
-    col_map[static_cast<std::size_t>(i)] = nc++;
-  }
-  const Csr sub = extract(a, rows, col_map, nc);
-  EXPECT_EQ(sub.nrows(), checked_narrow<LocalIndex>(rows.size()));
-  for (std::size_t oi = 0; oi < rows.size(); ++oi) {
-    for (LocalIndex oj{0}; oj < nc; ++oj) {
-      EXPECT_NEAR(sub.at(static_cast<LocalIndex>(oi), oj),
-                  a.at(rows[oi], LocalIndex{oj.value() * 2}), 1e-15);
-    }
-  }
-}
-
 TEST(Csr, DiagonalAndScaleRows) {
-  Csr a = random_spd_ish(LocalIndex{15}, 4, 21);
+  const Csr a = random_spd_ish(LocalIndex{15}, 4, 21);
   const auto d = a.diagonal();
   for (LocalIndex i{0}; i < LocalIndex{15}; ++i) {
     EXPECT_DOUBLE_EQ(d[static_cast<std::size_t>(i)], a.at(i, i));
   }
-  RealVector s(15, 2.0);
-  const Real before = a.at(LocalIndex{3}, LocalIndex{3});
-  a.scale_rows(s);
-  EXPECT_DOUBLE_EQ(a.at(LocalIndex{3}, LocalIndex{3}), 2.0 * before);
 }
 
 // --- SpGEMM -------------------------------------------------------------

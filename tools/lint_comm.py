@@ -42,8 +42,11 @@ import re
 import sys
 import tempfile
 
+from cppscan import (CALL, CALL_EXCLUDE, CONTROL_KEYWORDS, body_span,
+                     find_definitions, matching_paren, sources, split_args,
+                     strip_comments_and_strings)
+
 SCAN_DIRS = ["src", "tests", "bench", "examples"]
-SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
 
 SUPPRESS = re.compile(r"//\s*exw-comm-ok:\s*\S")
 
@@ -66,146 +69,6 @@ UNORDERED_DECL = re.compile(
 # should stay empty; prefer `// exw-comm-ok: reason` for the rare
 # justified construct over growing this table.
 COMM_ALLOWANCE: dict[str, int] = {}
-
-# Function-call heads / definitions (same heuristics as lint_warm_path).
-DEF_HEAD = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
-CONTROL_KEYWORDS = {
-    "if", "for", "while", "switch", "return", "sizeof", "catch",
-    "alignof", "decltype", "static_assert", "defined", "assert",
-}
-CALL = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
-CALL_EXCLUDE = {
-    "find", "find_if", "insert", "emplace", "emplace_back", "push_back",
-    "resize", "reserve", "assign", "erase", "clear", "count", "at",
-    "begin", "end", "size", "data", "empty", "front", "back", "swap",
-    "value", "get", "min", "max", "abs", "move", "region",
-}
-
-
-def strip_comments_and_strings(text: str) -> str:
-    """Blank out comments and string literals, preserving line structure."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            i = j
-        elif text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            j = n if j < 0 else j + 2
-            out.append("\n" * text.count("\n", i, j))
-            i = j
-        elif ch in "\"'":
-            j = i + 1
-            while j < n and text[j] != ch:
-                j += 2 if text[j] == "\\" else 1
-            i = min(j + 1, n)
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
-def matching_paren(code: str, open_paren: int) -> int:
-    """Index of the `)` matching the `(` at open_paren (-1 if none)."""
-    depth = 0
-    for i in range(open_paren, len(code)):
-        if code[i] == "(":
-            depth += 1
-        elif code[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
-
-
-def body_span(code: str, open_brace: int) -> int:
-    """Index one past the `}` matching the `{` at open_brace."""
-    depth = 0
-    for i in range(open_brace, len(code)):
-        if code[i] == "{":
-            depth += 1
-        elif code[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return len(code)
-
-
-def split_args(argtext: str) -> list[str]:
-    """Split a call's argument text at top-level commas."""
-    args, depth, cur = [], 0, []
-    for ch in argtext:
-        if ch in "([{<":
-            depth += 1
-        elif ch in ")]}>":
-            depth -= 1
-        if ch == "," and depth == 0:
-            args.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        args.append("".join(cur))
-    return args
-
-
-def find_definitions(code: str):
-    """Yield (name, head_start, body_start, body_end) for every function
-    definition in stripped source (same heuristic as lint_warm_path)."""
-    for m in DEF_HEAD.finditer(code):
-        name = m.group(1)
-        if name in CONTROL_KEYWORDS:
-            continue
-        depth, i = 0, m.end() - 1
-        close = -1
-        while i < len(code):
-            if code[i] == "(":
-                depth += 1
-            elif code[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    close = i
-                    break
-            elif code[i] == ";" and depth == 1:
-                break
-            i += 1
-        if close < 0:
-            continue
-        j = close + 1
-        while j < len(code):
-            rest = code[j:j + 24]
-            if code[j] in " \t\n":
-                j += 1
-            elif rest.startswith(("const", "noexcept", "override", "final")):
-                j += len(re.match(r"\w+", rest).group(0))
-            elif rest.startswith("->"):
-                k = code.find("{", j)
-                semi = code.find(";", j)
-                if k < 0 or (0 <= semi < k):
-                    j = -1
-                else:
-                    j = k
-                break
-            elif code[j] == ":":
-                k = code.find("{", j)
-                semi = code.find(";", j)
-                if k < 0 or (0 <= semi < k):
-                    j = -1
-                else:
-                    j = k
-                break
-            elif code[j] == "{":
-                break
-            else:
-                j = -1
-                break
-        if j < 0 or j >= len(code) or code[j] != "{":
-            continue
-        yield name, m.start(), j, body_span(code, j)
-
 
 def collective_reaching(files: dict[str, str]) -> set[str]:
     """Names of functions defined in the scanned tree whose bodies reach
@@ -276,9 +139,7 @@ def scan_tree(root: pathlib.Path):
         base = root / d
         if not base.is_dir():
             continue
-        for path in sorted(base.rglob("*")):
-            if path.suffix not in SUFFIXES:
-                continue
+        for path in sources(base):
             rel = path.relative_to(root).as_posix()
             raw = path.read_text(encoding="utf-8")
             files[rel] = strip_comments_and_strings(raw)

@@ -35,6 +35,8 @@ import pathlib
 import re
 import sys
 
+from cppscan import sources, strip_comments_and_strings
+
 # Raw int loop induction variables (rule 1).
 RAW_INT_LOOP = re.compile(r"\bfor\s*\(\s*(?:const\s+)?(?:std::)?(?:int|int32_t)\s+\w+")
 
@@ -58,32 +60,6 @@ LOOP_ALLOWANCE = {
 }
 
 
-def strip_comments_and_strings(text: str) -> str:
-    """Blank out comments and string literals, preserving line structure."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            i = j
-        elif text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            j = n if j < 0 else j + 2
-            out.append("\n" * text.count("\n", i, j))
-            i = j
-        elif ch in "\"'":
-            j = i + 1
-            while j < n and text[j] != ch:
-                j += 2 if text[j] == "\\" else 1
-            i = min(j + 1, n)
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default=".", help="repository root")
@@ -96,9 +72,7 @@ def main() -> int:
 
     failures = []
     seen = {}
-    for path in sorted(src.rglob("*")):
-        if path.suffix not in {".hpp", ".cpp", ".h", ".cc"}:
-            continue
+    for path in sources(src):
         rel = path.relative_to(root).as_posix()
         code = strip_comments_and_strings(path.read_text(encoding="utf-8"))
         loop_hits = [

@@ -45,6 +45,9 @@ import pathlib
 import re
 import sys
 
+from cppscan import (CALL, CALL_EXCLUDE, CONTROL_KEYWORDS, find_definitions,
+                     sources, strip_comments_and_strings)
+
 # Constructs that are wrong on a warm path, with the category reported.
 FORBIDDEN = [
     (re.compile(r"\bstd::(?:stable_|partial_)?sort\s*\("), "sort"),
@@ -64,29 +67,6 @@ SUPPRESS = re.compile(r"//\s*exw-warm-ok:\s*\S")
 # Marks a function definition as a warm-path call-graph root.
 WARM_MACRO = "EXW_WARM_FN"
 
-# Function definition heads: `name(args...) ... {` with no `;` between
-# the parameter list and the brace. Deliberately loose — it also matches
-# control keywords, which CONTROL_KEYWORDS filters out.
-DEF_HEAD = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
-CONTROL_KEYWORDS = {
-    "if", "for", "while", "switch", "return", "sizeof", "catch",
-    "alignof", "decltype", "static_assert", "defined", "assert",
-}
-
-# Calls inside a body: identifier followed by `(`. Same keyword filter.
-CALL = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
-
-# Names excluded from call-graph edges: standard container methods (a
-# `.find(` on a std::map would otherwise pull in any src/ function that
-# happens to be named `find`) — their misuse is already caught directly
-# by FORBIDDEN — plus ubiquitous tiny accessors that only add noise.
-CALL_EXCLUDE = {
-    "find", "find_if", "insert", "emplace", "emplace_back", "push_back",
-    "resize", "reserve", "assign", "erase", "clear", "count", "at",
-    "begin", "end", "size", "data", "empty", "front", "back", "swap",
-    "value", "get", "min", "max", "abs", "move", "region",
-}
-
 # Frozen per-file allowances. Counts may only decrease; delete a line
 # once its file reaches zero. Every entry is a construct inside the warm
 # call graph that is justified at runtime by an EXW_PURITY_ALLOW scope
@@ -97,105 +77,6 @@ WARM_ALLOWANCE = {
     "src/assembly/plan.cpp": 2,  # first-refill scratch priming (resize)
     "src/par/runtime.hpp": 1,    # simulated-NIC mailbox push in send()
 }
-
-
-def strip_comments_and_strings(text: str) -> str:
-    """Blank out comments and string literals, preserving line structure."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            i = j
-        elif text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            j = n if j < 0 else j + 2
-            out.append("\n" * text.count("\n", i, j))
-            i = j
-        elif ch in "\"'":
-            j = i + 1
-            while j < n and text[j] != ch:
-                j += 2 if text[j] == "\\" else 1
-            i = min(j + 1, n)
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
-def body_span(code: str, open_brace: int) -> int:
-    """Index one past the `}` matching the `{` at open_brace."""
-    depth = 0
-    for i in range(open_brace, len(code)):
-        if code[i] == "{":
-            depth += 1
-        elif code[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return len(code)
-
-
-def find_definitions(code: str):
-    """Yield (name, head_start, body_start, body_end) for every function
-    definition in stripped source. Heuristic: an identifier + `(...)`
-    where the matching `)` is followed (modulo specifiers) by `{` and the
-    parameter list contains no `;` (rules out control blocks over
-    statements and class bodies)."""
-    for m in DEF_HEAD.finditer(code):
-        name = m.group(1)
-        if name in CONTROL_KEYWORDS:
-            continue
-        # Find the matching close paren.
-        depth, i = 0, m.end() - 1
-        close = -1
-        while i < len(code):
-            if code[i] == "(":
-                depth += 1
-            elif code[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    close = i
-                    break
-            elif code[i] == ";" and depth == 1:
-                break  # parameter lists don't contain `;`
-            i += 1
-        if close < 0:
-            continue
-        # Skip trailing specifiers up to `{` or bail at `;`/other.
-        j = close + 1
-        while j < len(code):
-            rest = code[j:j + 24]
-            if code[j] in " \t\n":
-                j += 1
-            elif rest.startswith(("const", "noexcept", "override", "final")):
-                j += len(re.match(r"\w+", rest).group(0))
-            elif rest.startswith("->"):
-                k = code.find("{", j)
-                semi = code.find(";", j)
-                if k < 0 or (0 <= semi < k):
-                    j = -1
-                else:
-                    j = k
-                break
-            elif code[j] == ":":  # constructor init list
-                k = code.find("{", j)
-                semi = code.find(";", j)
-                if k < 0 or (0 <= semi < k):
-                    j = -1
-                else:
-                    j = k
-                break
-            elif code[j] == "{":
-                break
-            else:
-                j = -1
-                break
-        if j < 0 or j >= len(code) or code[j] != "{":
-            continue
-        yield name, m.start(), j, body_span(code, j)
 
 
 def main() -> int:
@@ -211,9 +92,7 @@ def main() -> int:
     # name -> [(rel, raw_lines, code, body_start, body_end)]
     defs: dict[str, list] = {}
     roots: list[str] = []
-    for path in sorted(src.rglob("*")):
-        if path.suffix not in {".hpp", ".cpp", ".h", ".cc"}:
-            continue
+    for path in sources(src):
         rel = path.relative_to(root).as_posix()
         raw = path.read_text(encoding="utf-8")
         code = strip_comments_and_strings(raw)
