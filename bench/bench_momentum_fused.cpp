@@ -208,7 +208,7 @@ int run() {
   std::vector<std::size_t> allocs_per_solve;
   const auto f0 = std::chrono::steady_clock::now();
   for (int it = 0; it < solves; ++it) {
-    linalg::ParMultiVector b(rt, rows, kLanes), x(rt, rows, kLanes);
+    linalg::ParVector b(rt, rows, kLanes), x(rt, rows, kLanes);
     for (std::size_t c = 0; c < kLanes; ++c) {
       linalg::ParVector bc(rt, rows);
       bc.scatter(bd[c]);

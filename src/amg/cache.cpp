@@ -105,8 +105,8 @@ void replay_level(par::Runtime& rt, LevelReplay& lr,
 
 CacheAction HierarchyCache::update(const linalg::ParCsr& a,
                                    const AmgConfig& cfg,
-                                   std::uint64_t generation, bool use_cache,
-                                   double stagnation_ratio) {
+                                   std::uint64_t generation,
+                                   bool use_cache) {
   if (!use_cache || stale(generation, cfg) || !hierarchy_->frozen()) {
     rebuild(a, cfg, generation, /*freeze=*/use_cache);
     return CacheAction::kRebuild;
@@ -115,7 +115,7 @@ CacheAction HierarchyCache::update(const linalg::ParCsr& a,
     ++reuses_;
     return CacheAction::kReuse;
   }
-  if (stagnating(stagnation_ratio)) {
+  if (stagnating()) {
     rebuild(a, cfg, generation, /*freeze=*/true);
     return CacheAction::kRebuild;
   }
@@ -204,12 +204,12 @@ void HierarchyCache::note_solve(int iterations) {
   }
 }
 
-bool HierarchyCache::stagnating(double ratio) const {
+bool HierarchyCache::stagnating() const {
   if (baseline_iters_ < 0 || last_iters_ < 0) {
     return false;
   }
   return static_cast<double>(last_iters_) >
-         ratio * static_cast<double>(std::max(baseline_iters_, 1));
+         kStagnationRatio * static_cast<double>(std::max(baseline_iters_, 1));
 }
 
 }  // namespace exw::amg

@@ -72,6 +72,12 @@ void replay_level(par::Runtime& rt, LevelReplay& lr,
 /// What HierarchyCache::update did to make the hierarchy fit the matrix.
 enum class CacheAction { kRebuild, kRefresh, kReuse };
 
+/// A solve stagnates when its GMRES iterations exceed this multiple of
+/// the first post-rebuild solve's count (preconditioner gone stale
+/// through value drift); the next value change then rebuilds instead of
+/// refreshing.
+inline constexpr double kStagnationRatio = 1.5;
+
 /// Pressure-preconditioner cache: one AmgHierarchy kept across Picard
 /// solves and time steps, keyed on (equation-graph generation, AmgConfig).
 /// update() is the one place that decides between a structural rebuild,
@@ -98,13 +104,12 @@ class HierarchyCache {
   ///      is kept), or when the key is stale;
   ///   2. reuse, untouched, when a's diag/offd values equal bit for bit
   ///      the values the hierarchy was last set up from;
-  ///   3. otherwise refresh — or rebuild, if the last solve stagnated by
-  ///      `stagnation_ratio` (see stagnating()).
+  ///   3. otherwise refresh — or rebuild, if the last solve stagnated
+  ///      (see stagnating()).
   /// Stagnation never forces a rebuild on its own: a rebuild from
   /// unchanged values reproduces the same hierarchy.
   CacheAction update(const linalg::ParCsr& a, const AmgConfig& cfg,
-                     std::uint64_t generation, bool use_cache,
-                     double stagnation_ratio);
+                     std::uint64_t generation, bool use_cache);
 
   /// Structural rebuild from `a`. `freeze` additionally records the
   /// replay plans so later solves can refresh() instead, and keeps an
@@ -123,10 +128,10 @@ class HierarchyCache {
   /// stagnation policy compares against.
   void note_solve(int iterations);
 
-  /// True when the last solve's iterations drifted `ratio`x above the
-  /// post-rebuild baseline — the preconditioner has gone stale enough
-  /// that a value change should rebuild rather than refresh.
-  bool stagnating(double ratio) const;
+  /// True when the last solve's iterations drifted kStagnationRatio x
+  /// above the post-rebuild baseline — the preconditioner has gone stale
+  /// enough that a value change should rebuild rather than refresh.
+  bool stagnating() const;
 
  private:
   /// True unless every rank's diag/offd values match fine_values_ bit for

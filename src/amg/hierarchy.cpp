@@ -178,6 +178,7 @@ void AmgHierarchy::refresh_values(const linalg::ParCsr& a) {
 }
 
 void AmgHierarchy::vcycle(const linalg::ParVector& b, linalg::ParVector& x) {
+  EXW_REQUIRE(b.ncomp() == 1 && x.ncomp() == 1, "AMG V-cycle runs one lane");
   cycle_level(0, b, x);
 }
 

@@ -114,6 +114,7 @@ void Smoother::refresh_values() {
 
 void Smoother::apply(const linalg::ParVector& b, linalg::ParVector& x,
                      int sweeps) const {
+  EXW_REQUIRE(b.ncomp() == x.ncomp(), "smoother lane count mismatch");
   for (std::int64_t s = 0; s < sweeps; ++s) {
     switch (type_) {
       case SmootherType::kJacobi: sweep_jacobi(b, x, false); break;
@@ -131,75 +132,15 @@ void Smoother::apply_zero(const linalg::ParVector& r, linalg::ParVector& z,
   apply(r, z, sweeps);
 }
 
-void Smoother::apply_multi(const linalg::ParMultiVector& b,
-                           linalg::ParMultiVector& x, int sweeps) const {
-  EXW_REQUIRE(b.ncomp() == x.ncomp(), "smoother lane count mismatch");
-  switch (type_) {
-    case SmootherType::kJacobi:
-    case SmootherType::kL1Jacobi:
-    case SmootherType::kSgs2:
-      for (std::int64_t s = 0; s < sweeps; ++s) {
-        if (type_ == SmootherType::kSgs2) {
-          sweep_sgs2_multi(b, x);
-        } else {
-          sweep_jacobi_multi(b, x, type_ == SmootherType::kL1Jacobi);
-        }
-      }
-      return;
-    default: {
-      // Per-lane fallback through scratch vectors: correct for every
-      // type, fused traffic savings only where a native sweep exists.
-      linalg::ParVector bl(a_->runtime(), a_->rows());
-      linalg::ParVector xl(a_->runtime(), a_->rows());
-      for (std::size_t c = 0; c < x.ncomp(); ++c) {
-        b.extract_lane(c, bl);
-        x.extract_lane(c, xl);
-        apply(bl, xl, sweeps);
-        x.set_lane(c, xl);
-      }
-      return;
-    }
-  }
-}
-
-void Smoother::apply_zero_multi(const linalg::ParMultiVector& r,
-                                linalg::ParMultiVector& z, int sweeps) const {
-  z.fill(0.0);
-  apply_multi(r, z, sweeps);
-}
-
 void Smoother::sweep_jacobi(const linalg::ParVector& b, linalg::ParVector& x,
                             bool l1) const {
-  // x += w * Dinv * (b - A x). The update arithmetic is FP64; stores into
-  // x round through the smoother's storage plane (the matrix precision).
+  // Lane c: x_c += w * Dinv * (b_c - A x_c). The update arithmetic is
+  // FP64; stores into x round through the smoother's storage plane (the
+  // matrix precision).
   const Precision pr = a_->value_precision();
-  linalg::ParVector r(a_->runtime(), a_->rows());
+  linalg::ParVector r(a_->runtime(), a_->rows(), x.ncomp());
   r.set_value_precision(pr);
   a_->residual(b, x, r);
-  auto& tracer = a_->runtime().tracer();
-  a_->runtime().parallel_for_ranks([&](RankId rk) {
-    auto& xl = x.local(rk);
-    const auto& rl = r.local(rk);
-    const auto& d = l1 ? ldu_.l1_dinv[static_cast<std::size_t>(rk)]
-                       : ldu_.dinv[static_cast<std::size_t>(rk)];
-    for (std::size_t i = 0; i < xl.size(); ++i) {
-      xl[i] = store_value(xl[i] + weight_ * d[i] * rl[i], pr);
-    }
-    double f64 = 0, f32 = 0;
-    split_value_bytes(pr, 4.0 * bytes_of(pr) * static_cast<double>(xl.size()),
-                      f64, f32);
-    tracer.kernel_split_prec(rk, 3.0 * static_cast<double>(xl.size()), f64,
-                             f32, 0.0);
-  });
-}
-
-void Smoother::sweep_jacobi_multi(const linalg::ParMultiVector& b,
-                                  linalg::ParMultiVector& x, bool l1) const {
-  // Lane c: x_c += w * Dinv * (b_c - A x_c), residual fused across lanes.
-  const Precision pr = a_->value_precision();
-  linalg::ParMultiVector r(a_->runtime(), a_->rows(), x.ncomp());
-  r.set_value_precision(pr);
-  a_->residual_multi(b, x, r);
   auto& tracer = a_->runtime().tracer();
   const auto nl = static_cast<double>(x.ncomp());
   a_->runtime().parallel_for_ranks([&](RankId rk) {
@@ -225,8 +166,10 @@ void Smoother::sweep_jacobi_multi(const linalg::ParMultiVector& b,
 void Smoother::sweep_hybrid_gs(const linalg::ParVector& b,
                                linalg::ParVector& x) const {
   // One round of neighbor communication, then a true sequential forward
-  // GS sweep on the local rows (off-rank values frozen).
+  // GS sweep on the local rows (off-rank values frozen), every lane
+  // relaxed row by row from the same pass over the row structure.
   const Precision pr = a_->value_precision();
+  const std::size_t lanes = x.ncomp();
   const auto ext = a_->halo_exchange(x);
   auto& tracer = a_->runtime().tracer();
   a_->runtime().parallel_for_ranks([&](RankId rk) {
@@ -234,71 +177,48 @@ void Smoother::sweep_hybrid_gs(const linalg::ParVector& b,
     auto& xl = x.local(rk);
     const auto& bl = b.local(rk);
     const auto& el = ext[static_cast<std::size_t>(rk)];
+    const auto n = static_cast<std::size_t>(blk.diag.nrows());
+    const std::size_t m = blk.col_map.size();
     for (LocalIndex i{0}; i < blk.diag.nrows(); ++i) {
-      Real acc = bl[static_cast<std::size_t>(i)];
-      Real diag = 1.0;
-      for (EntryOffset k = blk.diag.row_begin(i); k < blk.diag.row_end(i); ++k) {
-        const LocalIndex c = blk.diag.cols()[k];
-        const Real v = blk.diag.vals()[k];
-        if (c == i) {
-          diag = v;
-        } else {
-          acc -= v * xl[static_cast<std::size_t>(c)];
+      const auto iu = static_cast<std::size_t>(i);
+      for (std::size_t c = 0; c < lanes; ++c) {
+        Real acc = bl[c * n + iu];
+        Real diag = 1.0;
+        for (EntryOffset k = blk.diag.row_begin(i); k < blk.diag.row_end(i);
+             ++k) {
+          const LocalIndex col = blk.diag.cols()[k];
+          const Real v = blk.diag.vals()[k];
+          if (col == i) {
+            diag = v;
+          } else {
+            acc -= v * xl[c * n + static_cast<std::size_t>(col)];
+          }
         }
+        for (EntryOffset k = blk.offd.row_begin(i); k < blk.offd.row_end(i);
+             ++k) {
+          acc -= blk.offd.vals()[k] *
+                 el[c * m + static_cast<std::size_t>(blk.offd.cols()[k])];
+        }
+        xl[c * n + iu] = store_value(acc / diag, pr);
       }
-      for (EntryOffset k = blk.offd.row_begin(i); k < blk.offd.row_end(i); ++k) {
-        acc -= blk.offd.vals()[k] *
-               el[static_cast<std::size_t>(
-                   blk.offd.cols()[k])];
-      }
-      xl[static_cast<std::size_t>(i)] = store_value(acc / diag, pr);
     }
     const auto nnz = static_cast<double>(blk.diag.nnz() + blk.offd.nnz());
+    const auto nl = static_cast<double>(lanes);
     double f64 = 0, f32 = 0;
-    split_value_bytes(pr, nnz * bytes_of(pr), f64, f32);
-    tracer.kernel_split_prec(rk, 2.0 * nnz, f64, f32,
+    split_value_bytes(pr, nl * nnz * bytes_of(pr), f64, f32);
+    tracer.kernel_split_prec(rk, 2.0 * nnz * nl, f64, f32,
                              nnz * sizeof(LocalIndex));
   });
 }
 
-void Smoother::jr_lower(RankId r, const RealVector& rhs, RealVector& g) const {
-  // Eqs. (5)-(7): g_0 = Dinv rhs; g_{j+1} = Dinv (rhs - L g_j). The JR
-  // iterate is a smoother-internal stream: stores round through the
-  // matrix's storage plane and the value bytes price accordingly — this
-  // is the stream the mixed hierarchy halves.
+void Smoother::jr_solve(RankId r, const sparse::Csr& tri,
+                        const RealVector& rhs, std::size_t lanes,
+                        RealVector& g) const {
+  // Eqs. (5)-(7), lane by lane: g_0 = Dinv rhs; g_{j+1} = Dinv (rhs -
+  // T g_j). The JR iterate is a smoother-internal stream: stores round
+  // through the matrix's storage plane and the value bytes price
+  // accordingly — this is the stream the mixed hierarchy halves.
   const Precision pr = a_->value_precision();
-  const auto& lo = ldu_.lower[static_cast<std::size_t>(r)];
-  const auto& d = ldu_.dinv[static_cast<std::size_t>(r)];
-  const std::size_t n = rhs.size();
-  g.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    g[i] = store_value(d[i] * rhs[i], pr);
-  }
-  RealVector lg(n);
-  auto& tracer = a_->runtime().tracer();
-  for (std::int64_t j = 0; j < inner_sweeps_; ++j) {
-    lo.spmv(g, lg);
-    for (std::size_t i = 0; i < n; ++i) {
-      g[i] = store_value(d[i] * (rhs[i] - lg[i]), pr);
-    }
-    double f64 = 0, f32 = 0;
-    split_value_bytes(pr,
-                      bytes_of(pr) * (static_cast<double>(lo.nnz()) +
-                                      4.0 * static_cast<double>(n)),
-                      f64, f32);
-    tracer.kernel_split_prec(
-        r, 2.0 * static_cast<double>(lo.nnz()) + 3.0 * static_cast<double>(n),
-        f64, f32, sizeof(LocalIndex) * static_cast<double>(lo.nnz()));
-  }
-}
-
-void Smoother::jr_lower_multi(RankId r, const RealVector& rhs,
-                              std::size_t lanes, RealVector& g) const {
-  // Fused Eqs. (5)-(7): every lane runs the scalar recurrence g_0 =
-  // Dinv rhs, g_{j+1} = Dinv (rhs - L g_j) bitwise-identically; the L
-  // structure is streamed once per sweep for all lanes.
-  const Precision pr = a_->value_precision();
-  const auto& lo = ldu_.lower[static_cast<std::size_t>(r)];
   const auto& d = ldu_.dinv[static_cast<std::size_t>(r)];
   const std::size_t n = d.size();
   EXW_ASSERT(rhs.size() == lanes * n);
@@ -308,89 +228,27 @@ void Smoother::jr_lower_multi(RankId r, const RealVector& rhs,
       g[c * n + i] = store_value(d[i] * rhs[c * n + i], pr);
     }
   }
-  RealVector lg(lanes * n);
+  RealVector tg(lanes * n);
   auto& tracer = a_->runtime().tracer();
   const auto nl = static_cast<double>(lanes);
   for (std::int64_t j = 0; j < inner_sweeps_; ++j) {
-    lo.spmv_multi(g, n, lg, n, lanes);
+    tri.spmv_multi(g, n, tg, n, lanes);
     for (std::size_t c = 0; c < lanes; ++c) {
       for (std::size_t i = 0; i < n; ++i) {
         g[c * n + i] =
-            store_value(d[i] * (rhs[c * n + i] - lg[c * n + i]), pr);
+            store_value(d[i] * (rhs[c * n + i] - tg[c * n + i]), pr);
       }
     }
     double f64 = 0, f32 = 0;
     split_value_bytes(pr,
-                      nl * bytes_of(pr) * (static_cast<double>(lo.nnz()) +
+                      nl * bytes_of(pr) * (static_cast<double>(tri.nnz()) +
                                            4.0 * static_cast<double>(n)),
                       f64, f32);
     tracer.kernel_split_prec(
         r,
-        nl * (2.0 * static_cast<double>(lo.nnz()) + 3.0 * static_cast<double>(n)),
-        f64, f32, sizeof(LocalIndex) * static_cast<double>(lo.nnz()));
-  }
-}
-
-void Smoother::jr_upper(RankId r, const RealVector& rhs, RealVector& g) const {
-  const Precision pr = a_->value_precision();
-  const auto& up = ldu_.upper[static_cast<std::size_t>(r)];
-  const auto& d = ldu_.dinv[static_cast<std::size_t>(r)];
-  const std::size_t n = rhs.size();
-  g.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    g[i] = store_value(d[i] * rhs[i], pr);
-  }
-  RealVector ug(n);
-  auto& tracer = a_->runtime().tracer();
-  for (std::int64_t j = 0; j < inner_sweeps_; ++j) {
-    up.spmv(g, ug);
-    for (std::size_t i = 0; i < n; ++i) {
-      g[i] = store_value(d[i] * (rhs[i] - ug[i]), pr);
-    }
-    double f64 = 0, f32 = 0;
-    split_value_bytes(pr,
-                      bytes_of(pr) * (static_cast<double>(up.nnz()) +
-                                      4.0 * static_cast<double>(n)),
-                      f64, f32);
-    tracer.kernel_split_prec(
-        r, 2.0 * static_cast<double>(up.nnz()) + 3.0 * static_cast<double>(n),
-        f64, f32, sizeof(LocalIndex) * static_cast<double>(up.nnz()));
-  }
-}
-
-void Smoother::jr_upper_multi(RankId r, const RealVector& rhs,
-                              std::size_t lanes, RealVector& g) const {
-  const Precision pr = a_->value_precision();
-  const auto& up = ldu_.upper[static_cast<std::size_t>(r)];
-  const auto& d = ldu_.dinv[static_cast<std::size_t>(r)];
-  const std::size_t n = d.size();
-  EXW_ASSERT(rhs.size() == lanes * n);
-  g.resize(lanes * n);
-  for (std::size_t c = 0; c < lanes; ++c) {
-    for (std::size_t i = 0; i < n; ++i) {
-      g[c * n + i] = store_value(d[i] * rhs[c * n + i], pr);
-    }
-  }
-  RealVector ug(lanes * n);
-  auto& tracer = a_->runtime().tracer();
-  const auto nl = static_cast<double>(lanes);
-  for (std::int64_t j = 0; j < inner_sweeps_; ++j) {
-    up.spmv_multi(g, n, ug, n, lanes);
-    for (std::size_t c = 0; c < lanes; ++c) {
-      for (std::size_t i = 0; i < n; ++i) {
-        g[c * n + i] =
-            store_value(d[i] * (rhs[c * n + i] - ug[c * n + i]), pr);
-      }
-    }
-    double f64 = 0, f32 = 0;
-    split_value_bytes(pr,
-                      nl * bytes_of(pr) * (static_cast<double>(up.nnz()) +
-                                           4.0 * static_cast<double>(n)),
-                      f64, f32);
-    tracer.kernel_split_prec(
-        r,
-        nl * (2.0 * static_cast<double>(up.nnz()) + 3.0 * static_cast<double>(n)),
-        f64, f32, sizeof(LocalIndex) * static_cast<double>(up.nnz()));
+        nl * (2.0 * static_cast<double>(tri.nnz()) +
+              3.0 * static_cast<double>(n)),
+        f64, f32, sizeof(LocalIndex) * static_cast<double>(tri.nnz()));
   }
 }
 
@@ -398,70 +256,44 @@ void Smoother::sweep_two_stage(const linalg::ParVector& b,
                                linalg::ParVector& x) const {
   // x += Mtilde^-1 (b - A x) with Mtilde^-1 ~ (L+D)^-1 by inner JR.
   const Precision pr = a_->value_precision();
-  linalg::ParVector r(a_->runtime(), a_->rows());
+  linalg::ParVector r(a_->runtime(), a_->rows(), x.ncomp());
   r.set_value_precision(pr);
   a_->residual(b, x, r);
+  const auto nl = static_cast<double>(x.ncomp());
   a_->runtime().parallel_for_ranks([&](RankId rk) {
     RealVector g;
-    jr_lower(rk, r.local(rk), g);
+    jr_solve(rk, ldu_.lower[static_cast<std::size_t>(rk)], r.local(rk),
+             x.ncomp(), g);
     auto& xl = x.local(rk);
     for (std::size_t i = 0; i < xl.size(); ++i) {
       xl[i] = store_value(xl[i] + g[i], pr);
     }
+    const auto n =
+        static_cast<double>(ldu_.dinv[static_cast<std::size_t>(rk)].size());
     double f64 = 0, f32 = 0;
-    split_value_bytes(pr, 3.0 * bytes_of(pr) * static_cast<double>(xl.size()),
-                      f64, f32);
-    a_->runtime().tracer().kernel_split_prec(
-        rk, static_cast<double>(xl.size()), f64, f32, 0.0);
+    split_value_bytes(pr, 3.0 * bytes_of(pr) * nl * n, f64, f32);
+    a_->runtime().tracer().kernel_split_prec(rk, nl * n, f64, f32, 0.0);
   });
 }
 
 void Smoother::sweep_sgs2(const linalg::ParVector& b,
                           linalg::ParVector& x) const {
   // Symmetric two-stage GS: M = (L+D) D^-1 (D+U), both triangular solves
-  // approximated by inner JR sweeps (compact form of Eqs. 11-14).
+  // approximated by inner JR sweeps (compact form of Eqs. 11-14): one
+  // residual, then the forward and backward JR stages stream L/U once
+  // per inner sweep for all lanes.
   const Precision pr = a_->value_precision();
-  linalg::ParVector r(a_->runtime(), a_->rows());
+  linalg::ParVector r(a_->runtime(), a_->rows(), x.ncomp());
   r.set_value_precision(pr);
   a_->residual(b, x, r);
-  a_->runtime().parallel_for_ranks([&](RankId rk) {
-    RealVector g, h, t;
-    const auto& d = ldu_.dinv[static_cast<std::size_t>(rk)];
-    jr_lower(rk, r.local(rk), g);
-    // rhs for the backward stage: D * g.
-    t.resize(g.size());
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      t[i] = store_value(g[i] / d[i], pr);
-    }
-    jr_upper(rk, t, h);
-    auto& xl = x.local(rk);
-    for (std::size_t i = 0; i < xl.size(); ++i) {
-      xl[i] = store_value(xl[i] + h[i], pr);
-    }
-    double f64 = 0, f32 = 0;
-    split_value_bytes(pr, 4.0 * bytes_of(pr) * static_cast<double>(xl.size()),
-                      f64, f32);
-    a_->runtime().tracer().kernel_split_prec(
-        rk, 2.0 * static_cast<double>(xl.size()), f64, f32, 0.0);
-  });
-}
-
-void Smoother::sweep_sgs2_multi(const linalg::ParMultiVector& b,
-                                linalg::ParMultiVector& x) const {
-  // Fused symmetric two-stage GS: one multi-residual, then the forward
-  // and backward JR stages stream L/U once per inner sweep for all
-  // lanes. Each lane's arithmetic is exactly sweep_sgs2's.
-  const Precision pr = a_->value_precision();
-  linalg::ParMultiVector r(a_->runtime(), a_->rows(), x.ncomp());
-  r.set_value_precision(pr);
-  a_->residual_multi(b, x, r);
   const std::size_t lanes = x.ncomp();
   const auto nl = static_cast<double>(lanes);
   a_->runtime().parallel_for_ranks([&](RankId rk) {
     RealVector g, h, t;
     const auto& d = ldu_.dinv[static_cast<std::size_t>(rk)];
     const std::size_t n = d.size();
-    jr_lower_multi(rk, r.local(rk), lanes, g);
+    jr_solve(rk, ldu_.lower[static_cast<std::size_t>(rk)], r.local(rk), lanes,
+             g);
     // rhs for the backward stage: D * g, lane by lane.
     t.resize(g.size());
     for (std::size_t c = 0; c < lanes; ++c) {
@@ -469,7 +301,7 @@ void Smoother::sweep_sgs2_multi(const linalg::ParMultiVector& b,
         t[c * n + i] = store_value(g[c * n + i] / d[i], pr);
       }
     }
-    jr_upper_multi(rk, t, lanes, h);
+    jr_solve(rk, ldu_.upper[static_cast<std::size_t>(rk)], t, lanes, h);
     auto& xl = x.local(rk);
     for (std::size_t i = 0; i < xl.size(); ++i) {
       xl[i] = store_value(xl[i] + h[i], pr);

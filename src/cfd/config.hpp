@@ -53,11 +53,6 @@ struct SimConfig {
   /// new key (equation-graph generation, pressure_amg). Bitwise-identical
   /// V-cycles to a rebuild at the same values. Off: rebuild every solve.
   bool use_amg_cache = true;
-  /// Force a rebuild instead of a refresh when the values changed and the
-  /// last solve's GMRES iterations exceeded this multiple of the first
-  /// post-rebuild solve's count (preconditioner gone stale through value
-  /// drift).
-  double amg_stagnation_ratio = 1.5;
 
   // Momentum / scalar transport: SGS2-preconditioned GMRES.
   int sgs_outer_sweeps = 2;

@@ -396,8 +396,8 @@ void Simulation::solve_momentum(MeshBlock& blk) {
     // structure once per fused SpMV / smoother sweep for all components
     // and batches the reduction payloads into one allreduce each —
     // bitwise-identical per component to the sequential branch below.
-    linalg::ParMultiVector b(*rt_, rows, 3);
-    linalg::ParMultiVector x(*rt_, rows, 3);
+    linalg::ParVector b(*rt_, rows, 3);
+    linalg::ParVector x(*rt_, rows, 3);
     assembly::field_to_lane(blk.layout, blk.u, x, 0);
     assembly::field_to_lane(blk.layout, blk.v, x, 1);
     assembly::field_to_lane(blk.layout, blk.w, x, 2);
@@ -422,14 +422,14 @@ void Simulation::solve_momentum(MeshBlock& blk) {
 
   linalg::ParVector x(*rt_, rows);
   auto solve_component = [&](RealVector& field) {
-    assembly::field_to_rows(blk.layout, field, x);
+    assembly::field_to_lane(blk.layout, field, x, 0);
     solver::SolveStats st;
     {
       perf::PhaseScope ph(tracer, "solve");
       st = solver::gmres_solve(a, rhs, x, *precond, cfg_.momentum_gmres);
     }
     count_solve(mom_stats_, st);
-    assembly::rows_to_field(blk.layout, x, field);
+    assembly::lane_to_field(blk.layout, x, 0, field);
   };
 
   solve_component(blk.u);
@@ -506,7 +506,7 @@ void Simulation::solve_continuity(MeshBlock& blk) {
   {
     perf::PhaseScope ph(tracer, "global");
     // Total-pressure form: rhs += A p_old.
-    assembly::field_to_rows(blk.layout, blk.p, p_old_vec);
+    assembly::field_to_lane(blk.layout, blk.p, p_old_vec, 0);
     a.matvec(p_old_vec, rhs, 1.0, 1.0);
   }
 
@@ -520,7 +520,7 @@ void Simulation::solve_continuity(MeshBlock& blk) {
     amg::AmgConfig acfg = cfg_.pressure_amg;
     acfg.precision = cfg_.precond_precision;
     switch (pc.update(a, acfg, blk.prs_graph->generation(),
-                      cfg_.use_amg_cache, cfg_.amg_stagnation_ratio)) {
+                      cfg_.use_amg_cache)) {
       case amg::CacheAction::kRebuild:
         prs_stats_.amg_rebuilds += 1;
         break;
@@ -550,7 +550,7 @@ void Simulation::solve_continuity(MeshBlock& blk) {
   {
     perf::PhaseScope ph(tracer, "physics");
     RealVector dp(n, 0.0);
-    assembly::rows_to_field(blk.layout, x, dp);
+    assembly::lane_to_field(blk.layout, x, 0, dp);
     for (std::size_t i = 0; i < n; ++i) {
       dp[i] -= blk.p[i];
       blk.p[i] += dp[i];
@@ -645,14 +645,14 @@ void Simulation::solve_scalar(MeshBlock& blk) {
     precond = &momentum_smoother(blk, scl_stats_);
   }
   linalg::ParVector x(*rt_, rows);
-  assembly::field_to_rows(blk.layout, blk.scl, x);
+  assembly::field_to_lane(blk.layout, blk.scl, x, 0);
   solver::SolveStats st;
   {
     perf::PhaseScope ph(tracer, "solve");
     st = solver::gmres_solve(a, rhs, x, *precond, cfg_.momentum_gmres);
   }
   count_solve(scl_stats_, st);
-  assembly::rows_to_field(blk.layout, x, blk.scl);
+  assembly::lane_to_field(blk.layout, x, 0, blk.scl);
 }
 
 void Simulation::step() {

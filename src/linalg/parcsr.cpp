@@ -1,6 +1,7 @@
 #include "linalg/parcsr.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "par/tags.hpp"
@@ -224,135 +225,45 @@ std::vector<double> ParCsr::nnz_per_rank() const {
 std::vector<RealVector> ParCsr::halo_exchange(const ParVector& x) const {
   auto& transport = rt_->transport();
   const int nranks = rows_.nranks();
+  const std::size_t lanes = x.ncomp();
   // FP32-tagged vectors ship their halos as float: lossless (stores
   // round through float, so every held value is FP32-representable) and
   // the Transport's sizeof(T)-based message charge halves by itself.
   const bool f32 = x.value_precision() == Precision::kF32;
-  // Pack + send owned values requested by neighbors.
-  rt_->parallel_for_ranks([&](RankId r) {
-    for (const auto& send : comm_.sends[static_cast<std::size_t>(r)]) {
-      const auto& xl = x.local(r);
-      const double pack_bytes =
-          2.0 * bytes_of(x.value_precision()) *
-          static_cast<double>(send.idx.size());
-      if (f32) {
-        std::vector<float> buf(send.idx.size());
-        for (std::size_t i = 0; i < send.idx.size(); ++i) {
-          buf[i] =
-              static_cast<float>(xl[static_cast<std::size_t>(send.idx[i])]);
-        }
-        rt_->tracer().kernel_split_prec(r, 0.0, 0.0, pack_bytes, 0.0);
-        transport.send(r, send.dst, tags::kHaloValues, std::move(buf));
-      } else {
-        RealVector buf(send.idx.size());
-        for (std::size_t i = 0; i < send.idx.size(); ++i) {
-          buf[i] = xl[static_cast<std::size_t>(send.idx[i])];
-        }
-        rt_->tracer().kernel(r, 0.0, pack_bytes);
-        transport.send(r, send.dst, tags::kHaloValues, std::move(buf));
-      }
-    }
-  });
-  // Receive in col_map order (all sends completed at the region barrier).
-  std::vector<RealVector> ext(static_cast<std::size_t>(nranks));
-  rt_->parallel_for_ranks([&](RankId r) {
-    auto& e = ext[static_cast<std::size_t>(r)];
-    e.reserve(blocks_[static_cast<std::size_t>(r)].col_map.size());
-    for (const auto& recv : comm_.recvs[static_cast<std::size_t>(r)]) {
-      if (f32) {
-        auto buf = transport.recv<float>(r, recv.src, tags::kHaloValues);
-        EXW_ASSERT(checked_narrow<LocalIndex>(buf.size()) == recv.count);
-        e.insert(e.end(), buf.begin(), buf.end());  // exact promotion
-      } else {
-        auto buf = transport.recv<Real>(r, recv.src, tags::kHaloValues);
-        EXW_ASSERT(checked_narrow<LocalIndex>(buf.size()) == recv.count);
-        e.insert(e.end(), buf.begin(), buf.end());
-      }
-    }
-  });
-  return ext;
-}
-
-void ParCsr::matvec(const ParVector& x, ParVector& y, Real alpha,
-                    Real beta) const {
-  EXW_REQUIRE(x.global_size() == global_cols(), "matvec x size mismatch");
-  EXW_REQUIRE(y.global_size() == global_rows(), "matvec y size mismatch");
-  const auto ext = halo_exchange(x);
-  rt_->parallel_for_ranks([&](RankId r) {
-    const auto& b = blocks_[static_cast<std::size_t>(r)];
-    auto& yl = y.local(r);
-    b.diag.spmv(x.local(r), yl, alpha, beta);
-    if (b.offd.nnz() > 0) {
-      b.offd.spmv(ext[static_cast<std::size_t>(r)], yl, alpha, 1.0);
-    }
-    if (y.value_precision() == Precision::kF32) {
-      // Fused diag+offd accumulation in fp64 registers, one rounded
-      // store into the FP32-tagged result.
-      for (Real& v : yl) v = demote_value(v);
-    }
-    // Same total traffic as before the index/value split: matrix values
-    // + gathered x are value bytes, the column indices are index bytes —
-    // each value stream priced at its container's storage precision.
-    const auto nnz = static_cast<double>(b.diag.nnz() + b.offd.nnz());
-    const auto ny = static_cast<double>(yl.size());
-    double f64 = 0, f32 = 0;
-    split_value_bytes(prec_, nnz * bytes_of(prec_), f64, f32);
-    split_value_bytes(y.value_precision(),
-                      2.0 * bytes_of(y.value_precision()) * ny, f64, f32);
-    rt_->tracer().kernel_split_prec(r, 2.0 * nnz, f64, f32,
-                                    nnz * sizeof(LocalIndex));
-  });
-}
-
-void ParCsr::residual(const ParVector& b, const ParVector& x,
-                      ParVector& r) const {
-  r.copy_from(b);
-  matvec(x, r, -1.0, 1.0);
-}
-
-std::vector<RealVector> ParCsr::halo_exchange_multi(
-    const ParMultiVector& x) const {
-  auto& transport = rt_->transport();
-  const int nranks = rows_.nranks();
-  const std::size_t lanes = x.ncomp();
-  const bool f32 = x.value_precision() == Precision::kF32;
   // Pack every lane's requested values into one buffer per neighbor,
   // lane-major, so the per-message latency is paid once for all lanes.
-  // FP32-tagged multivectors ship float payloads (lossless, see
-  // halo_exchange).
   rt_->parallel_for_ranks([&](RankId r) {
     for (const auto& send : comm_.sends[static_cast<std::size_t>(r)]) {
       const double pack_bytes =
           2.0 * bytes_of(x.value_precision()) *
           static_cast<double>(lanes * send.idx.size());
-      if (f32) {
-        std::vector<float> buf(lanes * send.idx.size());
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const auto xl = x.lane_span(r, l);
-          for (std::size_t i = 0; i < send.idx.size(); ++i) {
-            buf[l * send.idx.size() + i] = static_cast<float>(
-                xl[static_cast<std::size_t>(send.idx[i])]);
-          }
-        }
-        rt_->tracer().kernel_split_prec(r, 0.0, 0.0, pack_bytes, 0.0);
-        transport.send(r, send.dst, tags::kHaloValues, std::move(buf));
-      } else {
-        RealVector buf(lanes * send.idx.size());
+      const auto pack = [&](auto& buf) {
+        using T = typename std::decay_t<decltype(buf)>::value_type;
         for (std::size_t l = 0; l < lanes; ++l) {
           const auto xl = x.lane_span(r, l);
           for (std::size_t i = 0; i < send.idx.size(); ++i) {
             buf[l * send.idx.size() + i] =
-                xl[static_cast<std::size_t>(send.idx[i])];
+                static_cast<T>(xl[static_cast<std::size_t>(send.idx[i])]);
           }
         }
+      };
+      if (f32) {
+        std::vector<float> buf(lanes * send.idx.size());
+        pack(buf);
+        rt_->tracer().kernel_split_prec(r, 0.0, 0.0, pack_bytes, 0.0);
+        transport.send(r, send.dst, tags::kHaloValues, std::move(buf));
+      } else {
+        RealVector buf(lanes * send.idx.size());
+        pack(buf);
         rt_->tracer().kernel(r, 0.0, pack_bytes);
         transport.send(r, send.dst, tags::kHaloValues, std::move(buf));
       }
     }
   });
-  // Receive in col_map order; lane c's halo values land in the plane
-  // [c*m, (c+1)*m) of the rank's ext buffer (m = col_map size), matching
-  // the stride spmv_multi reads the offd product with.
+  // Receive in col_map order (all sends completed at the region barrier);
+  // lane c's halo values land in the plane [c*m, (c+1)*m) of the rank's
+  // ext buffer (m = col_map size), the stride spmv_multi reads the offd
+  // product with.
   std::vector<RealVector> ext(static_cast<std::size_t>(nranks));
   rt_->parallel_for_ranks([&](RankId r) {
     const std::size_t m = blocks_[static_cast<std::size_t>(r)].col_map.size();
@@ -364,6 +275,7 @@ std::vector<RealVector> ParCsr::halo_exchange_multi(
         const auto count = static_cast<std::size_t>(recv.count);
         EXW_ASSERT(buf.size() == lanes * count);
         for (std::size_t l = 0; l < lanes; ++l) {
+          // float -> double promotion is exact.
           std::copy(buf.begin() + static_cast<std::ptrdiff_t>(l * count),
                     buf.begin() + static_cast<std::ptrdiff_t>((l + 1) * count),
                     e.begin() + static_cast<std::ptrdiff_t>(l * m + offset));
@@ -380,13 +292,13 @@ std::vector<RealVector> ParCsr::halo_exchange_multi(
   return ext;
 }
 
-void ParCsr::matvec_multi(const ParMultiVector& x, ParMultiVector& y,
-                          Real alpha, Real beta) const {
+void ParCsr::matvec(const ParVector& x, ParVector& y, Real alpha,
+                    Real beta) const {
   EXW_REQUIRE(x.global_size() == global_cols(), "matvec x size mismatch");
   EXW_REQUIRE(y.global_size() == global_rows(), "matvec y size mismatch");
   EXW_REQUIRE(x.ncomp() == y.ncomp(), "matvec lane count mismatch");
   const std::size_t lanes = x.ncomp();
-  const auto ext = halo_exchange_multi(x);
+  const auto ext = halo_exchange(x);
   rt_->parallel_for_ranks([&](RankId r) {
     const auto& b = blocks_[static_cast<std::size_t>(r)];
     const std::size_t xs =
@@ -401,11 +313,13 @@ void ParCsr::matvec_multi(const ParMultiVector& x, ParMultiVector& y,
                         alpha, 1.0);
     }
     if (y.value_precision() == Precision::kF32) {
+      // Fused diag+offd accumulation in fp64 registers, one rounded
+      // store into the FP32-tagged result.
       for (Real& v : yl) v = demote_value(v);
     }
-    // The fused pass streams matrix values, x gathers, and y updates
-    // once per lane — but the column indices only once for all lanes:
-    // that one-index-read-per-ncomp-value-lanes is the whole point.
+    // Matrix values, x gathers and y updates stream once per lane, the
+    // column indices once for all lanes (the fused-lane saving); each
+    // value stream is priced at its container's storage precision.
     const auto nnz = static_cast<double>(b.diag.nnz() + b.offd.nnz());
     const auto nl = static_cast<double>(lanes);
     double f64 = 0, f32 = 0;
@@ -419,16 +333,17 @@ void ParCsr::matvec_multi(const ParMultiVector& x, ParMultiVector& y,
   });
 }
 
-void ParCsr::residual_multi(const ParMultiVector& b, const ParMultiVector& x,
-                            ParMultiVector& r) const {
+void ParCsr::residual(const ParVector& b, const ParVector& x,
+                      ParVector& r) const {
   r.copy_from(b);
-  matvec_multi(x, r, -1.0, 1.0);
+  matvec(x, r, -1.0, 1.0);
 }
 
 void ParCsr::matvec_transpose(const ParVector& x, ParVector& y, Real alpha,
                               Real beta) const {
   EXW_REQUIRE(x.global_size() == global_rows(), "matvec_T x size mismatch");
   EXW_REQUIRE(y.global_size() == global_cols(), "matvec_T y size mismatch");
+  EXW_REQUIRE(x.ncomp() == 1 && y.ncomp() == 1, "matvec_T runs one lane");
   auto& transport = rt_->transport();
   const int nranks = rows_.nranks();
 

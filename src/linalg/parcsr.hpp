@@ -17,7 +17,6 @@
 
 #include "common/precision.hpp"
 #include "common/types.hpp"
-#include "linalg/multivector.hpp"
 #include "linalg/parvector.hpp"
 #include "par/partition.hpp"
 #include "par/runtime.hpp"
@@ -123,39 +122,33 @@ class ParCsr {
   /// Per-rank nonzero counts — the quantity of Figs. 5 and 10.
   std::vector<double> nnz_per_rank() const;
 
-  /// Fetch halo values of `x` (laid out per rank in col_map order),
-  /// charging pack kernels and one message per neighbor pair.
+  /// Fetch the halo values of every lane of `x`: per rank one SoA buffer
+  /// of size ncomp * col_map.size() (lane c's halo values occupy the
+  /// plane [c*m, (c+1)*m) in col_map order), charging pack kernels and
+  /// one message per neighbor pair that carries every lane's payload.
   std::vector<RealVector> halo_exchange(const ParVector& x) const;
 
-  /// Fused halo fetch for all lanes of `x`: per rank one SoA buffer of
-  /// size ncomp * col_map.size() (lane c's halo values occupy the plane
-  /// [c*m, (c+1)*m)), one message per neighbor pair carrying every
-  /// lane's payload — the batched-comm half of the fused SpMV.
-  std::vector<RealVector> halo_exchange_multi(const ParMultiVector& x) const;
-
-  /// y = alpha * A * x + beta * y (x over cols(), y over rows()).
+  /// y = alpha * A * x + beta * y lane by lane (x over cols(), y over
+  /// rows(), equal lane counts). One pass reads row_ptr/cols once for
+  /// all lanes — the u/v/w momentum systems share one sparsity pattern —
+  /// and each lane's result is bitwise-identical to a 1-lane matvec of
+  /// that lane. The index bytes are charged separately through
+  /// perf::Tracer::kernel_split_prec so the saving is auditable.
   void matvec(const ParVector& x, ParVector& y, Real alpha = 1.0,
               Real beta = 0.0) const;
+  /// Former name of matvec, still called by perfbench/runner.
+  void matvec_multi(const ParVector& x, ParVector& y, Real alpha = 1.0,
+                    Real beta = 0.0) const {
+    matvec(x, y, alpha, beta);
+  }
 
-  /// r = b - A * x.
+  /// r = b - A * x, lane by lane.
   void residual(const ParVector& b, const ParVector& x, ParVector& r) const;
 
-  /// Fused multi-vector SpMV: lane c of y gets alpha * A * (lane c of x)
-  /// + beta * (lane c of y), bitwise-identical per lane to `matvec` on
-  /// that lane alone. The u/v/w momentum systems share one sparsity
-  /// pattern, so one pass reads row_ptr/cols once for all lanes; the
-  /// index bytes are charged separately through
-  /// perf::Tracer::kernel_split_prec so the saving is auditable.
-  void matvec_multi(const ParMultiVector& x, ParMultiVector& y,
-                    Real alpha = 1.0, Real beta = 0.0) const;
-
-  /// Fused multi-vector residual: lane c of r = lane c of b - A x_c.
-  void residual_multi(const ParMultiVector& b, const ParMultiVector& x,
-                      ParMultiVector& r) const;
-
-  /// y = alpha * A^T * x + beta * y (x over rows(), y over cols()).
-  /// Off-diagonal contributions are sent to the owning ranks — the
-  /// reverse of the halo pattern; used for AMG restriction with R = P^T.
+  /// y = alpha * A^T * x + beta * y (x over rows(), y over cols(), one
+  /// lane each). Off-diagonal contributions are sent to the owning
+  /// ranks — the reverse of the halo pattern; used for AMG restriction
+  /// with R = P^T.
   void matvec_transpose(const ParVector& x, ParVector& y, Real alpha = 1.0,
                         Real beta = 0.0) const;
 

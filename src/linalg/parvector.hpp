@@ -1,12 +1,27 @@
 #pragma once
 /// \file parvector.hpp
-/// Distributed vector in 1-D block-row layout (hypre ParVector analogue).
+/// Distributed vector in 1-D block-row layout (hypre ParVector analogue)
+/// carrying `ncomp` component lanes over one row partition.
 ///
-/// Storage is per simulated rank; operations are driven globally and
-/// charge the cost model: BLAS-1 kernels per rank plus one allreduce per
-/// reduction (the collective count is what the one-reduce GMRES of the
-/// paper §4.2 optimizes, so it must be faithful).
+/// Storage is per simulated rank and SoA: lane c of rank r's block is the
+/// contiguous plane [c*n, (c+1)*n) of one value array (n = local rows) —
+/// the repeated-block layout of Plana-Riu et al. (PAPERS.md). A plain
+/// vector is the 1-lane case; the fused momentum path carries u/v/w as 3
+/// lanes. Operations are driven globally and charge the cost model: one
+/// BLAS-1 kernel per rank over all lanes plus one allreduce per reduction
+/// whatever the lane count (the collective count is what the one-reduce
+/// GMRES of the paper §4.2 optimizes, so it must be faithful). Because
+/// Runtime::allreduce_sum_vec reduces element-wise in rank order, every
+/// lane's result is bitwise-identical to the same operation on a 1-lane
+/// vector holding that lane alone.
+///
+/// The lane ops come in two groups: fused all-lane ops (optionally
+/// masked, so converged GMRES components stop participating without
+/// perturbing their lanes), and single-lane ops for per-component
+/// epilogues. The scalar conveniences (scale, axpy, dot, norm2) are the
+/// 1-lane case of the fused ops.
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -33,14 +48,17 @@ struct VectorFillPlan {
 class ParVector {
  public:
   ParVector() = default;
-  ParVector(par::Runtime& rt, par::RowPartition rows);
+  ParVector(par::Runtime& rt, par::RowPartition rows, std::size_t ncomp = 1);
 
+  std::size_t ncomp() const { return ncomp_; }
   const par::RowPartition& rows() const { return rows_; }
   GlobalIndex global_size() const { return rows_.global_size(); }
   int nranks() const { return rows_.nranks(); }
+  par::Runtime& runtime() const { return *rt_; }
 
-  /// Mutable access to rank r's local block. Inside a parallel rank
-  /// region only rank r's own body may take it (contract-checked).
+  /// Mutable access to rank r's full SoA block (ncomp * local rows).
+  /// Inside a parallel rank region only rank r's own body may take it
+  /// (contract-checked).
   RealVector& local(RankId r) {
     EXW_CONTRACT_CHECK_WRITE(r, "ParVector::local(r)");
     return local_[static_cast<std::size_t>(r)];
@@ -49,11 +67,15 @@ class ParVector {
     return local_[static_cast<std::size_t>(r)];
   }
 
-  /// Element access by global index (test/debug convenience; not charged,
-  /// and a mutable at() bypasses the FP32 store-rounding invariant —
-  /// charged operations below maintain it).
-  Real& at(GlobalIndex g);
-  Real at(GlobalIndex g) const;
+  /// One lane's contiguous plane of rank r's block.
+  std::span<Real> lane_span(RankId r, std::size_t lane);
+  std::span<const Real> lane_span(RankId r, std::size_t lane) const;
+
+  /// Element access by (lane, global row) — test/setup convenience, not
+  /// charged; a mutable at() bypasses the FP32 store-rounding invariant
+  /// that the charged operations below maintain.
+  Real& at(std::size_t lane, GlobalIndex g);
+  Real at(std::size_t lane, GlobalIndex g) const;
 
   /// Storage precision of the value plane (DESIGN.md §16). Tagging a
   /// vector kF32 demotes its current contents and makes every charged
@@ -64,34 +86,70 @@ class ParVector {
   Precision value_precision() const { return prec_; }
   void set_value_precision(Precision p);
 
-  /// Warm-path refill of rank r's local block: copy the dense owned
-  /// values, then scatter-add the received contributions reduced through
-  /// the frozen plan (Algorithm 2's sort/reduce replayed as a pure value
-  /// pipeline; no sort, no allocation). Inside a parallel rank region
-  /// only rank r's own body may call it (contract-checked).
+  /// Warm-path refill of rank r's local block of a 1-lane vector: copy
+  /// the dense owned values, then scatter-add the received contributions
+  /// reduced through the frozen plan (Algorithm 2's sort/reduce replayed
+  /// as a pure value pipeline; no sort, no allocation). Inside a parallel
+  /// rank region only rank r's own body may call it (contract-checked).
   void set_values_from_plan(RankId r, std::span<const Real> owned,
                             const VectorFillPlan& plan,
                             std::span<const Real> recv);
 
-  // --- charged distributed operations ------------------------------------
+  // --- fused charged operations (one kernel per rank, one collective
+  // --- per reduction, regardless of lane count) --------------------------
+
   void fill(Real value);
   void copy_from(const ParVector& other);
-  void scale(Real alpha);
+  /// Lane c = (lane c of src) for lanes with mask[c] != 0; other lanes
+  /// are untouched (same frozen-lane rule as scale_lanes/axpy_lanes).
+  /// Copies are bitwise for matching precisions, demoted f64 -> f32
+  /// otherwise. An empty mask means all lanes.
+  void copy_lanes(const ParVector& src,
+                  std::span<const std::uint8_t> mask = {});
+  /// Lane c *= alpha[c]. Lanes with mask[c] == 0 are skipped entirely
+  /// (not even multiplied by their alpha — a converged component's lane
+  /// must stay bitwise-frozen). An empty mask means all lanes.
+  void scale_lanes(std::span<const Real> alpha,
+                   std::span<const std::uint8_t> mask = {});
+  /// Lane c += alpha[c] * (lane c of x), same masking rule.
+  void axpy_lanes(std::span<const Real> alpha, const ParVector& x,
+                  std::span<const std::uint8_t> mask = {});
+  /// Per-lane dot products against `other`, one batched allreduce.
+  std::vector<double> dots(const ParVector& other) const;
+  /// Per-lane 2-norms, one batched allreduce.
+  std::vector<double> norms() const;
+
+  /// 1-lane forms of scale_lanes / axpy_lanes / dots / norms (throw on a
+  /// multi-lane vector).
+  void scale(Real alpha) { scale_lanes({&alpha, 1}); }
   /// this += alpha * x
-  void axpy(Real alpha, const ParVector& x);
+  void axpy(Real alpha, const ParVector& x) { axpy_lanes({&alpha, 1}, x); }
   double dot(const ParVector& other) const;
   double norm2() const;
 
-  /// Gather to one dense global vector (tests only; not charged).
-  RealVector gather() const;
-  /// Scatter from a dense global vector (tests/setup; not charged).
-  void scatter(const RealVector& global);
+  // --- single-lane charged operations ------------------------------------
 
-  par::Runtime& runtime() const { return *rt_; }
+  void lane_fill(std::size_t lane, Real value);
+  void lane_axpy(std::size_t lane, Real alpha, const ParVector& x);
+  double lane_norm2(std::size_t lane) const;
+  /// Copy a 1-lane vector into / out of one lane (streaming copy charge).
+  void set_lane(std::size_t lane, const ParVector& src);
+  void extract_lane(std::size_t lane, ParVector& dst) const;
+
+  /// Gather one lane to a dense global vector (tests only; not charged).
+  RealVector gather(std::size_t lane = 0) const;
+  /// Scatter a dense global vector into one lane (tests/setup; not
+  /// charged).
+  void scatter(const RealVector& global, std::size_t lane = 0);
 
  private:
+  std::size_t local_n(RankId r) const {
+    return static_cast<std::size_t>(rows_.local_size(r));
+  }
+
   par::Runtime* rt_ = nullptr;
   par::RowPartition rows_;
+  std::size_t ncomp_ = 0;
   std::vector<RealVector> local_;
   Precision prec_ = Precision::kF64;
 };

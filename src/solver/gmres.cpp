@@ -1,427 +1,577 @@
-#include "solver/gmres.hpp"
+/// \file gmres.cpp
+/// Right-preconditioned GMRES over the lanes of a ParVector: every
+/// pressure, scalar and momentum solve runs this one implementation
+/// (a plain solve is the 1-lane case, fused u/v/w momentum the 3-lane
+/// case).
+///
+/// All lanes march in lockstep through one shared restart cycle: every
+/// inner iteration runs ONE fused preconditioner application, ONE fused
+/// SpMV, and ONE batched orthogonalization allreduce carrying every
+/// active lane's [V^T w ; ||w||^2] payload. Per-lane Hessenberg/Givens
+/// state is host-side scalar work.
+///
+/// Lane independence is the invariant everything rests on: every fused
+/// kernel (spmv_multi, the smoother sweeps, the masked BLAS-1 ops)
+/// computes lane c from lane c alone, and the batched reductions of
+/// par::Runtime reduce element-wise in rank order — so each lane's
+/// entire iterate sequence is bitwise-identical to a 1-lane solve of
+/// that lane (pinned by test_fused across 1/2/4/8 ranks). Three
+/// consequences the code leans on:
+///  * Converged lanes are masked out of fused ops (never touched again —
+///    even an alpha = 0 axpy could flip a -0.0) while full-width
+///    scratch ops may scribble on their dead planes freely.
+///  * A lane that exits the inner loop early (converged or happy
+///    breakdown) runs its epilogue immediately with single-lane ops;
+///    the shared scratch planes it used are fully overwritten before
+///    any other lane reads them (matvec beta = 0, apply_zero).
+///  * A lane whose true-residual confirmation fails waits, frozen, and
+///    rejoins at the next shared restart — the same arithmetic a 1-lane
+///    solve performs, just later in wall-clock.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
+#include "solver/gmres.hpp"
 
 namespace exw::solver {
 
 namespace {
 
-/// Per-rank partial dots of w against v[0..count), plus ||w||^2, fused
-/// into ONE allreduce — the kernel of the one-reduce orthogonalization.
-/// With `overlapped` the same payload rides the non-blocking collective
+/// kPipelined: the q recurrence multiplies accumulated rounding error by
+/// ~||q_j||/h_{j+1,j} each iteration (~sqrt(2) when the Rutishauser test
+/// does not fire, orders of magnitude when it does). The solver tracks
+/// the running product per lane and restart cycle and resynchronizes
+/// q_{j+1} by direct recompute once it exceeds this limit, holding the
+/// basis error near limit * machine-epsilon (~1e-9) at the cost of one
+/// extra preconditioner + SpMV application per resync. Every lane tracks
+/// it from bitwise-identical reduced quantities, so a lane resyncs
+/// exactly when its 1-lane solve would.
+constexpr double kPipelineDriftLimit = 1e7;
+
+enum class LaneState : std::uint8_t {
+  kIterating,  ///< inside the current shared restart cycle
+  kWaiting,    ///< needs a (re)start
+  kDone,       ///< finished, converged or budget-exhausted
+};
+
+/// Batched one-reduce payload: for each lane in `lanes` (ascending), the
+/// partial dots of its w plane against v[0..count) plus ||w||^2, all in
+/// ONE allreduce — the kernel of the one-reduce orthogonalization. With
+/// `overlapped` the same payload rides the non-blocking collective
 /// (charged so its latency hides behind whatever the caller computes
 /// next); the returned values are identical either way, because both
 /// reductions sum rank partials element-wise in rank order.
 std::vector<double> fused_dots(const std::vector<linalg::ParVector>& v,
                                std::size_t count, const linalg::ParVector& w,
+                               const std::vector<std::size_t>& lanes,
                                bool overlapped = false) {
   par::Runtime& rt = w.runtime();
   const int nranks = w.nranks();
+  const std::size_t seg = count + 1;
   std::vector<std::vector<double>> partial(
       static_cast<std::size_t>(nranks),
-      std::vector<double>(count + 1, 0.0));
+      std::vector<double>(lanes.size() * seg, 0.0));
   rt.parallel_for_ranks([&](RankId r) {
-    const auto& wl = w.local(r);
     auto& p = partial[static_cast<std::size_t>(r)];
-    for (std::size_t j = 0; j < count; ++j) {
-      const auto& vl = v[j].local(r);
-      double s = 0;
-      for (std::size_t i = 0; i < wl.size(); ++i) {
-        s += vl[i] * wl[i];
+    double n = 0.0;
+    for (std::size_t li = 0; li < lanes.size(); ++li) {
+      const std::size_t c = lanes[li];
+      const auto wl = w.lane_span(r, c);
+      n = static_cast<double>(wl.size());
+      for (std::size_t j = 0; j < count; ++j) {
+        const auto vl = v[j].lane_span(r, c);
+        double s = 0;
+        for (std::size_t i = 0; i < wl.size(); ++i) {
+          s += vl[i] * wl[i];
+        }
+        p[li * seg + j] = s;
       }
-      p[j] = s;
+      double s = 0;
+      for (double xv : wl) s += xv * xv;
+      p[li * seg + count] = s;
     }
-    double s = 0;
-    for (double x : wl) s += x * x;
-    p[count] = s;
-    rt.tracer().kernel(
-        r, 2.0 * static_cast<double>((count + 1) * wl.size()),
-        static_cast<double>((count + 2) * wl.size()) * sizeof(Real));
+    const auto nl = static_cast<double>(lanes.size());
+    rt.tracer().kernel(r, nl * 2.0 * static_cast<double>(count + 1) * n,
+                       nl * static_cast<double>(count + 2) * n * sizeof(Real));
   });
   return overlapped ? rt.allreduce_sum_vec_overlapped(partial)
                     : rt.allreduce_sum_vec(partial);
 }
 
-/// Depth-1 pipelined cycles (OrthoMethod::kPipelined). Entered after the
-/// initial-residual bookkeeping of gmres_solve; carries the same restart
-/// structure and Givens machinery, but each iteration's fused reduction
-/// is overlapped with the next SpMV + preconditioner application on the
-/// un-orthogonalized candidate. The auxiliary basis q_i = A M^-1 v_i
-/// turns that early matvec into the next candidate without a second
-/// operator application.
-SolveStats pipelined_cycles(const linalg::ParCsr& a,
-                            const linalg::ParVector& b, linalg::ParVector& x,
-                            Preconditioner& m, const GmresOptions& opts,
-                            Real target, SolveStats stats) {
+}  // namespace
+
+MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
+                                  const linalg::ParVector& b,
+                                  linalg::ParVector& x, Preconditioner& m,
+                                  const GmresOptions& opts) {
   par::Runtime& rt = a.runtime();
-  const int restart = opts.restart;
+  const std::size_t nc = x.ncomp();
+  EXW_REQUIRE(b.ncomp() == nc, "gmres lane count mismatch");
+  EXW_REQUIRE(b.global_size() == a.global_rows() &&
+                  x.global_size() == a.global_cols(),
+              "gmres shape mismatch");
+  EXW_REQUIRE(opts.residual_trace == nullptr || nc == 1,
+              "gmres residual_trace records 1-lane solves only");
+  if (opts.residual_trace) opts.residual_trace->clear();
+  const auto restart = static_cast<std::size_t>(opts.restart);
 
-  linalg::ParVector r(rt, a.rows());
-  linalg::ParVector w(rt, a.rows());
-  linalg::ParVector z(rt, a.rows());
-  linalg::ParVector t(rt, a.rows());
-  linalg::ParVector tq(rt, a.rows());
+  MultiSolveStats out;
+  out.lane.assign(nc, SolveStats{});
 
-  std::vector<linalg::ParVector> v;  // Krylov basis
-  std::vector<linalg::ParVector> q;  // q_i = A M^-1 v_i
-  std::vector<std::vector<Real>> h;
-  std::vector<Real> cs(static_cast<std::size_t>(restart) + 1);
-  std::vector<Real> sn(static_cast<std::size_t>(restart) + 1);
-  std::vector<Real> g(static_cast<std::size_t>(restart) + 1);
+  const bool pipe = opts.ortho == OrthoMethod::kPipelined;
 
-  while (stats.iterations < opts.max_iters) {
+  linalg::ParVector r(rt, a.rows(), nc);
+  linalg::ParVector w(rt, a.rows(), nc);
+  linalg::ParVector z(rt, a.rows(), nc);
+  // Pipelined auxiliary planes: t = A M^-1 q_j and the running
+  // combination that becomes q_{j+1} (allocated only when used).
+  linalg::ParVector t;
+  linalg::ParVector tq;
+  if (pipe) {
+    t = linalg::ParVector(rt, a.rows(), nc);
+    tq = linalg::ParVector(rt, a.rows(), nc);
+  }
+  // A 1-lane solve updates its own vectors in place; a multi-lane solve
+  // runs each lane's epilogue through this 1-lane scratch.
+  linalg::ParVector ws, zs, xs, bs, rs;
+  if (nc > 1) {
+    ws = linalg::ParVector(rt, a.rows());
+    zs = linalg::ParVector(rt, a.rows());
+    xs = linalg::ParVector(rt, a.rows());
+    bs = linalg::ParVector(rt, a.rows());
+    rs = linalg::ParVector(rt, a.rows());
+  }
+
+  // Per-lane convergence targets (hypre convention: relative to ||b||),
+  // batched into one reduction each for ||b|| and the initial residual.
+  const auto bnorms = b.norms();
+  a.residual(b, x, r);
+  auto betas = r.norms();
+
+  std::vector<LaneState> state(nc, LaneState::kWaiting);
+  std::vector<Real> target(nc, 0.0);
+  for (std::size_t c = 0; c < nc; ++c) {
+    auto& s = out.lane[c];
+    const Real beta = betas[c];
+    s.initial_residual = beta;
+    s.final_residual = beta;
+    target[c] = std::max(opts.rel_tol * (bnorms[c] > 0.0 ? bnorms[c] : beta),
+                         opts.abs_tol);
+    if (beta <= target[c] || beta == 0.0) {
+      s.converged = true;
+      state[c] = LaneState::kDone;
+    }
+  }
+
+  std::vector<linalg::ParVector> v;  // shared Krylov basis planes
+  std::vector<linalg::ParVector> q;  // pipelined: q_i = A M^-1 v_i
+  // Per-lane running q-recurrence error amplification (see
+  // kPipelineDriftLimit), reset at every shared restart.
+  std::vector<double> drift(nc, 1.0);
+  // Per-lane Hessenberg (column-major by iteration), Givens, rhs.
+  std::vector<std::vector<std::vector<Real>>> h(nc);
+  std::vector<std::vector<Real>> cs(nc);
+  std::vector<std::vector<Real>> sn(nc);
+  std::vector<std::vector<Real>> g(nc);
+  std::vector<Real> hlast(nc, 0.0);
+
+  // Scratch masks / per-lane coefficient vectors for the fused ops.
+  std::vector<std::uint8_t> mask(nc, 0);
+  std::vector<Real> coef(nc, 0.0);
+
+  auto any_state = [&](LaneState want) {
+    return std::any_of(state.begin(), state.end(),
+                       [want](LaneState sc) { return sc == want; });
+  };
+
+  // A lane's exit from the restart cycle: back-substitute its y,
+  // x += M^-1 (V y), and — when the Givens estimate says converged —
+  // confirm against a true residual before declaring victory. A lane
+  // that fails the confirmation goes back to kWaiting and rejoins at
+  // the next shared restart.
+  auto epilogue = [&](std::size_t c, std::size_t jcols) {
+    auto& s = out.lane[c];
+    std::vector<Real> y(jcols, 0.0);
+    for (std::size_t i = jcols; i-- > 0;) {
+      Real acc = g[c][i];
+      for (std::size_t k = i + 1; k < jcols; ++k) {
+        acc -= h[c][k][i] * y[k];
+      }
+      y[i] = acc / h[c][i][i];
+    }
+    w.lane_fill(c, 0.0);
+    for (std::size_t i = 0; i < jcols; ++i) {
+      w.lane_axpy(c, y[i], v[i]);
+    }
+    const bool confirm = s.final_residual <= target[c];
+    if (nc == 1) {
+      // The scratch planes are the lane's own: z and r are fully
+      // rewritten before their next use.
+      m.apply(w, z);
+      x.axpy(1.0, z);
+      if (confirm) {
+        a.residual(b, x, r);
+        s.final_residual = r.norm2();
+      }
+    } else {
+      w.extract_lane(c, ws);
+      m.apply(ws, zs);
+      x.extract_lane(c, xs);
+      xs.axpy(1.0, zs);
+      x.set_lane(c, xs);
+      if (confirm) {
+        b.extract_lane(c, bs);
+        a.residual(bs, xs, rs);
+        s.final_residual = rs.norm2();
+      }
+    }
+    if (confirm &&
+        s.final_residual <= 1.5 * std::max(target[c], Real{1e-300})) {
+      s.converged = true;
+      state[c] = LaneState::kDone;
+      return;
+    }
+    state[c] = LaneState::kWaiting;
+  };
+
+  while (any_state(LaneState::kWaiting)) {
+    // Budget-exhausted lanes are finished (their x already holds the
+    // last epilogue's update).
+    for (std::size_t c = 0; c < nc; ++c) {
+      if (state[c] == LaneState::kWaiting &&
+          out.lane[c].iterations >= opts.max_iters) {
+        state[c] = LaneState::kDone;
+      }
+    }
+    if (!any_state(LaneState::kWaiting)) break;
+
+    // --- shared (re)start for every waiting lane ------------------------
     a.residual(b, x, r);
-    Real beta = r.norm2();
-    stats.final_residual = beta;
-    if (beta <= target) {
-      stats.converged = true;
-      return stats;
+    betas = r.norms();
+    std::fill(mask.begin(), mask.end(), 0);
+    std::fill(coef.begin(), coef.end(), 0.0);
+    bool any_active = false;
+    for (std::size_t c = 0; c < nc; ++c) {
+      if (state[c] != LaneState::kWaiting) continue;
+      auto& s = out.lane[c];
+      const Real beta = betas[c];
+      s.final_residual = beta;
+      if (beta <= target[c]) {
+        s.converged = true;
+        state[c] = LaneState::kDone;
+        continue;
+      }
+      state[c] = LaneState::kIterating;
+      any_active = true;
+      mask[c] = 1;
+      coef[c] = 1.0 / beta;
+      h[c].assign(restart, std::vector<Real>(restart + 1, 0.0));
+      cs[c].assign(restart + 1, 0.0);
+      sn[c].assign(restart + 1, 0.0);
+      g[c].assign(restart + 1, 0.0);
+      g[c][0] = beta;
     }
-    v.clear();
-    q.clear();
-    h.assign(static_cast<std::size_t>(restart),
-             std::vector<Real>(static_cast<std::size_t>(restart) + 1, 0.0));
-    v.emplace_back(rt, a.rows());
+    if (!any_active) continue;
+    if (v.empty()) {
+      v.emplace_back(rt, a.rows(), nc);
+    }
     v[0].copy_from(r);
-    v[0].scale(1.0 / beta);
-    std::fill(g.begin(), g.end(), 0.0);
-    g[0] = beta;
-    // Prime the pipeline: q_0 = A M^-1 v_0 (the only per-cycle operator
-    // application outside the overlapped iteration body).
-    m.apply(v[0], z);
-    q.emplace_back(rt, a.rows());
-    a.matvec(z, q[0]);
-    // Running amplification of q-recurrence rounding error this cycle
-    // (see GmresOptions::pipeline_drift_limit).
-    double drift = 1.0;
-
-    int j = 0;
-    for (; j < restart && stats.iterations < opts.max_iters; ++j) {
-      stats.iterations += 1;
-      const auto ju = static_cast<std::size_t>(j);
-      // The q recurrence amplifies rounding error by ~||q_j|| / h_last
-      // per iteration — ruinous under a strong preconditioner, where the
-      // candidate is nearly parallel to the basis. Every sync_period-th
-      // iteration is therefore a synchronization point: the reduction
-      // blocks (there is no pipeline stage to hide it behind) and
-      // q_{j+1} is recomputed directly from v_{j+1}, resetting the
-      // drift. Keyed off j alone so the multi-RHS solver makes the
-      // identical choice lane-for-lane.
-      const bool sync = opts.pipeline_sync_period > 0 &&
-                        (j + 1) % opts.pipeline_sync_period == 0;
-      // Initiate the fused reduction on the un-orthogonalized candidate
-      // q_j, then immediately run the next pipeline stage t = A M^-1 q_j
-      // — the work that hides the collective's latency.
-      const auto dots = fused_dots(v, ju + 1, q[ju], /*overlapped=*/!sync);
-      if (!sync) {
-        m.apply(q[ju], z);
-        a.matvec(z, t);
+    v[0].scale_lanes(coef, mask);
+    if (pipe) {
+      // Prime the pipeline: q_0 = A M^-1 v_0, fused across lanes (dead
+      // planes are scribble space, exactly like the w planes below).
+      if (q.empty()) {
+        q.emplace_back(rt, a.rows(), nc);
       }
+      m.apply(v[0], z);
+      a.matvec(z, q[0]);
+      std::fill(drift.begin(), drift.end(), 1.0);
+    }
 
-      // Consume the reduction: CGS coefficients + Pythagorean norm.
-      auto& hj = h[ju];
-      w.copy_from(q[ju]);
-      if (!sync) tq.copy_from(t);
-      double h_norm2 = 0;
-      for (std::size_t i = 0; i < ju + 1; ++i) {
-        hj[i] = dots[i];
-        h_norm2 += dots[i] * dots[i];
-        w.axpy(-hj[i], v[i]);
-        if (!sync) tq.axpy(-hj[i], q[i]);
-      }
-      const double w_norm2 = dots[ju + 1];
-      double corrected = w_norm2 - h_norm2;
-      if (!(corrected > 0.5 * w_norm2)) {
-        // Rutishauser fallback: one *blocking* reduction, folded into h
-        // and into the q recurrence so both bases stay consistent.
-        const auto dots2 = fused_dots(v, ju + 1, w);
-        double c_norm2 = 0;
-        for (std::size_t i = 0; i < ju + 1; ++i) {
-          const double c = dots2[i];
-          hj[i] += c;
-          c_norm2 += c * c;
-          w.axpy(-c, v[i]);
-          if (!sync) tq.axpy(-c, q[i]);
+    std::size_t j = 0;
+    while (j < restart && any_state(LaneState::kIterating)) {
+      // A lane out of budget exits here, runs its epilogue with the
+      // columns it has, and is finalized at the top of the outer loop.
+      for (std::size_t c = 0; c < nc; ++c) {
+        if (state[c] == LaneState::kIterating &&
+            out.lane[c].iterations >= opts.max_iters) {
+          epilogue(c, j);
         }
-        const double w_norm2_2 = dots2[ju + 1];
-        corrected = w_norm2_2 - c_norm2;
-        hj[ju + 1] = corrected > 1e-4 * w_norm2_2 ? std::sqrt(corrected)
-                                                  : w.norm2();
+      }
+      std::vector<std::size_t> act;
+      for (std::size_t c = 0; c < nc; ++c) {
+        if (state[c] == LaneState::kIterating) act.push_back(c);
+      }
+      if (act.empty()) break;
+      std::fill(mask.begin(), mask.end(), 0);
+      for (std::size_t c : act) {
+        mask[c] = 1;
+        out.lane[c].iterations += 1;
+      }
+
+      // w = A M^-1 v_j, fused across all lanes (dead planes are scribble
+      // space: matvec's beta = 0 and apply_zero overwrite them fully).
+      // Pipelined: the candidate IS q_j — initiate the batched fused
+      // reduction on it, then run the next pipeline stage t = A M^-1 q_j
+      // while the collective is in flight.
+      // Synchronization point (see kPipelineSyncPeriod): keyed off j
+      // alone, so every lane stays bitwise-identical to its 1-lane solve.
+      const bool sync =
+          pipe &&
+          (j + 1) % static_cast<std::size_t>(kPipelineSyncPeriod) == 0;
+      std::vector<double> pdots;
+      if (pipe) {
+        pdots = fused_dots(v, j + 1, q[j], act, /*overlapped=*/!sync);
+        if (!sync) {
+          m.apply(q[j], z);
+          a.matvec(z, t);
+          tq.copy_from(t);
+        }
+        w.copy_from(q[j]);
       } else {
-        hj[ju + 1] = std::sqrt(corrected);
+        m.apply(v[j], z);
+        a.matvec(z, w);
       }
 
-      const Real hlast = hj[ju + 1];
-      // Drift bookkeeping: this iteration multiplied any error already
-      // in the q basis by ~||q_j||/h_last. Resync once the running
-      // product threatens the usable precision.
-      const double amp =
-          hlast > 0.0 ? std::sqrt(std::max(w_norm2, 0.0)) / hlast : 0.0;
-      drift *= std::max(amp, 1.0);
-      const bool resync = sync || drift > opts.pipeline_drift_limit;
-      if (resync) drift = 1.0;
-      if (hlast > 0.0) {
-        v.emplace_back(rt, a.rows());
-        v.back().copy_from(w);
-        v.back().scale(1.0 / hlast);
-        q.emplace_back(rt, a.rows());
-        if (resync) {
-          // Synchronization point (periodic or drift-triggered):
-          // recompute q_{j+1} = A M^-1 v_{j+1} directly, discarding
-          // accumulated recurrence drift.
-          m.apply(v.back(), z);
-          a.matvec(z, q.back());
-        } else {
-          // q_{j+1} = A M^-1 v_{j+1} by linearity: same combination of
-          // the already-computed t and the q basis — no second matvec.
-          q.back().copy_from(tq);
-          q.back().scale(1.0 / hlast);
+      // Pipelined lanes whose drift crossed kPipelineDriftLimit this
+      // iteration: their q_{j+1} is recomputed directly below instead of
+      // continuing the recurrence. Per-lane, exactly as a 1-lane solve of
+      // that lane would decide, preserving bitwise lane equivalence.
+      std::vector<std::uint8_t> rsync(nc, 0);
+      bool any_rsync = false;
+      if (opts.ortho == OrthoMethod::kMgs) {
+        // One batched reduction per projection + one for the norm.
+        for (std::size_t i = 0; i <= j; ++i) {
+          const auto dots = w.dots(v[i]);
+          for (std::size_t c : act) {
+            h[c][j][i] = dots[c];
+            coef[c] = -dots[c];
+          }
+          w.axpy_lanes(coef, v[i], mask);
+        }
+        const auto norms = w.norms();
+        for (std::size_t c : act) {
+          hlast[c] = norms[c];
+          h[c][j][j + 1] = norms[c];
+        }
+      } else {
+        // One fused reduction for every active lane: [V^T w ; ||w||^2]
+        // (already in flight — and consumed here — when pipelined).
+        const std::size_t seg = j + 2;
+        const auto dots =
+            pipe ? std::move(pdots) : fused_dots(v, j + 1, w, act);
+        std::vector<double> w_norm2(nc, 0.0);
+        std::vector<double> h_norm2(nc, 0.0);
+        for (std::size_t li = 0; li < act.size(); ++li) {
+          const std::size_t c = act[li];
+          auto& hj = h[c][j];
+          for (std::size_t i = 0; i <= j; ++i) {
+            hj[i] = dots[li * seg + i];
+            h_norm2[c] += hj[i] * hj[i];
+          }
+          w_norm2[c] = dots[li * seg + j + 1];
+        }
+        for (std::size_t i = 0; i <= j; ++i) {
+          for (std::size_t c : act) {
+            coef[c] = -h[c][j][i];
+          }
+          w.axpy_lanes(coef, v[i], mask);
+          // The q recurrence gets the same combination so that
+          // q_{j+1} = A M^-1 v_{j+1} keeps holding by linearity.
+          if (pipe && !sync) tq.axpy_lanes(coef, q[i], mask);
+        }
+        // Rutishauser "twice is enough", per lane; lanes that trigger
+        // share one second fused reduction.
+        std::vector<std::size_t> reo;
+        std::vector<double> corrected(nc, 0.0);
+        for (std::size_t c : act) {
+          corrected[c] = w_norm2[c] - h_norm2[c];
+          if (!(corrected[c] > 0.5 * w_norm2[c])) reo.push_back(c);
+        }
+        for (std::size_t c : act) {
+          if (corrected[c] > 0.5 * w_norm2[c]) {
+            hlast[c] = std::sqrt(corrected[c]);
+            h[c][j][j + 1] = hlast[c];
+          }
+        }
+        if (!reo.empty()) {
+          const auto dots2 = fused_dots(v, j + 1, w, reo);
+          std::vector<std::uint8_t> rmask(nc, 0);
+          for (std::size_t c : reo) rmask[c] = 1;
+          std::vector<double> c_norm2(nc, 0.0);
+          for (std::size_t li = 0; li < reo.size(); ++li) {
+            const std::size_t c = reo[li];
+            auto& hj = h[c][j];
+            for (std::size_t i = 0; i <= j; ++i) {
+              const double cv = dots2[li * seg + i];
+              hj[i] += cv;
+              c_norm2[c] += cv * cv;
+            }
+          }
+          for (std::size_t i = 0; i <= j; ++i) {
+            for (std::size_t li = 0; li < reo.size(); ++li) {
+              const std::size_t c = reo[li];
+              coef[c] = -dots2[li * seg + i];
+            }
+            w.axpy_lanes(coef, v[i], rmask);
+            // Fold the (blocking) reorthogonalization into the q
+            // recurrence too, keeping both bases consistent. (Lanes
+            // that resync below overwrite this — the fold is only live
+            // for lanes still on the recurrence.)
+            if (pipe && !sync) tq.axpy_lanes(coef, q[i], rmask);
+          }
+          for (std::size_t li = 0; li < reo.size(); ++li) {
+            const std::size_t c = reo[li];
+            const double w_norm2_2 = dots2[li * seg + j + 1];
+            const double corr2 = w_norm2_2 - c_norm2[c];
+            if (corr2 > 1e-4 * w_norm2_2) {
+              hlast[c] = std::sqrt(corr2);
+            } else {
+              // Happy breakdown / full cancellation: explicit norm.
+              hlast[c] = w.lane_norm2(c);
+            }
+            h[c][j][j + 1] = hlast[c];
+          }
+        }
+        if (pipe) {
+          // Drift bookkeeping: this iteration multiplied any error already
+          // in the lane's q basis by ~||q_j||/h_last.
+          for (std::size_t c : act) {
+            const double amp =
+                hlast[c] > 0.0
+                    ? std::sqrt(std::max(w_norm2[c], 0.0)) / hlast[c]
+                    : 0.0;
+            drift[c] *= std::max(amp, 1.0);
+            if (sync || drift[c] > kPipelineDriftLimit) {
+              drift[c] = 1.0;
+              if (!sync) {
+                rsync[c] = 1;
+                any_rsync = true;
+              }
+            }
+          }
         }
       }
 
-      for (std::int64_t i = 0; i < j; ++i) {
-        const auto iu = static_cast<std::size_t>(i);
-        const Real tg = cs[iu] * hj[iu] + sn[iu] * hj[iu + 1];
-        hj[iu + 1] = -sn[iu] * hj[iu] + cs[iu] * hj[iu + 1];
-        hj[iu] = tg;
+      // v_{j+1} = w / hlast for every lane with hlast > 0 (a lane with
+      // hlast == 0 always breaks below, so its unscaled plane is dead).
+      if (v.size() <= j + 1) {
+        v.emplace_back(rt, a.rows(), nc);
       }
-      const Real denom = std::hypot(hj[ju], hlast);
-      if (denom == 0.0) {
-        ++j;
-        break;
+      std::fill(coef.begin(), coef.end(), 0.0);
+      std::vector<std::uint8_t> pmask(nc, 0);
+      bool any_push = false;
+      for (std::size_t c : act) {
+        if (hlast[c] > 0.0) {
+          pmask[c] = 1;
+          coef[c] = 1.0 / hlast[c];
+          any_push = true;
+        }
       }
-      cs[ju] = hj[ju] / denom;
-      sn[ju] = hlast / denom;
-      hj[ju] = denom;
-      hj[ju + 1] = 0.0;
-      g[ju + 1] = -sn[ju] * g[ju];
-      g[ju] = cs[ju] * g[ju];
+      if (any_push) {
+        v[j + 1].copy_from(w);
+        v[j + 1].scale_lanes(coef, pmask);
+        // Scrub the scribble planes. Dead-lane values cycle through
+        // A M^-1 every iteration (directly in the pipelined q recurrence,
+        // via the fused w product otherwise) and the operator's norm can
+        // exceed 1, so left alone they grow geometrically until the FP32
+        // demote boundary inside a mixed-precision preconditioner
+        // overflows. Zeroing is invisible to live lanes — every fused
+        // kernel is lane-wise — and keeps the scratch planes bounded.
+        for (std::size_t c = 0; c < nc; ++c) {
+          if (!pmask[c]) v[j + 1].lane_fill(c, 0.0);
+        }
+      }
+      if (pipe) {
+        if (q.size() <= j + 1) {
+          q.emplace_back(rt, a.rows(), nc);
+        }
+        if (any_push) {
+          if (sync || (nc == 1 && any_rsync)) {
+            // Synchronization point (periodic, or a 1-lane drift
+            // resync): recompute q_{j+1} = A M^-1 v_{j+1} directly (the
+            // operator application this iteration skipped), discarding
+            // accumulated recurrence drift for every lane at once.
+            m.apply(v[j + 1], z);
+            a.matvec(z, q[j + 1]);
+          } else {
+            // q_{j+1} = A M^-1 v_{j+1} by linearity: the
+            // already-computed t minus the same basis combination,
+            // scaled by the same 1/hlast — no second operator
+            // application.
+            q[j + 1].copy_from(tq);
+            q[j + 1].scale_lanes(coef, pmask);
+            if (any_rsync) {
+              // Drift resync of some lanes: overwrite exactly those
+              // lanes with a direct recompute, leaving the others'
+              // recurrence values untouched (a 1-lane solve of each lane
+              // makes the identical choice).
+              std::vector<std::uint8_t> rsmask(nc, 0);
+              for (std::size_t c = 0; c < nc; ++c) {
+                if (rsync[c] && pmask[c]) rsmask[c] = 1;
+              }
+              m.apply(v[j + 1], z);
+              a.matvec(z, t);
+              q[j + 1].copy_lanes(t, rsmask);
+            }
+          }
+          // Same scribble scrub as v[j+1] above: q planes feed the
+          // preconditioner every iteration, so unbounded dead-lane
+          // values would hit the FP32 demote boundary first.
+          for (std::size_t c = 0; c < nc; ++c) {
+            if (!pmask[c]) q[j + 1].lane_fill(c, 0.0);
+          }
+        }
+      }
 
-      stats.final_residual = std::abs(g[ju + 1]);
-      if (opts.residual_trace) {
-        opts.residual_trace->push_back(stats.final_residual);
+      // Givens update + convergence test, per lane on the host.
+      for (std::size_t c : act) {
+        auto& hj = h[c][j];
+        for (std::size_t i = 0; i < j; ++i) {
+          const Real tg = cs[c][i] * hj[i] + sn[c][i] * hj[i + 1];
+          hj[i + 1] = -sn[c][i] * hj[i] + cs[c][i] * hj[i + 1];
+          hj[i] = tg;
+        }
+        const Real denom = std::hypot(hj[j], hlast[c]);
+        if (denom == 0.0) {
+          epilogue(c, j + 1);  // exact solution reached
+          continue;
+        }
+        cs[c][j] = hj[j] / denom;
+        sn[c][j] = hlast[c] / denom;
+        hj[j] = denom;
+        hj[j + 1] = 0.0;
+        g[c][j + 1] = -sn[c][j] * g[c][j];
+        g[c][j] = cs[c][j] * g[c][j];
+        out.lane[c].final_residual = std::abs(g[c][j + 1]);
+        if (opts.residual_trace) {
+          opts.residual_trace->push_back(out.lane[c].final_residual);
+        }
+        if (out.lane[c].final_residual <= target[c] || hlast[c] == 0.0) {
+          epilogue(c, j + 1);
+        }
       }
-      if (stats.final_residual <= target || hlast == 0.0) {
-        ++j;
-        break;
-      }
+      ++j;
     }
 
-    std::vector<Real> y(static_cast<std::size_t>(j), 0.0);
-    for (std::int64_t i = j - 1; i >= 0; --i) {
-      Real acc = g[static_cast<std::size_t>(i)];
-      for (std::int64_t k = i + 1; k < j; ++k) {
-        acc -= h[static_cast<std::size_t>(k)][static_cast<std::size_t>(i)] *
-               y[static_cast<std::size_t>(k)];
-      }
-      y[static_cast<std::size_t>(i)] =
-          acc / h[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)];
-    }
-    w.fill(0.0);
-    for (std::int64_t i = 0; i < j; ++i) {
-      w.axpy(y[static_cast<std::size_t>(i)], v[static_cast<std::size_t>(i)]);
-    }
-    m.apply(w, z);
-    x.axpy(1.0, z);
-
-    if (stats.final_residual <= target) {
-      a.residual(b, x, r);
-      stats.final_residual = r.norm2();
-      if (stats.final_residual <= 1.5 * std::max(target, Real{1e-300})) {
-        stats.converged = true;
-        return stats;
+    // Restart exhausted: remaining lanes update x and go back to waiting.
+    for (std::size_t c = 0; c < nc; ++c) {
+      if (state[c] == LaneState::kIterating) {
+        epilogue(c, j);
       }
     }
   }
-  return stats;
+  return out;
 }
-
-}  // namespace
 
 SolveStats gmres_solve(const linalg::ParCsr& a, const linalg::ParVector& b,
                        linalg::ParVector& x, Preconditioner& m,
                        const GmresOptions& opts) {
-  par::Runtime& rt = a.runtime();
-  const int restart = opts.restart;
-  SolveStats stats;
-
-  linalg::ParVector r(rt, a.rows());
-  linalg::ParVector w(rt, a.rows());
-  linalg::ParVector z(rt, a.rows());
-
-  if (opts.residual_trace) opts.residual_trace->clear();
-
-  // Convergence target follows hypre's convention: relative to ||b||.
-  const Real bnorm = b.norm2();
-  a.residual(b, x, r);
-  Real beta = r.norm2();
-  stats.initial_residual = beta;
-  stats.final_residual = beta;
-  const Real target =
-      std::max(opts.rel_tol * (bnorm > 0.0 ? bnorm : beta), opts.abs_tol);
-  if (beta <= target || beta == 0.0) {
-    stats.converged = true;
-    return stats;
-  }
-
-  if (opts.ortho == OrthoMethod::kPipelined) {
-    return pipelined_cycles(a, b, x, m, opts, target, stats);
-  }
-
-  std::vector<linalg::ParVector> v;  // Krylov basis
-  // Hessenberg (column-major by iteration), Givens rotations, rhs.
-  std::vector<std::vector<Real>> h;
-  std::vector<Real> cs(static_cast<std::size_t>(restart) + 1);
-  std::vector<Real> sn(static_cast<std::size_t>(restart) + 1);
-  std::vector<Real> g(static_cast<std::size_t>(restart) + 1);
-
-  while (stats.iterations < opts.max_iters) {
-    // (Re)start.
-    a.residual(b, x, r);
-    beta = r.norm2();
-    stats.final_residual = beta;
-    if (beta <= target) {
-      stats.converged = true;
-      return stats;
-    }
-    v.clear();
-    h.assign(static_cast<std::size_t>(restart),
-             std::vector<Real>(static_cast<std::size_t>(restart) + 1, 0.0));
-    v.emplace_back(rt, a.rows());
-    v[0].copy_from(r);
-    v[0].scale(1.0 / beta);
-    std::fill(g.begin(), g.end(), 0.0);
-    g[0] = beta;
-
-    int j = 0;
-    for (; j < restart && stats.iterations < opts.max_iters; ++j) {
-      stats.iterations += 1;
-      // w = A M^-1 v_j.
-      m.apply(v[static_cast<std::size_t>(j)], z);
-      a.matvec(z, w);
-
-      auto& hj = h[static_cast<std::size_t>(j)];
-      if (opts.ortho == OrthoMethod::kMgs) {
-        // One reduction per projection + one for the norm.
-        for (std::size_t i = 0; i < static_cast<std::size_t>(j) + 1; ++i) {
-          hj[i] = w.dot(v[i]);
-          w.axpy(-hj[i], v[i]);
-        }
-        hj[static_cast<std::size_t>(j) + 1] = w.norm2();
-      } else {
-        // One fused reduction: [V^T w ; ||w||^2].
-        const auto dots = fused_dots(v, static_cast<std::size_t>(j) + 1, w);
-        double h_norm2 = 0;
-        for (std::size_t i = 0; i < static_cast<std::size_t>(j) + 1; ++i) {
-          hj[i] = dots[i];
-          h_norm2 += dots[i] * dots[i];
-          w.axpy(-hj[i], v[i]);
-        }
-        const double w_norm2 = dots[static_cast<std::size_t>(j) + 1];
-        double corrected = w_norm2 - h_norm2;
-        // The Pythagorean identity ||w - V h||^2 = ||w||^2 - ||h||^2 only
-        // holds for an orthonormal V. A single classical Gram-Schmidt pass
-        // loses orthogonality exactly when the projections dominate (e.g.
-        // under a strong preconditioner the new Krylov direction is tiny),
-        // and a corrupted h stalls the Givens residual estimate above the
-        // target while the true residual keeps falling. Rutishauser's
-        // "twice is enough" criterion: if the pass removed more than half
-        // of ||w||^2, reorthogonalize with a second fused reduction.
-        if (!(corrected > 0.5 * w_norm2)) {
-          const auto dots2 =
-              fused_dots(v, static_cast<std::size_t>(j) + 1, w);
-          double c_norm2 = 0;
-          for (std::size_t i = 0; i < static_cast<std::size_t>(j) + 1; ++i) {
-            const double c = dots2[i];
-            hj[i] += c;
-            c_norm2 += c * c;
-            w.axpy(-c, v[i]);
-          }
-          // The second pass removes only O(eps)-sized components, so its
-          // own Pythagorean update is reliable unless w vanished entirely.
-          const double w_norm2_2 = dots2[static_cast<std::size_t>(j) + 1];
-          corrected = w_norm2_2 - c_norm2;
-          if (corrected > 1e-4 * w_norm2_2) {
-            hj[static_cast<std::size_t>(j) + 1] = std::sqrt(corrected);
-          } else {
-            // Happy breakdown / full cancellation: take the explicit norm.
-            hj[static_cast<std::size_t>(j) + 1] = w.norm2();
-          }
-        } else {
-          hj[static_cast<std::size_t>(j) + 1] = std::sqrt(corrected);
-        }
-      }
-
-      const Real hlast = hj[static_cast<std::size_t>(j) + 1];
-      if (hlast > 0.0) {
-        v.emplace_back(rt, a.rows());
-        v.back().copy_from(w);
-        v.back().scale(1.0 / hlast);
-      }
-
-      // Apply accumulated Givens rotations to the new column.
-      for (std::int64_t i = 0; i < j; ++i) {
-        const Real t = cs[static_cast<std::size_t>(i)] * hj[static_cast<std::size_t>(i)] +
-                       sn[static_cast<std::size_t>(i)] * hj[static_cast<std::size_t>(i) + 1];
-        hj[static_cast<std::size_t>(i) + 1] =
-            -sn[static_cast<std::size_t>(i)] * hj[static_cast<std::size_t>(i)] +
-            cs[static_cast<std::size_t>(i)] * hj[static_cast<std::size_t>(i) + 1];
-        hj[static_cast<std::size_t>(i)] = t;
-      }
-      const Real denom = std::hypot(hj[static_cast<std::size_t>(j)], hlast);
-      if (denom == 0.0) {
-        ++j;
-        break;  // exact solution reached
-      }
-      cs[static_cast<std::size_t>(j)] = hj[static_cast<std::size_t>(j)] / denom;
-      sn[static_cast<std::size_t>(j)] = hlast / denom;
-      hj[static_cast<std::size_t>(j)] = denom;
-      hj[static_cast<std::size_t>(j) + 1] = 0.0;
-      g[static_cast<std::size_t>(j) + 1] = -sn[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
-      g[static_cast<std::size_t>(j)] = cs[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
-
-      stats.final_residual = std::abs(g[static_cast<std::size_t>(j) + 1]);
-      if (opts.residual_trace) {
-        opts.residual_trace->push_back(stats.final_residual);
-      }
-      if (stats.final_residual <= target || hlast == 0.0) {
-        ++j;
-        break;
-      }
-    }
-
-    // Back-substitute y and update x += M^-1 (V y).
-    std::vector<Real> y(static_cast<std::size_t>(j), 0.0);
-    for (std::int64_t i = j - 1; i >= 0; --i) {
-      Real acc = g[static_cast<std::size_t>(i)];
-      for (std::int64_t k = i + 1; k < j; ++k) {
-        acc -= h[static_cast<std::size_t>(k)][static_cast<std::size_t>(i)] *
-               y[static_cast<std::size_t>(k)];
-      }
-      y[static_cast<std::size_t>(i)] =
-          acc / h[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)];
-    }
-    w.fill(0.0);
-    for (std::int64_t i = 0; i < j; ++i) {
-      w.axpy(y[static_cast<std::size_t>(i)], v[static_cast<std::size_t>(i)]);
-    }
-    m.apply(w, z);
-    x.axpy(1.0, z);
-
-    if (stats.final_residual <= target) {
-      // Confirm with a true residual before declaring victory.
-      a.residual(b, x, r);
-      stats.final_residual = r.norm2();
-      if (stats.final_residual <= 1.5 * std::max(target, Real{1e-300})) {
-        stats.converged = true;
-        return stats;
-      }
-    }
-  }
-  return stats;
+  EXW_REQUIRE(x.ncomp() == 1, "gmres_solve takes 1-lane vectors");
+  return gmres_solve_multi(a, b, x, m, opts).lane.front();
 }
 
 }  // namespace exw::solver

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "linalg/multivector.hpp"
 #include "linalg/parcsr.hpp"
 #include "linalg/parvector.hpp"
 #include "solver/precond.hpp"
@@ -49,12 +48,19 @@ enum class OrthoMethod : std::uint8_t {
   /// Iterates agree with kOneReduce to rounding (the q recurrence
   /// reassociates A M^-1), not bitwise. The recurrence amplifies
   /// rounding error by ~||q_j||/h_{j+1,j} per iteration, so every
-  /// `pipeline_sync_period`-th iteration synchronizes: the reduction
+  /// kPipelineSyncPeriod-th iteration synchronizes: the reduction
   /// blocks and q_{j+1} is recomputed directly (residual replacement),
   /// bounding the drift that would otherwise inflate iteration counts
   /// under strong preconditioners.
   kPipelined,
 };
+
+/// kPipelined: every N-th iteration of a restart cycle is a
+/// synchronization point — blocking fused reduction plus a direct
+/// recompute of q_{j+1} = A M^-1 v_{j+1} — resetting q-recurrence drift
+/// (residual replacement). Keyed off the in-cycle iteration index alone,
+/// so every lane of a multi-lane solve chooses as its 1-lane solve would.
+inline constexpr int kPipelineSyncPeriod = 8;
 
 struct GmresOptions {
   int max_iters = 200;
@@ -62,28 +68,10 @@ struct GmresOptions {
   Real rel_tol = 1e-6;
   Real abs_tol = 0.0;
   OrthoMethod ortho = OrthoMethod::kOneReduce;
-  /// kPipelined only: every N-th iteration of a restart cycle is a
-  /// synchronization point — blocking fused reduction plus a direct
-  /// recompute of q_{j+1} = A M^-1 v_{j+1} — resetting q-recurrence
-  /// drift (residual replacement). Keyed off the in-cycle iteration
-  /// index alone, so scalar and multi-RHS solves choose identically.
-  /// <= 0 disables (pure recurrence; unstable with strong
-  /// preconditioners).
-  int pipeline_sync_period = 8;
-  /// kPipelined only: the q recurrence multiplies accumulated rounding
-  /// error by ~||q_j||/h_{j+1,j} each iteration (~sqrt(2) when the
-  /// Rutishauser test does not fire, orders of magnitude when it does).
-  /// The solver tracks the running product per restart cycle and
-  /// resynchronizes q_{j+1} by direct recompute once it exceeds this
-  /// limit, holding the basis error near limit * machine-epsilon
-  /// (~1e-9 at the default) at the cost of one extra preconditioner +
-  /// SpMV application per resync. Tracked per lane in the multi-RHS
-  /// solver from bitwise-identical reduced quantities, so fused lanes
-  /// resync exactly when their scalar solves would.
-  double pipeline_drift_limit = 1e7;
   /// Optional per-iteration residual-estimate trace (the Givens value
   /// |g_{j+1}| each accepted iteration appends). Not owned; cleared by
-  /// the solver at entry. Scalar gmres_solve only.
+  /// the solver at entry. 1-lane solves only: setting it on a solve with
+  /// more than one lane throws exw::Error.
   std::vector<Real>* residual_trace = nullptr;
 };
 
@@ -94,12 +82,7 @@ struct SolveStats {
   bool converged = false;
 };
 
-/// Solve A x = b with right preconditioning (x holds the initial guess).
-SolveStats gmres_solve(const linalg::ParCsr& a, const linalg::ParVector& b,
-                       linalg::ParVector& x, Preconditioner& m,
-                       const GmresOptions& opts);
-
-/// Per-lane outcome of a fused multi-RHS solve.
+/// Per-lane outcome of a multi-lane solve.
 struct MultiSolveStats {
   std::vector<SolveStats> lane;
   bool all_converged() const {
@@ -110,19 +93,25 @@ struct MultiSolveStats {
   }
 };
 
-/// Fused multi-RHS GMRES: solve A x_c = b_c for every lane of `x`
-/// simultaneously. Lanes share the operator (one fused SpMV /
+/// Solve A x_c = b_c for every lane c of `x` (x holds the initial guess)
+/// with right preconditioning. Lanes share the operator (one SpMV /
 /// preconditioner application reads the sparse structure once for all
 /// lanes) and their reduction payloads ride one batched allreduce per
 /// orthogonalization — but each lane's convergence is tracked
 /// independently, and every lane's iterates are bitwise-identical to a
-/// scalar gmres_solve on that lane alone (the rank-ordered element-wise
+/// 1-lane solve of that lane alone (the rank-ordered element-wise
 /// reductions of par::Runtime make the batched collectives exact).
 /// Lanes that converge drop out of the fused work via lane masks; lanes
 /// whose true-residual confirmation fails rejoin at the next restart.
+/// The u/v/w momentum systems solve as one 3-lane call.
 MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
-                                  const linalg::ParMultiVector& b,
-                                  linalg::ParMultiVector& x, Preconditioner& m,
+                                  const linalg::ParVector& b,
+                                  linalg::ParVector& x, Preconditioner& m,
                                   const GmresOptions& opts);
+
+/// The 1-lane case: solve A x = b and return its statistics.
+SolveStats gmres_solve(const linalg::ParCsr& a, const linalg::ParVector& b,
+                       linalg::ParVector& x, Preconditioner& m,
+                       const GmresOptions& opts);
 
 }  // namespace exw::solver

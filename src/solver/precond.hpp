@@ -6,6 +6,7 @@
 /// transport ("two outer and two inner iterations often leads to rapid
 /// convergence in less than five preconditioned GMRES iterations", §4.2).
 
+#include <array>
 #include <memory>
 
 #include "amg/hierarchy.hpp"
@@ -20,21 +21,11 @@ namespace exw::solver {
 class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
-  /// z = M^-1 r.
+  /// z = M^-1 r, lane by lane (r and z carry the same lane count).
   virtual void apply(const linalg::ParVector& r, linalg::ParVector& z) = 0;
-
-  /// Lane-wise z_c = M^-1 r_c. The default routes every lane through
-  /// apply() via scratch vectors — correct for any preconditioner;
-  /// implementations with fused kernels (SmootherPrecond) override it.
-  virtual void apply_multi(const linalg::ParMultiVector& r,
-                           linalg::ParMultiVector& z) {
-    linalg::ParVector rl(r.runtime(), r.rows());
-    linalg::ParVector zl(r.runtime(), r.rows());
-    for (std::size_t c = 0; c < r.ncomp(); ++c) {
-      r.extract_lane(c, rl);
-      apply(rl, zl);
-      z.set_lane(c, zl);
-    }
+  /// Former name of apply, still called by perfbench/runner.
+  void apply_multi(const linalg::ParVector& r, linalg::ParVector& z) {
+    apply(r, z);
   }
 };
 
@@ -42,10 +33,6 @@ class Preconditioner {
 class IdentityPrecond final : public Preconditioner {
  public:
   void apply(const linalg::ParVector& r, linalg::ParVector& z) override {
-    z.copy_from(r);
-  }
-  void apply_multi(const linalg::ParMultiVector& r,
-                   linalg::ParMultiVector& z) override {
     z.copy_from(r);
   }
 };
@@ -130,44 +117,19 @@ class SmootherPrecond final : public Preconditioner {
         smoother_(precision == Precision::kF32 ? a32_ : a, type, inner_sweeps,
                   /*jacobi_weight=*/1.0),
         outer_(outer_sweeps) {
-    if (prec_ == Precision::kF32) {
-      rb_ = std::make_unique<linalg::ParVector>(a.runtime(), a.rows());
-      zb_ = std::make_unique<linalg::ParVector>(a.runtime(), a.rows());
-      rb_->set_value_precision(Precision::kF32);
-      zb_->set_value_precision(Precision::kF32);
-    }
     charge(/*rebuild=*/true);
   }
 
   void apply(const linalg::ParVector& r, linalg::ParVector& z) override {
     perf::PhaseScope ph(a_->runtime().tracer(), "precond");
-    if (rb_) {
-      rb_->copy_from(r);
-      smoother_.apply_zero(*rb_, *zb_, outer_);
-      z.copy_from(*zb_);
+    if (prec_ == Precision::kF32) {
+      Fp32Scratch& s = fp32_scratch(r.ncomp());
+      s.r.copy_from(r);
+      smoother_.apply_zero(s.r, s.z, outer_);
+      z.copy_from(s.z);
       return;
     }
     smoother_.apply_zero(r, z, outer_);
-  }
-
-  void apply_multi(const linalg::ParMultiVector& r,
-                   linalg::ParMultiVector& z) override {
-    perf::PhaseScope ph(a_->runtime().tracer(), "precond");
-    if (prec_ == Precision::kF32) {
-      if (!rbm_ || rbm_->ncomp() != r.ncomp()) {
-        rbm_ = std::make_unique<linalg::ParMultiVector>(a_->runtime(),
-                                                        a_->rows(), r.ncomp());
-        zbm_ = std::make_unique<linalg::ParMultiVector>(a_->runtime(),
-                                                        a_->rows(), r.ncomp());
-        rbm_->set_value_precision(Precision::kF32);
-        zbm_->set_value_precision(Precision::kF32);
-      }
-      rbm_->copy_from(r);
-      smoother_.apply_zero_multi(*rbm_, *zbm_, outer_);
-      z.copy_from(*zbm_);
-      return;
-    }
-    smoother_.apply_zero_multi(r, z, outer_);
   }
 
   /// Re-read the matrix's current values into the existing L/D/U split
@@ -217,6 +179,28 @@ class SmootherPrecond final : public Preconditioner {
     });
   }
 
+  /// FP32 boundary scratch for one lane count (residual in, correction
+  /// out).
+  struct Fp32Scratch {
+    linalg::ParVector r, z;
+  };
+
+  /// The scratch pair for `lanes`, made on first use. One slot serves
+  /// 3-lane momentum and 1-lane scalar solves alternately every Picard
+  /// iteration, so each lane count keeps its own pair.
+  Fp32Scratch& fp32_scratch(std::size_t lanes) {
+    EXW_REQUIRE(lanes >= 1 && lanes <= fp32_.size(),
+                "smoother precond lane count out of range");
+    Fp32Scratch& s = fp32_[lanes - 1];
+    if (s.r.ncomp() == 0) {
+      s.r = linalg::ParVector(a_->runtime(), a_->rows(), lanes);
+      s.z = linalg::ParVector(a_->runtime(), a_->rows(), lanes);
+      s.r.set_value_precision(Precision::kF32);
+      s.z.set_value_precision(Precision::kF32);
+    }
+    return s;
+  }
+
   const linalg::ParCsr* a_;
   Precision prec_ = Precision::kF64;
   /// Demoted twin (empty in the FP64 configuration); must be declared
@@ -224,8 +208,9 @@ class SmootherPrecond final : public Preconditioner {
   linalg::ParCsr a32_;
   amg::Smoother smoother_;
   int outer_;
-  std::unique_ptr<linalg::ParVector> rb_, zb_;
-  std::unique_ptr<linalg::ParMultiVector> rbm_, zbm_;
+  /// FP32 scratch indexed by lane count - 1 (unused in the FP64
+  /// configuration).
+  std::array<Fp32Scratch, sparse::Csr::kMaxLanes> fp32_;
 };
 
 }  // namespace exw::solver

@@ -64,10 +64,53 @@ void Csr::spmv(std::span<const Real> x, std::span<Real> y, Real alpha,
   }
 }
 
+namespace {
+
+/// spmv_multi's body for a compile-time lane count: the per-row
+/// accumulators live in registers and the lane loops unroll, so the
+/// 1-lane instance runs at the speed of the serial spmv.
+template <std::size_t L>
+void spmv_lanes(const Csr& a, std::span<const Real> x, std::size_t x_stride,
+                std::span<Real> y, std::size_t y_stride, Real alpha,
+                Real beta) {
+  const auto cols = a.cols().raw();
+  const auto vals = a.vals().raw();
+  // Raw 64-bit loop variable: OpenMP requires an integral canonical form.
+  const std::int64_t n = a.nrows().value();
+#ifdef EXW_HAVE_OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+  for (std::int64_t ii = 0; ii < n; ++ii) {
+    const LocalIndex i{ii};
+    std::array<Real, L> acc{};
+    // One pass over the row's index structure feeds every lane; each
+    // lane accumulates in the same entry order as the serial spmv.
+    for (EntryOffset k = a.row_begin(i); k < a.row_end(i); ++k) {
+      const Real v = vals[static_cast<std::size_t>(k)];
+      const auto c = static_cast<std::size_t>(cols[static_cast<std::size_t>(k)]);
+      for (std::size_t l = 0; l < L; ++l) {
+        acc[l] += v * x[l * x_stride + c];
+      }
+    }
+    for (std::size_t l = 0; l < L; ++l) {
+      auto& yi = y[l * y_stride + static_cast<std::size_t>(i)];
+      yi = beta == 0.0 ? alpha * acc[l] : beta * yi + alpha * acc[l];
+    }
+  }
+}
+
+using SpmvLanesFn = void (*)(const Csr&, std::span<const Real>, std::size_t,
+                             std::span<Real>, std::size_t, Real, Real);
+/// One instance per supported lane count; entry L - 1 handles L lanes.
+constexpr std::array<SpmvLanesFn, Csr::kMaxLanes> kSpmvLanes{
+    &spmv_lanes<1>, &spmv_lanes<2>, &spmv_lanes<3>, &spmv_lanes<4>,
+    &spmv_lanes<5>, &spmv_lanes<6>, &spmv_lanes<7>, &spmv_lanes<8>};
+
+}  // namespace
+
 void Csr::spmv_multi(std::span<const Real> x, std::size_t x_stride,
                      std::span<Real> y, std::size_t y_stride,
                      std::size_t lanes, Real alpha, Real beta) const {
-  constexpr std::size_t kMaxLanes = 8;
   EXW_REQUIRE(lanes >= 1 && lanes <= kMaxLanes,
               "spmv_multi lane count out of range");
   EXW_ASSERT(x_stride >= static_cast<std::size_t>(ncols_));
@@ -76,29 +119,7 @@ void Csr::spmv_multi(std::span<const Real> x, std::size_t x_stride,
                              static_cast<std::size_t>(ncols_));
   EXW_ASSERT(y.size() >= (lanes - 1) * y_stride +
                              static_cast<std::size_t>(nrows_));
-  // Raw 64-bit loop variable: OpenMP requires an integral canonical form.
-  const std::int64_t n = nrows_.value();
-#ifdef EXW_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t ii = 0; ii < n; ++ii) {
-    const LocalIndex i{ii};
-    std::array<Real, kMaxLanes> acc{};
-    // One pass over the row's index structure feeds every lane; each
-    // lane accumulates in the same entry order as the scalar spmv.
-    for (EntryOffset k = row_begin(i); k < row_end(i); ++k) {
-      const Real a = vals_[static_cast<std::size_t>(k)];
-      const auto c =
-          static_cast<std::size_t>(cols_[static_cast<std::size_t>(k)]);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        acc[l] += a * x[l * x_stride + c];
-      }
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      auto& yi = y[l * y_stride + static_cast<std::size_t>(i)];
-      yi = beta == 0.0 ? alpha * acc[l] : beta * yi + alpha * acc[l];
-    }
-  }
+  kSpmvLanes[lanes - 1](*this, x, x_stride, y, y_stride, alpha, beta);
 }
 
 void Csr::spmv_transpose(std::span<const Real> x, std::span<Real> y,

@@ -65,16 +65,22 @@ class Csr {
   std::vector<LocalIndex>& cols_vec() { return cols_; }
   std::vector<Real>& vals_vec() { return vals_; }
 
-  /// y = alpha*A*x + beta*y.
+  /// y = alpha*A*x + beta*y — the serial reference the distributed and
+  /// multi-lane kernels are tested against.
   void spmv(std::span<const Real> x, std::span<Real> y, Real alpha = 1.0,
             Real beta = 0.0) const;
 
-  /// Fused multi-RHS SpMV: for lane c in [0, lanes), treat
-  /// x[c*x_stride ..] and y[c*y_stride ..] as one vector pair and apply
-  /// y_c = alpha*A*x_c + beta*y_c. Row structure (row_ptr/cols) is read
-  /// once per row for all lanes; per-lane arithmetic (accumulation
-  /// order, beta handling) is exactly spmv's, so each lane's result is
-  /// bitwise-identical to a per-lane spmv call.
+  /// Largest lane count spmv_multi accepts.
+  static constexpr std::size_t kMaxLanes = 8;
+
+  /// Multi-lane SpMV, the kernel of every distributed SpMV: for lane c
+  /// in [0, lanes), treat x[c*x_stride ..] and y[c*y_stride ..] as one
+  /// vector pair and apply y_c = alpha*A*x_c + beta*y_c. Row structure
+  /// (row_ptr/cols) is read once per row for all lanes; per-lane
+  /// arithmetic (accumulation order, beta handling) is exactly spmv's,
+  /// so each lane's result is bitwise-identical to an spmv call on that
+  /// lane. The body is instantiated per lane count 1..kMaxLanes; other
+  /// counts throw.
   void spmv_multi(std::span<const Real> x, std::size_t x_stride,
                   std::span<Real> y, std::size_t y_stride, std::size_t lanes,
                   Real alpha = 1.0, Real beta = 0.0) const;

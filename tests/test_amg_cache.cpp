@@ -211,18 +211,18 @@ TEST(HierarchyCache, CountsSolvesAndDetectsStagnation) {
   cache.rebuild(a0, cfg, 1, /*freeze=*/true);
 
   cache.note_solve(10);  // sets the post-rebuild baseline
-  EXPECT_FALSE(cache.stagnating(1.5));
+  EXPECT_FALSE(cache.stagnating());
   cache.refresh(a1);
   EXPECT_EQ(cache.refreshes(), 1);
   cache.note_solve(12);
-  EXPECT_FALSE(cache.stagnating(1.5));  // 12 <= 1.5 * 10
+  EXPECT_FALSE(cache.stagnating());  // 12 <= 1.5 * 10
   cache.note_solve(16);
-  EXPECT_TRUE(cache.stagnating(1.5));  // 16 > 1.5 * 10
+  EXPECT_TRUE(cache.stagnating());  // 16 > 1.5 * 10
 
   // A rebuild resets the baseline.
   cache.rebuild(a1, cfg, 1, /*freeze=*/true);
   EXPECT_EQ(cache.rebuilds(), 2);
-  EXPECT_FALSE(cache.stagnating(1.5));
+  EXPECT_FALSE(cache.stagnating());
 }
 
 /// Copy of `a` with one diag/offd value of one rank replaced.
@@ -249,7 +249,7 @@ TEST(HierarchyCache, DecidesRebuildRefreshOrReuse) {
   HierarchyCache cache;
   auto update = [&](const linalg::ParCsr& m, std::uint64_t gen = 1,
                     const AmgConfig* c = nullptr, bool use_cache = true) {
-    return cache.update(m, c != nullptr ? *c : cfg, gen, use_cache, 1.5);
+    return cache.update(m, c != nullptr ? *c : cfg, gen, use_cache);
   };
 
   EXPECT_EQ(update(a), CacheAction::kRebuild);         // empty cache
@@ -278,10 +278,10 @@ TEST(HierarchyCache, ReuseCheckChargesOneStreamPerRankAndOneAllreduce) {
   par::Runtime rt(4);
   const auto a = distribute(rt, laplace3d(6, 0.0));
   HierarchyCache cache;
-  ASSERT_EQ(cache.update(a, AmgConfig{}, 1, true, 1.5), CacheAction::kRebuild);
+  ASSERT_EQ(cache.update(a, AmgConfig{}, 1, true), CacheAction::kRebuild);
   rt.tracer().reset();
   rt.tracer().push_phase("check");
-  ASSERT_EQ(cache.update(a, AmgConfig{}, 1, true, 1.5), CacheAction::kReuse);
+  ASSERT_EQ(cache.update(a, AmgConfig{}, 1, true), CacheAction::kReuse);
   rt.tracer().pop_phase();
   const perf::PhaseStats& ph = rt.tracer().phase("check");
   EXPECT_EQ(ph.total_kernels(), rt.nranks());

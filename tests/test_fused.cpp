@@ -1,7 +1,7 @@
-// Tests for the fused multi-RHS momentum path: ParMultiVector ops,
-// fused SpMV / smoother sweeps, the batched multi-RHS GMRES, and the
-// cfd-level fused-vs-sequential A/B — all pinned to be bitwise-identical
-// per component to the scalar code paths they fuse.
+// Tests for the fused multi-RHS momentum path: multi-lane ParVector ops,
+// SpMV / smoother sweeps, the batched multi-lane GMRES, and the
+// cfd-level fused-vs-sequential A/B — every lane pinned to be
+// bitwise-identical to a 1-lane call on that lane alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,20 +38,10 @@ std::vector<RealVector> lane_data(std::size_t n, std::uint64_t seed) {
   return lanes;
 }
 
-void fill_lanes(linalg::ParMultiVector& x,
-                const std::vector<RealVector>& data) {
+void fill_lanes(linalg::ParVector& x, const std::vector<RealVector>& data) {
   for (std::size_t c = 0; c < data.size(); ++c) {
-    for (std::size_t i = 0; i < data[c].size(); ++i) {
-      x.at(c, checked_narrow<GlobalIndex>(i)) = data[c][i];
-    }
+    x.scatter(data[c], c);
   }
-}
-
-/// Gather one lane to a dense vector (test convenience).
-RealVector gather_lane(const linalg::ParMultiVector& x, std::size_t lane) {
-  linalg::ParVector tmp(x.runtime(), x.rows());
-  x.extract_lane(lane, tmp);
-  return tmp.gather();
 }
 
 void expect_bitwise(const RealVector& a, const RealVector& b) {
@@ -62,7 +52,7 @@ void expect_bitwise(const RealVector& a, const RealVector& b) {
 }
 
 // ---------------------------------------------------------------------------
-// ParMultiVector BLAS-1 vs ParVector, bitwise.
+// Multi-lane BLAS-1 vs 1-lane calls, bitwise.
 
 class FusedRankSweep : public ::testing::TestWithParam<int> {};
 
@@ -74,7 +64,7 @@ TEST_P(FusedRankSweep, MultiVectorOpsMatchParVectorBitwise) {
   const auto xd = lane_data(n, 5);
   const auto yd = lane_data(n, 6);
 
-  linalg::ParMultiVector x(rt, part, kLanes), y(rt, part, kLanes);
+  linalg::ParVector x(rt, part, kLanes), y(rt, part, kLanes);
   fill_lanes(x, xd);
   fill_lanes(y, yd);
   std::vector<linalg::ParVector> xs, ys;
@@ -102,7 +92,7 @@ TEST_P(FusedRankSweep, MultiVectorOpsMatchParVectorBitwise) {
   for (std::size_t c = 0; c < kLanes; ++c) {
     xs[c].axpy(alpha[c], ys[c]);
     xs[c].scale(alpha[c]);
-    expect_bitwise(gather_lane(x, c), xs[c].gather());
+    expect_bitwise(x.gather(c), xs[c].gather());
   }
 }
 
@@ -111,7 +101,7 @@ TEST_P(FusedRankSweep, MaskedLanesStayFrozen) {
   par::Runtime rt(nranks);
   const auto part = par::RowPartition::even(GlobalIndex{64}, nranks);
   const auto xd = lane_data(64, 7);
-  linalg::ParMultiVector x(rt, part, kLanes), y(rt, part, kLanes);
+  linalg::ParVector x(rt, part, kLanes), y(rt, part, kLanes);
   fill_lanes(x, xd);
   y.fill(3.0);
   const std::vector<Real> alpha{2.0, 0.0, -1.0};
@@ -119,10 +109,10 @@ TEST_P(FusedRankSweep, MaskedLanesStayFrozen) {
   x.axpy_lanes(alpha, y, mask);
   x.scale_lanes(alpha, mask);
   // Masked-out lanes are untouched (not even multiplied by alpha).
-  expect_bitwise(gather_lane(x, 0), xd[0]);
-  expect_bitwise(gather_lane(x, 2), xd[2]);
+  expect_bitwise(x.gather(0), xd[0]);
+  expect_bitwise(x.gather(2), xd[2]);
   // The active lane saw alpha = 0: axpy adds nothing, scale zeroes it.
-  for (Real v : gather_lane(x, 1)) EXPECT_EQ(v, 0.0);
+  for (Real v : x.gather(1)) EXPECT_EQ(v, 0.0);
 }
 
 TEST_P(FusedRankSweep, SpmvMatchesPerComponentBitwise) {
@@ -132,28 +122,28 @@ TEST_P(FusedRankSweep, SpmvMatchesPerComponentBitwise) {
   const auto a = make_par(rt, mat);
   const auto xd = lane_data(210, 11);
 
-  linalg::ParMultiVector x(rt, a.cols(), kLanes), y(rt, a.rows(), kLanes);
+  linalg::ParVector x(rt, a.cols(), kLanes), y(rt, a.rows(), kLanes);
   fill_lanes(x, xd);
-  a.matvec_multi(x, y, 1.5, 0.0);
+  a.matvec(x, y, 1.5, 0.0);
 
   for (std::size_t c = 0; c < kLanes; ++c) {
     linalg::ParVector xc(rt, a.cols()), yc(rt, a.rows());
     xc.scatter(xd[c]);
     a.matvec(xc, yc, 1.5, 0.0);
-    expect_bitwise(gather_lane(y, c), yc.gather());
+    expect_bitwise(y.gather(c), yc.gather());
   }
 
   // And the beta != 0 / residual forms.
-  linalg::ParMultiVector b(rt, a.rows(), kLanes), r(rt, a.rows(), kLanes);
+  linalg::ParVector b(rt, a.rows(), kLanes), r(rt, a.rows(), kLanes);
   const auto bd = lane_data(210, 12);
   fill_lanes(b, bd);
-  a.residual_multi(b, x, r);
+  a.residual(b, x, r);
   for (std::size_t c = 0; c < kLanes; ++c) {
     linalg::ParVector xc(rt, a.cols()), bc(rt, a.rows()), rc(rt, a.rows());
     xc.scatter(xd[c]);
     bc.scatter(bd[c]);
     a.residual(bc, xc, rc);
-    expect_bitwise(gather_lane(r, c), rc.gather());
+    expect_bitwise(r.gather(c), rc.gather());
   }
 }
 
@@ -164,20 +154,20 @@ TEST_P(FusedRankSweep, SmootherMatchesPerComponentBitwise) {
   const auto a = make_par(rt, mat);
   const auto bd = lane_data(180, 13);
 
-  // Native fused sweeps (Jacobi, L1-Jacobi, SGS2) and a fallback type
-  // (two-stage GS routes lanes through scratch ParVectors).
+  // Every smoother type sweeps all lanes in one pass.
   for (const auto type :
        {amg::SmootherType::kJacobi, amg::SmootherType::kL1Jacobi,
-        amg::SmootherType::kSgs2, amg::SmootherType::kTwoStageGs}) {
+        amg::SmootherType::kSgs2, amg::SmootherType::kTwoStageGs,
+        amg::SmootherType::kHybridGs}) {
     const amg::Smoother sm(a, type, /*inner_sweeps=*/2, /*jacobi_weight=*/0.8);
-    linalg::ParMultiVector b(rt, a.rows(), kLanes), z(rt, a.rows(), kLanes);
+    linalg::ParVector b(rt, a.rows(), kLanes), z(rt, a.rows(), kLanes);
     fill_lanes(b, bd);
-    sm.apply_zero_multi(b, z, /*sweeps=*/2);
+    sm.apply_zero(b, z, /*sweeps=*/2);
     for (std::size_t c = 0; c < kLanes; ++c) {
       linalg::ParVector bc(rt, a.rows()), zc(rt, a.rows());
       bc.scatter(bd[c]);
       sm.apply_zero(bc, zc, /*sweeps=*/2);
-      expect_bitwise(gather_lane(z, c), zc.gather());
+      expect_bitwise(z.gather(c), zc.gather());
     }
   }
 }
@@ -201,7 +191,7 @@ TEST_P(FusedRankSweep, GmresMultiBitwiseMatchesSequential) {
   opts.restart = 25;  // force at least one restart
   solver::SmootherPrecond m(a, amg::SmootherType::kSgs2, 2, 2);
 
-  linalg::ParMultiVector b(rt, a.rows(), kLanes), x(rt, a.rows(), kLanes);
+  linalg::ParVector b(rt, a.rows(), kLanes), x(rt, a.rows(), kLanes);
   fill_lanes(b, bd);
   x.fill(0.0);
   const auto multi = solver::gmres_solve_multi(a, b, x, m, opts);
@@ -215,7 +205,7 @@ TEST_P(FusedRankSweep, GmresMultiBitwiseMatchesSequential) {
     EXPECT_TRUE(st.converged);
     EXPECT_EQ(st.iterations, multi.lane[c].iterations) << "lane " << c;
     EXPECT_EQ(st.final_residual, multi.lane[c].final_residual) << "lane " << c;
-    expect_bitwise(gather_lane(x, c), xc.gather());
+    expect_bitwise(x.gather(c), xc.gather());
   }
 }
 
@@ -231,7 +221,7 @@ TEST_P(FusedRankSweep, GmresMultiMgsAlsoMatches) {
   opts.rel_tol = 1e-8;
   solver::IdentityPrecond m;
 
-  linalg::ParMultiVector b(rt, a.rows(), kLanes), x(rt, a.rows(), kLanes);
+  linalg::ParVector b(rt, a.rows(), kLanes), x(rt, a.rows(), kLanes);
   fill_lanes(b, bd);
   x.fill(0.0);
   const auto multi = solver::gmres_solve_multi(a, b, x, m, opts);
@@ -242,7 +232,7 @@ TEST_P(FusedRankSweep, GmresMultiMgsAlsoMatches) {
     xc.fill(0.0);
     const auto st = solver::gmres_solve(a, bc, xc, m, opts);
     EXPECT_EQ(st.iterations, multi.lane[c].iterations);
-    expect_bitwise(gather_lane(x, c), xc.gather());
+    expect_bitwise(x.gather(c), xc.gather());
   }
 }
 
@@ -271,8 +261,8 @@ TEST(FusedGmres, BatchesCollectivesAcrossLanes) {
   }
   const auto seq_coll = rt_seq.tracer().phase("").collectives;
 
-  linalg::ParMultiVector b(rt_fused, a_fused.rows(), kLanes);
-  linalg::ParMultiVector x(rt_fused, a_fused.rows(), kLanes);
+  linalg::ParVector b(rt_fused, a_fused.rows(), kLanes);
+  linalg::ParVector x(rt_fused, a_fused.rows(), kLanes);
   fill_lanes(b, bd);
   x.fill(0.0);
   rt_fused.tracer().reset();
@@ -302,9 +292,9 @@ TEST(FusedSpmv, ChargesIndexBytesOncePerLaneSet) {
   const double seq_index = rt.tracer().phase("").total_index_bytes();
 
   rt.tracer().reset();
-  linalg::ParMultiVector x(rt, a.cols(), kLanes), y(rt, a.rows(), kLanes);
+  linalg::ParVector x(rt, a.cols(), kLanes), y(rt, a.rows(), kLanes);
   fill_lanes(x, xd);
-  a.matvec_multi(x, y);
+  a.matvec(x, y);
   const double fused_index = rt.tracer().phase("").total_index_bytes();
 
   EXPECT_GT(fused_index, 0.0);
@@ -320,7 +310,7 @@ TEST(FusedShapes, MismatchesThrow) {
   par::Runtime rt(2);
   const auto part = par::RowPartition::even(GlobalIndex{40}, 2);
   const auto part2 = par::RowPartition::even(GlobalIndex{44}, 2);
-  linalg::ParMultiVector x(rt, part, 3), y2(rt, part, 2), z(rt, part2, 3);
+  linalg::ParVector x(rt, part, 3), y2(rt, part, 2), z(rt, part2, 3);
   linalg::ParVector v2(rt, part2);
 
   EXPECT_THROW(x.copy_from(y2), Error);             // lane count
@@ -330,15 +320,23 @@ TEST(FusedShapes, MismatchesThrow) {
   EXPECT_THROW(x.scale_lanes(a2), Error);           // coefficient count
   EXPECT_THROW(x.set_lane(3, v2), Error);           // lane out of range
   EXPECT_THROW(x.set_lane(0, v2), Error);           // size mismatch
+  EXPECT_THROW(x.dot(x), Error);                    // 1-lane form
 
   const auto mat = random_spd_ish(LocalIndex{40}, 4, 47);
   const auto a = make_par(rt, mat);
-  linalg::ParMultiVector b(rt, a.rows(), 3);
+  linalg::ParVector b(rt, a.rows(), 3);
   solver::IdentityPrecond m;
   EXPECT_THROW(solver::gmres_solve_multi(a, b, y2, m, solver::GmresOptions{}),
                Error);  // b/x lane mismatch
   EXPECT_THROW(solver::gmres_solve_multi(a, z, z, m, solver::GmresOptions{}),
                Error);  // wrong global size
+  // The residual trace records one lane's history; a multi-lane solve
+  // rejects it instead of leaving it empty.
+  std::vector<Real> trace;
+  solver::GmresOptions traced;
+  traced.residual_trace = &trace;
+  linalg::ParVector x3(rt, a.rows(), 3);
+  EXPECT_THROW(solver::gmres_solve_multi(a, b, x3, m, traced), Error);
 }
 
 // ---------------------------------------------------------------------------

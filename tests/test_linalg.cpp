@@ -1,5 +1,6 @@
 // Property tests: distributed vectors/matrices must reproduce their
-// serial counterparts for every rank count.
+// serial counterparts for every rank count, in every lane of 1- and
+// 3-lane vectors.
 #include <gtest/gtest.h>
 
 #include "linalg/parcsr.hpp"
@@ -16,30 +17,53 @@ using testutil::random_rect;
 using testutil::random_spd_ish;
 using testutil::random_vector;
 
+/// Lane counts every lane-generic property runs at.
+constexpr std::size_t kLaneCounts[] = {1, 3};
+
 class RankSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(RankSweep, VectorOpsMatchSerial) {
   const int nranks = GetParam();
   par::Runtime rt(nranks);
   const auto rows = par::RowPartition::even(GlobalIndex{101}, nranks);
-  ParVector x(rt, rows), y(rt, rows);
-  const RealVector xs = random_vector(101, 1);
-  const RealVector ys = random_vector(101, 2);
-  x.scatter(xs);
-  y.scatter(ys);
+  for (const std::size_t lanes : kLaneCounts) {
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    ParVector x(rt, rows, lanes), y(rt, rows, lanes);
+    std::vector<RealVector> xs, ys;
+    std::vector<Real> alpha, beta;
+    for (std::size_t c = 0; c < lanes; ++c) {
+      xs.push_back(random_vector(101, 1 + 10 * c));
+      ys.push_back(random_vector(101, 2 + 10 * c));
+      x.scatter(xs[c], c);
+      y.scatter(ys[c], c);
+      alpha.push_back(2.5 - static_cast<Real>(c));
+      beta.push_back(-0.5 + 0.25 * static_cast<Real>(c));
+    }
 
-  double ref_dot = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) ref_dot += xs[i] * ys[i];
-  EXPECT_NEAR(x.dot(y), ref_dot, 1e-11);
+    const auto dots = x.dots(y);
+    ASSERT_EQ(dots.size(), lanes);
+    for (std::size_t c = 0; c < lanes; ++c) {
+      double ref_dot = 0;
+      for (std::size_t i = 0; i < xs[c].size(); ++i) {
+        ref_dot += xs[c][i] * ys[c][i];
+      }
+      EXPECT_NEAR(dots[c], ref_dot, 1e-11);
+    }
 
-  x.axpy(2.5, y);
-  RealVector ref = xs;
-  for (std::size_t i = 0; i < ref.size(); ++i) ref[i] += 2.5 * ys[i];
-  EXPECT_LT(max_diff(x.gather(), ref), 1e-13);
+    x.axpy_lanes(alpha, y);
+    for (std::size_t c = 0; c < lanes; ++c) {
+      for (std::size_t i = 0; i < xs[c].size(); ++i) {
+        xs[c][i] += alpha[c] * ys[c][i];
+      }
+      EXPECT_LT(max_diff(x.gather(c), xs[c]), 1e-13);
+    }
 
-  x.scale(-0.5);
-  for (auto& v : ref) v *= -0.5;
-  EXPECT_LT(max_diff(x.gather(), ref), 1e-13);
+    x.scale_lanes(beta);
+    for (std::size_t c = 0; c < lanes; ++c) {
+      for (auto& v : xs[c]) v *= beta[c];
+      EXPECT_LT(max_diff(x.gather(c), xs[c]), 1e-13);
+    }
+  }
 }
 
 TEST_P(RankSweep, SerialRoundtrip) {
@@ -59,15 +83,23 @@ TEST_P(RankSweep, MatvecMatchesSerial) {
   const auto rows = par::RowPartition::even(GlobalIndex{120}, nranks);
   const ParCsr pa = ParCsr::from_serial(rt, a, rows, rows);
 
-  ParVector x(rt, rows), y(rt, rows);
-  const RealVector xs = random_vector(120, 7);
-  x.scatter(xs);
-  pa.matvec(x, y);
+  for (const std::size_t lanes : kLaneCounts) {
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    ParVector x(rt, rows, lanes), y(rt, rows, lanes);
+    std::vector<RealVector> xs;
+    for (std::size_t c = 0; c < lanes; ++c) {
+      xs.push_back(random_vector(120, 7 + 10 * c));
+      x.scatter(xs[c], c);
+    }
+    pa.matvec(x, y);
 
-  RealVector ref(120, 0.0);
-  a.spmv(xs, ref);
-  EXPECT_LT(max_diff(y.gather(), ref), 1e-11);
-  EXPECT_TRUE(rt.transport().drained());
+    for (std::size_t c = 0; c < lanes; ++c) {
+      RealVector ref(120, 0.0);
+      a.spmv(xs[c], ref);
+      EXPECT_LT(max_diff(y.gather(c), ref), 1e-11);
+    }
+    EXPECT_TRUE(rt.transport().drained());
+  }
 }
 
 TEST_P(RankSweep, RectangularMatvecAndTranspose) {
@@ -103,16 +135,23 @@ TEST_P(RankSweep, ResidualIsExact) {
   const sparse::Csr a = laplace3d(5, 0.3);
   const auto rows = par::RowPartition::even(GlobalIndex{125}, nranks);
   const ParCsr pa = ParCsr::from_serial(rt, a, rows, rows);
-  ParVector x(rt, rows), b(rt, rows), r(rt, rows);
-  x.scatter(random_vector(125, 11));
-  b.scatter(random_vector(125, 12));
-  pa.residual(b, x, r);
-  RealVector ax(125, 0.0);
-  a.spmv(x.gather(), ax);
-  const RealVector bs = b.gather();
-  RealVector ref(125);
-  for (std::size_t i = 0; i < ref.size(); ++i) ref[i] = bs[i] - ax[i];
-  EXPECT_LT(max_diff(r.gather(), ref), 1e-12);
+  for (const std::size_t lanes : kLaneCounts) {
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    ParVector x(rt, rows, lanes), b(rt, rows, lanes), r(rt, rows, lanes);
+    for (std::size_t c = 0; c < lanes; ++c) {
+      x.scatter(random_vector(125, 11 + 10 * c), c);
+      b.scatter(random_vector(125, 12 + 10 * c), c);
+    }
+    pa.residual(b, x, r);
+    for (std::size_t c = 0; c < lanes; ++c) {
+      RealVector ax(125, 0.0);
+      a.spmv(x.gather(c), ax);
+      const RealVector bs = b.gather(c);
+      RealVector ref(125);
+      for (std::size_t i = 0; i < ref.size(); ++i) ref[i] = bs[i] - ax[i];
+      EXPECT_LT(max_diff(r.gather(c), ref), 1e-12);
+    }
+  }
 }
 
 TEST_P(RankSweep, FetchExternalRows) {

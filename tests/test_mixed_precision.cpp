@@ -295,9 +295,8 @@ TEST(Pipelined, RemovesBlockingCollectiveFromIterationBody) {
   EXPECT_EQ(overlapped_one, 0);
   // One in-flight reduce per iteration, except at the periodic
   // synchronization points where the reduce blocks by design.
-  const solver::GmresOptions defaults;
   EXPECT_GE(overlapped_pipe,
-            iters_pipe - iters_pipe / defaults.pipeline_sync_period - 1);
+            iters_pipe - iters_pipe / solver::kPipelineSyncPeriod - 1);
 }
 
 TEST(Pipelined, MultiLanesMatchScalarBitwise) {
@@ -322,7 +321,7 @@ TEST(Pipelined, MultiLanesMatchScalarBitwise) {
                                100 + c));
   }
 
-  linalg::ParMultiVector b(rt, rows, kLanes), x(rt, rows, kLanes);
+  linalg::ParVector b(rt, rows, kLanes), x(rt, rows, kLanes);
   for (std::size_t c = 0; c < kLanes; ++c) {
     linalg::ParVector bc(rt, rows);
     bc.scatter(bd[c]);

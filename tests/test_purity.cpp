@@ -17,7 +17,6 @@
 #include "assembly/graph.hpp"
 #include "assembly/layout.hpp"
 #include "assembly/plan.hpp"
-#include "linalg/multivector.hpp"
 #include "linalg/parcsr.hpp"
 #include "linalg/parvector.hpp"
 #include "mesh/meshdb.hpp"
@@ -297,14 +296,14 @@ TEST(PurityWarmPath, AmgCacheReuseCheckAndRefreshAreAllocationPure) {
   const auto a1 = distribute(rt, laplace3d(8, 0.5));
   AmgConfig cfg;
   HierarchyCache cache;
-  ASSERT_EQ(cache.update(a0, cfg, 1, true, 1.5), CacheAction::kRebuild);
-  ASSERT_EQ(cache.update(a1, cfg, 1, true, 1.5), CacheAction::kRefresh);
+  ASSERT_EQ(cache.update(a0, cfg, 1, true), CacheAction::kRebuild);
+  ASSERT_EQ(cache.update(a1, cfg, 1, true), CacheAction::kRefresh);
 
   purity::reset();
   FatalModeGuard guard;
   purity::set_fatal(true);
-  EXPECT_EQ(cache.update(a1, cfg, 1, true, 1.5), CacheAction::kReuse);
-  EXPECT_EQ(cache.update(a0, cfg, 1, true, 1.5), CacheAction::kRefresh);
+  EXPECT_EQ(cache.update(a1, cfg, 1, true), CacheAction::kReuse);
+  EXPECT_EQ(cache.update(a0, cfg, 1, true), CacheAction::kRefresh);
   EXPECT_GE(purity::region("amg-reuse-check").entries, 2);
   EXPECT_EQ(purity::region("amg-reuse-check").allocs, 0);
   EXPECT_EQ(purity::region("amg-cache-refresh").allocs, 0);
@@ -332,7 +331,7 @@ TEST(PurityWarmPath, SmootherRebindIsAllocationPure) {
 TEST(PurityWarmPath, FusedMomentumKernelsAreAllocationPure) {
   par::Runtime rt(4);
   const auto a = distribute(rt, random_spd_ish(LocalIndex{160}, 5, 47));
-  linalg::ParMultiVector b(rt, a.rows(), 3), x(rt, a.rows(), 3);
+  linalg::ParVector b(rt, a.rows(), 3), x(rt, a.rows(), 3);
   for (std::size_t c = 0; c < 3; ++c) {
     linalg::ParVector bc(rt, a.rows());
     bc.scatter(random_vector(160, 11 + c));

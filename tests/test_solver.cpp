@@ -163,6 +163,55 @@ TEST(Gmres, ExactPreconditionerConvergesInOneIteration) {
   EXPECT_LE(stats.iterations, 2);
 }
 
+TEST(Gmres, ModeledLedgerIsPinned) {
+  // Iterations and modeled ledger of three solves, recorded before the
+  // 1-lane solves became the 1-lane case of the multi-lane GMRES. A copy
+  // kernel (or any other charge) slipping into the 1-lane path moves
+  // these counts.
+  struct Ledger {
+    long kernels, messages, collectives;
+    double bytes, index_bytes;
+  };
+  const auto mat = laplace3d(6, 0.05);
+  Problem prob(4, mat);
+  const auto n = static_cast<std::size_t>(mat.nrows());
+  GmresOptions opts;
+  opts.rel_tol = 1e-8;
+  AmgPrecond amg_m(prob.a, amg::AmgConfig{});
+  SmootherPrecond sgs2(prob.a, amg::SmootherType::kSgs2, 2, 2);
+  const auto expect_ledger = [&](const Ledger& want) {
+    const auto& ph = prob.rt.tracer().phase("");
+    EXPECT_EQ(ph.total_kernels(), want.kernels);
+    EXPECT_EQ(ph.messages, want.messages);
+    EXPECT_EQ(ph.collectives, want.collectives);
+    EXPECT_EQ(ph.total_bytes(), want.bytes);
+    EXPECT_EQ(ph.total_index_bytes(), want.index_bytes);
+  };
+
+  prob.rt.tracer().reset();
+  ASSERT_EQ(gmres_solve(prob.a, prob.b, prob.x, amg_m, opts).iterations, 14);
+  expect_ledger({2879, 732, 62, 4323336.0, 469608.0});
+
+  prob.x.fill(0.0);
+  prob.rt.tracer().reset();
+  ASSERT_EQ(gmres_solve(prob.a, prob.b, prob.x, sgs2, opts).iterations, 17);
+  expect_ledger({3104, 336, 38, 5859648.0, 532224.0});
+
+  linalg::ParVector b3(prob.rt, prob.a.rows(), 3), x3(prob.rt, prob.a.rows(), 3);
+  for (std::size_t c = 0; c < 3; ++c) {
+    auto d = random_vector(n, 31 + c);
+    for (auto& v : d) v *= 1.0 + static_cast<double>(c);
+    b3.scatter(d, c);
+  }
+  x3.fill(0.0);
+  prob.rt.tracer().reset();
+  const auto s3 = gmres_solve_multi(prob.a, b3, x3, sgs2, opts);
+  ASSERT_EQ(s3.lane[0].iterations, 18);
+  ASSERT_EQ(s3.lane[1].iterations, 18);
+  ASSERT_EQ(s3.lane[2].iterations, 17);
+  expect_ledger({3738, 390, 42, 17653248.0, 619200.0});
+}
+
 TEST(Gmres, ZeroRhsIsImmediatelyConverged) {
   Problem prob(2, laplace3d(4, 0.1));
   prob.b.fill(0.0);

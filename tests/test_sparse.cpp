@@ -1,6 +1,11 @@
 // Unit + property tests: CSR kernels, SpGEMM (hash vs sort), dense LU.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <span>
+#include <utility>
+
 #include "common/error.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/spgemm.hpp"
@@ -49,6 +54,49 @@ TEST(Csr, SpmvAlphaBeta) {
     y2[i] = 3.0 * y2[i] + 2.0 * ax[i];
   }
   EXPECT_LT(max_diff(y, y2), 1e-12);
+}
+
+TEST(Csr, SpmvMultiMatchesSpmvBitwise) {
+  // Every lane count (one template instance each) against the serial
+  // spmv, lane by lane, with strides that leave padding between lanes.
+  const LocalIndex nr{37}, nc{29};
+  const Csr a = random_rect(nr, nc, 5, 13);
+  const auto rows = static_cast<std::size_t>(nr);
+  const auto cols = static_cast<std::size_t>(nc);
+  const std::size_t xs = cols + 3, ys = rows + 5;
+  const std::pair<Real, Real> coeffs[] = {
+      {1.0, 0.0}, {1.5, 0.0}, {-1.0, 1.0}, {0.5, 2.0}};
+  for (std::size_t lanes = 1; lanes <= Csr::kMaxLanes; ++lanes) {
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    // x padding is NaN: reading it would poison the result.
+    RealVector x(lanes * xs, std::numeric_limits<Real>::quiet_NaN());
+    RealVector y0(lanes * ys);
+    for (std::size_t c = 0; c < lanes; ++c) {
+      const RealVector xc = random_vector(cols, 100 + c);
+      std::copy(xc.begin(), xc.end(),
+                x.begin() + static_cast<std::ptrdiff_t>(c * xs));
+      const RealVector yc = random_vector(ys, 200 + c);
+      std::copy(yc.begin(), yc.end(),
+                y0.begin() + static_cast<std::ptrdiff_t>(c * ys));
+    }
+    for (const auto& [alpha, beta] : coeffs) {
+      RealVector y = y0;
+      a.spmv_multi(x, xs, y, ys, lanes, alpha, beta);
+      for (std::size_t c = 0; c < lanes; ++c) {
+        RealVector ref(y0.begin() + static_cast<std::ptrdiff_t>(c * ys),
+                       y0.begin() + static_cast<std::ptrdiff_t>((c + 1) * ys));
+        a.spmv(std::span<const Real>(x).subspan(c * xs, cols), ref, alpha,
+               beta);
+        for (std::size_t i = 0; i < ys; ++i) {
+          // Rows match bitwise; the padding past them is untouched.
+          ASSERT_EQ(y[c * ys + i], ref[i]) << "lane " << c << " row " << i;
+        }
+      }
+    }
+  }
+  RealVector x(9 * xs), y(9 * ys);
+  EXPECT_THROW(a.spmv_multi(x, xs, y, ys, 0), Error);
+  EXPECT_THROW(a.spmv_multi(x, xs, y, ys, Csr::kMaxLanes + 1), Error);
 }
 
 TEST(Csr, TransposeTwiceIsIdentity) {
