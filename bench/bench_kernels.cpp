@@ -149,7 +149,7 @@ void BM_TwoStageGsSweep(benchmark::State& state) {
   par::Runtime rt(1);
   const auto rows = par::RowPartition::even(GlobalIndex{mat.nrows().value()}, 1);
   const auto a = linalg::ParCsr::from_serial(rt, mat, rows, rows);
-  amg::Smoother smoother(a, amg::SmootherType::kTwoStageGs, 2, 1.0);
+  amg::Smoother smoother(a, amg::SmootherType::kTwoStageGs, 2);
   linalg::ParVector b(rt, rows), x(rt, rows);
   b.fill(1.0);
   for (auto _ : state) {

@@ -1,7 +1,8 @@
 // AMG playground: builds the actual turbine pressure-Poisson matrix and
-// sweeps the BoomerAMG-style knobs of paper §4.1 — interpolation
-// operator, strength threshold, aggressive-coarsening depth — printing
-// hierarchy complexities and measured V-cycle convergence factors.
+// sweeps two BoomerAMG-style knobs of paper §4.1 — interpolation
+// operator and aggressive-coarsening depth — printing hierarchy
+// complexities and measured V-cycle convergence factors. The strength
+// threshold column shows the default it runs at.
 //
 //   ./build/examples/amg_playground [refine] [nranks]
 

@@ -20,28 +20,24 @@ enum class InterpType : std::uint8_t {
   kMmExtI,   ///< "MM-ext+i" variant (includes the diagonal i-connection)
 };
 
-/// Smoothers of §4.2.
+/// Smoothers of §4.2. The values are fixed (0 and 1 were the deleted
+/// Jacobi and l1-Jacobi smoothers) so a value keeps naming one smoother;
+/// gtest prints parameterised test instances by this byte.
 enum class SmootherType : std::uint8_t {
-  kJacobi,      ///< diagonally-scaled Richardson
-  kL1Jacobi,    ///< l1-scaled Jacobi (always convergent)
-  kHybridGs,    ///< process-local true Gauss-Seidel, Jacobi across ranks
-  kTwoStageGs,  ///< two-stage GS: inner Jacobi-Richardson sweeps (Eqs. 5-7)
-  kSgs2,        ///< two-stage *symmetric* GS, compact form (Eqs. 11-14)
+  kHybridGs = 2,    ///< process-local true Gauss-Seidel, Jacobi across ranks
+  kTwoStageGs = 3,  ///< two-stage GS: inner Jacobi-Richardson sweeps (Eqs. 5-7)
+  kSgs2 = 4,        ///< two-stage *symmetric* GS, compact form (Eqs. 11-14)
 };
 
+/// The V-cycle's smoother is fixed, not configured: one pre- and one
+/// post-sweep of two-stage GS with one inner Jacobi-Richardson sweep.
 struct AmgConfig {
   Real strong_threshold = 0.25;  ///< SoC threshold theta
   int agg_levels = 2;   ///< aggressive (two-stage) coarsening on first N levels
   InterpType interp = InterpType::kMmExt;
-  int pmax = 4;                ///< max interpolation entries per row
-  Real trunc_factor = 0.0;     ///< drop |w| < trunc * max|w| before pmax
+  int pmax = 4;                ///< max interpolation entries per row (0: no cap)
   int max_levels = 20;
   GlobalIndex max_coarse_size{64};  ///< direct-solve threshold
-  SmootherType smoother = SmootherType::kTwoStageGs;
-  int pre_sweeps = 1;
-  int post_sweeps = 1;
-  int inner_sweeps = 1;  ///< Jacobi-Richardson inner iterations (two-stage GS)
-  Real jacobi_weight = 0.8;
   sparse::SpGemmAlgo spgemm = sparse::SpGemmAlgo::kHash;
   std::uint64_t pmis_seed = 42;
   /// Storage precision of the hierarchy's operators, transfers, and work

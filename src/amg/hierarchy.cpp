@@ -77,7 +77,7 @@ void AmgHierarchy::setup(const linalg::ParCsr& a) {
       seed = hash64(seed + 2);
       if (coarsen_once(a1, cfg_, seed, p2, n2)) {
         p1 = par_matmat(p1, p2, cfg_.spgemm);
-        truncate_interpolation(p1, cfg_.pmax, cfg_.trunc_factor);
+        truncate_interpolation(p1, cfg_.pmax);
         a1 = galerkin_rap(lvl.a, p1, cfg_.spgemm, rec);
       }
     }
@@ -108,17 +108,14 @@ void AmgHierarchy::setup(const linalg::ParCsr& a) {
 
   // Smoothers + work vectors per level; dense LU on the coarsest.
   for (auto& lvl : levels_) {
-    lvl.smoother = std::make_unique<Smoother>(lvl.a, cfg_.smoother,
-                                              cfg_.inner_sweeps,
-                                              cfg_.jacobi_weight);
-    lvl.x = std::make_unique<linalg::ParVector>(rt, lvl.a.rows());
-    lvl.b = std::make_unique<linalg::ParVector>(rt, lvl.a.rows());
-    lvl.r = std::make_unique<linalg::ParVector>(rt, lvl.a.rows());
-    if (cfg_.precision == Precision::kF32) {
-      lvl.x->set_value_precision(Precision::kF32);
-      lvl.b->set_value_precision(Precision::kF32);
-      lvl.r->set_value_precision(Precision::kF32);
-    }
+    lvl.smoother = std::make_unique<Smoother>(lvl.a, SmootherType::kTwoStageGs,
+                                              /*inner_sweeps=*/1);
+    lvl.x = std::make_unique<linalg::ParVector>(rt, lvl.a.rows(), 1,
+                                                cfg_.precision);
+    lvl.b = std::make_unique<linalg::ParVector>(rt, lvl.a.rows(), 1,
+                                                cfg_.precision);
+    lvl.r = std::make_unique<linalg::ParVector>(rt, lvl.a.rows(), 1,
+                                                cfg_.precision);
   }
   const auto& coarsest = levels_.back().a;
   coarse_lu_ = sparse::DenseLu(coarsest.to_serial());
@@ -191,7 +188,7 @@ void AmgHierarchy::cycle_level(std::size_t l, const linalg::ParVector& b,
   }
   AmgLevel& next = levels_[l + 1];
 
-  lvl.smoother->apply(b, x, cfg_.pre_sweeps);
+  lvl.smoother->apply(b, x, /*sweeps=*/1);
   lvl.a.residual(b, x, *lvl.r);
   // Restrict with R = P^T.
   lvl.p.matvec_transpose(*lvl.r, *next.b);
@@ -200,7 +197,7 @@ void AmgHierarchy::cycle_level(std::size_t l, const linalg::ParVector& b,
   // Prolong and correct.
   lvl.p.matvec(*next.x, *lvl.r);
   x.axpy(1.0, *lvl.r);
-  lvl.smoother->apply(b, x, cfg_.post_sweeps);
+  lvl.smoother->apply(b, x, /*sweeps=*/1);
 }
 
 void AmgHierarchy::coarse_solve(const linalg::ParVector& b,

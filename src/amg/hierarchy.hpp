@@ -12,8 +12,8 @@
 /// equivalence). The coarsest system is solved directly.
 ///
 /// The pressure-Poisson configuration of §4.2 — aggressive PMIS on the
-/// first two levels, MM-based second-stage interpolation, two-stage GS
-/// smoothing inside a V-cycle — is the default AmgConfig.
+/// first two levels, MM-based second-stage interpolation — is the
+/// default AmgConfig; the V-cycle always smooths with two-stage GS.
 
 #include <memory>
 #include <string>

@@ -315,12 +315,12 @@ linalg::ParCsr build_interpolation(const linalg::ParCsr& a, const Strength& s,
       p = build_mm_ext(a, s, c, /*plus_i=*/true);
       break;
   }
-  truncate_interpolation(p, cfg.pmax, cfg.trunc_factor);
+  truncate_interpolation(p, cfg.pmax);
   return p;
 }
 
-void truncate_interpolation(linalg::ParCsr& p, int pmax, Real trunc_factor) {
-  if (pmax <= 0 && trunc_factor <= 0) return;
+void truncate_interpolation(linalg::ParCsr& p, int pmax) {
+  if (pmax <= 0) return;
   auto& tracer = p.runtime().tracer();
   for (RankId r{0}; r.value() < p.nranks(); ++r) {
     auto& b = p.block_mut(r);
@@ -330,30 +330,24 @@ void truncate_interpolation(linalg::ParCsr& p, int pmax, Real trunc_factor) {
     std::vector<std::pair<Real, std::pair<int, LocalIndex>>> entries;
     for (LocalIndex i{0}; i < b.diag.nrows(); ++i) {
       entries.clear();
-      Real row_sum = 0, max_abs = 0;
+      Real row_sum = 0;
       for (EntryOffset k = b.diag.row_begin(i); k < b.diag.row_end(i); ++k) {
         const Real v = b.diag.vals()[k];
         entries.push_back({v, {0, b.diag.cols()[k]}});
         row_sum += v;
-        max_abs = std::max(max_abs, std::abs(v));
       }
       for (EntryOffset k = b.offd.row_begin(i); k < b.offd.row_end(i); ++k) {
         const Real v = b.offd.vals()[k];
         entries.push_back({v, {1, b.offd.cols()[k]}});
         row_sum += v;
-        max_abs = std::max(max_abs, std::abs(v));
       }
-      // Keep the pmax largest |entries| above the drop threshold.
+      // Keep the pmax largest |entries|.
       std::sort(entries.begin(), entries.end(),
                 [](const auto& x, const auto& z) {
                   return std::abs(x.first) > std::abs(z.first);
                 });
-      std::size_t keep = entries.size();
-      if (pmax > 0) keep = std::min<std::size_t>(keep, static_cast<std::size_t>(pmax));
-      while (keep > 0 &&
-             std::abs(entries[keep - 1].first) < trunc_factor * max_abs) {
-        --keep;
-      }
+      const std::size_t keep =
+          std::min<std::size_t>(entries.size(), static_cast<std::size_t>(pmax));
       Real kept_sum = 0;
       for (std::size_t k = 0; k < keep; ++k) kept_sum += entries[k].first;
       const Real fix =

@@ -35,8 +35,8 @@ namespace exw::amg {
 linalg::ParCsr build_interpolation(const linalg::ParCsr& a, const Strength& s,
                                    const Coarsening& c, const AmgConfig& cfg);
 
-/// Truncate every row of P to `pmax` largest |entries| (and drop entries
-/// below trunc_factor * max|row|), rescaling to preserve the row sum.
-void truncate_interpolation(linalg::ParCsr& p, int pmax, Real trunc_factor);
+/// Truncate every row of P to its `pmax` largest |entries| (no-op for
+/// pmax <= 0), rescaling to preserve the row sum.
+void truncate_interpolation(linalg::ParCsr& p, int pmax);
 
 }  // namespace exw::amg

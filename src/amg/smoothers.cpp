@@ -1,6 +1,5 @@
 #include "amg/smoothers.hpp"
 
-#include <cmath>
 #include <cstdint>
 
 #include "common/error.hpp"
@@ -15,17 +14,14 @@ LduSplit LduSplit::build(const linalg::ParCsr& a) {
   out.lower.resize(static_cast<std::size_t>(nranks));
   out.upper.resize(static_cast<std::size_t>(nranks));
   out.dinv.resize(static_cast<std::size_t>(nranks));
-  out.l1_dinv.resize(static_cast<std::size_t>(nranks));
   a.runtime().parallel_for_ranks([&](RankId r) {
     const auto& b = a.block(r);
     const LocalIndex n = b.diag.nrows();
     sparse::Csr lo(n, n), up(n, n);
     auto& dinv = out.dinv[static_cast<std::size_t>(r)];
-    auto& l1 = out.l1_dinv[static_cast<std::size_t>(r)];
     dinv.assign(static_cast<std::size_t>(n), 0.0);
-    l1.assign(static_cast<std::size_t>(n), 0.0);
     for (LocalIndex i{0}; i < n; ++i) {
-      Real d = 0, off_rank_l1 = 0;
+      Real d = 0;
       for (EntryOffset k = b.diag.row_begin(i); k < b.diag.row_end(i); ++k) {
         const LocalIndex c = b.diag.cols()[k];
         const Real v = b.diag.vals()[k];
@@ -39,9 +35,6 @@ LduSplit LduSplit::build(const linalg::ParCsr& a) {
           d = v;
         }
       }
-      for (EntryOffset k = b.offd.row_begin(i); k < b.offd.row_end(i); ++k) {
-        off_rank_l1 += std::abs(b.offd.vals()[k]);
-      }
       lo.row_ptr_mut()[static_cast<std::size_t>(i) + 1] =
           EntryOffset{lo.cols_vec().size()};
       up.row_ptr_mut()[static_cast<std::size_t>(i) + 1] =
@@ -51,8 +44,6 @@ LduSplit LduSplit::build(const linalg::ParCsr& a) {
       // gets FP32-rounded reciprocals (L/U values are copies of already
       // rounded entries, so only the divisions need the store round).
       dinv[static_cast<std::size_t>(i)] = store_value(1.0 / d, pr);
-      l1[static_cast<std::size_t>(i)] =
-          store_value(1.0 / (d + off_rank_l1), pr);
     }
     out.lower[static_cast<std::size_t>(r)] = std::move(lo);
     out.upper[static_cast<std::size_t>(r)] = std::move(up);
@@ -69,14 +60,13 @@ void LduSplit::refresh_values(const linalg::ParCsr& a) {
     auto& lo = lower[static_cast<std::size_t>(r)];
     auto& up = upper[static_cast<std::size_t>(r)];
     auto& di = dinv[static_cast<std::size_t>(r)];
-    auto& l1 = l1_dinv[static_cast<std::size_t>(r)];
     EXW_REQUIRE(di.size() == static_cast<std::size_t>(n),
                 "smoother refresh: matrix structure changed");
     auto& lo_vals = lo.vals_vec();
     auto& up_vals = up.vals_vec();
     std::size_t lo_k = 0, up_k = 0;
     for (LocalIndex i{0}; i < n; ++i) {
-      Real d = 0, off_rank_l1 = 0;
+      Real d = 0;
       for (EntryOffset k = b.diag.row_begin(i); k < b.diag.row_end(i); ++k) {
         const LocalIndex c = b.diag.cols()[k];
         const Real v = b.diag.vals()[k];
@@ -88,13 +78,8 @@ void LduSplit::refresh_values(const linalg::ParCsr& a) {
           d = v;
         }
       }
-      for (EntryOffset k = b.offd.row_begin(i); k < b.offd.row_end(i); ++k) {
-        off_rank_l1 += std::abs(b.offd.vals()[k]);
-      }
       EXW_REQUIRE(d != 0.0, "zero diagonal in smoother refresh");
       di[static_cast<std::size_t>(i)] = store_value(1.0 / d, pr);
-      l1[static_cast<std::size_t>(i)] =
-          store_value(1.0 / (d + off_rank_l1), pr);
     }
     EXW_REQUIRE(lo_k == lo.nnz() && up_k == up.nnz(),
                 "smoother refresh: triangular structure changed");
@@ -102,8 +87,8 @@ void LduSplit::refresh_values(const linalg::ParCsr& a) {
 }
 
 Smoother::Smoother(const linalg::ParCsr& a, SmootherType type,
-                   int inner_sweeps, Real jacobi_weight)
-    : a_(&a), type_(type), inner_sweeps_(inner_sweeps), weight_(jacobi_weight),
+                   int inner_sweeps)
+    : a_(&a), type_(type), inner_sweeps_(inner_sweeps),
       ldu_(LduSplit::build(a)) {}
 
 EXW_WARM_FN
@@ -117,8 +102,6 @@ void Smoother::apply(const linalg::ParVector& b, linalg::ParVector& x,
   EXW_REQUIRE(b.ncomp() == x.ncomp(), "smoother lane count mismatch");
   for (std::int64_t s = 0; s < sweeps; ++s) {
     switch (type_) {
-      case SmootherType::kJacobi: sweep_jacobi(b, x, false); break;
-      case SmootherType::kL1Jacobi: sweep_jacobi(b, x, true); break;
       case SmootherType::kHybridGs: sweep_hybrid_gs(b, x); break;
       case SmootherType::kTwoStageGs: sweep_two_stage(b, x); break;
       case SmootherType::kSgs2: sweep_sgs2(b, x); break;
@@ -130,37 +113,6 @@ void Smoother::apply_zero(const linalg::ParVector& r, linalg::ParVector& z,
                           int sweeps) const {
   z.fill(0.0);
   apply(r, z, sweeps);
-}
-
-void Smoother::sweep_jacobi(const linalg::ParVector& b, linalg::ParVector& x,
-                            bool l1) const {
-  // Lane c: x_c += w * Dinv * (b_c - A x_c). The update arithmetic is
-  // FP64; stores into x round through the smoother's storage plane (the
-  // matrix precision).
-  const Precision pr = a_->value_precision();
-  linalg::ParVector r(a_->runtime(), a_->rows(), x.ncomp());
-  r.set_value_precision(pr);
-  a_->residual(b, x, r);
-  auto& tracer = a_->runtime().tracer();
-  const auto nl = static_cast<double>(x.ncomp());
-  a_->runtime().parallel_for_ranks([&](RankId rk) {
-    const auto& d = l1 ? ldu_.l1_dinv[static_cast<std::size_t>(rk)]
-                       : ldu_.dinv[static_cast<std::size_t>(rk)];
-    const std::size_t n = d.size();
-    auto& xl = x.local(rk);
-    const auto& rl = r.local(rk);
-    for (std::size_t c = 0; c < x.ncomp(); ++c) {
-      for (std::size_t i = 0; i < n; ++i) {
-        xl[c * n + i] =
-            store_value(xl[c * n + i] + weight_ * d[i] * rl[c * n + i], pr);
-      }
-    }
-    double f64 = 0, f32 = 0;
-    split_value_bytes(pr, 4.0 * bytes_of(pr) * nl * static_cast<double>(n),
-                      f64, f32);
-    tracer.kernel_split_prec(rk, 3.0 * nl * static_cast<double>(n), f64, f32,
-                             0.0);
-  });
 }
 
 void Smoother::sweep_hybrid_gs(const linalg::ParVector& b,
@@ -256,8 +208,7 @@ void Smoother::sweep_two_stage(const linalg::ParVector& b,
                                linalg::ParVector& x) const {
   // x += Mtilde^-1 (b - A x) with Mtilde^-1 ~ (L+D)^-1 by inner JR.
   const Precision pr = a_->value_precision();
-  linalg::ParVector r(a_->runtime(), a_->rows(), x.ncomp());
-  r.set_value_precision(pr);
+  linalg::ParVector r(a_->runtime(), a_->rows(), x.ncomp(), pr);
   a_->residual(b, x, r);
   const auto nl = static_cast<double>(x.ncomp());
   a_->runtime().parallel_for_ranks([&](RankId rk) {
@@ -283,8 +234,7 @@ void Smoother::sweep_sgs2(const linalg::ParVector& b,
   // residual, then the forward and backward JR stages stream L/U once
   // per inner sweep for all lanes.
   const Precision pr = a_->value_precision();
-  linalg::ParVector r(a_->runtime(), a_->rows(), x.ncomp());
-  r.set_value_precision(pr);
+  linalg::ParVector r(a_->runtime(), a_->rows(), x.ncomp(), pr);
   a_->residual(b, x, r);
   const std::size_t lanes = x.ncomp();
   const auto nl = static_cast<double>(lanes);

@@ -24,14 +24,13 @@ namespace exw::amg {
 
 /// Per-rank L/D/U split of the diag block, shared by the GS variants.
 struct LduSplit {
-  std::vector<sparse::Csr> lower;   ///< strictly lower triangles
-  std::vector<sparse::Csr> upper;   ///< strictly upper triangles
-  std::vector<RealVector> dinv;     ///< 1 / a_ii
-  std::vector<RealVector> l1_dinv;  ///< 1 / (a_ii + sum_j |a_ij, j off-rank|)
+  std::vector<sparse::Csr> lower;  ///< strictly lower triangles
+  std::vector<sparse::Csr> upper;  ///< strictly upper triangles
+  std::vector<RealVector> dinv;    ///< 1 / a_ii
 
   static LduSplit build(const linalg::ParCsr& a);
 
-  /// Refill lower/upper/dinv/l1_dinv values in place from new values of
+  /// Refill lower/upper/dinv values in place from new values of
   /// `a` (same structure as the build; throws otherwise). The warm half
   /// of the hierarchy cache: one streaming pass, no allocation.
   void refresh_values(const linalg::ParCsr& a);
@@ -39,8 +38,7 @@ struct LduSplit {
 
 class Smoother {
  public:
-  Smoother(const linalg::ParCsr& a, SmootherType type, int inner_sweeps,
-           Real jacobi_weight);
+  Smoother(const linalg::ParCsr& a, SmootherType type, int inner_sweeps);
 
   SmootherType type() const { return type_; }
 
@@ -59,8 +57,6 @@ class Smoother {
                   int sweeps) const;
 
  private:
-  void sweep_jacobi(const linalg::ParVector& b, linalg::ParVector& x,
-                    bool l1) const;
   void sweep_hybrid_gs(const linalg::ParVector& b, linalg::ParVector& x) const;
   void sweep_two_stage(const linalg::ParVector& b, linalg::ParVector& x) const;
   void sweep_sgs2(const linalg::ParVector& b, linalg::ParVector& x) const;
@@ -75,7 +71,6 @@ class Smoother {
   const linalg::ParCsr* a_;
   SmootherType type_;
   int inner_sweeps_;
-  Real weight_;
   LduSplit ldu_;
 };
 

@@ -46,7 +46,7 @@ MeshLayout make_layout_from_parts(const mesh::MeshDB& db,
 }
 
 MeshLayout make_layout(const mesh::MeshDB& db, int nranks,
-                       PartitionMethod method, std::uint64_t seed) {
+                       PartitionMethod method) {
   EXW_REQUIRE(db.num_nodes().value() >= nranks, "more ranks than mesh nodes");
   // Node weight = expected matrix row size: diagonal + neighbors for
   // live rows, 1 for rows the discretization reduces to identity
@@ -82,7 +82,7 @@ MeshLayout make_layout(const mesh::MeshDB& db, int nranks,
     part::Graph g = part::graph_from_edges(
         checked_narrow<LocalIndex>(db.num_nodes()), ei, ej, vwgt);
     part::GraphPartOptions opts;
-    opts.seed = seed;
+    opts.seed = 1234;
     parts = part::graph_partition(g, nranks, opts);
   }
   return make_layout_from_parts(db, std::move(parts), nranks);

@@ -39,9 +39,10 @@ struct MeshLayout {
 
 /// Partition `db` over `nranks` ranks with the given method and build the
 /// layout. Node weights are the expected row nonzeros (1 + degree), so
-/// the graph method balances the paper's Fig. 5 metric.
+/// the graph method balances the paper's Fig. 5 metric. The graph
+/// partitioner runs with a fixed seed.
 MeshLayout make_layout(const mesh::MeshDB& db, int nranks,
-                       PartitionMethod method, std::uint64_t seed = 1234);
+                       PartitionMethod method);
 
 /// Layout from an externally computed part assignment.
 MeshLayout make_layout_from_parts(const mesh::MeshDB& db,

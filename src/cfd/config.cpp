@@ -15,7 +15,6 @@ SimConfig SimConfig::baseline() {
   cfg.assembly_algo = assembly::GlobalAssemblyAlgo::kGeneral;
   cfg.use_amg_cache = false;  // baseline rebuilds AMG setup every solve
   cfg.sgs_inner_sweeps = 1;
-  cfg.pressure_amg.inner_sweeps = 1;
   cfg.pressure_amg.agg_levels = 0;
   cfg.pressure_amg.pmax = 0;
   // Before the MM-ext development (§4.1), direct interpolation was the

@@ -27,30 +27,14 @@ std::size_t active_lanes(std::size_t ncomp,
 }  // namespace
 
 ParVector::ParVector(par::Runtime& rt, par::RowPartition rows,
-                     std::size_t ncomp)
-    : rt_(&rt), rows_(std::move(rows)), ncomp_(ncomp) {
+                     std::size_t ncomp, Precision prec)
+    : rt_(&rt), rows_(std::move(rows)), ncomp_(ncomp), prec_(prec) {
   EXW_REQUIRE(ncomp >= 1, "vector needs at least one lane");
   EXW_REQUIRE(rows_.nranks() == rt.nranks(),
               "vector partition does not match runtime rank count");
   local_.resize(static_cast<std::size_t>(rows_.nranks()));
   for (RankId r{0}; r.value() < rows_.nranks(); ++r) {
     local_[static_cast<std::size_t>(r)].assign(ncomp_ * local_n(r), 0.0);
-  }
-}
-
-void ParVector::set_value_precision(Precision p) {
-  if (p == prec_) {
-    return;
-  }
-  prec_ = p;
-  if (p == Precision::kF32) {
-    // Establish the storage invariant on whatever is already held.
-    // Cold (re)tagging, not a modeled kernel: no charge.
-    rt_->parallel_for_ranks([&](RankId r) {
-      for (Real& v : local_[static_cast<std::size_t>(r)]) {
-        v = demote_value(v);
-      }
-    });
   }
 }
 
@@ -155,25 +139,20 @@ void ParVector::copy_lanes(const ParVector& src,
   EXW_REQUIRE(src.global_size() == global_size(), "vector size mismatch");
   EXW_REQUIRE(mask.empty() || mask.size() == ncomp_,
               "lane mask size mismatch");
+  EXW_REQUIRE(prec_ == Precision::kF64 && src.prec_ == Precision::kF64,
+              "copy_lanes runs on fp64 vectors");
   const auto na = static_cast<double>(active_lanes(ncomp_, mask));
   rt_->parallel_for_ranks([&](RankId r) {
     const std::size_t n = local_n(r);
     auto& y = local_[static_cast<std::size_t>(r)];
     const auto& xs = src.local_[static_cast<std::size_t>(r)];
-    const bool demote = prec_ == Precision::kF32 &&
-                        src.prec_ == Precision::kF64;
     for (std::size_t c = 0; c < ncomp_; ++c) {
       if (!mask.empty() && mask[c] == 0) continue;
       for (std::size_t i = 0; i < n; ++i) {
-        y[c * n + i] = demote ? demote_value(xs[c * n + i]) : xs[c * n + i];
+        y[c * n + i] = xs[c * n + i];
       }
     }
-    double f64 = 0, f32 = 0;
-    split_value_bytes(src.prec_, bytes_of(src.prec_) * na * static_cast<double>(n),
-                      f64, f32);
-    split_value_bytes(prec_, bytes_of(prec_) * na * static_cast<double>(n),
-                      f64, f32);
-    rt_->tracer().kernel_split_prec(r, 0.0, f64, f32, 0.0);
+    rt_->tracer().kernel(r, 0.0, 2.0 * kRead * na * static_cast<double>(n));
   });
 }
 
@@ -184,6 +163,7 @@ void ParVector::scale_lanes(std::span<const Real> alpha,
   EXW_REQUIRE(alpha.size() == ncomp_, "one scale factor per lane required");
   EXW_REQUIRE(mask.empty() || mask.size() == ncomp_,
               "lane mask size mismatch");
+  EXW_REQUIRE(prec_ == Precision::kF64, "scale_lanes runs on fp64 vectors");
   const auto na = static_cast<double>(active_lanes(ncomp_, mask));
   rt_->parallel_for_ranks([&](RankId r) {
     const std::size_t n = local_n(r);
@@ -192,14 +172,11 @@ void ParVector::scale_lanes(std::span<const Real> alpha,
       if (!mask.empty() && mask[c] == 0) continue;
       const Real a = alpha[c];
       for (std::size_t i = 0; i < n; ++i) {
-        x[c * n + i] = store_value(x[c * n + i] * a, prec_);
+        x[c * n + i] *= a;
       }
     }
-    double f64 = 0, f32 = 0;
-    split_value_bytes(prec_, 2.0 * bytes_of(prec_) * na * static_cast<double>(n),
-                      f64, f32);
-    rt_->tracer().kernel_split_prec(r, na * static_cast<double>(n), f64, f32,
-                                    0.0);
+    const double m = na * static_cast<double>(n);
+    rt_->tracer().kernel(r, m, 2.0 * kRead * m);
   });
 }
 
@@ -282,31 +259,27 @@ double ParVector::norm2() const { return std::sqrt(dot(*this)); }
 
 void ParVector::lane_fill(std::size_t lane, Real value) {
   EXW_REQUIRE(lane < ncomp_, "vector lane out of range");
-  const Real sv = store_value(value, prec_);
+  EXW_REQUIRE(prec_ == Precision::kF64, "lane_fill runs on fp64 vectors");
   rt_->parallel_for_ranks([&](RankId r) {
     auto s = lane_span(r, lane);
-    std::fill(s.begin(), s.end(), sv);
-    double f64 = 0, f32 = 0;
-    split_value_bytes(prec_, bytes_of(prec_) * static_cast<double>(s.size()),
-                      f64, f32);
-    rt_->tracer().kernel_split_prec(r, 0.0, f64, f32, 0.0);
+    std::fill(s.begin(), s.end(), value);
+    rt_->tracer().kernel(r, 0.0, kRead * static_cast<double>(s.size()));
   });
 }
 
 void ParVector::lane_axpy(std::size_t lane, Real alpha, const ParVector& x) {
   EXW_REQUIRE(lane < ncomp_ && lane < x.ncomp_, "vector lane out of range");
   EXW_REQUIRE(x.global_size() == global_size(), "vector size mismatch");
+  EXW_REQUIRE(prec_ == Precision::kF64 && x.prec_ == Precision::kF64,
+              "lane_axpy runs on fp64 vectors");
   rt_->parallel_for_ranks([&](RankId r) {
     auto y = lane_span(r, lane);
     const auto xs = x.lane_span(r, lane);
     for (std::size_t i = 0; i < y.size(); ++i) {
-      y[i] = store_value(y[i] + alpha * xs[i], prec_);
+      y[i] += alpha * xs[i];
     }
     const auto n = static_cast<double>(y.size());
-    double f64 = 0, f32 = 0;
-    split_value_bytes(prec_, 2.0 * bytes_of(prec_) * n, f64, f32);
-    split_value_bytes(x.prec_, bytes_of(x.prec_) * n, f64, f32);
-    rt_->tracer().kernel_split_prec(r, 2.0 * n, f64, f32, 0.0);
+    rt_->tracer().kernel(r, 2.0 * n, 3.0 * kRead * n);
   });
 }
 
@@ -334,21 +307,13 @@ void ParVector::set_lane(std::size_t lane, const ParVector& src) {
   EXW_REQUIRE(lane < ncomp_, "vector lane out of range");
   EXW_REQUIRE(src.ncomp_ == 1, "set_lane copies from a 1-lane vector");
   EXW_REQUIRE(src.global_size() == global_size(), "vector size mismatch");
+  EXW_REQUIRE(prec_ == Precision::kF64 && src.prec_ == Precision::kF64,
+              "set_lane runs on fp64 vectors");
   rt_->parallel_for_ranks([&](RankId r) {
     auto dst = lane_span(r, lane);
     const auto& s = src.local(r);
-    if (prec_ == Precision::kF32 && src.prec_ == Precision::kF64) {
-      for (std::size_t i = 0; i < dst.size(); ++i) {
-        dst[i] = demote_value(s[i]);
-      }
-    } else {
-      std::copy(s.begin(), s.end(), dst.begin());
-    }
-    const auto n = static_cast<double>(s.size());
-    double f64 = 0, f32 = 0;
-    split_value_bytes(src.prec_, bytes_of(src.prec_) * n, f64, f32);
-    split_value_bytes(prec_, bytes_of(prec_) * n, f64, f32);
-    rt_->tracer().kernel_split_prec(r, 0.0, f64, f32, 0.0);
+    std::copy(s.begin(), s.end(), dst.begin());
+    rt_->tracer().kernel(r, 0.0, 2.0 * kRead * static_cast<double>(s.size()));
   });
 }
 
@@ -356,21 +321,13 @@ void ParVector::extract_lane(std::size_t lane, ParVector& dst) const {
   EXW_REQUIRE(lane < ncomp_, "vector lane out of range");
   EXW_REQUIRE(dst.ncomp_ == 1, "extract_lane copies into a 1-lane vector");
   EXW_REQUIRE(dst.global_size() == global_size(), "vector size mismatch");
+  EXW_REQUIRE(prec_ == Precision::kF64 && dst.prec_ == Precision::kF64,
+              "extract_lane runs on fp64 vectors");
   rt_->parallel_for_ranks([&](RankId r) {
     const auto s = lane_span(r, lane);
     auto& d = dst.local(r);
-    if (dst.prec_ == Precision::kF32 && prec_ == Precision::kF64) {
-      for (std::size_t i = 0; i < d.size(); ++i) {
-        d[i] = demote_value(s[i]);
-      }
-    } else {
-      std::copy(s.begin(), s.end(), d.begin());
-    }
-    const auto n = static_cast<double>(s.size());
-    double f64 = 0, f32 = 0;
-    split_value_bytes(prec_, bytes_of(prec_) * n, f64, f32);
-    split_value_bytes(dst.prec_, bytes_of(dst.prec_) * n, f64, f32);
-    rt_->tracer().kernel_split_prec(r, 0.0, f64, f32, 0.0);
+    std::copy(s.begin(), s.end(), d.begin());
+    rt_->tracer().kernel(r, 0.0, 2.0 * kRead * static_cast<double>(s.size()));
   });
 }
 

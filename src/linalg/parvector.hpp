@@ -48,7 +48,10 @@ struct VectorFillPlan {
 class ParVector {
  public:
   ParVector() = default;
-  ParVector(par::Runtime& rt, par::RowPartition rows, std::size_t ncomp = 1);
+  /// A zero vector of `ncomp` lanes whose value plane has precision
+  /// `prec`.
+  ParVector(par::Runtime& rt, par::RowPartition rows, std::size_t ncomp = 1,
+            Precision prec = Precision::kF64);
 
   std::size_t ncomp() const { return ncomp_; }
   const par::RowPartition& rows() const { return rows_; }
@@ -77,14 +80,14 @@ class ParVector {
   Real& at(std::size_t lane, GlobalIndex g);
   Real at(std::size_t lane, GlobalIndex g) const;
 
-  /// Storage precision of the value plane (DESIGN.md §16). Tagging a
-  /// vector kF32 demotes its current contents and makes every charged
-  /// store round through float (store_value), so the invariant "an FP32
-  /// vector holds only FP32-representable values" holds and float halo
-  /// serialization of its data is lossless. Untagged vectors are plain
-  /// FP64. Tagging is a cold setup operation and is not charged.
+  /// Storage precision of the value plane (DESIGN.md §16), fixed at
+  /// construction. Every charged store into a kF32 vector rounds through
+  /// float (store_value), so the invariant "an FP32 vector holds only
+  /// FP32-representable values" holds and float halo serialization of its
+  /// data is lossless. copy_lanes, scale_lanes, lane_fill, lane_axpy,
+  /// set_lane and extract_lane serve only the FP64 Krylov side and throw
+  /// on a kF32 operand.
   Precision value_precision() const { return prec_; }
-  void set_value_precision(Precision p);
 
   /// Warm-path refill of rank r's local block of a 1-lane vector: copy
   /// the dense owned values, then scatter-add the received contributions
@@ -102,8 +105,7 @@ class ParVector {
   void copy_from(const ParVector& other);
   /// Lane c = (lane c of src) for lanes with mask[c] != 0; other lanes
   /// are untouched (same frozen-lane rule as scale_lanes/axpy_lanes).
-  /// Copies are bitwise for matching precisions, demoted f64 -> f32
-  /// otherwise. An empty mask means all lanes.
+  /// An empty mask means all lanes.
   void copy_lanes(const ParVector& src,
                   std::span<const std::uint8_t> mask = {});
   /// Lane c *= alpha[c]. Lanes with mask[c] == 0 are skipped entirely

@@ -5,7 +5,8 @@
 /// challenging features ... mesh cells with high aspect ratio or mesh
 /// cells that are vastly different in size. This leads to poorly
 /// conditioned linear systems." These metrics quantify exactly that for
-/// the generated meshes (and are printed by the Table 1 bench).
+/// the generated meshes; tests/test_extensions.cpp checks them on the
+/// turbine meshes.
 
 #include "mesh/meshdb.hpp"
 

@@ -158,8 +158,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
     const Real beta = betas[c];
     s.initial_residual = beta;
     s.final_residual = beta;
-    target[c] = std::max(opts.rel_tol * (bnorms[c] > 0.0 ? bnorms[c] : beta),
-                         opts.abs_tol);
+    target[c] = opts.rel_tol * (bnorms[c] > 0.0 ? bnorms[c] : beta);
     if (beta <= target[c] || beta == 0.0) {
       s.converged = true;
       state[c] = LaneState::kDone;

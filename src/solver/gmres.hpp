@@ -65,8 +65,7 @@ inline constexpr int kPipelineSyncPeriod = 8;
 struct GmresOptions {
   int max_iters = 200;
   int restart = 60;
-  Real rel_tol = 1e-6;
-  Real abs_tol = 0.0;
+  Real rel_tol = 1e-6;  ///< stop at rel_tol * ||b|| (||r0|| for b = 0)
   OrthoMethod ortho = OrthoMethod::kOneReduce;
   /// Optional per-iteration residual-estimate trace (the Givens value
   /// |g_{j+1}| each accepted iteration appends). Not owned; cleared by

@@ -82,10 +82,10 @@ class AmgPrecond final : public Preconditioner {
       return;
     }
     const auto& fine = h_->level(0).a;
-    rb_ = std::make_unique<linalg::ParVector>(fine.runtime(), fine.rows());
-    zb_ = std::make_unique<linalg::ParVector>(fine.runtime(), fine.rows());
-    rb_->set_value_precision(Precision::kF32);
-    zb_->set_value_precision(Precision::kF32);
+    rb_ = std::make_unique<linalg::ParVector>(fine.runtime(), fine.rows(), 1,
+                                              Precision::kF32);
+    zb_ = std::make_unique<linalg::ParVector>(fine.runtime(), fine.rows(), 1,
+                                              Precision::kF32);
   }
 
   std::unique_ptr<amg::AmgHierarchy> owned_;
@@ -114,8 +114,7 @@ class SmootherPrecond final : public Preconditioner {
                   int outer_sweeps, int inner_sweeps,
                   Precision precision = Precision::kF64)
       : a_(&a), prec_(precision), a32_(make_twin(a, precision)),
-        smoother_(precision == Precision::kF32 ? a32_ : a, type, inner_sweeps,
-                  /*jacobi_weight=*/1.0),
+        smoother_(precision == Precision::kF32 ? a32_ : a, type, inner_sweeps),
         outer_(outer_sweeps) {
     charge(/*rebuild=*/true);
   }
@@ -156,9 +155,11 @@ class SmootherPrecond final : public Preconditioner {
 
   void charge(bool rebuild) {
     // Build streams structure (cols twice: classify + store) and values
-    // into the split plus the dinv/l1 pass; a value rebind re-walks the
-    // structure once but only rewrites values and the inverse diagonals.
-    // Value streams price at the smoother matrix's storage precision.
+    // into the split plus the inverse diagonal; a value rebind re-walks
+    // the structure once but only rewrites values and the inverse
+    // diagonal. Value streams price at the smoother matrix's storage
+    // precision. The per-row terms (3 and 2 values) are uncalibrated
+    // model constants, not a count of the passes made.
     auto& rt = a_->runtime();
     const Precision pr = prec_;
     const double vb = bytes_of(pr);
@@ -193,10 +194,10 @@ class SmootherPrecond final : public Preconditioner {
                 "smoother precond lane count out of range");
     Fp32Scratch& s = fp32_[lanes - 1];
     if (s.r.ncomp() == 0) {
-      s.r = linalg::ParVector(a_->runtime(), a_->rows(), lanes);
-      s.z = linalg::ParVector(a_->runtime(), a_->rows(), lanes);
-      s.r.set_value_precision(Precision::kF32);
-      s.z.set_value_precision(Precision::kF32);
+      s.r = linalg::ParVector(a_->runtime(), a_->rows(), lanes,
+                              Precision::kF32);
+      s.z = linalg::ParVector(a_->runtime(), a_->rows(), lanes,
+                              Precision::kF32);
     }
     return s;
   }

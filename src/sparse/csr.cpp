@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdint>
 
 #include "common/error.hpp"
 #include "sparse/prim.hpp"
@@ -47,13 +46,7 @@ void Csr::spmv(std::span<const Real> x, std::span<Real> y, Real alpha,
                Real beta) const {
   EXW_ASSERT(x.size() >= static_cast<std::size_t>(ncols_));
   EXW_ASSERT(y.size() >= static_cast<std::size_t>(nrows_));
-  // Raw 64-bit loop variable: OpenMP requires an integral canonical form.
-  const std::int64_t n = nrows_.value();
-#ifdef EXW_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t ii = 0; ii < n; ++ii) {
-    const LocalIndex i{ii};
+  for (LocalIndex i{0}; i < nrows_; ++i) {
     Real acc = 0.0;
     for (EntryOffset k = row_begin(i); k < row_end(i); ++k) {
       acc += vals_[static_cast<std::size_t>(k)] *
@@ -75,13 +68,8 @@ void spmv_lanes(const Csr& a, std::span<const Real> x, std::size_t x_stride,
                 Real beta) {
   const auto cols = a.cols().raw();
   const auto vals = a.vals().raw();
-  // Raw 64-bit loop variable: OpenMP requires an integral canonical form.
-  const std::int64_t n = a.nrows().value();
-#ifdef EXW_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t ii = 0; ii < n; ++ii) {
-    const LocalIndex i{ii};
+  const LocalIndex n = a.nrows();
+  for (LocalIndex i{0}; i < n; ++i) {
     std::array<Real, L> acc{};
     // One pass over the row's index structure feeds every lane; each
     // lane accumulates in the same entry order as the serial spmv.

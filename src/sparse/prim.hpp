@@ -6,8 +6,8 @@
 /// of `stable_sort_by_key` and `reduce_by_key`, and notes that "other GPU
 /// architectures can be supported provided implementations exist for"
 /// those two primitives. This header is that provider for the simulated
-/// runtime: sequential (optionally OpenMP) implementations with identical
-/// semantics, so assembly and AMG setup read like the paper's pseudocode.
+/// runtime: sequential implementations with identical semantics, so
+/// assembly and AMG setup read like the paper's pseudocode.
 
 #include <algorithm>
 #include <numeric>

@@ -199,64 +199,6 @@ void ProductPlan::replay(std::span<const Real> left,
   }
 }
 
-SpGemmPlan SpGemmPlan::build(const Csr& a, const Csr& b) {
-  EXW_REQUIRE(a.ncols() == b.nrows(), "spgemm shape mismatch");
-  SpGemmPlan plan;
-  plan.c_ = spgemm_hash(a, b);
-  plan.a_rows_ = a.nrows();
-  plan.a_cols_ = a.ncols();
-  plan.b_cols_ = b.ncols();
-  plan.a_nnz_ = a.nnz();
-  plan.b_nnz_ = b.nnz();
-  // Record the partial products of every row in traversal order — the
-  // order the hash accumulator folded them in — then group them by output
-  // column with a stable sort, which preserves that fold order per entry.
-  std::vector<LocalIndex> term_cols;
-  std::vector<std::size_t> term_l, term_r;
-  std::vector<std::size_t> ls, rs;
-  for (LocalIndex i{0}; i < a.nrows(); ++i) {
-    term_cols.clear();
-    term_l.clear();
-    term_r.clear();
-    for (EntryOffset ka = a.row_begin(i); ka < a.row_end(i); ++ka) {
-      const LocalIndex j = a.cols()[ka];
-      if (a.vals()[ka] == 0.0) continue;  // mirror spgemm_hash
-      for (EntryOffset kb = b.row_begin(j); kb < b.row_end(j); ++kb) {
-        term_cols.push_back(b.cols()[kb]);
-        term_l.push_back(static_cast<std::size_t>(ka.value()));
-        term_r.push_back(static_cast<std::size_t>(kb.value()));
-      }
-    }
-    const auto perm = prim::sort_permutation(term_cols, std::less<LocalIndex>{});
-    for (std::size_t s = 0; s < perm.size();) {
-      const LocalIndex col = term_cols[perm[s]];
-      ls.clear();
-      rs.clear();
-      while (s < perm.size() && term_cols[perm[s]] == col) {
-        ls.push_back(term_l[perm[s]]);
-        rs.push_back(term_r[perm[s]]);
-        ++s;
-      }
-      plan.plan_.append(ls, rs);
-    }
-  }
-  EXW_REQUIRE(plan.plan_.outputs() == plan.c_.nnz(),
-              "spgemm plan entry count does not match the hash product");
-  return plan;
-}
-
-void SpGemmPlan::replay(const Csr& a, const Csr& b, Csr& c) const {
-  EXW_REQUIRE(valid(), "replay of an empty spgemm plan");
-  EXW_REQUIRE(a.nrows() == a_rows_ && a.ncols() == a_cols_ &&
-                  b.ncols() == b_cols_ && a.nnz() == a_nnz_ &&
-                  b.nnz() == b_nnz_,
-              "spgemm plan is stale: input structure changed");
-  EXW_REQUIRE(c.nrows() == c_.nrows() && c.ncols() == c_.ncols() &&
-                  c.nnz() == c_.nnz(),
-              "spgemm plan is stale: output structure changed");
-  plan_.replay(a.vals().raw(), b.vals().raw(), c.vals_vec());
-}
-
 double spgemm_flops(const Csr& a, const Csr& b) {
   double flops = 0;
   for (LocalIndex i{0}; i < a.nrows(); ++i) {

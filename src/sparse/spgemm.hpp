@@ -76,33 +76,4 @@ struct ProductPlan {
               std::span<Real> out) const;
 };
 
-/// Frozen serial C = A * B in spgemm_hash's numerics: `build()` runs the
-/// cold hash product once, keeping its output structure and the term list
-/// behind every entry; `replay()` then refills C's values from new A/B
-/// values without touching the hash table. Bitwise-identical to
-/// spgemm_hash(a, b) as long as A keeps the zero/nonzero value pattern it
-/// had at build time (the hash path skips a_ij == 0 when discovering
-/// structure, so moving stored zeros changes the cold output's pattern —
-/// that is a structural change and needs a rebuild).
-class SpGemmPlan {
- public:
-  SpGemmPlan() = default;
-
-  static SpGemmPlan build(const Csr& a, const Csr& b);
-
-  bool valid() const { return a_nnz_ + b_nnz_ > 0; }
-  /// Frozen output: the structure replays refill (values as of build).
-  const Csr& structure() const { return c_; }
-
-  /// Refill `c` (a copy of structure()) from new values of a/b. Throws
-  /// when the shapes or nnz of a, b, or c no longer match the plan.
-  void replay(const Csr& a, const Csr& b, Csr& c) const;
-
- private:
-  ProductPlan plan_;
-  Csr c_;
-  LocalIndex a_rows_{0}, a_cols_{0}, b_cols_{0};
-  std::size_t a_nnz_ = 0, b_nnz_ = 0;
-};
-
 }  // namespace exw::sparse

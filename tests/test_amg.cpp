@@ -218,7 +218,7 @@ TEST(Interp, TruncationRespectsPmaxAndRowSum) {
   auto p = build_interpolation(a, s, c, cfg);
   // Record row sums before truncation.
   const auto before = p.to_serial();
-  truncate_interpolation(p, 3, 0.0);
+  truncate_interpolation(p, 3);
   const auto after = p.to_serial();
   for (LocalIndex i{0}; i < after.nrows(); ++i) {
     EXPECT_LE(after.row_nnz(i), LocalIndex{3});

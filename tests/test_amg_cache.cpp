@@ -1,7 +1,7 @@
-// Tests for the AMG hierarchy cache: frozen SpGEMM replay plans, the
-// value-only refresh of a frozen hierarchy (bitwise against rebuilds and
-// against cold Galerkin products), stale-structure detection, and the
-// HierarchyCache rebuild/refresh/reuse decision and its charges.
+// Tests for the AMG hierarchy cache: the value-only refresh of a frozen
+// hierarchy (bitwise against rebuilds and against cold Galerkin
+// products), stale-structure detection, and the HierarchyCache
+// rebuild/refresh/reuse decision and its charges.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,7 +18,6 @@ namespace exw::amg {
 namespace {
 
 using testutil::laplace3d;
-using testutil::random_rect;
 using testutil::random_vector;
 
 linalg::ParCsr distribute(par::Runtime& rt, const sparse::Csr& a) {
@@ -49,41 +48,6 @@ bool bitwise_equal(const linalg::ParCsr& a, const linalg::ParCsr& b) {
     }
   }
   return true;
-}
-
-/// Scale every stored value (pattern unchanged, all entries stay nonzero).
-sparse::Csr scaled(const sparse::Csr& a, Real s) {
-  sparse::Csr c = a;
-  for (auto& v : c.vals_vec()) v *= s;
-  return c;
-}
-
-TEST(SpGemmPlan, ReplayMatchesHashBitwise) {
-  const auto a = random_rect(LocalIndex{60}, LocalIndex{40}, 5, 11);
-  const auto b = random_rect(LocalIndex{40}, LocalIndex{30}, 4, 12);
-  const auto plan = sparse::SpGemmPlan::build(a, b);
-  ASSERT_TRUE(plan.valid());
-
-  const auto a2 = scaled(a, 1.37);
-  const auto b2 = scaled(b, -0.61);
-  sparse::Csr c = plan.structure();
-  plan.replay(a2, b2, c);
-
-  const auto cold = sparse::spgemm_hash(a2, b2);
-  ASSERT_EQ(c.nnz(), cold.nnz());
-  EXPECT_TRUE(same_vals(c.vals_vec(), sparse::Csr(cold).vals_vec()));
-}
-
-TEST(SpGemmPlan, ReplayThrowsOnStructureChange) {
-  const auto a = random_rect(LocalIndex{30}, LocalIndex{20}, 4, 3);
-  const auto b = random_rect(LocalIndex{20}, LocalIndex{25}, 3, 4);
-  const auto plan = sparse::SpGemmPlan::build(a, b);
-  sparse::Csr c = plan.structure();
-  // Different nnz / shape on either input must be rejected.
-  const auto a_stale = random_rect(LocalIndex{30}, LocalIndex{20}, 5, 7);
-  const auto b_stale = random_rect(LocalIndex{20}, LocalIndex{25}, 2, 8);
-  EXPECT_THROW(plan.replay(a_stale, b, c), Error);
-  EXPECT_THROW(plan.replay(a, b_stale, c), Error);
 }
 
 class AmgCacheRankSweep : public ::testing::TestWithParam<int> {};

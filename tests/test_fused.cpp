@@ -155,11 +155,10 @@ TEST_P(FusedRankSweep, SmootherMatchesPerComponentBitwise) {
   const auto bd = lane_data(180, 13);
 
   // Every smoother type sweeps all lanes in one pass.
-  for (const auto type :
-       {amg::SmootherType::kJacobi, amg::SmootherType::kL1Jacobi,
-        amg::SmootherType::kSgs2, amg::SmootherType::kTwoStageGs,
-        amg::SmootherType::kHybridGs}) {
-    const amg::Smoother sm(a, type, /*inner_sweeps=*/2, /*jacobi_weight=*/0.8);
+  for (const auto type : {amg::SmootherType::kSgs2,
+                          amg::SmootherType::kTwoStageGs,
+                          amg::SmootherType::kHybridGs}) {
+    const amg::Smoother sm(a, type, /*inner_sweeps=*/2);
     linalg::ParVector b(rt, a.rows(), kLanes), z(rt, a.rows(), kLanes);
     fill_lanes(b, bd);
     sm.apply_zero(b, z, /*sweeps=*/2);

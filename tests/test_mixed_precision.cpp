@@ -75,6 +75,40 @@ TEST(Precision, BytesOfAndSplit) {
   EXPECT_EQ(f64, 40.0);
 }
 
+TEST(Precision, KrylovLaneOpsRejectFp32Operands) {
+  // FP32 storage lives only inside the preconditioners; the lane ops of
+  // the FP64 Krylov side throw rather than round an FP32 operand.
+  par::Runtime rt(2);
+  const auto rows = par::RowPartition::even(GlobalIndex{10}, 2);
+  linalg::ParVector x3(rt, rows, 3), y3(rt, rows, 3), x1(rt, rows);
+  linalg::ParVector f3(rt, rows, 3, Precision::kF32);
+  linalg::ParVector f1(rt, rows, 1, Precision::kF32);
+  EXPECT_EQ(f3.value_precision(), Precision::kF32);
+  // The first rank dispatch starts the thread pool; do it outside the
+  // warm regions the FP64 calls below open (fatal purity mode).
+  x3.fill(1.0);
+  const std::vector<Real> alpha{1.0, 2.0, 3.0};
+
+  EXPECT_THROW(f3.copy_lanes(x3), Error);
+  EXPECT_THROW(x3.copy_lanes(f3), Error);
+  EXPECT_THROW(f3.scale_lanes(alpha), Error);
+  EXPECT_THROW(f3.lane_fill(0, 1.0), Error);
+  EXPECT_THROW(f3.lane_axpy(0, 1.0, x3), Error);
+  EXPECT_THROW(x3.lane_axpy(0, 1.0, f3), Error);
+  EXPECT_THROW(f3.set_lane(0, x1), Error);
+  EXPECT_THROW(x3.set_lane(0, f1), Error);
+  EXPECT_THROW(f3.extract_lane(0, x1), Error);
+  EXPECT_THROW(x3.extract_lane(0, f1), Error);
+
+  // The same calls on FP64 operands run.
+  EXPECT_NO_THROW(y3.copy_lanes(x3));
+  EXPECT_NO_THROW(y3.scale_lanes(alpha));
+  EXPECT_NO_THROW(y3.lane_fill(0, 1.0));
+  EXPECT_NO_THROW(y3.lane_axpy(0, 1.0, x3));
+  EXPECT_NO_THROW(y3.set_lane(0, x1));
+  EXPECT_NO_THROW(y3.extract_lane(0, x1));
+}
+
 // ---------------------------------------------------------- mixed V-cycle --
 
 /// One mixed-precision V-cycle on the canonical operator, gathered dense.

@@ -39,7 +39,7 @@ class SmootherSweep
 TEST_P(SmootherSweep, ReducesResidualMonotonically) {
   const auto [type, nranks] = GetParam();
   Problem prob(nranks, laplace3d(8, 0.2));
-  Smoother smoother(prob.a, type, /*inner_sweeps=*/2, /*weight=*/0.8);
+  Smoother smoother(prob.a, type, /*inner_sweeps=*/2);
   Real prev = prob.residual_norm();
   for (int sweep = 0; sweep < 8; ++sweep) {
     smoother.apply(prob.b, prob.x, 1);
@@ -52,9 +52,7 @@ TEST_P(SmootherSweep, ReducesResidualMonotonically) {
 
 INSTANTIATE_TEST_SUITE_P(
     TypesAndRanks, SmootherSweep,
-    ::testing::Combine(::testing::Values(SmootherType::kJacobi,
-                                         SmootherType::kL1Jacobi,
-                                         SmootherType::kHybridGs,
+    ::testing::Combine(::testing::Values(SmootherType::kHybridGs,
                                          SmootherType::kTwoStageGs,
                                          SmootherType::kSgs2),
                        ::testing::Values(1, 3, 5)));
@@ -65,8 +63,8 @@ TEST(Smoother, TwoStageApproachesHybridGsWithManyInnerSweeps) {
   // true local Gauss-Seidel.
   const auto mat = laplace3d(6, 0.3);
   Problem gs(1, mat), ts(1, mat);
-  Smoother gs_smoother(gs.a, SmootherType::kHybridGs, 0, 1.0);
-  Smoother ts_smoother(ts.a, SmootherType::kTwoStageGs, 250, 1.0);
+  Smoother gs_smoother(gs.a, SmootherType::kHybridGs, 0);
+  Smoother ts_smoother(ts.a, SmootherType::kTwoStageGs, 250);
   gs_smoother.apply(gs.b, gs.x, 3);
   ts_smoother.apply(ts.b, ts.x, 3);
   EXPECT_LT(testutil::max_diff(gs.x.gather(), ts.x.gather()), 1e-10);
@@ -80,7 +78,7 @@ TEST(Smoother, MoreInnerSweepsConvergeFasterPerOuter) {
   const auto mat = laplace3d(8, 0.1);
   auto reduction = [&](int inner) {
     Problem prob(4, mat);
-    Smoother smoother(prob.a, SmootherType::kTwoStageGs, inner, 1.0);
+    Smoother smoother(prob.a, SmootherType::kTwoStageGs, inner);
     const Real r0 = prob.residual_norm();
     smoother.apply(prob.b, prob.x, 4);
     return prob.residual_norm() / r0;
@@ -97,7 +95,7 @@ TEST(Smoother, Sgs2ActsSymmetric) {
   par::Runtime rt(1);
   const auto rows = par::RowPartition::even(GlobalIndex{mat.nrows().value()}, 1);
   const auto a = linalg::ParCsr::from_serial(rt, mat, rows, rows);
-  Smoother sgs(a, SmootherType::kSgs2, 200, 1.0);
+  Smoother sgs(a, SmootherType::kSgs2, 200);
   linalg::ParVector u(rt, rows), v(rt, rows), mu(rt, rows), mv(rt, rows);
   u.scatter(random_vector(static_cast<std::size_t>(mat.nrows()), 5));
   v.scatter(random_vector(static_cast<std::size_t>(mat.nrows()), 6));
@@ -113,7 +111,7 @@ TEST(Smoother, ThrowsOnZeroDiagonal) {
   par::Runtime rt(1);
   const auto rows = par::RowPartition::even(GlobalIndex{2}, 1);
   const auto a = linalg::ParCsr::from_serial(rt, bad, rows, rows);
-  EXPECT_THROW(Smoother(a, SmootherType::kJacobi, 1, 1.0), Error);
+  EXPECT_THROW(Smoother(a, SmootherType::kTwoStageGs, 1), Error);
 }
 
 TEST(LduSplit, SplitsDiagBlock) {
@@ -136,11 +134,6 @@ TEST(LduSplit, SplitsDiagBlock) {
     // L + D + U accounts for every diag-block entry.
     EXPECT_EQ(lo.nnz() + up.nnz() + static_cast<std::size_t>(lo.nrows()),
               a.block(r).diag.nnz());
-    // l1 scaling is at most the plain inverse diagonal.
-    for (std::size_t i = 0; i < ldu.dinv[static_cast<std::size_t>(r)].size(); ++i) {
-      EXPECT_LE(ldu.l1_dinv[static_cast<std::size_t>(r)][i],
-                ldu.dinv[static_cast<std::size_t>(r)][i] + 1e-15);
-    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for GMRES (MGS and one-reduce) and the preconditioner stack.
 #include <gtest/gtest.h>
 
+#include "cfd/config.hpp"
 #include "solver/gmres.hpp"
 #include "test_util.hpp"
 
@@ -210,6 +211,24 @@ TEST(Gmres, ModeledLedgerIsPinned) {
   ASSERT_EQ(s3.lane[1].iterations, 18);
   ASSERT_EQ(s3.lane[2].iterations, 17);
   expect_ledger({3738, 390, 42, 17653248.0, 619200.0});
+
+  // Two more AMG paths: the baseline pressure configuration (direct
+  // interpolation, no aggressive coarsening, no Pmax cap) and an FP32
+  // hierarchy. Recorded while the V-cycle's smoother, sweep counts and
+  // truncation threshold were still AmgConfig fields.
+  AmgPrecond amg_base(prob.a, cfd::SimConfig::baseline().pressure_amg);
+  prob.x.fill(0.0);
+  prob.rt.tracer().reset();
+  ASSERT_EQ(gmres_solve(prob.a, prob.b, prob.x, amg_base, opts).iterations, 12);
+  expect_ledger({3593, 1104, 54, 4504112.0, 571552.0});
+
+  amg::AmgConfig f32_cfg;
+  f32_cfg.precision = Precision::kF32;
+  AmgPrecond amg_f32(prob.a, f32_cfg);
+  prob.x.fill(0.0);
+  prob.rt.tracer().reset();
+  ASSERT_EQ(gmres_solve(prob.a, prob.b, prob.x, amg_f32, opts).iterations, 16);
+  expect_ledger({3468, 882, 74, 3984408.0, 566640.0});
 }
 
 TEST(Gmres, ZeroRhsIsImmediatelyConverged) {

@@ -7,9 +7,8 @@ this gate forbids the two habits that reintroduce raw-integer indexing:
 
   1. `for (int ...)` / `for (int32_t ...)` loop induction variables.
      Loops over an index space must use the space's StrongId (or a
-     64-bit raw type, e.g. `std::int64_t` / `std::size_t`, where OpenMP
-     canonical form requires an integral induction variable). Plain
-     `int` silently truncates past 2^31.
+     64-bit raw type such as `std::size_t`). Plain `int` silently
+     truncates past 2^31.
   2. C-style casts to integer types, e.g. `(int)x` or `(size_t)i`.
      Narrowing between index spaces must go through
      `exw::checked_narrow<To>()`; sanctioned raw exits are `.value()`
@@ -92,7 +91,7 @@ def main() -> int:
             failures.append(
                 f"{rel}: {len(loop_hits)} raw int loop variable(s), "
                 f"allowance is {allowed} — use the index space's StrongId "
-                f"(or std::int64_t for OpenMP canonical loops):"
+                f"(or a 64-bit raw type such as std::size_t):"
             )
             failures += [f"  {rel}:{ln}: {txt}" for ln, txt in loop_hits]
         elif len(loop_hits) < allowed:
