@@ -89,7 +89,8 @@ void LduSplit::refresh_values(const linalg::ParCsr& a) {
 Smoother::Smoother(const linalg::ParCsr& a, SmootherType type,
                    int inner_sweeps)
     : a_(&a), type_(type), inner_sweeps_(inner_sweeps),
-      ldu_(LduSplit::build(a)) {}
+      ldu_(LduSplit::build(a)),
+      scratch_(static_cast<std::size_t>(a.nranks())) {}
 
 EXW_WARM_FN
 void Smoother::refresh_values() {
@@ -103,8 +104,12 @@ void Smoother::apply(const linalg::ParVector& b, linalg::ParVector& x,
   for (std::int64_t s = 0; s < sweeps; ++s) {
     switch (type_) {
       case SmootherType::kHybridGs: sweep_hybrid_gs(b, x); break;
-      case SmootherType::kTwoStageGs: sweep_two_stage(b, x); break;
-      case SmootherType::kSgs2: sweep_sgs2(b, x); break;
+      case SmootherType::kTwoStageGs:
+        sweep_two_stage(b, x, residual_scratch(x.ncomp()));
+        break;
+      case SmootherType::kSgs2:
+        sweep_sgs2(b, x, residual_scratch(x.ncomp()));
+        break;
     }
   }
 }
@@ -115,14 +120,30 @@ void Smoother::apply_zero(const linalg::ParVector& r, linalg::ParVector& z,
   apply(r, z, sweeps);
 }
 
+linalg::ParVector& Smoother::residual_scratch(std::size_t lanes) const {
+  const Precision pr = a_->value_precision();
+  if (residual_.size() <= lanes || residual_[lanes].ncomp() != lanes ||
+      residual_[lanes].value_precision() != pr) {
+    EXW_PURITY_ALLOW("first-use scratch priming");
+    if (residual_.size() <= lanes) {
+      residual_.resize(lanes + 1);  // exw-warm-ok: first-use scratch priming
+    }
+    residual_[lanes] =
+        linalg::ParVector(a_->runtime(), a_->rows(), lanes, pr);
+  }
+  return residual_[lanes];
+}
+
+EXW_WARM_FN
 void Smoother::sweep_hybrid_gs(const linalg::ParVector& b,
                                linalg::ParVector& x) const {
   // One round of neighbor communication, then a true sequential forward
   // GS sweep on the local rows (off-rank values frozen), every lane
   // relaxed row by row from the same pass over the row structure.
+  EXW_PURITY_REGION("smoother-sweep-hybrid-gs");
   const Precision pr = a_->value_precision();
   const std::size_t lanes = x.ncomp();
-  const auto ext = a_->halo_exchange(x);
+  const auto& ext = a_->halo_exchange(x);
   auto& tracer = a_->runtime().tracer();
   a_->runtime().parallel_for_ranks([&](RankId rk) {
     const auto& blk = a_->block(rk);
@@ -165,7 +186,7 @@ void Smoother::sweep_hybrid_gs(const linalg::ParVector& b,
 
 void Smoother::jr_solve(RankId r, const sparse::Csr& tri,
                         const RealVector& rhs, std::size_t lanes,
-                        RealVector& g) const {
+                        RealVector& g, RealVector& tg) const {
   // Eqs. (5)-(7), lane by lane: g_0 = Dinv rhs; g_{j+1} = Dinv (rhs -
   // T g_j). The JR iterate is a smoother-internal stream: stores round
   // through the matrix's storage plane and the value bytes price
@@ -174,13 +195,17 @@ void Smoother::jr_solve(RankId r, const sparse::Csr& tri,
   const auto& d = ldu_.dinv[static_cast<std::size_t>(r)];
   const std::size_t n = d.size();
   EXW_ASSERT(rhs.size() == lanes * n);
-  g.resize(lanes * n);
+  if (g.size() != lanes * n || tg.size() != lanes * n) {
+    EXW_PURITY_ALLOW("first-use scratch priming");
+    g.resize(lanes * n);   // exw-warm-ok: first-use scratch priming
+    tg.resize(lanes * n);  // exw-warm-ok: first-use scratch priming
+  }
+  // Writes every entry of g, so reused scratch carries nothing over.
   for (std::size_t c = 0; c < lanes; ++c) {
     for (std::size_t i = 0; i < n; ++i) {
       g[c * n + i] = store_value(d[i] * rhs[c * n + i], pr);
     }
   }
-  RealVector tg(lanes * n);
   auto& tracer = a_->runtime().tracer();
   const auto nl = static_cast<double>(lanes);
   for (std::int64_t j = 0; j < inner_sweeps_; ++j) {
@@ -204,17 +229,19 @@ void Smoother::jr_solve(RankId r, const sparse::Csr& tri,
   }
 }
 
+EXW_WARM_FN
 void Smoother::sweep_two_stage(const linalg::ParVector& b,
-                               linalg::ParVector& x) const {
+                               linalg::ParVector& x,
+                               linalg::ParVector& r) const {
   // x += Mtilde^-1 (b - A x) with Mtilde^-1 ~ (L+D)^-1 by inner JR.
+  EXW_PURITY_REGION("smoother-sweep-two-stage");
   const Precision pr = a_->value_precision();
-  linalg::ParVector r(a_->runtime(), a_->rows(), x.ncomp(), pr);
   a_->residual(b, x, r);
   const auto nl = static_cast<double>(x.ncomp());
   a_->runtime().parallel_for_ranks([&](RankId rk) {
-    RealVector g;
+    auto& [g, tg] = scratch_[static_cast<std::size_t>(rk)];
     jr_solve(rk, ldu_.lower[static_cast<std::size_t>(rk)], r.local(rk),
-             x.ncomp(), g);
+             x.ncomp(), g, tg);
     auto& xl = x.local(rk);
     for (std::size_t i = 0; i < xl.size(); ++i) {
       xl[i] = store_value(xl[i] + g[i], pr);
@@ -227,34 +254,35 @@ void Smoother::sweep_two_stage(const linalg::ParVector& b,
   });
 }
 
-void Smoother::sweep_sgs2(const linalg::ParVector& b,
-                          linalg::ParVector& x) const {
+EXW_WARM_FN
+void Smoother::sweep_sgs2(const linalg::ParVector& b, linalg::ParVector& x,
+                          linalg::ParVector& r) const {
   // Symmetric two-stage GS: M = (L+D) D^-1 (D+U), both triangular solves
   // approximated by inner JR sweeps (compact form of Eqs. 11-14): one
   // residual, then the forward and backward JR stages stream L/U once
   // per inner sweep for all lanes.
+  EXW_PURITY_REGION("smoother-sweep-sgs2");
   const Precision pr = a_->value_precision();
-  linalg::ParVector r(a_->runtime(), a_->rows(), x.ncomp(), pr);
   a_->residual(b, x, r);
   const std::size_t lanes = x.ncomp();
   const auto nl = static_cast<double>(lanes);
   a_->runtime().parallel_for_ranks([&](RankId rk) {
-    RealVector g, h, t;
+    auto& [g, tg] = scratch_[static_cast<std::size_t>(rk)];
     const auto& d = ldu_.dinv[static_cast<std::size_t>(rk)];
     const std::size_t n = d.size();
-    jr_solve(rk, ldu_.lower[static_cast<std::size_t>(rk)], r.local(rk), lanes,
-             g);
-    // rhs for the backward stage: D * g, lane by lane.
-    t.resize(g.size());
+    auto& t = r.local(rk);
+    jr_solve(rk, ldu_.lower[static_cast<std::size_t>(rk)], t, lanes, g, tg);
+    // rhs for the backward stage: D * g, lane by lane, into the residual
+    // plane the forward stage has finished reading.
     for (std::size_t c = 0; c < lanes; ++c) {
       for (std::size_t i = 0; i < n; ++i) {
         t[c * n + i] = store_value(g[c * n + i] / d[i], pr);
       }
     }
-    jr_solve(rk, ldu_.upper[static_cast<std::size_t>(rk)], t, lanes, h);
+    jr_solve(rk, ldu_.upper[static_cast<std::size_t>(rk)], t, lanes, g, tg);
     auto& xl = x.local(rk);
     for (std::size_t i = 0; i < xl.size(); ++i) {
-      xl[i] = store_value(xl[i] + h[i], pr);
+      xl[i] = store_value(xl[i] + g[i], pr);
     }
     double f64 = 0, f32 = 0;
     split_value_bytes(pr, 4.0 * bytes_of(pr) * nl * static_cast<double>(n),

@@ -58,20 +58,39 @@ class Smoother {
 
  private:
   void sweep_hybrid_gs(const linalg::ParVector& b, linalg::ParVector& x) const;
-  void sweep_two_stage(const linalg::ParVector& b, linalg::ParVector& x) const;
-  void sweep_sgs2(const linalg::ParVector& b, linalg::ParVector& x) const;
+  /// The two-stage and SGS2 sweeps take their residual scratch `r`
+  /// (same lanes as x) from residual_scratch().
+  void sweep_two_stage(const linalg::ParVector& b, linalg::ParVector& x,
+                       linalg::ParVector& r) const;
+  void sweep_sgs2(const linalg::ParVector& b, linalg::ParVector& x,
+                  linalg::ParVector& r) const;
 
   /// Inner Jacobi-Richardson approximation of (T+D)^-1 rhs for one of
   /// the rank's triangles T (Eqs. 5-7); `rhs` and the result `g` are
   /// SoA blocks of `lanes` planes of rank-local size, and T is streamed
-  /// once per inner sweep for all lanes.
+  /// once per inner sweep for all lanes. `tg` is scratch for T g.
   void jr_solve(RankId r, const sparse::Csr& tri, const RealVector& rhs,
-                std::size_t lanes, RealVector& g) const;
+                std::size_t lanes, RealVector& g, RealVector& tg) const;
+
+  /// The residual vector of a two-stage or SGS2 sweep at `lanes` lanes,
+  /// sized on first use.
+  linalg::ParVector& residual_scratch(std::size_t lanes) const;
+
+  /// One rank's sweep scratch: the JR iterate and T times it.
+  struct RankScratch {
+    RealVector g, tg;
+  };
 
   const linalg::ParCsr* a_;
   SmootherType type_;
   int inner_sweeps_;
   LduSplit ldu_;
+  // Sweep scratch, sized on first use at a lane count and reused by every
+  // later sweep (vectors only grow): one residual per lane count (SGS2
+  // reuses it for the backward stage's rhs), and per-rank JR buffers
+  // that only rank r's body touches.
+  mutable std::vector<linalg::ParVector> residual_;  ///< [lanes]
+  mutable std::vector<RankScratch> scratch_;         ///< [rank]
 };
 
 }  // namespace exw::amg

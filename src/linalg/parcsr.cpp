@@ -50,6 +50,8 @@ void ParCsr::build_comm_pkg() {
       std::size_t j = i;
       CommPkg::Send send;
       send.dst = r;
+      send.offset = checked_narrow<LocalIndex>(i);
+      send.slot = comm_.recvs[static_cast<std::size_t>(r)].size();
       while (j < map.size() && cols_.rank_of(map[j]) == owner) {
         send.idx.push_back(cols_.to_local(owner, map[j]));
         ++j;
@@ -222,74 +224,84 @@ std::vector<double> ParCsr::nnz_per_rank() const {
   return out;
 }
 
-std::vector<RealVector> ParCsr::halo_exchange(const ParVector& x) const {
-  auto& transport = rt_->transport();
-  const int nranks = rows_.nranks();
+void ParCsr::prime_channels(std::size_t lanes) const {
+  if (!stamps_.empty() && (lanes == 0 || lanes == halo_lanes_)) return;
+  // First use, or a new halo lane count: vectors only grow, so going
+  // back to a smaller lane count later reuses the capacity.
+  EXW_PURITY_ALLOW("first-use scratch priming");
+  const auto nranks = static_cast<std::size_t>(rows_.nranks());
+  if (stamps_.empty()) {
+    halo_.resize(nranks);     // exw-warm-ok: first-use scratch priming
+    contrib_.resize(nranks);  // exw-warm-ok: first-use scratch priming
+    stamps_.resize(nranks);   // exw-warm-ok: first-use scratch priming
+    for (std::size_t r = 0; r < nranks; ++r) {
+      contrib_[r].resize(  // exw-warm-ok: first-use scratch priming
+          blocks_[r].col_map.size());
+      stamps_[r].resize(  // exw-warm-ok: first-use scratch priming
+          comm_.recvs[r].size());
+    }
+  }
+  if (lanes != 0) {
+    for (std::size_t r = 0; r < nranks; ++r) {
+      halo_[r].resize(  // exw-warm-ok: first-use scratch priming
+          lanes * blocks_[r].col_map.size());
+    }
+    halo_lanes_ = lanes;
+  }
+}
+
+EXW_WARM_FN
+const std::vector<RealVector>& ParCsr::halo_exchange(const ParVector& x) const {
+  EXW_PURITY_REGION("parcsr-halo-exchange");
   const std::size_t lanes = x.ncomp();
+  prime_channels(lanes);
   // FP32-tagged vectors ship their halos as float: lossless (stores
-  // round through float, so every held value is FP32-representable) and
-  // the Transport's sizeof(T)-based message charge halves by itself.
+  // round through float, so every held value is FP32-representable), and
+  // the message charge is priced at the float payload.
   const bool f32 = x.value_precision() == Precision::kF32;
-  // Pack every lane's requested values into one buffer per neighbor,
-  // lane-major, so the per-message latency is paid once for all lanes.
+  const std::size_t wire = f32 ? sizeof(float) : sizeof(Real);
+  // Each owner packs every lane's requested values straight into the
+  // receiver's halo buffer at its run's offset, one message per neighbor
+  // pair for all lanes.
   rt_->parallel_for_ranks([&](RankId r) {
     for (const auto& send : comm_.sends[static_cast<std::size_t>(r)]) {
-      const double pack_bytes =
-          2.0 * bytes_of(x.value_precision()) *
-          static_cast<double>(lanes * send.idx.size());
-      const auto pack = [&](auto& buf) {
-        using T = typename std::decay_t<decltype(buf)>::value_type;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const auto xl = x.lane_span(r, l);
-          for (std::size_t i = 0; i < send.idx.size(); ++i) {
-            buf[l * send.idx.size() + i] =
-                static_cast<T>(xl[static_cast<std::size_t>(send.idx[i])]);
-          }
+      const std::size_t count = send.idx.size();
+      auto& halo = halo_[static_cast<std::size_t>(send.dst)];
+      const std::size_t m =
+          blocks_[static_cast<std::size_t>(send.dst)].col_map.size();
+      const auto offset = static_cast<std::size_t>(send.offset);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const auto xl = x.lane_span(r, l);
+        Real* out = halo.data() + l * m + offset;
+        for (std::size_t i = 0; i < count; ++i) {
+          const Real v = xl[static_cast<std::size_t>(send.idx[i])];
+          out[i] = f32 ? static_cast<Real>(static_cast<float>(v)) : v;
         }
-      };
+      }
+      const double pack_bytes = 2.0 * bytes_of(x.value_precision()) *
+                                static_cast<double>(lanes * count);
       if (f32) {
-        std::vector<float> buf(lanes * send.idx.size());
-        pack(buf);
         rt_->tracer().kernel_split_prec(r, 0.0, 0.0, pack_bytes, 0.0);
-        transport.send(r, send.dst, tags::kHaloValues, std::move(buf));
       } else {
-        RealVector buf(lanes * send.idx.size());
-        pack(buf);
         rt_->tracer().kernel(r, 0.0, pack_bytes);
-        transport.send(r, send.dst, tags::kHaloValues, std::move(buf));
       }
+      stamps_[static_cast<std::size_t>(send.dst)][send.slot] =
+          rt_->channel_sent(r, send.dst, tags::kHaloValues, lanes * count,
+                            lanes * count * wire, "ParCsr::halo_exchange");
     }
   });
-  // Receive in col_map order (all sends completed at the region barrier);
-  // lane c's halo values land in the plane [c*m, (c+1)*m) of the rank's
-  // ext buffer (m = col_map size), the stride spmv_multi reads the offd
-  // product with.
-  std::vector<RealVector> ext(static_cast<std::size_t>(nranks));
+  // Every pack finished at the region barrier; each receiver now takes
+  // its messages in col_map order.
   rt_->parallel_for_ranks([&](RankId r) {
-    const std::size_t m = blocks_[static_cast<std::size_t>(r)].col_map.size();
-    auto& e = ext[static_cast<std::size_t>(r)];
-    e.assign(lanes * m, 0.0);
-    std::size_t offset = 0;
-    for (const auto& recv : comm_.recvs[static_cast<std::size_t>(r)]) {
-      const auto scatter = [&](const auto& buf) {
-        const auto count = static_cast<std::size_t>(recv.count);
-        EXW_ASSERT(buf.size() == lanes * count);
-        for (std::size_t l = 0; l < lanes; ++l) {
-          // float -> double promotion is exact.
-          std::copy(buf.begin() + static_cast<std::ptrdiff_t>(l * count),
-                    buf.begin() + static_cast<std::ptrdiff_t>((l + 1) * count),
-                    e.begin() + static_cast<std::ptrdiff_t>(l * m + offset));
-        }
-        offset += count;
-      };
-      if (f32) {
-        scatter(transport.recv<float>(r, recv.src, tags::kHaloValues));
-      } else {
-        scatter(transport.recv<Real>(r, recv.src, tags::kHaloValues));
-      }
+    const auto& recvs = comm_.recvs[static_cast<std::size_t>(r)];
+    const auto& stamps = stamps_[static_cast<std::size_t>(r)];
+    for (std::size_t j = 0; j < recvs.size(); ++j) {
+      const auto count = lanes * static_cast<std::size_t>(recvs[j].count);
+      rt_->channel_received(r, recvs[j].src, tags::kHaloValues, count,
+                            count * wire, stamps[j], "ParCsr::halo_exchange");
     }
   });
-  return ext;
+  return halo_;
 }
 
 void ParCsr::matvec(const ParVector& x, ParVector& y, Real alpha,
@@ -298,7 +310,7 @@ void ParCsr::matvec(const ParVector& x, ParVector& y, Real alpha,
   EXW_REQUIRE(y.global_size() == global_rows(), "matvec y size mismatch");
   EXW_REQUIRE(x.ncomp() == y.ncomp(), "matvec lane count mismatch");
   const std::size_t lanes = x.ncomp();
-  const auto ext = halo_exchange(x);
+  const auto& ext = halo_exchange(x);
   rt_->parallel_for_ranks([&](RankId r) {
     const auto& b = blocks_[static_cast<std::size_t>(r)];
     const std::size_t xs =
@@ -339,26 +351,36 @@ void ParCsr::residual(const ParVector& b, const ParVector& x,
   matvec(x, r, -1.0, 1.0);
 }
 
+EXW_WARM_FN
 void ParCsr::matvec_transpose(const ParVector& x, ParVector& y, Real alpha,
                               Real beta) const {
+  EXW_PURITY_REGION("parcsr-matvec-transpose");
   EXW_REQUIRE(x.global_size() == global_rows(), "matvec_T x size mismatch");
   EXW_REQUIRE(y.global_size() == global_cols(), "matvec_T y size mismatch");
   EXW_REQUIRE(x.ncomp() == 1 && y.ncomp() == 1, "matvec_T runs one lane");
-  auto& transport = rt_->transport();
-  const int nranks = rows_.nranks();
+  prime_channels(0);
+  // An FP32-tagged operator (AMG restriction in the mixed hierarchy)
+  // ships float contributions — the rounding a real FP32 MPI buffer
+  // applies; deterministic because the partition is fixed.
+  const bool f32_wire = prec_ == Precision::kF32;
+  const std::size_t wire = f32_wire ? sizeof(float) : sizeof(Real);
 
-  // Local transpose products: diag^T into owned part of y; offd^T into a
-  // buffer laid out in col_map order, shipped to the owners (the exact
-  // reverse of the halo exchange, so the comm package is reused).
-  std::vector<RealVector> offd_contrib(static_cast<std::size_t>(nranks));
+  // Local transpose products: diag^T into the owned part of y; offd^T
+  // into the rank's contribution buffer in col_map order, each recv run
+  // of which is one message back to its source rank (the exact reverse
+  // of the halo exchange, so the comm package is reused).
   rt_->parallel_for_ranks([&](RankId r) {
     const auto& b = blocks_[static_cast<std::size_t>(r)];
     auto& yl = y.local(r);
     b.diag.spmv_transpose(x.local(r), yl, alpha, beta);
-    auto& buf = offd_contrib[static_cast<std::size_t>(r)];
-    buf.assign(b.col_map.size(), 0.0);
+    auto& buf = contrib_[static_cast<std::size_t>(r)];
     if (b.offd.nnz() > 0) {
       b.offd.spmv_transpose(x.local(r), buf, alpha, 0.0);
+    } else {
+      std::fill(buf.begin(), buf.end(), 0.0);
+    }
+    if (f32_wire) {
+      for (Real& v : buf) v = static_cast<Real>(static_cast<float>(v));
     }
     const auto nnz = static_cast<double>(b.diag.nnz() + b.offd.nnz());
     double f64 = 0, f32 = 0;
@@ -369,54 +391,35 @@ void ParCsr::matvec_transpose(const ParVector& x, ParVector& y, Real alpha,
                       f64, f32);
     rt_->tracer().kernel_split_prec(r, 2.0 * nnz, f64, f32,
                                     nnz * sizeof(LocalIndex));
-  });
-  // Reverse-direction exchange: each recv run in col_map order becomes a
-  // send back to its source rank. An FP32-tagged operator (AMG
-  // restriction in the mixed hierarchy) ships float contributions — the
-  // rounding a real FP32 MPI buffer applies; deterministic because the
-  // partition is fixed.
-  const bool f32_wire = prec_ == Precision::kF32;
-  rt_->parallel_for_ranks([&](RankId r) {
-    std::size_t offset = 0;
-    const auto& contrib = offd_contrib[static_cast<std::size_t>(r)];
-    for (const auto& recv : comm_.recvs[static_cast<std::size_t>(r)]) {
-      const auto count = static_cast<std::size_t>(recv.count);
-      if (f32_wire) {
-        std::vector<float> buf(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          buf[i] = static_cast<float>(contrib[offset + i]);
-        }
-        transport.send(r, recv.src, tags::kHaloValues, std::move(buf));
-      } else {
-        RealVector buf(contrib.begin() + static_cast<std::ptrdiff_t>(offset),
-                       contrib.begin() +
-                           static_cast<std::ptrdiff_t>(offset + count));
-        transport.send(r, recv.src, tags::kHaloValues, std::move(buf));
-      }
-      offset += count;
+    const auto& recvs = comm_.recvs[static_cast<std::size_t>(r)];
+    auto& stamps = stamps_[static_cast<std::size_t>(r)];
+    for (std::size_t j = 0; j < recvs.size(); ++j) {
+      const auto count = static_cast<std::size_t>(recvs[j].count);
+      stamps[j] = rt_->channel_sent(r, recvs[j].src, tags::kHaloValues, count,
+                                    count * wire, "ParCsr::matvec_transpose");
     }
   });
+  // Owners add the contributions in comm_.sends order.
   rt_->parallel_for_ranks([&](RankId owner) {
     auto& yl = y.local(owner);
     for (const auto& send : comm_.sends[static_cast<std::size_t>(owner)]) {
-      const auto scatter_add = [&](const auto& buf) {
-        EXW_ASSERT(buf.size() == send.idx.size());
-        for (std::size_t i = 0; i < buf.size(); ++i) {
-          yl[static_cast<std::size_t>(send.idx[i])] += buf[i];
-        }
-        double f64 = 0, f32 = 0;
-        split_value_bytes(y.value_precision(),
-                          3.0 * bytes_of(y.value_precision()) *
-                              static_cast<double>(buf.size()),
-                          f64, f32);
-        rt_->tracer().kernel_split_prec(
-            owner, static_cast<double>(buf.size()), f64, f32, 0.0);
-      };
-      if (f32_wire) {
-        scatter_add(transport.recv<float>(owner, send.dst, tags::kHaloValues));
-      } else {
-        scatter_add(transport.recv<Real>(owner, send.dst, tags::kHaloValues));
+      const std::size_t count = send.idx.size();
+      const auto dst = static_cast<std::size_t>(send.dst);
+      rt_->channel_received(owner, send.dst, tags::kHaloValues, count,
+                            count * wire, stamps_[dst][send.slot],
+                            "ParCsr::matvec_transpose");
+      const Real* in =
+          contrib_[dst].data() + static_cast<std::size_t>(send.offset);
+      for (std::size_t i = 0; i < count; ++i) {
+        yl[static_cast<std::size_t>(send.idx[i])] += in[i];
       }
+      double f64 = 0, f32 = 0;
+      split_value_bytes(y.value_precision(),
+                        3.0 * bytes_of(y.value_precision()) *
+                            static_cast<double>(count),
+                        f64, f32);
+      rt_->tracer().kernel_split_prec(owner, static_cast<double>(count), f64,
+                                      f32, 0.0);
     }
     if (y.value_precision() == Precision::kF32) {
       for (Real& v : yl) v = demote_value(v);

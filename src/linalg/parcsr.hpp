@@ -46,10 +46,14 @@ struct ValueFillPlan {
 };
 
 /// hypre-style communication package: who sends which owned values where.
+/// Each (src, dst) pair is one channel: a send here and a recv on the
+/// other side, frozen for the matrix's lifetime.
 struct CommPkg {
   struct Send {
     RankId dst{0};
     std::vector<LocalIndex> idx;  ///< local col indices to pack
+    LocalIndex offset{0};  ///< where the run starts in dst's col_map
+    std::size_t slot = 0;  ///< index of the matching recv in recvs[dst]
   };
   struct Recv {
     RankId src{0};
@@ -126,7 +130,12 @@ class ParCsr {
   /// of size ncomp * col_map.size() (lane c's halo values occupy the
   /// plane [c*m, (c+1)*m) in col_map order), charging pack kernels and
   /// one message per neighbor pair that carries every lane's payload.
-  std::vector<RealVector> halo_exchange(const ParVector& x) const;
+  /// Each owner packs straight into the receiver's buffer at its run's
+  /// offset (an FP32-tagged vector's values round through float, as on
+  /// the wire). The buffers persist: the reference stays valid until the
+  /// next halo_exchange on this matrix, and after the first call at a
+  /// lane count nothing is allocated.
+  const std::vector<RealVector>& halo_exchange(const ParVector& x) const;
 
   /// y = alpha * A * x + beta * y lane by lane (x over cols(), y over
   /// rows(), equal lane counts). One pass reads row_ptr/cols once for
@@ -148,7 +157,8 @@ class ParCsr {
   /// y = alpha * A^T * x + beta * y (x over rows(), y over cols(), one
   /// lane each). Off-diagonal contributions are sent to the owning
   /// ranks — the reverse of the halo pattern; used for AMG restriction
-  /// with R = P^T.
+  /// with R = P^T. Each rank leaves them in a persistent buffer in
+  /// col_map order, which the owners add in comm().sends order.
   void matvec_transpose(const ParVector& x, ParVector& y, Real alpha = 1.0,
                         Real beta = 0.0) const;
 
@@ -159,6 +169,10 @@ class ParCsr {
 
  private:
   void build_comm_pkg();
+  /// Size the persistent channel buffers on first use, and the halo
+  /// buffers for `lanes` lanes (0: leave them as they are, for the
+  /// transpose product). A no-op once sized.
+  void prime_channels(std::size_t lanes) const;
 
   par::Runtime* rt_ = nullptr;
   par::RowPartition rows_;
@@ -166,6 +180,15 @@ class ParCsr {
   std::vector<RankBlock> blocks_;
   CommPkg comm_;
   Precision prec_ = Precision::kF64;
+  // Persistent channel state, indexed by the receiving side of the halo
+  // pattern. halo_[r]: rank r's halo values, written by their owners.
+  // contrib_[r]: rank r's transpose contributions, read by their owners.
+  // stamps_[r][j]: the tracer stamp of the message on channel
+  // comm_.recvs[r][j] (either direction), written by its sender.
+  mutable std::vector<RealVector> halo_;
+  mutable std::vector<RealVector> contrib_;
+  mutable std::vector<std::vector<perf::MessageStamp>> stamps_;
+  mutable std::size_t halo_lanes_ = 0;  ///< lanes halo_ is sized for
 };
 
 /// Rows of a distributed matrix fetched from other ranks, with *global*

@@ -14,16 +14,23 @@ namespace {
 
 thread_local RankId t_rank = kNoRank;
 
-/// Per-region single-sender registry: (src, dst, tag) -> first sender.
+/// Single-sender registry: (src, dst, tag) -> first sender of the region
+/// that last used the channel. Entries from older regions are stale and
+/// are overwritten, so nodes persist and a steady state allocates none.
 struct ChannelKey {
   RankId src;
   RankId dst;
   int tag;
   auto operator<=>(const ChannelKey&) const = default;
 };
+struct Sender {
+  std::thread::id thread;
+  unsigned long long region = 0;
+};
 
 std::mutex g_channel_mutex;
-std::map<ChannelKey, std::thread::id> g_channel_senders;
+std::map<ChannelKey, Sender> g_channel_senders;
+unsigned long long g_region_gen = 0;  ///< guarded by g_channel_mutex
 std::atomic<bool> g_region_active{false};
 
 struct Counters {
@@ -33,6 +40,7 @@ struct Counters {
   std::atomic<long> rank_writes{0};
   std::atomic<long> kernel_charges{0};
   std::atomic<long> message_charges{0};
+  std::atomic<long> message_receipts{0};
   std::atomic<long> phase_mutations{0};
   std::atomic<long> violations{0};
 };
@@ -57,7 +65,7 @@ RankId current_rank() { return t_rank; }
 void begin_region() {
   {
     std::lock_guard<std::mutex> lk(g_channel_mutex);
-    g_channel_senders.clear();
+    g_region_gen += 1;
   }
   g_region_active.store(true, std::memory_order_release);
   g_counters.regions.fetch_add(1, std::memory_order_relaxed);
@@ -66,7 +74,7 @@ void begin_region() {
 void end_region() {
   g_region_active.store(false, std::memory_order_release);
   std::lock_guard<std::mutex> lk(g_channel_mutex);
-  g_channel_senders.clear();
+  g_region_gen += 1;
 }
 
 void check_send(RankId src, RankId dst, int tag, const char* where) {
@@ -82,9 +90,11 @@ void check_send(RankId src, RankId dst, int tag, const char* where) {
   if (g_region_active.load(std::memory_order_acquire)) {
     const auto me = std::this_thread::get_id();
     std::lock_guard<std::mutex> lk(g_channel_mutex);
-    const auto [it, inserted] =
-        g_channel_senders.try_emplace(ChannelKey{src, dst, tag}, me);
-    if (!inserted && it->second != me) {
+    const auto [it, inserted] = g_channel_senders.try_emplace(
+        ChannelKey{src, dst, tag}, Sender{me, g_region_gen});
+    if (!inserted && it->second.region != g_region_gen) {
+      it->second = Sender{me, g_region_gen};  // first send this region
+    } else if (!inserted && it->second.thread != me) {
       std::ostringstream os;
       os << "two distinct threads sent on channel (src " << src << ", dst "
          << dst << ", tag " << tag
@@ -142,6 +152,27 @@ void check_message_charge(RankId src) {
   }
 }
 
+void check_message_receipt(RankId dst, RankId src, bool sender_phase_open) {
+  g_counters.message_receipts.fetch_add(1, std::memory_order_relaxed);
+  const RankId ctx = t_rank;
+  if (ctx != kNoRank && ctx != dst) {
+    std::ostringstream os;
+    os << "rank body " << ctx << " charged the receipt of a message to dst "
+       << dst << " (src " << src
+       << ") — a message's receive half must be charged by the receiving "
+          "rank's body";
+    violation(os.str());
+  }
+  if (!sender_phase_open) {
+    std::ostringstream os;
+    os << "message from " << src << " to " << dst
+       << " was received after the tracer phase that sent it was popped — "
+          "its roll-up to the enclosing phases is already done; receive "
+          "before the sending phase closes";
+    violation(os.str());
+  }
+}
+
 void check_phase_mutation(const char* op) {
   g_counters.phase_mutations.fetch_add(1, std::memory_order_relaxed);
   if (t_rank != kNoRank) {
@@ -162,6 +193,8 @@ Report report() {
   r.kernel_charges = g_counters.kernel_charges.load(std::memory_order_relaxed);
   r.message_charges =
       g_counters.message_charges.load(std::memory_order_relaxed);
+  r.message_receipts =
+      g_counters.message_receipts.load(std::memory_order_relaxed);
   r.phase_mutations =
       g_counters.phase_mutations.load(std::memory_order_relaxed);
   r.violations = g_counters.violations.load(std::memory_order_relaxed);
@@ -175,6 +208,7 @@ void reset() {
   g_counters.rank_writes.store(0, std::memory_order_relaxed);
   g_counters.kernel_charges.store(0, std::memory_order_relaxed);
   g_counters.message_charges.store(0, std::memory_order_relaxed);
+  g_counters.message_receipts.store(0, std::memory_order_relaxed);
   g_counters.phase_mutations.store(0, std::memory_order_relaxed);
   g_counters.violations.store(0, std::memory_order_relaxed);
 }
@@ -185,7 +219,8 @@ std::string summary() {
   os << "contract: " << r.regions << " regions, " << r.sends << " sends, "
      << r.recvs << " recvs, " << r.rank_writes << " rank writes, "
      << r.kernel_charges << " kernel charges, " << r.message_charges
-     << " message charges, " << r.phase_mutations << " phase ops, "
+     << " message charges, " << r.message_receipts << " message receipts, "
+     << r.phase_mutations << " phase ops, "
      << r.violations << " violations";
   return os.str();
 }

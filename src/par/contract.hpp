@@ -8,7 +8,9 @@
 ///   * body `i` sends with `src == i` and receives with `dst == i`, so
 ///     every (src, dst, tag) mailbox channel has a single sender thread
 ///     and per-channel FIFO order is deterministic;
-///   * Tracer kernel/message charges are made as rank `i`;
+///   * Tracer kernel charges and the send half of a message charge are
+///     made as rank `i`, the receive half as the message's dst, while
+///     the phase that sent the message is still open;
 ///   * the phase stack is frozen while a region runs (push/pop only on
 ///     the orchestrator, between regions).
 /// This header turns those rules from prose into runtime checks.
@@ -73,7 +75,8 @@ inline constexpr RankId kNoRank{-1};
 RankId current_rank();
 
 /// Region lifecycle, driven by ThreadPool::parallel_for at top level.
-/// begin_region() resets the per-region channel-sender registry.
+/// begin_region() starts a new generation of the channel-sender
+/// registry (its nodes persist, so steady-state checks do not allocate).
 void begin_region();
 void end_region();
 
@@ -95,8 +98,10 @@ class RegionScope {
 
 // --- checks (throw exw::Error on violation) ------------------------------
 
-/// Transport::send: the caller's rank context must equal `src`, and no
-/// other thread may have sent on (src, dst, tag) within this region.
+/// Transport::send and ParCsr channel writes: the caller's rank context
+/// must equal `src`, and no other thread may have sent on (src, dst, tag)
+/// within this region. The first send on a channel ever seen adds a
+/// registry node (one allocation).
 void check_send(RankId src, RankId dst, int tag, const char* where);
 
 /// Transport::recv: the caller's rank context must equal `dst`.
@@ -109,8 +114,13 @@ void check_rank_write(RankId target, const char* what, const char* file,
 /// Tracer::kernel — work on rank `r` must be charged by rank r's body.
 void check_kernel_charge(RankId r);
 
-/// Tracer::message — a message must be charged by the sender's body.
+/// Tracer::message_sent — a message must be charged by the sender's body.
 void check_message_charge(RankId src);
+
+/// Tracer::message_received — the receive half must be charged by the
+/// receiver's body, while the phase that sent the message is still open
+/// (`sender_phase_open`; once that phase popped, its roll-up is done).
+void check_message_receipt(RankId dst, RankId src, bool sender_phase_open);
 
 /// Tracer phase push/pop — rejected inside a parallel region.
 void check_phase_mutation(const char* op);
@@ -124,7 +134,8 @@ struct Report {
   long recvs = 0;            ///< Transport::recv calls checked
   long rank_writes = 0;      ///< per-rank mutable accessor calls checked
   long kernel_charges = 0;   ///< Tracer::kernel calls checked
-  long message_charges = 0;  ///< Tracer::message calls checked
+  long message_charges = 0;  ///< send halves of message charges checked
+  long message_receipts = 0;  ///< receive halves of message charges checked
   long phase_mutations = 0;  ///< phase push/pop calls checked
   long violations = 0;       ///< checks that threw
 };

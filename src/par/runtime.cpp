@@ -43,6 +43,34 @@ comm_audit::Auditor* Runtime::comm_auditor() {
 #endif
 }
 
+perf::MessageStamp Runtime::channel_sent(
+    RankId src, RankId dst, [[maybe_unused]] int tag,
+    [[maybe_unused]] std::size_t count, std::size_t bytes,
+    [[maybe_unused]] const char* where EXW_COMM_SITE_DEF) {
+#if EXW_CONTRACT_CHECKS_ENABLED
+  {
+    // The checker keeps one registry node per channel; only the first
+    // send it ever sees on a channel allocates.
+    EXW_PURITY_ALLOW("contract channel registry");
+    contract::check_send(src, dst, tag, where);
+  }
+#endif
+  EXW_COMM_AUDIT_RECORD(
+      audit_->on_send(src, dst, tag, count, bytes, exw_site));
+  return tracer_.message_sent(src, dst, static_cast<double>(bytes));
+}
+
+void Runtime::channel_received(
+    RankId dst, RankId src, [[maybe_unused]] int tag,
+    [[maybe_unused]] std::size_t count, std::size_t bytes,
+    perf::MessageStamp stamp,
+    [[maybe_unused]] const char* where EXW_COMM_SITE_DEF) {
+  EXW_CONTRACT_CHECK(contract::check_recv(dst, src, tag, where));
+  tracer_.message_received(dst, src, static_cast<double>(bytes), stamp);
+  EXW_COMM_AUDIT_RECORD(
+      audit_->on_recv(dst, src, tag, count, bytes, exw_site));
+}
+
 double Runtime::allreduce_sum(
     const std::vector<double>& per_rank_values EXW_COMM_SITE_DEF) {
   EXW_REQUIRE(checked_narrow<int>(per_rank_values.size()) == nranks_,

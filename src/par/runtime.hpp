@@ -8,13 +8,23 @@
 /// Transport mirrors the MPI message-passing model (explicit send/recv with
 /// source, destination, and tag; exchange = the pack/communicate/unpack
 /// halo pattern) so the code reads like the real program, and it charges
-/// every message to the Tracer's cost model.
+/// every message to the Tracer's cost model. It carries the irregular
+/// traffic: cold assembly, AMG setup and warm assembly refills.
+///
+/// The regular, repeated traffic — ParCsr's halo exchange and transpose
+/// product — runs on persistent channels instead, as MPI persistent
+/// requests and hypre's communication package do: the sender packs
+/// straight into the receiver's buffer, frozen per (src, dst) pair, and
+/// Runtime::channel_sent / channel_received do the same bookkeeping a
+/// Transport message gets (contract checks, tracer charges, comm audit).
 ///
 /// Local phases may also run concurrently, one thread per simulated rank,
 /// via Runtime::parallel_for_ranks (see thread_pool.hpp for the threading
 /// contract). Mailboxes are sharded by destination rank with one lock per
 /// shard, so sends from concurrent rank bodies are safe without
-/// serializing the whole transport.
+/// serializing the whole transport. A message's tracer charge is split
+/// into the sender's half, taken at send, and the receiver's half, taken
+/// at receipt, so each is written by the rank that owns it.
 
 #include <cstddef>
 #include <cstring>
@@ -46,10 +56,11 @@ class Transport {
         shards_(static_cast<std::size_t>(nranks > 0 ? nranks : 1)),
         nranks_(nranks > 0 ? nranks : 1) {}
 
-  /// Post a message. Bytes are charged to the cost model immediately.
-  /// Safe to call from concurrent rank bodies; per-channel FIFO order is
-  /// preserved because each (src, dst, tag) channel has a single sender
-  /// (enforced by the contract checker inside parallel regions).
+  /// Post a message. The sender's half of its charge is taken now, the
+  /// receiver's half by recv(). Safe to call from concurrent rank bodies;
+  /// per-channel FIFO order is preserved because each (src, dst, tag)
+  /// channel has a single sender (enforced by the contract checker
+  /// inside parallel regions).
   /// With the comm audit ON, the declaration grows a defaulted
   /// std::source_location parameter capturing the caller's call site.
   template <typename T>
@@ -68,13 +79,14 @@ class Transport {
     // library's internal buffers, which a real run would not allocate on
     // the application's critical path — so purity regions tolerate them.
     EXW_PURITY_ALLOW("simulated-NIC message serialization");
+    Message msg{to_bytes(payload), {}};
     if (tracer_ != nullptr) {
-      tracer_->message(src, dst, static_cast<double>(payload.size() * sizeof(T)));
+      msg.stamp = tracer_->message_sent(src, dst,
+                                        static_cast<double>(msg.raw.size()));
     }
     Shard& sh = shard(dst);
-    std::vector<std::byte> raw = to_bytes(payload);
     std::lock_guard<std::mutex> lk(sh.mutex);
-    sh.boxes[Key{src, dst, tag}].push_back(std::move(raw));
+    sh.boxes[Key{src, dst, tag}].push_back(std::move(msg));
   }
 
   /// Receive the oldest matching message; throws if none is pending.
@@ -87,19 +99,24 @@ class Transport {
     // not application warm-path state.
     EXW_PURITY_ALLOW("simulated-NIC message deserialization");
     Shard& sh = shard(dst);
-    std::vector<std::byte> raw;
+    Message msg;
     {
       std::lock_guard<std::mutex> lk(sh.mutex);
       auto it = sh.boxes.find(Key{src, dst, tag});
       EXW_REQUIRE(it != sh.boxes.end() && !it->second.empty(),
                   "recv with no matching message");
-      raw = std::move(it->second.front());
+      msg = std::move(it->second.front());
       it->second.pop_front();
       if (it->second.empty()) {
         sh.boxes.erase(it);
       }
     }
+    const std::vector<std::byte>& raw = msg.raw;
     std::vector<T> out = from_bytes<T>(raw);
+    if (tracer_ != nullptr) {
+      tracer_->message_received(dst, src, static_cast<double>(raw.size()),
+                                msg.stamp);
+    }
     // Recorded only after successful extraction, so the audit matches
     // exactly the messages that were actually consumed.
     EXW_COMM_AUDIT_RECORD(if (audit_ != nullptr) audit_->on_recv(
@@ -134,13 +151,18 @@ class Transport {
     auto operator<=>(const Key&) const = default;
   };
 
+  struct Message {
+    std::vector<std::byte> raw;
+    perf::MessageStamp stamp;  ///< the sender's phase, for the receipt
+  };
+
   /// One lock + mailbox map per destination rank: concurrent senders to
   /// different destinations never contend, and the common in-region
   /// pattern (every rank draining its own inbox while posting to
   /// neighbors) contends only on true neighbor pairs.
   struct Shard {
     mutable std::mutex mutex;
-    std::map<Key, std::deque<std::vector<std::byte>>> boxes;
+    std::map<Key, std::deque<Message>> boxes;
   };
 
   /// All public entry points validate ranks first: an out-of-range id
@@ -207,6 +229,21 @@ class Runtime {
 
   /// The world's auditor, for introspection; null when EXW_COMM_AUDIT=OFF.
   comm_audit::Auditor* comm_auditor();
+
+  /// Bookkeeping of one message on a persistent channel, which the
+  /// caller already packed straight into the receiver's buffer: the same
+  /// contract check (rank context, single sender per channel), tracer
+  /// send half and comm-audit record as Transport::send. `where` names
+  /// the caller in contract diagnostics. Called by src's body; the stamp
+  /// goes to the receiver.
+  perf::MessageStamp channel_sent(RankId src, RankId dst, int tag,
+                                  std::size_t count, std::size_t bytes,
+                                  const char* where EXW_COMM_SITE_DECL);
+  /// The receiving half, called by dst's body when it consumes the
+  /// message: contract check, tracer receive half, comm-audit record.
+  void channel_received(RankId dst, RankId src, int tag, std::size_t count,
+                        std::size_t bytes, perf::MessageStamp stamp,
+                        const char* where EXW_COMM_SITE_DECL);
 
   /// Run fn(r) for every rank, potentially concurrently (one thread per
   /// rank body, blocking until all return). Rank bodies stay internally

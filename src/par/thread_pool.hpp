@@ -11,22 +11,32 @@
 ///
 /// Contract for rank bodies executed through parallel_for():
 ///   * body `i` runs exactly once, on some pool thread (or inline);
-///   * a body may freely mutate rank-i-owned state and call
-///     Transport::send / recv for rank i (mailboxes are lock-sharded)
-///     and Tracer::kernel / message with `src == i` (cross-rank message
-///     charges are atomic);
+///   * a body may freely mutate rank-i-owned state, call
+///     Transport::send / recv for rank i (mailboxes are lock-sharded),
+///     write rank i's side of a ParCsr persistent channel, and charge
+///     Tracer::kernel for rank i. A message is charged in two halves,
+///     each by the rank that owns it: the sender's body charges the src
+///     side and the count, the receiver's body the dst side when it
+///     consumes the message — so no tracer slot has two writers;
 ///   * phase push/pop must stay on the orchestrator thread — the open
 ///     phase stack is frozen for the duration of the region;
-///   * nested parallel_for() calls run inline on the calling thread;
-///   * the first exception thrown by any body is rethrown on the
-///     orchestrator thread once every body has finished.
+///   * nested parallel_for() calls run inline on the calling thread,
+///     inside an inline (serial-mode or one-body) region too;
+///   * every body runs even if some throw; the exception of the lowest-
+///     numbered throwing body is rethrown on the orchestrator thread
+///     once every body has finished (the serial loop's first failure).
 ///
-/// This contract is machine-checked: parallel_for wraps each body in a
-/// contract::ScopedRankContext and opens a checked region, and the
-/// layers that carry the contract (Transport, Tracer, the per-rank
-/// accessors in linalg/assembly) reject cross-rank access with an
-/// exw::Error naming the offending ranks. See par/contract.hpp; checks
-/// compile away when EXW_CONTRACT_CHECKS=OFF.
+/// Protocol: one atomic word carries the region's epoch, its size n and
+/// the next unclaimed body. The orchestrator publishes the callable and
+/// the purity region, then stores the word (release); it and the workers
+/// claim bodies in chunks with a fetch_add on the word and read the
+/// callable only after a successful claim. Once every body is claimed,
+/// the orchestrator waits only for claimed bodies still running, so an
+/// idle worker that is descheduled, or still asleep, cannot stall a
+/// region. Idle workers
+/// spin on the word for a bounded time, then park on a futex-backed
+/// std::atomic::wait until the next publish. There is no mutex on the
+/// dispatch path (one guards only the rare exception hand-off).
 ///
 /// Sizing: EXW_NUM_THREADS if set, else std::thread::hardware_concurrency.
 /// EXW_SERIAL=1 (or set_serial_mode(true), the benches' --serial flag)
@@ -76,7 +86,8 @@ class ThreadPool {
 
   /// Run fn(i) for every i in [0, n), blocking until all bodies return.
   /// The callable is taken by non-owning reference (it outlives the
-  /// region by construction), so dispatch never allocates.
+  /// region by construction), so dispatch never allocates. One thread
+  /// dispatches at a time (the orchestrator).
   void parallel_for(int n, FunctionRef fn);
 
   ~ThreadPool();
@@ -86,7 +97,9 @@ class ThreadPool {
  private:
   ThreadPool();
   void worker_loop();
-  void run_bodies();
+  /// Claim and run chunks of the published region until none is left;
+  /// true if the calling thread ran at least one body.
+  bool drain();
 
   struct Impl;
   Impl* impl_;

@@ -1,7 +1,7 @@
 #include "perf/tracer.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <utility>
 
 #include "common/error.hpp"
 #include "par/contract.hpp"
@@ -111,9 +111,12 @@ double PhaseStats::max_kernel_flops() const {
   return m;
 }
 
-Tracer::Tracer(int nranks) : nranks_(nranks) {
+Tracer::Tracer(int nranks)
+    : nranks_(nranks),
+      pending_(static_cast<std::size_t>(nranks > 0 ? nranks : 1) * kMaxDepth) {
   EXW_REQUIRE(nranks >= 1, "tracer needs at least one rank");
-  stack_.push_back(&intern(""));  // root phase: untagged work is never lost
+  // Root phase: untagged work is never lost.
+  frames_.push_back(Frame{&intern(""), next_serial_++, 0, 0});
 }
 
 Tracer::Phase& Tracer::intern(const std::string& name) {
@@ -130,31 +133,61 @@ Tracer::Phase& Tracer::intern(const std::string& name) {
 
 void Tracer::push_phase(const std::string& name) {
   EXW_CONTRACT_CHECK(par::contract::check_phase_mutation("push_phase"));
-  const std::string& parent = stack_.back()->first;
-  stack_.push_back(&intern(parent.empty() ? name : parent + "/" + name));
+  EXW_REQUIRE(frames_.size() < kMaxDepth, "tracer phases nested too deeply");
+  const std::string& parent = frames_.back().phase->first;
+  Phase& phase = intern(parent.empty() ? name : parent + "/" + name);
   const auto t = purity::totals();
-  alloc_snap_.emplace_back(t.allocs, t.bytes);
+  frames_.push_back(Frame{&phase, next_serial_++, t.allocs, t.bytes});
 }
 
 void Tracer::pop_phase() {
   EXW_CONTRACT_CHECK(par::contract::check_phase_mutation("pop_phase"));
-  EXW_REQUIRE(stack_.size() > 1, "pop_phase with no open phase");
+  EXW_REQUIRE(frames_.size() > 1, "pop_phase with no open phase");
+  const std::size_t depth = frames_.size() - 1;
+  const Frame& f = frames_.back();
+  PhaseStats& s = f.phase->second;
   // Fold the process-wide allocation delta into the closing phase. The
   // delta naturally includes nested phases' activity, matching how
   // kernel charges accrue to every open phase.
   const auto t = purity::totals();
-  const auto& [a0, b0] = alloc_snap_.back();
-  PhaseStats& s = stack_.back()->second;
-  s.allocs += static_cast<long long>(t.allocs - a0);
-  s.alloc_bytes += static_cast<double>(t.bytes - b0);
-  alloc_snap_.pop_back();
+  s.allocs += static_cast<long long>(t.allocs - f.allocs0);
+  s.alloc_bytes += static_cast<double>(t.bytes - f.bytes0);
+  // Roll this opening's message charges up one level; the parent passes
+  // them on when it pops in turn.
+  PhaseStats& parent = frames_[depth - 1].phase->second;
+  for (RankId r{0}; r.value() < nranks_; ++r) {
+    Pending& c = pending(r, depth);
+    s.messages += c.unsettled;
+    if (c.msgs == 0) {  // no message touched rank r in this opening
+      continue;
+    }
+    auto& w = parent.rank[static_cast<std::size_t>(r)];
+    w.msgs += c.msgs;
+    w.msg_bytes += c.msg_bytes;
+    parent.messages += c.sent;
+    Pending& p = pending(r, depth - 1);
+    p.msgs += c.msgs;
+    p.msg_bytes += c.msg_bytes;
+    p.sent += c.sent;
+    c = Pending{};
+  }
   // The registry's key, so it outlives the pop.
-  const std::string& closed = stack_.back()->first;
-  stack_.pop_back();
+  const std::string& closed = f.phase->first;
+  frames_.pop_back();
   // Boundary hook last, with the pop fully applied, so a listener that
   // throws (a failed boundary audit) leaves the phase stack consistent.
   if (pop_listener_ != nullptr) {
     pop_listener_->on_phase_pop(closed);
+  }
+}
+
+void Tracer::settle() const {
+  for (std::size_t d = 0; d < frames_.size(); ++d) {
+    long n = 0;
+    for (RankId r{0}; r.value() < nranks_; ++r) {
+      n += std::exchange(pending(r, d).unsettled, 0);
+    }
+    frames_[d].phase->second.messages += n;
   }
 }
 
@@ -166,15 +199,13 @@ void Tracer::kernel_split_prec(RankId r, double flops, double value_bytes_f64,
                                double value_bytes_f32, double index_bytes) {
   EXW_ASSERT(r.value() >= 0 && r.value() < nranks_);
   EXW_CONTRACT_CHECK(par::contract::check_kernel_charge(r));
-  // Rank r's flops/bytes/kernels are written only by the thread running
-  // rank r's body, so plain accumulation is race-free even inside
-  // parallel regions (the stack is frozen there and charges never look
-  // up or insert phases). The msgs/msg_bytes members are NOT
-  // single-writer — any thread may charge rank r as a message endpoint —
-  // so Tracer::message uses atomic RMWs for them; they must never be
-  // touched here.
-  for (Phase* phase : stack_) {
-    auto& w = phase->second.rank[static_cast<std::size_t>(r)];
+  // Rank r's slots are written only by the thread running rank r's body,
+  // so plain accumulation is race-free even inside parallel regions (the
+  // stack is frozen there and charges never look up or insert phases).
+  // Kernel charges still walk every open phase: charge_dense_lu's n^3/3
+  // flops are not integers, so sums over ancestors would depend on order.
+  for (const Frame& f : frames_) {
+    auto& w = f.phase->second.rank[static_cast<std::size_t>(r)];
     w.flops += flops;
     w.bytes += value_bytes_f64 + value_bytes_f32 + index_bytes;
     w.index_bytes += index_bytes;
@@ -185,43 +216,60 @@ void Tracer::kernel_split_prec(RankId r, double flops, double value_bytes_f64,
 }
 
 void Tracer::message(RankId src, RankId dst, double bytes) {
+  message_received(dst, src, bytes, message_sent(src, dst, bytes));
+}
+
+MessageStamp Tracer::message_sent(RankId src, [[maybe_unused]] RankId dst,
+                                  double bytes) {
   EXW_ASSERT(src.value() >= 0 && src.value() < nranks_ &&
              dst.value() >= 0 && dst.value() < nranks_);
   EXW_CONTRACT_CHECK(par::contract::check_message_charge(src));
-  for (Phase* phase : stack_) {
-    auto& s = phase->second;
-    // In a halo exchange every rank is simultaneously a sender (charged
-    // here by its own thread) and a destination (charged by neighbor
-    // threads), so BOTH endpoint charges must be atomic: mixing plain
-    // and atomic access to the same object is UB and loses updates.
-    // Relaxed order suffices — the region barrier publishes the totals —
-    // and the double adds stay deterministic because byte counts are
-    // integers, exact in double regardless of accumulation order.
-    auto& ws = s.rank[static_cast<std::size_t>(src)];
-    std::atomic_ref<long>(ws.msgs).fetch_add(1, std::memory_order_relaxed);
-    std::atomic_ref<double>(ws.msg_bytes)
-        .fetch_add(bytes, std::memory_order_relaxed);
-    if (dst != src) {
-      auto& wd = s.rank[static_cast<std::size_t>(dst)];
-      std::atomic_ref<long>(wd.msgs).fetch_add(1, std::memory_order_relaxed);
-      std::atomic_ref<double>(wd.msg_bytes)
-          .fetch_add(bytes, std::memory_order_relaxed);
-    }
-    std::atomic_ref<long>(s.messages).fetch_add(1, std::memory_order_relaxed);
-  }
+  const std::size_t depth = frames_.size() - 1;
+  const Frame& f = frames_.back();
+  // Byte counts are integers, exact in double, so the roll-up's sums of
+  // sums equal the per-message adds they replace bit for bit.
+  auto& w = f.phase->second.rank[static_cast<std::size_t>(src)];
+  w.msgs += 1;
+  w.msg_bytes += bytes;
+  Pending& p = pending(src, depth);
+  p.msgs += 1;
+  p.msg_bytes += bytes;
+  p.sent += 1;
+  p.unsettled += 1;
+  return MessageStamp{static_cast<std::uint32_t>(depth), f.serial};
+}
+
+void Tracer::message_received(RankId dst, RankId src, double bytes,
+                              MessageStamp stamp) {
+  EXW_ASSERT(src.value() >= 0 && src.value() < nranks_ &&
+             dst.value() >= 0 && dst.value() < nranks_);
+  EXW_CONTRACT_CHECK(par::contract::check_message_receipt(
+      dst, src,
+      stamp.depth < frames_.size() &&
+          frames_[stamp.depth].serial == stamp.serial));
+  if (dst == src) return;  // a self-message is charged once, at send
+  // Unchecked builds keep a late receipt in bounds (and misattributed).
+  const std::size_t depth =
+      std::min<std::size_t>(stamp.depth, frames_.size() - 1);
+  auto& w = frames_[depth].phase->second.rank[static_cast<std::size_t>(dst)];
+  w.msgs += 1;
+  w.msg_bytes += bytes;
+  Pending& p = pending(dst, depth);
+  p.msgs += 1;
+  p.msg_bytes += bytes;
 }
 
 void Tracer::collective(double bytes) {
-  for (Phase* phase : stack_) {
-    auto& s = phase->second;
+  for (const Frame& f : frames_) {
+    auto& s = f.phase->second;
     s.collectives += 1;
     s.coll_bytes += bytes;
   }
 }
 
 void Tracer::collective_overlapped(double bytes) {
-  for (Phase* phase : stack_) {
-    auto& s = phase->second;
+  for (const Frame& f : frames_) {
+    auto& s = f.phase->second;
     s.overlapped_collectives += 1;
     s.overlapped_coll_bytes += bytes;
   }
@@ -233,6 +281,7 @@ double Tracer::phase_time(const std::string& name,
 }
 
 const PhaseStats& Tracer::phase(const std::string& name) const {
+  settle();
   auto it = phases_.find(name);
   EXW_REQUIRE(it != phases_.end(), "unknown phase: " + name);
   return it->second;
@@ -255,6 +304,7 @@ void Tracer::reset() {
     s.allocs = 0;
     s.alloc_bytes = 0;
   }
+  std::fill(pending_.begin(), pending_.end(), Pending{});
 }
 
 }  // namespace exw::perf

@@ -10,10 +10,17 @@
 ///
 /// Work is accumulated per rank inside the currently open *phase* (a
 /// hierarchical name such as "continuity/precond_setup"); phase nesting
-/// charges work to every open phase. Recorded quantities are machine-
-/// independent aggregates (flops, bytes, kernel/message/collective
-/// counts), so a single simulation run can be priced under any
-/// MachineModel afterwards:
+/// charges work to every open phase. A kernel charge walks the open
+/// phases at once. A message is charged in two halves into one phase
+/// only — the sender's body charges the src side and the count into the
+/// innermost open phase, the receiver's body the dst side into that same
+/// phase when it consumes the message — and pop_phase rolls the totals
+/// up to every ancestor, so each phase reads exactly what charging every
+/// open phase at send time would give, with each tracer slot written by
+/// the one rank that owns it. Recorded
+/// quantities are machine-independent aggregates (flops, bytes,
+/// kernel/message/collective counts), so a single simulation run can be
+/// priced under any MachineModel afterwards:
 ///
 ///   time(m) = max_r [ max(flops_r/F, bytes_r/B) + kernels_r * t_launch
 ///                     + msgs_r * alpha + msg_bytes_r / beta ]
@@ -23,6 +30,7 @@
 /// imbalance, which is the regime of this application (fixed partition,
 /// barrier-like collectives every few kernels).
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
@@ -33,8 +41,12 @@
 
 namespace exw::perf {
 
-/// One rank's accumulated work within a phase.
-struct RankWork {
+/// One rank's accumulated work within a phase. Cache-line aligned:
+/// neighboring ranks' bodies run on different threads and charge their
+/// own slots at every kernel, which would otherwise bounce shared lines
+/// (on a 4-vCPU host that cost a 4-thread bench_parallel_speedup run
+/// about a quarter of its wall time).
+struct alignas(64) RankWork {
   double flops = 0;
   double bytes = 0;
   /// Portion of `bytes` spent on index structure (row_ptr/cols/comm
@@ -110,6 +122,14 @@ struct PhaseStats {
   double max_kernel_flops() const;
 };
 
+/// The open phase a message was sent in, handed from the send half of
+/// its charge to the receive half. `serial` tells a phase still open
+/// from one that was popped (and perhaps reopened) since.
+struct MessageStamp {
+  std::uint32_t depth = 0;
+  std::uint64_t serial = 0;
+};
+
 /// Phase-boundary hook: notified after each pop_phase, with the fully-
 /// qualified name of the phase that just closed. This is how boundary
 /// audits attach to the phase structure without the tracer knowing about
@@ -141,7 +161,9 @@ class Tracer {
   void push_phase(const std::string& name);
   void pop_phase();
   /// Fully-qualified name of the innermost open phase.
-  const std::string& current_phase() const { return stack_.back()->first; }
+  const std::string& current_phase() const {
+    return frames_.back().phase->first;
+  }
 
   /// One kernel on rank `r` doing `flops` work over `bytes` traffic.
   /// Thread-safe during parallel rank regions as long as it is called
@@ -158,11 +180,23 @@ class Tracer {
   void kernel_split_prec(RankId r, double flops, double value_bytes_f64,
                          double value_bytes_f32, double index_bytes);
 
-  /// One message of `bytes` from src to dst; charged to both endpoints
-  /// (once if dst == src). Safe to call from concurrent rank bodies:
-  /// both endpoint charges are atomic, since any rank may be charged as
-  /// src by its own thread and as dst by neighbor threads at once.
+  /// One message of `bytes` from src to dst, charged from the
+  /// orchestrator (a modeled exchange with no payload, such as AMG's cf
+  /// exchange): both halves at once, to both endpoints (once if
+  /// dst == src).
   void message(RankId src, RankId dst, double bytes);
+
+  /// Send half of a message charge: src's msgs/msg_bytes and the phase's
+  /// message count, in the innermost open phase. Called by src's body
+  /// (contract-checked); the stamp travels with the message.
+  MessageStamp message_sent(RankId src, RankId dst, double bytes);
+
+  /// Receive half: dst's msgs/msg_bytes (nothing for dst == src), in the
+  /// phase the message was sent in. Called by dst's body when it
+  /// consumes the message; that phase must still be open
+  /// (contract-checked — a later pop has already rolled it up).
+  void message_received(RankId dst, RankId src, double bytes,
+                        MessageStamp stamp);
 
   /// One allreduce-style collective with `bytes` payload per rank.
   void collective(double bytes);
@@ -174,6 +208,10 @@ class Tracer {
 
   /// Modeled seconds of a phase ("" = whole program) on machine `m`.
   double phase_time(const std::string& name, const MachineModel& m) const;
+  /// A phase's accumulated work. Reading a phase that is still open
+  /// returns everything charged to it so far except the message charges
+  /// made inside its still-open sub-phases: those arrive when each
+  /// sub-phase pops. Reads belong to the orchestrator, between regions.
   const PhaseStats& phase(const std::string& name) const;
   bool has_phase(const std::string& name) const;
 
@@ -195,17 +233,43 @@ class Tracer {
   /// The registry entry of `name`, created on first use (cold).
   Phase& intern(const std::string& name);
 
+  /// One open phase.
+  struct Frame {
+    Phase* phase;
+    std::uint64_t serial;  ///< unique per push
+    /// Purity-counter snapshot (allocs, bytes) at push; the delta at
+    /// pop is folded into the phase's `allocs`. Unused for the root.
+    unsigned long long allocs0;
+    unsigned long long bytes0;
+  };
+  /// Message charges of one rank in one open phase that its ancestors
+  /// have not seen yet (rolled up at pop). `unsettled` counts sends not
+  /// yet added to the phase's own `messages`.
+  struct Pending {
+    long msgs = 0;
+    double msg_bytes = 0;
+    long sent = 0;
+    long unsettled = 0;
+  };
+  /// Open phases at most, the root included.
+  static constexpr std::size_t kMaxDepth = 16;
+  Pending& pending(RankId r, std::size_t depth) const {
+    return pending_[static_cast<std::size_t>(r) * kMaxDepth + depth];
+  }
+  /// Fold every open phase's unsettled send counts into its `messages`.
+  void settle() const;
+
   int nranks_;
   std::map<std::string, PhaseStats> phases_;
   std::vector<std::string> order_;
-  /// Open phases, root first. Map nodes never move, so charges walk
-  /// these pointers without a lookup, and concurrent rank bodies can
-  /// charge work while the orchestrator holds the stack fixed.
-  std::vector<Phase*> stack_;
-  /// Purity-counter snapshot (allocs, bytes) taken when each open phase
-  /// was pushed; the delta at pop is folded into that phase's `allocs`.
-  /// Parallel to stack_ minus the root entry.
-  std::vector<std::pair<unsigned long long, unsigned long long>> alloc_snap_;
+  /// Open phases, root first. Map nodes never move, so charges reach
+  /// them without a lookup, and concurrent rank bodies can charge work
+  /// while the orchestrator holds the stack fixed.
+  std::vector<Frame> frames_;
+  std::uint64_t next_serial_ = 0;
+  /// Rank-major [rank][depth] so each rank's slots are contiguous: only
+  /// rank r's body writes rank r's slots during a region.
+  mutable std::vector<Pending> pending_;
   PhasePopListener* pop_listener_ = nullptr;  ///< not owned; may be null
 };
 

@@ -161,6 +161,78 @@ TEST(Contract, WrongRankMessageChargeThrows) {
   EXPECT_NE(msg.find("src 3"), std::string::npos) << msg;
 }
 
+TEST(Contract, WrongRankMessageReceiptThrows) {
+  // The receive half of a message charge belongs to the receiver's body.
+  par::Runtime rt(4);
+  const auto stamp = rt.tracer().message_sent(RankId{0}, RankId{2}, 8.0);
+  const std::string msg = thrown_message([&] {
+    rt.parallel_for_ranks([&](RankId r) {
+      if (r == RankId{1}) {
+        rt.tracer().message_received(RankId{2}, RankId{0}, 8.0, stamp);
+      }
+    });
+  });
+  EXPECT_NE(msg.find("rank body 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("dst 2"), std::string::npos) << msg;
+}
+
+TEST(Contract, ReceiptAfterSendingPhasePoppedThrows) {
+  // A message's receive half lands in the phase that sent it; once that
+  // phase popped, its totals were already rolled up, so a late receipt
+  // would be lost to every enclosing phase. Reopening the phase by name
+  // does not make it the same opening.
+  par::Runtime rt(2);
+  rt.tracer().push_phase("send");
+  rt.transport().send<int>(RankId{0}, RankId{1}, par::tags::kTestPing, {1});
+  rt.tracer().pop_phase();
+  rt.tracer().push_phase("send");
+  const std::string msg = thrown_message([&] {
+    (void)rt.transport().recv<int>(RankId{1}, RankId{0}, par::tags::kTestPing);
+  });
+  rt.tracer().pop_phase();
+  EXPECT_NE(msg.find("after the tracer phase that sent it was popped"),
+            std::string::npos)
+      << msg;
+  EXPECT_TRUE(rt.transport().drained());
+}
+
+TEST(Contract, ChannelTrafficIsCheckedLikeTransport) {
+  // ParCsr's persistent channels bypass the Transport but not the
+  // checks: every halo message runs the send check and both message
+  // charge halves, and the receiver's half is counted on its own.
+  par::Runtime rt(4);
+  const auto rows = par::RowPartition::even(GlobalIndex{16}, 4);
+  sparse::Csr lap = sparse::Csr::identity(LocalIndex{16});
+  std::vector<LocalIndex> ti, tj;
+  std::vector<Real> tv;
+  for (int i = 0; i < 16; ++i) {
+    for (int j : {i - 1, i, i + 1}) {
+      if (j < 0 || j >= 16) continue;
+      ti.push_back(LocalIndex{i});
+      tj.push_back(LocalIndex{j});
+      tv.push_back(i == j ? 2.0 : -1.0);
+    }
+  }
+  lap = sparse::Csr::from_triples(LocalIndex{16}, LocalIndex{16},
+                                  std::move(ti), std::move(tj), std::move(tv));
+  const auto a = linalg::ParCsr::from_serial(rt, lap, rows, rows);
+  linalg::ParVector x(rt, rows), y(rt, rows);
+  x.fill(1.0);
+  long channels = 0;
+  for (const auto& r : a.comm().recvs) channels += static_cast<long>(r.size());
+  ASSERT_EQ(channels, 6);  // a 1-D chain of 4 ranks
+  par::contract::reset();
+  a.matvec(x, y);
+  a.matvec_transpose(x, y);
+  const auto rep = par::contract::report();
+  EXPECT_EQ(rep.sends, 2 * channels);
+  EXPECT_EQ(rep.recvs, 2 * channels);
+  EXPECT_EQ(rep.message_charges, 2 * channels);
+  EXPECT_EQ(rep.message_receipts, 2 * channels);
+  EXPECT_EQ(rep.violations, 0);
+  EXPECT_EQ(rt.tracer().phase("").messages, 2 * channels);
+}
+
 TEST(Contract, CrossRankIJAssemblyWriteThrows) {
   par::Runtime rt(2);
   const auto rows = par::RowPartition::even(GlobalIndex{8}, 2);

@@ -129,6 +129,61 @@ TEST_P(RankSweep, RectangularMatvecAndTranspose) {
   EXPECT_TRUE(rt.transport().drained());
 }
 
+TEST_P(RankSweep, HaloChannelsFollowLaneCountChanges) {
+  // The persistent halo buffers are sized per lane count on first use;
+  // switching lane counts on one matrix, interleaved with transpose
+  // products, must keep every product exact. Rank 0's rows couple only
+  // to themselves, so its halo buffer is empty whatever the lane count.
+  const int nranks = GetParam();
+  par::Runtime rt(nranks);
+  const auto rows = par::RowPartition::even(GlobalIndex{96}, nranks);
+  const LocalIndex n0 = rows.local_size(RankId{0});
+  std::vector<LocalIndex> ti, tj;
+  std::vector<Real> tv;
+  const sparse::Csr lap = laplace3d(4, 0.2);  // 64 rows, coupled
+  for (LocalIndex i{0}; i < LocalIndex{96}; ++i) {
+    ti.push_back(i);
+    tj.push_back(i);
+    tv.push_back(4.0 + 0.01 * static_cast<Real>(i.value()));
+    if (i >= n0 && i < LocalIndex{64}) {
+      for (EntryOffset k = lap.row_begin(i); k < lap.row_end(i); ++k) {
+        const LocalIndex j = lap.cols()[k];
+        if (j != i && j >= n0) {
+          ti.push_back(i);
+          tj.push_back(LocalIndex{(j.value() * 7 + 5) % (96 - n0.value()) +
+                                  n0.value()});
+          tv.push_back(lap.vals()[k]);
+        }
+      }
+    }
+  }
+  const auto a = sparse::Csr::from_triples(LocalIndex{96}, LocalIndex{96},
+                                           std::move(ti), std::move(tj),
+                                           std::move(tv));
+  const ParCsr pa = ParCsr::from_serial(rt, a, rows, rows);
+  EXPECT_TRUE(pa.block(RankId{0}).col_map.empty());
+  for (const std::size_t lanes : {1, 3, 1, 2, 3}) {
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    ParVector x(rt, rows, lanes), y(rt, rows, lanes);
+    for (std::size_t c = 0; c < lanes; ++c) {
+      x.scatter(random_vector(96, 40 + lanes + c), c);
+    }
+    pa.matvec(x, y);
+    for (std::size_t c = 0; c < lanes; ++c) {
+      RealVector ref(96, 0.0);
+      a.spmv(x.gather(c), ref);
+      EXPECT_LT(max_diff(y.gather(c), ref), 1e-12);
+    }
+    ParVector xt(rt, rows), yt(rt, rows);
+    xt.scatter(random_vector(96, 60 + lanes));
+    pa.matvec_transpose(xt, yt);
+    RealVector reft(96, 0.0);
+    a.spmv_transpose(xt.gather(), reft);
+    EXPECT_LT(max_diff(yt.gather(), reft), 1e-12);
+  }
+  EXPECT_TRUE(rt.transport().drained());
+}
+
 TEST_P(RankSweep, ResidualIsExact) {
   const int nranks = GetParam();
   par::Runtime rt(nranks);

@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <map>
 #include <numeric>
 #include <string>
 
+#include "par/contract.hpp"
 #include "par/runtime.hpp"
 #include "par/tags.hpp"
 #include "par/thread_pool.hpp"
 #include "perf/machine_model.hpp"
+#include "perf/purity.hpp"
 #include "perf/tracer.hpp"
 
 namespace exw {
@@ -291,6 +295,179 @@ TEST(ThreadPool, InlinePathRunsAllBodiesBeforeRethrow) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(hits[static_cast<std::size_t>(i)], 1) << "body " << i;
   }
+}
+
+TEST(ThreadPool, ClaimProtocolSurvivesBackToBackRegions) {
+  // The pool's claim word is republished every region, so the races it
+  // must survive show up only over many short regions in a row: a worker
+  // that wakes late, claims from a newer region than it first saw, or
+  // reads the callable or purity token of the wrong region. Sizes cover
+  // n < threads, n not a multiple of any thread count, and chunked n.
+  constexpr int kSizes[] = {1, 2, 3, 5, 16, 24, 96, 97};
+  constexpr int kRounds = 1250;  // 8 sizes x 1250 = 10,000 regions
+  // Throwing bodies allocate their exception inside the purity region.
+  const bool fatal = perf::purity::fatal_mode();
+  perf::purity::set_fatal(false);
+  std::vector<int> hits(97, 0);
+  std::vector<int> nested(97, 0);
+  long bad_counts = 0;
+  long bad_context = 0;
+  long bad_purity = 0;
+  long bad_throws = 0;
+  long regions = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int n : kSizes) {
+      ++regions;
+      const bool serial = (round + n) % 7 == 0;
+      const bool throwing = round % 10 == 3 && n >= 16;
+      const bool nest = round % 5 == 1;
+      // Consecutive regions alternate purity-region names, so a worker
+      // that picked up the previous or next region's token is caught.
+      [[maybe_unused]] const char* name =
+          regions % 2 == 0 ? "pool-stress-even" : "pool-stress-odd";
+      par::set_serial_mode(serial);
+      std::atomic<int> context_errors{0};
+      std::atomic<int> purity_errors{0};
+      const auto body = [&](int i) {
+        hits[static_cast<std::size_t>(i)] += 1;
+#if EXW_CONTRACT_CHECKS_ENABLED
+        if (par::contract::current_rank() != RankId{i}) {
+          context_errors.fetch_add(1, std::memory_order_relaxed);
+        }
+#endif
+#if EXW_PURITY_CHECKS_ENABLED
+        const auto token = perf::purity::capture();
+        if (token.name == nullptr || std::strcmp(token.name, name) != 0) {
+          purity_errors.fetch_add(1, std::memory_order_relaxed);
+        }
+#endif
+        if (nest) {
+          par::parallel_for(3, [&](int) {
+            nested[static_cast<std::size_t>(i)] += 1;
+          });
+        }
+        if (throwing && (i == 3 || i == 7)) {
+          throw Error(i == 3 ? "body three" : "body seven");
+        }
+      };
+      try {
+#if EXW_PURITY_CHECKS_ENABLED
+        perf::purity::ScopedPurityRegion region(name, __FILE__, __LINE__);
+#endif
+        par::parallel_for(n, body);
+        if (throwing) ++bad_throws;  // must have thrown
+      } catch (const Error& e) {
+        // The lowest-numbered throwing body wins, as in the serial loop.
+        if (!throwing || std::string(e.what()).find("body three") ==
+                             std::string::npos) {
+          ++bad_throws;
+        }
+      }
+      for (int i = 0; i < 97; ++i) {
+        const int want = i < n ? 1 : 0;
+        if (hits[static_cast<std::size_t>(i)] != want ||
+            nested[static_cast<std::size_t>(i)] != (nest ? 3 * want : 0)) {
+          ++bad_counts;
+        }
+        hits[static_cast<std::size_t>(i)] = 0;
+        nested[static_cast<std::size_t>(i)] = 0;
+      }
+      bad_context += context_errors.load();
+      bad_purity += purity_errors.load();
+    }
+  }
+  par::set_serial_mode(false);
+  perf::purity::set_fatal(fatal);
+  EXPECT_EQ(bad_counts, 0) << "a body ran zero or several times";
+  EXPECT_EQ(bad_context, 0) << "a body ran outside its rank context";
+  EXPECT_EQ(bad_purity, 0) << "a worker inherited another region's token";
+  EXPECT_EQ(bad_throws, 0) << "wrong or missing rethrow";
+}
+
+TEST(Tracer, PoolMessageHalvesMatchChargingEveryOpenPhase) {
+  // Sends and receives made on pool threads inside three nested phases,
+  // with self-messages and a phase reopened by name. Each phase must
+  // read what the old per-message charge to every open phase gave: for
+  // every message, both endpoints (once for a self-message) and the
+  // count, in the phase it was sent in and all of that phase's
+  // ancestors.
+  const int nranks = 6;
+  par::Runtime rt(nranks);
+  auto& tr = rt.tracer();
+  struct Want {
+    std::vector<long> msgs;
+    std::vector<double> bytes;
+    long messages = 0;
+  };
+  std::map<std::string, Want> want;
+  for (const char* name : {"", "a", "a/b", "a/b/c", "a/d"}) {
+    want[name] = Want{std::vector<long>(nranks, 0),
+                      std::vector<double>(nranks, 0.0), 0};
+  }
+  // One round of a ring (r -> r+k) plus a self-message per rank, charged
+  // as the old tracer did, to every phase in `open`.
+  const auto ring = [&](int k, const std::vector<std::string>& open) {
+    rt.parallel_for_ranks([&](RankId r) {
+      const std::vector<int> payload(static_cast<std::size_t>(k), 1);
+      rt.transport().send<int>(r, RankId{(r.value() + k) % nranks},
+                               par::tags::kTestRing, payload);
+      rt.transport().send<int>(r, r, par::tags::kTestSelf, {1, 2});
+    });
+    rt.parallel_for_ranks([&](RankId r) {
+      (void)rt.transport().recv<int>(
+          r, RankId{(r.value() + nranks - k) % nranks}, par::tags::kTestRing);
+      (void)rt.transport().recv<int>(r, r, par::tags::kTestSelf);
+    });
+    for (const auto& name : open) {
+      auto& w = want[name];
+      // The ring message is a self-message too when k wraps around.
+      const bool self = k % nranks == 0;
+      const double ring_bytes = static_cast<double>(k) * sizeof(int);
+      for (std::size_t r = 0; r < static_cast<std::size_t>(nranks); ++r) {
+        w.msgs[r] += self ? 2 : 3;
+        w.bytes[r] += 2 * sizeof(int) + (self ? 1.0 : 2.0) * ring_bytes;
+      }
+      w.messages += 2 * nranks;
+    }
+  };
+  ring(1, {""});
+  tr.push_phase("a");
+  ring(2, {"", "a"});
+  tr.push_phase("b");
+  ring(3, {"", "a", "a/b"});
+  tr.push_phase("c");
+  ring(1, {"", "a", "a/b", "a/b/c"});
+  ring(nranks, {"", "a", "a/b", "a/b/c"});  // k = nranks: all self
+  // Reading a still-open phase: the innermost reads its own charges;
+  // an ancestor misses those of its still-open sub-phases.
+  EXPECT_EQ(tr.phase("a/b/c").messages, want["a/b/c"].messages);
+  EXPECT_EQ(tr.phase("a/b").messages, 2 * nranks);
+  EXPECT_EQ(tr.phase("a").messages, 2 * nranks);
+  tr.pop_phase();
+  EXPECT_EQ(tr.phase("a/b").messages, want["a/b"].messages);
+  tr.pop_phase();
+  tr.push_phase("d");
+  ring(4, {"", "a", "a/d"});
+  tr.pop_phase();
+  tr.push_phase("b");  // reopened by name: charges its first entry
+  tr.push_phase("c");
+  ring(5, {"", "a", "a/b", "a/b/c"});
+  tr.pop_phase();
+  tr.pop_phase();
+  tr.pop_phase();
+  for (const auto& [name, w] : want) {
+    const auto& s = tr.phase(name);
+    EXPECT_EQ(s.messages, w.messages) << "phase '" << name << "'";
+    EXPECT_EQ(s.total_messages(), w.messages) << "phase '" << name << "'";
+    for (int r = 0; r < nranks; ++r) {
+      const auto ru = static_cast<std::size_t>(r);
+      EXPECT_EQ(s.rank[ru].msgs, w.msgs[ru])
+          << "phase '" << name << "' rank " << r;
+      EXPECT_DOUBLE_EQ(s.rank[ru].msg_bytes, w.bytes[ru])
+          << "phase '" << name << "' rank " << r;
+    }
+  }
+  EXPECT_TRUE(rt.transport().drained());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "amg/cache.hpp"
 #include "amg/hierarchy.hpp"
+#include "amg/smoothers.hpp"
 #include "assembly/graph.hpp"
 #include "assembly/layout.hpp"
 #include "assembly/plan.hpp"
@@ -351,6 +352,49 @@ TEST(PurityWarmPath, FusedMomentumKernelsAreAllocationPure) {
   EXPECT_EQ(purity::region("multivector-scale-lanes").allocs, 0);
   EXPECT_EQ(purity::region("multivector-axpy-lanes").allocs, 0);
   EXPECT_EQ(purity::region("multivector-dots").allocs, 0);
+}
+
+TEST(PurityWarmPath, HaloTransposeAndSweepsAreAllocationPure) {
+  // The persistent ParCsr channels and the smoother scratch are sized on
+  // first use; from then on an AMG-preconditioned GMRES solve (halo
+  // exchange, restriction by the transpose product, two-stage GS
+  // sweeps), a fused 3-lane SGS2 solve and a hybrid GS sweep allocate
+  // nothing at all in those regions — not even allowlisted staging.
+  par::Runtime rt(4);
+  const auto a = distribute(rt, laplace3d(8, 0.05));
+  linalg::ParVector b(rt, a.rows()), x(rt, a.rows());
+  b.scatter(random_vector(512, 7));
+  linalg::ParVector b3(rt, a.rows(), 3), x3(rt, a.rows(), 3);
+  for (std::size_t c = 0; c < 3; ++c) {
+    b3.scatter(random_vector(512, 21 + c), c);
+  }
+  solver::AmgPrecond amg_m(a, amg::AmgConfig{});
+  solver::SmootherPrecond sgs2(a, amg::SmootherType::kSgs2, 2, 2);
+  const amg::Smoother hybrid(a, amg::SmootherType::kHybridGs, 1);
+  solver::GmresOptions opts;
+  opts.rel_tol = 1e-8;
+  const auto solve_all = [&] {
+    x.fill(0.0);
+    EXPECT_TRUE(solver::gmres_solve(a, b, x, amg_m, opts).converged);
+    x3.fill(0.0);
+    EXPECT_TRUE(
+        solver::gmres_solve_multi(a, b3, x3, sgs2, opts).all_converged());
+    hybrid.apply(b, x, 2);
+  };
+  solve_all();  // first use sizes the channels and the sweep scratch
+  purity::reset();
+  FatalModeGuard guard;
+  purity::set_fatal(true);
+  solve_all();
+  for (const char* name :
+       {"parcsr-halo-exchange", "parcsr-matvec-transpose",
+        "smoother-sweep-two-stage", "smoother-sweep-sgs2",
+        "smoother-sweep-hybrid-gs"}) {
+    const auto r = purity::region(name);
+    EXPECT_GT(r.entries, 0) << name;
+    EXPECT_EQ(r.allocs, 0) << name;
+    EXPECT_EQ(r.allowed_allocs, 0) << name;
+  }
 }
 
 TEST(PurityWarmPath, TracerFoldsAllocDeltasIntoPhases) {
