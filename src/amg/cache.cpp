@@ -1,8 +1,6 @@
 #include "amg/cache.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <span>
 #include <utility>
 
 #include "amg/charges.hpp"
@@ -11,21 +9,6 @@
 #include "perf/purity.hpp"
 
 namespace exw::amg {
-
-namespace {
-
-/// Bit-pattern equality of a value run against stored values: -0.0 and
-/// +0.0 differ, and a NaN equals itself.
-bool same_bits(std::span<const Real> vals, const Real* stored) {
-  if (vals.empty()) {
-    return true;
-  }
-  // Comparing object representations is the point here.
-  // NOLINTNEXTLINE(bugprone-suspicious-memory-comparison)
-  return std::memcmp(vals.data(), stored, vals.size_bytes()) == 0;
-}
-
-}  // namespace
 
 std::unique_ptr<LevelReplay> freeze_level_replay(
     par::Runtime& rt, RapRecord&& record, const par::RowPartition& coarse) {
@@ -105,13 +88,13 @@ void replay_level(par::Runtime& rt, LevelReplay& lr,
 
 CacheAction HierarchyCache::update(const linalg::ParCsr& a,
                                    const AmgConfig& cfg,
-                                   std::uint64_t generation,
-                                   bool use_cache) {
+                                   std::uint64_t generation, bool use_cache,
+                                   bool values_changed) {
   if (!use_cache || stale(generation, cfg) || !hierarchy_->frozen()) {
     rebuild(a, cfg, generation, /*freeze=*/use_cache);
     return CacheAction::kRebuild;
   }
-  if (!values_changed(a)) {
+  if (!values_changed) {
     ++reuses_;
     return CacheAction::kReuse;
   }
@@ -132,21 +115,6 @@ void HierarchyCache::rebuild(const linalg::ParCsr& a, const AmgConfig& cfg,
   ++rebuilds_;
   baseline_iters_ = -1;
   last_iters_ = -1;
-  fine_values_.clear();
-  changed_.clear();
-  if (freeze) {
-    // Sized here, once per structure, so the warm reuse check and the
-    // refresh copy never allocate.
-    const auto nranks = static_cast<std::size_t>(a.nranks());
-    fine_values_.resize(nranks);
-    changed_.assign(nranks, 0.0);
-    for (RankId r{0}; r.value() < a.nranks(); ++r) {
-      const linalg::RankBlock& blk = a.block(r);
-      fine_values_[static_cast<std::size_t>(r)].resize(blk.diag.nnz() +
-                                                       blk.offd.nnz());
-    }
-    store_values(a);
-  }
 }
 
 EXW_WARM_FN
@@ -155,46 +123,7 @@ void HierarchyCache::refresh(const linalg::ParCsr& a) {
   EXW_REQUIRE(valid_ && hierarchy_ != nullptr,
               "hierarchy cache: refresh without a valid rebuild");
   hierarchy_->refresh_values(a);
-  store_values(a);
   ++refreshes_;
-}
-
-EXW_WARM_FN
-bool HierarchyCache::values_changed(const linalg::ParCsr& a) {
-  EXW_PURITY_REGION("amg-reuse-check");
-  if (fine_values_.size() != static_cast<std::size_t>(a.nranks())) {
-    return true;
-  }
-  par::Runtime& rt = a.runtime();
-  rt.parallel_for_ranks([&](RankId r) {
-    const auto ri = static_cast<std::size_t>(r);
-    const linalg::RankBlock& blk = a.block(r);
-    const RealVector& stored = fine_values_[ri];
-    const auto dspan = blk.diag.vals().raw();
-    const auto ospan = blk.offd.vals().raw();
-    const bool same = stored.size() == dspan.size() + ospan.size() &&
-                      same_bits(dspan, stored.data()) &&
-                      same_bits(ospan, stored.data() + dspan.size());
-    changed_[ri] = same ? 0.0 : 1.0;
-    detail::charge_value_stream(rt.tracer(), r, stored.size());
-  });
-  return rt.allreduce_sum(changed_) > 0.0;
-}
-
-void HierarchyCache::store_values(const linalg::ParCsr& a) {
-  par::Runtime& rt = a.runtime();
-  rt.parallel_for_ranks([&](RankId r) {
-    RealVector& stored = fine_values_[static_cast<std::size_t>(r)];
-    const linalg::RankBlock& blk = a.block(r);
-    const auto dspan = blk.diag.vals().raw();
-    const auto ospan = blk.offd.vals().raw();
-    EXW_REQUIRE(stored.size() == dspan.size() + ospan.size(),
-                "hierarchy cache: fine-level structure changed");
-    std::copy(dspan.begin(), dspan.end(), stored.begin());
-    std::copy(ospan.begin(), ospan.end(),
-              stored.begin() + static_cast<std::ptrdiff_t>(dspan.size()));
-    detail::charge_value_stream(rt.tracer(), r, stored.size());
-  });
 }
 
 void HierarchyCache::note_solve(int iterations) {

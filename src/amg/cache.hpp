@@ -100,20 +100,21 @@ class HierarchyCache {
   }
 
   /// Make the hierarchy fit `a` for the next solve, deciding in order:
-  ///   1. rebuild when `use_cache` is false (every solve; no value copy
-  ///      is kept), or when the key is stale;
-  ///   2. reuse, untouched, when a's diag/offd values equal bit for bit
-  ///      the values the hierarchy was last set up from;
+  ///   1. rebuild when `use_cache` is false (every solve), or when the
+  ///      key is stale;
+  ///   2. reuse, untouched, when `values_changed` is false — the caller's
+  ///      linalg::ValueCheck found a's values bitwise equal to those of
+  ///      the previous solve;
   ///   3. otherwise refresh — or rebuild, if the last solve stagnated
   ///      (see stagnating()).
   /// Stagnation never forces a rebuild on its own: a rebuild from
   /// unchanged values reproduces the same hierarchy.
   CacheAction update(const linalg::ParCsr& a, const AmgConfig& cfg,
-                     std::uint64_t generation, bool use_cache);
+                     std::uint64_t generation, bool use_cache,
+                     bool values_changed);
 
   /// Structural rebuild from `a`. `freeze` additionally records the
-  /// replay plans so later solves can refresh() instead, and keeps an
-  /// FP64 copy of a's values for update()'s reuse check.
+  /// replay plans so later solves can refresh() instead.
   void rebuild(const linalg::ParCsr& a, const AmgConfig& cfg,
                std::uint64_t generation, bool freeze);
 
@@ -134,13 +135,6 @@ class HierarchyCache {
   bool stagnating() const;
 
  private:
-  /// True unless every rank's diag/offd values match fine_values_ bit for
-  /// bit. All ranks must agree to reuse, so the per-rank verdicts meet in
-  /// one allreduce.
-  bool values_changed(const linalg::ParCsr& a);
-  /// Copy a's values into fine_values_ (sized by rebuild()).
-  void store_values(const linalg::ParCsr& a);
-
   std::unique_ptr<AmgHierarchy> hierarchy_;
   AmgConfig cfg_;
   std::uint64_t generation_ = 0;
@@ -150,11 +144,6 @@ class HierarchyCache {
   long reuses_ = 0;
   int baseline_iters_ = -1;
   int last_iters_ = -1;
-  /// Per rank, the FP64 [diag | offd] values the frozen hierarchy was last
-  /// set up from; empty for an unfrozen hierarchy.
-  std::vector<RealVector> fine_values_;
-  /// Per-rank reuse-check verdicts (1 = changed), the allreduce payload.
-  std::vector<double> changed_;
 };
 
 }  // namespace exw::amg

@@ -14,6 +14,7 @@ SimConfig SimConfig::baseline() {
   cfg.partition = assembly::PartitionMethod::kRcb;
   cfg.assembly_algo = assembly::GlobalAssemblyAlgo::kGeneral;
   cfg.use_amg_cache = false;  // baseline rebuilds AMG setup every solve
+  cfg.pressure_projection_size = 0;  // every solve starts from p_old
   cfg.sgs_inner_sweeps = 1;
   cfg.pressure_amg.agg_levels = 0;
   cfg.pressure_amg.pmax = 0;

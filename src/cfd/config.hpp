@@ -53,6 +53,11 @@ struct SimConfig {
   /// new key (equation-graph generation, pressure_amg). Bitwise-identical
   /// V-cycles to a rebuild at the same values. Off: rebuild every solve.
   bool use_amg_cache = true;
+  /// Earlier pressure corrections kept per mesh block to project each
+  /// pressure solve's initial guess onto (solver/projection.hpp): while
+  /// the matrix stays bitwise the same, the guess starts closer to the
+  /// solution and GMRES needs fewer iterations. 0 turns it off.
+  int pressure_projection_size = 16;
 
   // Momentum / scalar transport: SGS2-preconditioned GMRES.
   int sgs_outer_sweeps = 2;

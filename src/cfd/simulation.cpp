@@ -141,6 +141,8 @@ void Simulation::setup_block(MeshBlock& blk) {
 
   // Stage 0: domain decomposition + DoF renumbering.
   blk.layout = assembly::make_layout(db, rt_->nranks(), cfg_.partition);
+  blk.prs_projector = solver::GuessProjector(
+      checked_narrow<std::size_t>(cfg_.pressure_projection_size));
 
   // Dirichlet masks per equation family (paper §3.1: "periodic, Dirichlet,
   // and overset DoFs are accounted for precisely").
@@ -511,16 +513,23 @@ void Simulation::solve_continuity(MeshBlock& blk) {
   }
 
   // Preconditioner: the hierarchy cache decides between rebuild, refresh
-  // and reuse (amg/cache.hpp); this only counts its answer.
+  // and reuse (amg/cache.hpp); this only counts its answer. Whether the
+  // matrix changed is checked once, here, for the cache and the projector
+  // alike, and only when one of them keeps state across solves.
   amg::HierarchyCache& pc = blk.prs_precond;
+  solver::GuessProjector& proj = blk.prs_projector;
+  bool changed = true;
   {
     perf::PhaseScope ph(tracer, "setup");
+    if (cfg_.use_amg_cache || proj.max_size() > 0) {
+      changed = blk.prs_values.values_changed(a, blk.prs_graph->generation());
+    }
     // The sim-level precision knob rides into the AMG config here so it
     // participates in the cache key: toggling it forces a rebuild.
     amg::AmgConfig acfg = cfg_.pressure_amg;
     acfg.precision = cfg_.precond_precision;
     switch (pc.update(a, acfg, blk.prs_graph->generation(),
-                      cfg_.use_amg_cache)) {
+                      cfg_.use_amg_cache, changed)) {
       case amg::CacheAction::kRebuild:
         prs_stats_.amg_rebuilds += 1;
         break;
@@ -541,7 +550,15 @@ void Simulation::solve_continuity(MeshBlock& blk) {
   solver::SolveStats st;
   {
     perf::PhaseScope ph(tracer, "solve");
+    if (proj.max_size() > 0) {
+      perf::PhaseScope pj(tracer, "project");
+      proj.project(a, rhs, x, changed);
+    }
     st = solver::gmres_solve(a, rhs, x, precond, cfg_.pressure_gmres);
+    if (proj.max_size() > 0) {
+      perf::PhaseScope pj(tracer, "project");
+      proj.absorb(a, x, st);
+    }
   }
   pc.note_solve(st.iterations);
   count_solve(prs_stats_, st);

@@ -32,10 +32,12 @@
 #include "cfd/config.hpp"
 #include "linalg/parcsr.hpp"
 #include "linalg/parvector.hpp"
+#include "linalg/value_check.hpp"
 #include "mesh/generators.hpp"
 #include "mesh/motion.hpp"
 #include "par/runtime.hpp"
 #include "solver/precond.hpp"
+#include "solver/projection.hpp"
 
 namespace exw::cfd {
 
@@ -132,6 +134,12 @@ class Simulation {
     /// Pressure AMG hierarchy kept across Picard solves and time steps;
     /// HierarchyCache::update decides rebuild, refresh or reuse.
     amg::HierarchyCache prs_precond;
+    /// Whether prs_cache.matrix changed since the last pressure solve,
+    /// checked once per solve for both the hierarchy cache and the
+    /// projector.
+    linalg::ValueCheck prs_values;
+    /// Earlier pressure corrections the next solve's guess projects onto.
+    solver::GuessProjector prs_projector;
     // Nodal fields (indexed by mesh node id).
     RealVector u, v, w, p, scl;
     RealVector u_old, v_old, w_old, scl_old;

@@ -242,6 +242,62 @@ std::vector<double> ParVector::dots(const ParVector& other) const {
   return rt_->allreduce_sum_vec(partial);
 }
 
+EXW_WARM_FN
+std::vector<double> ParVector::dots_against(const ParVector& y,
+                                            std::size_t count) const {
+  EXW_PURITY_REGION("multivector-dots-against");
+  EXW_REQUIRE(y.ncomp_ == 1, "dots_against takes a 1-lane vector");
+  EXW_REQUIRE(count >= 1 && count <= ncomp_, "vector lane out of range");
+  EXW_REQUIRE(y.global_size() == global_size(), "vector size mismatch");
+  EXW_REQUIRE(prec_ == Precision::kF64 && y.prec_ == Precision::kF64,
+              "dots_against runs on fp64 vectors");
+  EXW_PURITY_ALLOW("collective payload staging");
+  std::vector<std::vector<double>> partial(
+      static_cast<std::size_t>(nranks()), std::vector<double>(count, 0.0));
+  rt_->parallel_for_ranks([&](RankId r) {
+    const std::size_t n = local_n(r);
+    const auto& x = local_[static_cast<std::size_t>(r)];
+    const auto& ys = y.local_[static_cast<std::size_t>(r)];
+    auto& p = partial[static_cast<std::size_t>(r)];
+    for (std::size_t c = 0; c < count; ++c) {
+      double s = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        s += x[c * n + i] * ys[i];
+      }
+      p[c] = s;
+    }
+    const auto m = static_cast<double>(count) * static_cast<double>(n);
+    rt_->tracer().kernel(r, 2.0 * m, kRead * (m + static_cast<double>(n)));
+  });
+  return rt_->allreduce_sum_vec(partial);
+}
+
+EXW_WARM_FN
+void ParVector::axpy_combination(std::span<const Real> coef,
+                                 const ParVector& x) {
+  EXW_PURITY_REGION("multivector-axpy-combination");
+  EXW_REQUIRE(ncomp_ == 1, "axpy_combination updates a 1-lane vector");
+  EXW_REQUIRE(!coef.empty() && coef.size() <= x.ncomp_,
+              "vector lane out of range");
+  EXW_REQUIRE(x.global_size() == global_size(), "vector size mismatch");
+  EXW_REQUIRE(prec_ == Precision::kF64 && x.prec_ == Precision::kF64,
+              "axpy_combination runs on fp64 vectors");
+  rt_->parallel_for_ranks([&](RankId r) {
+    const std::size_t n = local_n(r);
+    auto& y = local_[static_cast<std::size_t>(r)];
+    const auto& xs = x.local_[static_cast<std::size_t>(r)];
+    for (std::size_t c = 0; c < coef.size(); ++c) {
+      const Real a = coef[c];
+      for (std::size_t i = 0; i < n; ++i) {
+        y[i] += a * xs[c * n + i];
+      }
+    }
+    const auto m = static_cast<double>(coef.size()) * static_cast<double>(n);
+    rt_->tracer().kernel(r, 2.0 * m,
+                         kRead * (m + 2.0 * static_cast<double>(n)));
+  });
+}
+
 std::vector<double> ParVector::norms() const {
   auto out = dots(*this);
   for (double& v : out) {

@@ -121,6 +121,18 @@ class ParVector {
   /// Per-lane 2-norms, one batched allreduce.
   std::vector<double> norms() const;
 
+  // --- lane-basis operations (fp64; a basis held as lanes [0, count)
+  // --- of one vector, combined with 1-lane vectors) ----------------------
+
+  /// Dots of lanes [0, count) against the 1-lane vector y, in one batched
+  /// allreduce of `count` values (dots() pairs lane c with lane c of an
+  /// equally wide vector instead). 1 <= count <= ncomp().
+  std::vector<double> dots_against(const ParVector& y,
+                                   std::size_t count) const;
+  /// 1-lane this += sum over k < coef.size() of coef[k] * (lane k of x),
+  /// one kernel. 1 <= coef.size() <= x.ncomp().
+  void axpy_combination(std::span<const Real> coef, const ParVector& x);
+
   /// 1-lane forms of scale_lanes / axpy_lanes / dots / norms (throw on a
   /// multi-lane vector).
   void scale(Real alpha) { scale_lanes({&alpha, 1}); }

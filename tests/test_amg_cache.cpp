@@ -1,7 +1,8 @@
 // Tests for the AMG hierarchy cache: the value-only refresh of a frozen
 // hierarchy (bitwise against rebuilds and against cold Galerkin
 // products), stale-structure detection, and the HierarchyCache
-// rebuild/refresh/reuse decision and its charges.
+// rebuild/refresh/reuse decision on linalg::ValueCheck's verdict, with
+// the check's charges.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 #include "amg/cache.hpp"
 #include "amg/hierarchy.hpp"
 #include "amg/rap.hpp"
+#include "linalg/value_check.hpp"
 #include "sparse/spgemm.hpp"
 #include "test_util.hpp"
 
@@ -211,9 +213,11 @@ TEST(HierarchyCache, DecidesRebuildRefreshOrReuse) {
   AmgConfig other = cfg;
   other.strong_threshold = 0.5;
   HierarchyCache cache;
+  linalg::ValueCheck check;
   auto update = [&](const linalg::ParCsr& m, std::uint64_t gen = 1,
                     const AmgConfig* c = nullptr, bool use_cache = true) {
-    return cache.update(m, c != nullptr ? *c : cfg, gen, use_cache);
+    return cache.update(m, c != nullptr ? *c : cfg, gen, use_cache,
+                        check.values_changed(m, gen));
   };
 
   EXPECT_EQ(update(a), CacheAction::kRebuild);         // empty cache
@@ -242,10 +246,14 @@ TEST(HierarchyCache, ReuseCheckChargesOneStreamPerRankAndOneAllreduce) {
   par::Runtime rt(4);
   const auto a = distribute(rt, laplace3d(6, 0.0));
   HierarchyCache cache;
-  ASSERT_EQ(cache.update(a, AmgConfig{}, 1, true), CacheAction::kRebuild);
+  linalg::ValueCheck check;
+  const auto update = [&] {
+    return cache.update(a, AmgConfig{}, 1, true, check.values_changed(a, 1));
+  };
+  ASSERT_EQ(update(), CacheAction::kRebuild);
   rt.tracer().reset();
   rt.tracer().push_phase("check");
-  ASSERT_EQ(cache.update(a, AmgConfig{}, 1, true), CacheAction::kReuse);
+  ASSERT_EQ(update(), CacheAction::kReuse);
   rt.tracer().pop_phase();
   const perf::PhaseStats& ph = rt.tracer().phase("check");
   EXPECT_EQ(ph.total_kernels(), rt.nranks());

@@ -271,6 +271,66 @@ TEST(Cfd, UnconvergedSolvesAreCounted) {
   }
 }
 
+TEST(Cfd, FailedPressureSolvesNeverSeedTheProjection) {
+  // The setup of UnconvergedSolvesAreCounted: solves that fail their
+  // tolerance flush the projection basis instead of entering it, so it
+  // stays empty and every solve starts from the unprojected guess. Any
+  // direction left in the basis would move the next guess, so the run
+  // must match the one without a projector bit for bit.
+  auto failing = [](int projection_size) {
+    SimConfig cfg;
+    cfg.picard_iters = 2;
+    cfg.pressure_projection_size = projection_size;
+    for (solver::GmresOptions* g : {&cfg.pressure_gmres, &cfg.momentum_gmres}) {
+      g->max_iters = 1;
+      g->rel_tol = 1e-15;
+    }
+    return cfg;
+  };
+  auto sys_on = mesh::make_turbine_case(mesh::TurbineCase::kSingle, 0.3);
+  auto sys_off = mesh::make_turbine_case(mesh::TurbineCase::kSingle, 0.3);
+  par::Runtime rt_on(4), rt_off(4);
+  Simulation on(sys_on, failing(16), rt_on);
+  Simulation off(sys_off, failing(0), rt_off);
+  for (int s = 0; s < 2; ++s) {
+    on.step();
+    off.step();
+    ASSERT_GT(on.continuity_stats().unconverged_solves, 0);
+    EXPECT_EQ(on.continuity_stats().gmres_iterations,
+              off.continuity_stats().gmres_iterations) << "step " << s;
+    EXPECT_EQ(on.velocity_rms(), off.velocity_rms()) << "step " << s;
+    EXPECT_EQ(on.divergence_rms(), off.divergence_rms()) << "step " << s;
+    EXPECT_EQ(on.scalar_mean(), off.scalar_mean()) << "step " << s;
+  }
+}
+
+TEST(Cfd, PressureProjectionCutsIterationsWhileRotorTurns) {
+  // Rigid rotation keeps the pressure matrix, so each mesh block's basis
+  // grows by one correction per Picard iteration and later solves start
+  // closer to their solution; the other equations see the same step.
+  auto sys_on = mesh::make_turbine_case(mesh::TurbineCase::kSingle, 0.3);
+  auto sys_off = mesh::make_turbine_case(mesh::TurbineCase::kSingle, 0.3);
+  par::Runtime rt_on(4), rt_off(4);
+  SimConfig cfg;
+  cfg.picard_iters = 2;
+  ASSERT_EQ(cfg.pressure_projection_size, 16);
+  Simulation on(sys_on, cfg, rt_on);
+  cfg.pressure_projection_size = 0;
+  Simulation off(sys_off, cfg, rt_off);
+  for (int s = 1; s <= 2; ++s) {
+    on.step();
+    off.step();
+    const EquationStats& st = on.continuity_stats();
+    EXPECT_EQ(st.unconverged_solves, 0) << "step " << s;
+    EXPECT_LT(st.gmres_iterations, off.continuity_stats().gmres_iterations)
+        << "step " << s;
+    EXPECT_EQ(on.momentum_stats().gmres_iterations,
+              off.momentum_stats().gmres_iterations) << "step " << s;
+    EXPECT_EQ(on.scalar_stats().gmres_iterations,
+              off.scalar_stats().gmres_iterations) << "step " << s;
+  }
+}
+
 TEST(Cfd, AmgCacheDisabledRebuildsEverySolve) {
   auto sys = box_only_system(GlobalIndex{6});
   par::Runtime rt(2);

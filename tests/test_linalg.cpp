@@ -3,6 +3,7 @@
 // 3-lane vectors.
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "linalg/parcsr.hpp"
 #include "linalg/parvector.hpp"
 #include "test_util.hpp"
@@ -254,7 +255,64 @@ TEST_P(RankSweep, NnzPerRankSumsToGlobal) {
   EXPECT_DOUBLE_EQ(total, static_cast<double>(a.nnz()));
 }
 
+TEST_P(RankSweep, LaneBasisOpsMatchSerial) {
+  // A 4-lane basis against one vector: every leading lane count of
+  // dots_against, and a combination of every leading lane count.
+  const int nranks = GetParam();
+  par::Runtime rt(nranks);
+  const auto rows = par::RowPartition::even(GlobalIndex{101}, nranks);
+  constexpr std::size_t kLanes = 4;
+  ParVector basis(rt, rows, kLanes), y(rt, rows);
+  std::vector<RealVector> xs;
+  for (std::size_t c = 0; c < kLanes; ++c) {
+    xs.push_back(random_vector(101, 3 + 10 * c));
+    basis.scatter(xs[c], c);
+  }
+  RealVector ys = random_vector(101, 4);
+  y.scatter(ys);
+
+  for (std::size_t count = 1; count <= kLanes; ++count) {
+    SCOPED_TRACE(testing::Message() << count << " lanes");
+    const auto dots = basis.dots_against(y, count);
+    ASSERT_EQ(dots.size(), count);
+    for (std::size_t c = 0; c < count; ++c) {
+      double ref = 0;
+      for (std::size_t i = 0; i < ys.size(); ++i) ref += xs[c][i] * ys[i];
+      EXPECT_NEAR(dots[c], ref, 1e-11);
+    }
+
+    std::vector<Real> coef;
+    for (std::size_t c = 0; c < count; ++c) {
+      coef.push_back(0.75 - 0.5 * static_cast<Real>(c));
+    }
+    y.axpy_combination(coef, basis);
+    for (std::size_t c = 0; c < count; ++c) {
+      for (std::size_t i = 0; i < ys.size(); ++i) ys[i] += coef[c] * xs[c][i];
+    }
+    EXPECT_LT(max_diff(y.gather(), ys), 1e-13);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Ranks, RankSweep, ::testing::Values(1, 2, 3, 5, 8));
+
+TEST(ParVector, LaneBasisOpsRejectLaneCountAndPrecisionMismatches) {
+  par::Runtime rt(2);
+  const auto rows = par::RowPartition::even(GlobalIndex{20}, 2);
+  ParVector basis(rt, rows, 3), y(rt, rows), y2(rt, rows, 2);
+  ParVector basis32(rt, rows, 3, Precision::kF32);
+  ParVector y32(rt, rows, 1, Precision::kF32);
+  const std::vector<Real> coef3(3, 1.0), coef4(4, 1.0);
+  EXPECT_THROW((void)basis.dots_against(y2, 1), Error);      // 2-lane y
+  EXPECT_THROW((void)basis.dots_against(y, 0), Error);       // no lane
+  EXPECT_THROW((void)basis.dots_against(y, 4), Error);       // past ncomp
+  EXPECT_THROW((void)basis32.dots_against(y, 1), Error);     // fp32 basis
+  EXPECT_THROW((void)basis.dots_against(y32, 1), Error);     // fp32 y
+  EXPECT_THROW(y2.axpy_combination(coef3, basis), Error);    // 2-lane y
+  EXPECT_THROW(y.axpy_combination({}, basis), Error);        // no lane
+  EXPECT_THROW(y.axpy_combination(coef4, basis), Error);     // past ncomp
+  EXPECT_THROW(y.axpy_combination(coef3, basis32), Error);   // fp32 basis
+  EXPECT_THROW(y32.axpy_combination(coef3, basis), Error);   // fp32 y
+}
 
 TEST(ParCsr, MatvecChargesHaloMessages) {
   par::Runtime rt(4);

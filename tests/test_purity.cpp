@@ -3,8 +3,8 @@
 // region and its open site, propagation through par::ThreadPool workers,
 // and the zero-allocation steady-state contract of every warm cache
 // (assembly-plan refill, AMG value refresh and reuse check, smoother
-// rebind, fused momentum kernels). Everything must also compile and pass — vacuously —
-// when EXW_PURITY_CHECKS=OFF.
+// rebind, fused momentum kernels, guess projection). Everything must also
+// compile and pass — vacuously — when EXW_PURITY_CHECKS=OFF.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +20,7 @@
 #include "assembly/plan.hpp"
 #include "linalg/parcsr.hpp"
 #include "linalg/parvector.hpp"
+#include "linalg/value_check.hpp"
 #include "mesh/meshdb.hpp"
 #include "par/partition.hpp"
 #include "par/runtime.hpp"
@@ -28,6 +29,7 @@
 #include "perf/tracer.hpp"
 #include "solver/gmres.hpp"
 #include "solver/precond.hpp"
+#include "solver/projection.hpp"
 #include "test_util.hpp"
 
 namespace exw {
@@ -297,14 +299,18 @@ TEST(PurityWarmPath, AmgCacheReuseCheckAndRefreshAreAllocationPure) {
   const auto a1 = distribute(rt, laplace3d(8, 0.5));
   AmgConfig cfg;
   HierarchyCache cache;
-  ASSERT_EQ(cache.update(a0, cfg, 1, true), CacheAction::kRebuild);
-  ASSERT_EQ(cache.update(a1, cfg, 1, true), CacheAction::kRefresh);
+  linalg::ValueCheck check;
+  const auto update = [&](const linalg::ParCsr& m) {
+    return cache.update(m, cfg, 1, true, check.values_changed(m, 1));
+  };
+  ASSERT_EQ(update(a0), CacheAction::kRebuild);
+  ASSERT_EQ(update(a1), CacheAction::kRefresh);
 
   purity::reset();
   FatalModeGuard guard;
   purity::set_fatal(true);
-  EXPECT_EQ(cache.update(a1, cfg, 1, true), CacheAction::kReuse);
-  EXPECT_EQ(cache.update(a0, cfg, 1, true), CacheAction::kRefresh);
+  EXPECT_EQ(update(a1), CacheAction::kReuse);
+  EXPECT_EQ(update(a0), CacheAction::kRefresh);
   EXPECT_GE(purity::region("amg-reuse-check").entries, 2);
   EXPECT_EQ(purity::region("amg-reuse-check").allocs, 0);
   EXPECT_EQ(purity::region("amg-cache-refresh").allocs, 0);
@@ -394,6 +400,40 @@ TEST(PurityWarmPath, HaloTransposeAndSweepsAreAllocationPure) {
     EXPECT_GT(r.entries, 0) << name;
     EXPECT_EQ(r.allocs, 0) << name;
     EXPECT_EQ(r.allowed_allocs, 0) << name;
+  }
+}
+
+TEST(PurityWarmPath, GuessProjectionIsAllocationPure) {
+  // The basis and scratch are sized in the first round; three
+  // project/solve/absorb rounds later — the basis growing, then
+  // restarting — neither projection region allocates.
+  par::Runtime rt(4);
+  const auto a = distribute(rt, laplace3d(8, 0.05));
+  solver::AmgPrecond amg_m(a, amg::AmgConfig{});
+  solver::GmresOptions opts;
+  opts.rel_tol = 1e-8;
+  solver::GuessProjector proj(2);
+  linalg::ParVector b(rt, a.rows()), x(rt, a.rows());
+  const auto round = [&](std::uint64_t seed) {
+    b.scatter(random_vector(512, seed));
+    x.fill(0.0);
+    proj.project(a, b, x, false);
+    const auto st = solver::gmres_solve(a, b, x, amg_m, opts);
+    EXPECT_TRUE(st.converged);
+    proj.absorb(a, x, st);
+  };
+  round(41);  // first use sizes the basis and the scratch
+  purity::reset();
+  FatalModeGuard guard;
+  purity::set_fatal(true);
+  for (std::uint64_t seed : {42, 43, 44}) round(seed);
+  EXPECT_EQ(proj.size(), 2U);  // 1, 2, then restarted at 1, then 2
+  for (const char* name :
+       {"projector-project", "projector-absorb", "multivector-dots-against",
+        "multivector-axpy-combination"}) {
+    const auto r = purity::region(name);
+    EXPECT_GT(r.entries, 0) << name;
+    EXPECT_EQ(r.allocs, 0) << name;
   }
 }
 

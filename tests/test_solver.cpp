@@ -1,8 +1,14 @@
-// Tests for GMRES (MGS and one-reduce) and the preconditioner stack.
+// Tests for GMRES (MGS and one-reduce), the preconditioner stack and the
+// projection of initial guesses onto earlier corrections.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "cfd/config.hpp"
+#include "linalg/value_check.hpp"
 #include "solver/gmres.hpp"
+#include "solver/projection.hpp"
 #include "test_util.hpp"
 
 namespace exw::solver {
@@ -229,6 +235,182 @@ TEST(Gmres, ModeledLedgerIsPinned) {
   prob.rt.tracer().reset();
   ASSERT_EQ(gmres_solve(prob.a, prob.b, prob.x, amg_f32, opts).iterations, 16);
   expect_ledger({3468, 882, 74, 3984408.0, 566640.0});
+}
+
+/// `m` with every 7th row replaced by a Dirichlet identity row; the
+/// columns keep their couplings, so the matrix is nonsymmetric like the
+/// pressure matrix.
+sparse::Csr with_identity_rows(const sparse::Csr& m) {
+  std::vector<LocalIndex> ti, tj;
+  std::vector<Real> tv;
+  for (LocalIndex i{0}; i < m.nrows(); ++i) {
+    if (i.value() % 7 == 0) {
+      ti.push_back(i);
+      tj.push_back(i);
+      tv.push_back(1.0);
+      continue;
+    }
+    for (EntryOffset k = m.row_begin(i); k < m.row_end(i); ++k) {
+      ti.push_back(i);
+      tj.push_back(m.cols()[k]);
+      tv.push_back(m.vals()[k]);
+    }
+  }
+  return sparse::Csr::from_triples(m.nrows(), m.ncols(), std::move(ti),
+                                   std::move(tj), std::move(tv));
+}
+
+/// One projected solve of A x = b from x = 0, as the pressure equation
+/// runs it: project, GMRES, absorb.
+SolveStats projected_solve(GuessProjector& proj, const linalg::ParCsr& a,
+                           const linalg::ParVector& b, linalg::ParVector& x,
+                           Preconditioner& m, bool matrix_changed = false) {
+  GmresOptions opts;
+  opts.rel_tol = 1e-8;
+  x.fill(0.0);
+  proj.project(a, b, x, matrix_changed);
+  const SolveStats st = gmres_solve(a, b, x, m, opts);
+  proj.absorb(a, x, st);
+  return st;
+}
+
+TEST(Projection, SecondSolveOfSameRhsTakesNoIterations) {
+  for (const bool dirichlet : {false, true}) {
+    SCOPED_TRACE(dirichlet ? "Dirichlet identity rows" : "laplace3d");
+    const auto lap = laplace3d(6, 0.05);
+    Problem prob(4, dirichlet ? with_identity_rows(lap) : lap);
+    AmgPrecond m(prob.a, amg::AmgConfig{});
+    GuessProjector proj(4);
+    const SolveStats first = projected_solve(proj, prob.a, prob.b, prob.x, m);
+    ASSERT_TRUE(first.converged);
+    EXPECT_GT(first.iterations, 0);
+    ASSERT_EQ(proj.size(), 1U);
+    const SolveStats again = projected_solve(proj, prob.a, prob.b, prob.x, m);
+    EXPECT_TRUE(again.converged);
+    EXPECT_EQ(again.iterations, 0);
+    EXPECT_EQ(proj.size(), 1U);  // no correction to absorb
+  }
+}
+
+/// Copy of `a` with the first diag value of one rank replaced.
+linalg::ParCsr with_diag_value(const linalg::ParCsr& a, RankId r,
+                               Real value) {
+  linalg::ParCsr c = a;
+  c.block_mut(r).diag.vals_vec().front() = value;
+  return c;
+}
+
+TEST(Projection, OneUlpOnOneRankFlushesBasisIdenticalValuesKeepIt) {
+  Problem prob(4, laplace3d(6, 0.05));
+  const linalg::ParCsr same = prob.a;
+  const Real d = prob.a.block(RankId{2}).diag.vals().raw().front();
+  const auto ulp = with_diag_value(prob.a, RankId{2}, std::nextafter(d, 2 * d));
+  IdentityPrecond m;
+  linalg::ValueCheck check;
+  GuessProjector proj(4);
+  projected_solve(proj, prob.a, prob.b, prob.x, m,
+                  check.values_changed(prob.a, 1));
+  ASSERT_EQ(proj.size(), 1U);
+
+  prob.x.fill(0.0);
+  proj.project(same, prob.b, prob.x, check.values_changed(same, 1));
+  EXPECT_EQ(proj.size(), 1U);
+  EXPECT_GT(prob.x.norm2(), 0.0);  // projected
+
+  prob.x.fill(0.0);
+  proj.project(ulp, prob.b, prob.x, check.values_changed(ulp, 1));
+  EXPECT_EQ(proj.size(), 0U);
+  EXPECT_EQ(prob.x.norm2(), 0.0);  // flushed before projecting
+}
+
+TEST(Projection, FullBasisRestartsAtSizeOne) {
+  constexpr std::size_t kSize = 3;
+  Problem prob(2, laplace3d(5, 0.1));
+  IdentityPrecond m;
+  GuessProjector proj(kSize);
+  for (std::size_t k = 1; k <= kSize + 2; ++k) {
+    prob.b.scatter(random_vector(125, 100 + k));
+    ASSERT_TRUE(projected_solve(proj, prob.a, prob.b, prob.x, m).converged);
+    EXPECT_EQ(proj.size(), k <= kSize ? k : k - kSize) << "absorb " << k;
+    if (k == kSize) {
+      // A repeated right-hand side needs no iteration, and its empty
+      // correction leaves the full basis alone.
+      EXPECT_EQ(projected_solve(proj, prob.a, prob.b, prob.x, m).iterations,
+                0);
+      EXPECT_EQ(proj.size(), kSize);
+    }
+  }
+}
+
+TEST(Projection, FailedOrNonFiniteSolveFlushesBasis) {
+  Problem prob(3, laplace3d(5, 0.1));
+  IdentityPrecond m;
+  GuessProjector proj(4);
+  const auto fill_basis = [&] {
+    for (std::uint64_t seed : {201, 202}) {
+      prob.b.scatter(random_vector(125, seed));
+      ASSERT_TRUE(projected_solve(proj, prob.a, prob.b, prob.x, m).converged);
+    }
+    ASSERT_EQ(proj.size(), 2U);
+  };
+
+  fill_basis();
+  prob.x.fill(0.0);
+  proj.project(prob.a, prob.b, prob.x, false);
+  SolveStats failed;
+  failed.converged = false;
+  proj.absorb(prob.a, prob.x, failed);
+  EXPECT_EQ(proj.size(), 0U);
+  prob.x.fill(0.0);
+  proj.project(prob.a, prob.b, prob.x, false);
+  EXPECT_EQ(prob.x.norm2(), 0.0);  // the next solve starts unprojected
+
+  fill_basis();
+  prob.x.fill(0.0);
+  proj.project(prob.a, prob.b, prob.x, false);
+  prob.x.at(0, GlobalIndex{17}) = std::numeric_limits<Real>::quiet_NaN();
+  SolveStats nan_solve;
+  nan_solve.iterations = 1;
+  nan_solve.converged = true;
+  proj.absorb(prob.a, prob.x, nan_solve);
+  EXPECT_EQ(proj.size(), 0U);
+}
+
+TEST(Projection, ModeledLedgerIsPinned) {
+  // One project and one absorb against a 2-direction basis of a 4-slot
+  // projector: the residual, the batched dots and the combination; then
+  // the SpMV, two orthogonalization passes and the A-norm. Any charge
+  // added to or dropped from either moves these counts.
+  const auto mat = laplace3d(6, 0.05);
+  Problem prob(4, mat);
+  AmgPrecond m(prob.a, amg::AmgConfig{});
+  GuessProjector proj(4);
+  GmresOptions opts;
+  opts.rel_tol = 1e-8;
+  for (std::uint64_t seed : {301, 302, 303}) {
+    prob.b.scatter(random_vector(216, seed));
+    prob.x.fill(0.0);
+    auto& tracer = prob.rt.tracer();
+    if (seed == 303) {
+      ASSERT_EQ(proj.size(), 2U);
+      tracer.reset();
+    }
+    tracer.push_phase("projection");
+    proj.project(prob.a, prob.b, prob.x, false);
+    tracer.pop_phase();
+    const SolveStats st = gmres_solve(prob.a, prob.b, prob.x, m, opts);
+    ASSERT_TRUE(st.converged);
+    tracer.push_phase("projection");
+    proj.absorb(prob.a, prob.x, st);
+    tracer.pop_phase();
+  }
+  ASSERT_EQ(proj.size(), 3U);
+  const auto& ph = prob.rt.tracer().phase("projection");
+  EXPECT_EQ(ph.total_kernels(), 84);
+  EXPECT_EQ(ph.messages, 12);     // two halo exchanges
+  EXPECT_EQ(ph.collectives, 4);   // project 1, absorb 2 passes + A-norm
+  EXPECT_EQ(ph.total_bytes(), 124416.0);
+  EXPECT_EQ(ph.total_index_bytes(), 10368.0);
 }
 
 TEST(Gmres, ZeroRhsIsImmediatelyConverged) {
