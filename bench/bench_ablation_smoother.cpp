@@ -26,7 +26,7 @@ int main() {
   int iters0 = 0, iters2 = 0;
   for (int inner : {0, 1, 2, 3}) {
     par::Runtime rt(24);
-    cfd::SimConfig cfg = cfd::SimConfig::optimized();
+    cfd::SimConfig cfg = bench::scaled_optimized();
     cfg.picard_iters = 2;
     cfg.sgs_inner_sweeps = inner;
     cfd::Simulation sim(sys, cfg, rt);

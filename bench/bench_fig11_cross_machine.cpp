@@ -29,7 +29,7 @@ int main() {
       paper_scale(mesh::TurbineCase::kSingle, sys.total_nodes());
   const auto summit = scaled_model(perf::MachineModel::summit_gpu(), scale);
   const auto eagle = scaled_model(perf::MachineModel::eagle_gpu(), scale);
-  cfd::SimConfig cfg = cfd::SimConfig::optimized();
+  cfd::SimConfig cfg = scaled_optimized();
   cfg.picard_iters = 4;
 
   std::printf("%6s %14s %14s | %10s %10s | %10s %10s\n", "GPUs",

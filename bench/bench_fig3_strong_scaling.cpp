@@ -40,7 +40,7 @@ int main() {
     std::vector<double> nodes;  // Summit node counts
     int ranks_per_node;
   };
-  cfd::SimConfig optimized = cfd::SimConfig::optimized();
+  cfd::SimConfig optimized = scaled_optimized();
   optimized.picard_iters = 4;
   cfd::SimConfig baseline = cfd::SimConfig::baseline();
   baseline.picard_iters = 4;

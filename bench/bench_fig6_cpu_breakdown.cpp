@@ -25,7 +25,7 @@ int main() {
   const double scale =
       paper_scale(mesh::TurbineCase::kSingle, sys.total_nodes());
   const auto cpu = scaled_model(perf::MachineModel::summit_cpu(), scale);
-  cfd::SimConfig cfg = cfd::SimConfig::optimized();
+  cfd::SimConfig cfg = scaled_optimized();
   cfg.picard_iters = 4;
 
   std::printf("%6s %6s %10s %10s %10s %10s %10s %10s\n", "nodes", "ranks",

@@ -22,7 +22,7 @@ int main() {
   const double scale = paper_scale(mesh::TurbineCase::kDual, sys.total_nodes());
   const auto gpu = scaled_model(perf::MachineModel::summit_gpu(), scale);
   const auto cpu = scaled_model(perf::MachineModel::summit_cpu(), scale);
-  cfd::SimConfig cfg = cfd::SimConfig::optimized();
+  cfd::SimConfig cfg = scaled_optimized();
   cfg.picard_iters = 4;
 
   print_scaling_header("GPU (current)");

@@ -26,7 +26,7 @@ int main() {
       paper_scale(mesh::TurbineCase::kSingleRefined, sys.total_nodes());
   const auto gpu = scaled_model(perf::MachineModel::summit_gpu(), scale);
   const auto cpu = scaled_model(perf::MachineModel::summit_cpu(), scale);
-  cfd::SimConfig cfg = cfd::SimConfig::optimized();
+  cfd::SimConfig cfg = scaled_optimized();
   cfg.picard_iters = 2;  // keep host time bounded; NLI is per-step anyway
 
   print_scaling_header("GPU (current)");

@@ -121,6 +121,17 @@ inline perf::MachineModel scaled_model(perf::MachineModel m, double s) {
   return m;
 }
 
+/// The optimized configuration as a bench that prices paper-scale work
+/// through scaled_model runs it: coarse-level agglomeration off. The
+/// mini mesh's coarse levels hold a few rows per rank where the paper's
+/// hold thousands, so grouping them by the mini mesh's row counts would
+/// pile S times the real work onto each leader (DESIGN.md §6).
+inline cfd::SimConfig scaled_optimized() {
+  cfd::SimConfig cfg = cfd::SimConfig::optimized();
+  cfg.pressure_amg.min_coarse_rows_per_rank = 0;
+  return cfg;
+}
+
 /// Workload scale factor for a case vs the paper's Table 1.
 inline double paper_scale(mesh::TurbineCase which, GlobalIndex actual_nodes) {
   const double paper = which == mesh::TurbineCase::kSingle ? 23022027.0

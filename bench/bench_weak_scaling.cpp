@@ -38,7 +38,7 @@ int main() {
   for (int i = 0; i < 4; ++i) {
     auto sys = mesh::make_turbine_case(mesh::TurbineCase::kSingle, refines[i]);
     const auto gpu = scaled_model(perf::MachineModel::summit_gpu(), scale);
-    cfd::SimConfig cfg = cfd::SimConfig::optimized();
+    cfd::SimConfig cfg = scaled_optimized();
     cfg.picard_iters = 2;
     const auto r = run_case(sys, cfg, ranks[i], gpu, steps);
     std::printf("%8.3f %8d %12lld %14.0f %12.4f %8d\n", refines[i], ranks[i],

@@ -246,4 +246,21 @@ Coarsening pmis(const linalg::ParCsr& a, const Strength& s,
   return out;
 }
 
+void agglomerate(Coarsening& c, int min_rows_per_rank) {
+  const std::int64_t n = c.coarse_size().value();
+  const std::int64_t nranks = c.coarse_rows.nranks();
+  if (min_rows_per_rank <= 0 || n == 0) return;
+  // k = ceil(T / (n / nranks)), at most every rank in one group.
+  const std::int64_t k = std::min(
+      nranks, (std::int64_t{min_rows_per_rank} * nranks + n - 1) / n);
+  if (k <= 1) return;
+  std::vector<GlobalIndex> counts(static_cast<std::size_t>(nranks),
+                                  GlobalIndex{0});
+  for (RankId r{0}; r.value() < nranks; ++r) {
+    counts[static_cast<std::size_t>(r.value() / k * k)] +=
+        c.coarse_rows.local_size(r).value();
+  }
+  c.coarse_rows = par::RowPartition::from_counts(counts);
+}
+
 }  // namespace exw::amg

@@ -53,4 +53,12 @@ struct Coarsening {
 Coarsening pmis(const linalg::ParCsr& a, const Strength& s,
                 std::uint64_t seed);
 
+/// Agglomerate a coarse grid that averages fewer than `min_rows_per_rank`
+/// rows per rank (0: never): each group of k = ceil(min_rows_per_rank /
+/// average) consecutive ranks hands its coarse rows to the group's first
+/// rank. Only `coarse_rows` changes. pmis numbers coarse points
+/// contiguously in rank order, so the leader's range is exactly its
+/// group's ids and no coarse id moves.
+void agglomerate(Coarsening& c, int min_rows_per_rank);
+
 }  // namespace exw::amg

@@ -40,6 +40,11 @@ struct AmgConfig {
   GlobalIndex max_coarse_size{64};  ///< direct-solve threshold
   sparse::SpGemmAlgo spgemm = sparse::SpGemmAlgo::kHash;
   std::uint64_t pmis_seed = 42;
+  /// Coarse-level agglomeration threshold T (DESIGN.md §18): a coarse
+  /// grid with fewer than T rows per rank on average moves each group of
+  /// ceil(T / average) consecutive ranks' rows onto the group's first
+  /// rank. 0 keeps every level on every rank.
+  int min_coarse_rows_per_rank = 0;
   /// Storage precision of the hierarchy's operators, transfers, and work
   /// vectors (DESIGN.md §16). kF32 runs the whole V-cycle — smoother
   /// streams, halo payloads, transfer wires — through FP32 storage with

@@ -18,13 +18,14 @@ namespace exw::amg {
 
 namespace {
 
-/// One coarsening round: S -> PMIS -> P. Returns false if coarsening
-/// stalled (no F points / empty coarse grid).
+/// One coarsening round: S -> PMIS -> agglomeration -> P. Returns false
+/// if coarsening stalled (no F points / empty coarse grid).
 bool coarsen_once(const linalg::ParCsr& a, const AmgConfig& cfg,
                   std::uint64_t seed, linalg::ParCsr& p_out,
                   GlobalIndex& coarse_size) {
   const Strength s = compute_strength(a, cfg.strong_threshold);
-  const Coarsening c = pmis(a, s, seed);
+  Coarsening c = pmis(a, s, seed);
+  agglomerate(c, cfg.min_coarse_rows_per_rank);
   coarse_size = c.coarse_size();
   if (coarse_size == GlobalIndex{0} || coarse_size >= a.global_rows()) {
     return false;
@@ -119,6 +120,7 @@ void AmgHierarchy::setup(const linalg::ParCsr& a) {
   }
   const auto& coarsest = levels_.back().a;
   coarse_lu_ = sparse::DenseLu(coarsest.to_serial());
+  coarse_rhs_.assign(static_cast<std::size_t>(coarsest.global_rows()), 0.0);
   // Rebuild-only cost: refresh_values never re-factorizes (amg/charges.hpp).
   detail::charge_dense_lu(rt.tracer(), coarsest.global_rows().value());
 }
@@ -174,7 +176,9 @@ void AmgHierarchy::refresh_values(const linalg::ParCsr& a) {
   }
 }
 
+EXW_WARM_FN
 void AmgHierarchy::vcycle(const linalg::ParVector& b, linalg::ParVector& x) {
+  EXW_PURITY_REGION("amg-vcycle");
   EXW_REQUIRE(b.ncomp() == 1 && x.ncomp() == 1, "AMG V-cycle runs one lane");
   cycle_level(0, b, x);
 }
@@ -209,11 +213,11 @@ void AmgHierarchy::coarse_solve(const linalg::ParVector& b,
   par::Runtime& rt = levels_.back().a.runtime();
   const auto n = static_cast<double>(b.global_size().value());
   rt.tracer().collective(n * bytes_of(b.value_precision()));
-  RealVector rhs = b.gather();
-  coarse_lu_.solve_in_place(rhs);
+  b.gather(coarse_rhs_);
+  coarse_lu_.solve_in_place(coarse_rhs_);
   rt.tracer().kernel(RankId{0}, 2.0 * n * n, 8.0 * n * n);
   rt.tracer().collective(n * bytes_of(x.value_precision()));
-  x.scatter(rhs);
+  x.scatter(coarse_rhs_);
 }
 
 double AmgHierarchy::grid_complexity() const {
@@ -239,11 +243,15 @@ std::string AmgHierarchy::describe() const {
   os << "AMG hierarchy: " << levels_.size() << " levels\n";
   for (std::size_t l = 0; l < levels_.size(); ++l) {
     const auto& a = levels_[l].a;
+    int active = 0;
+    for (RankId r{0}; r.value() < a.nranks(); ++r) {
+      active += a.rows().local_size(r) > LocalIndex{0} ? 1 : 0;
+    }
     os << "  level " << l << ": rows=" << a.global_rows()
        << " nnz=" << a.global_nnz() << " avg_row="
        << static_cast<double>(a.global_nnz().value()) /
               static_cast<double>(std::max<std::int64_t>(1, a.global_rows().value()))
-       << "\n";
+       << " active_ranks=" << active << "\n";
   }
   os << "  grid complexity " << grid_complexity() << ", operator complexity "
      << operator_complexity();

@@ -77,7 +77,7 @@ class AmgHierarchy {
   double grid_complexity() const;
   /// Sum of nnz over levels / fine nnz.
   double operator_complexity() const;
-  /// One line per level: rows, nnz, avg row size.
+  /// One line per level: rows, nnz, avg row size, ranks holding rows.
   std::string describe() const;
 
  private:
@@ -90,6 +90,7 @@ class AmgHierarchy {
   AmgConfig cfg_;
   std::vector<AmgLevel> levels_;
   sparse::DenseLu coarse_lu_;
+  RealVector coarse_rhs_;  ///< the coarse solve's gather buffer
   /// Frozen replay plans, one per level transition (empty unless frozen).
   std::vector<std::unique_ptr<LevelReplay>> replays_;
   bool frozen_ = false;

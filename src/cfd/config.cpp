@@ -18,6 +18,7 @@ SimConfig SimConfig::baseline() {
   cfg.sgs_inner_sweeps = 1;
   cfg.pressure_amg.agg_levels = 0;
   cfg.pressure_amg.pmax = 0;
+  cfg.pressure_amg.min_coarse_rows_per_rank = 0;  // every level on every rank
   // Before the MM-ext development (§4.1), direct interpolation was the
   // GPU-available option; the tuned configuration selects the MM-ext
   // family with aggressive coarsening and truncation.

@@ -41,8 +41,10 @@ struct SimConfig {
   /// limit. kF64 is the classic full-precision setup (baseline()).
   Precision precond_precision = Precision::kF32;
 
-  // Pressure-Poisson: AMG-preconditioned one-reduce GMRES (§4.2).
-  amg::AmgConfig pressure_amg;
+  // Pressure-Poisson: AMG-preconditioned one-reduce GMRES (§4.2). Coarse
+  // levels averaging under 128 rows per rank move onto group leaders
+  // (DESIGN.md §18; T = 128 earned by the A/B in EXPERIMENTS.md).
+  amg::AmgConfig pressure_amg{.min_coarse_rows_per_rank = 128};
   solver::GmresOptions pressure_gmres{
       .max_iters = 100, .restart = 50, .rel_tol = 1e-5,
       .ortho = solver::OrthoMethod::kOneReduce};

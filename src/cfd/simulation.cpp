@@ -143,6 +143,14 @@ void Simulation::setup_block(MeshBlock& blk) {
   blk.layout = assembly::make_layout(db, rt_->nranks(), cfg_.partition);
   blk.prs_projector = solver::GuessProjector(
       checked_narrow<std::size_t>(cfg_.pressure_projection_size));
+  const auto& rows = blk.layout.numbering.rows;
+  blk.prs_old = linalg::ParVector(*rt_, rows);
+  blk.prs_x = linalg::ParVector(*rt_, rows);
+  if (cfg_.use_fused_momentum) {
+    blk.mom_b = linalg::ParVector(*rt_, rows, 3);
+    blk.mom_x = linalg::ParVector(*rt_, rows, 3);
+  }
+  blk.scl_x = linalg::ParVector(*rt_, rows);
 
   // Dirichlet masks per equation family (paper §3.1: "periodic, Dirichlet,
   // and overset DoFs are accounted for precisely").
@@ -367,7 +375,6 @@ void Simulation::solve_momentum(MeshBlock& blk) {
     charge_per_rank(tracer, counts.nodes, 6.0, 40.0);
   }
 
-  const auto& rows = blk.layout.numbering.rows;
   {
     perf::PhaseScope ph(tracer, "global");
     assemble_system(blk.mom_cache, *blk.mom_graph);
@@ -398,8 +405,8 @@ void Simulation::solve_momentum(MeshBlock& blk) {
     // structure once per fused SpMV / smoother sweep for all components
     // and batches the reduction payloads into one allreduce each —
     // bitwise-identical per component to the sequential branch below.
-    linalg::ParVector b(*rt_, rows, 3);
-    linalg::ParVector x(*rt_, rows, 3);
+    linalg::ParVector& b = blk.mom_b;
+    linalg::ParVector& x = blk.mom_x;
     assembly::field_to_lane(blk.layout, blk.u, x, 0);
     assembly::field_to_lane(blk.layout, blk.v, x, 1);
     assembly::field_to_lane(blk.layout, blk.w, x, 2);
@@ -422,7 +429,7 @@ void Simulation::solve_momentum(MeshBlock& blk) {
     return;
   }
 
-  linalg::ParVector x(*rt_, rows);
+  linalg::ParVector& x = blk.scl_x;
   auto solve_component = [&](RealVector& field) {
     assembly::field_to_lane(blk.layout, field, x, 0);
     solver::SolveStats st;
@@ -495,8 +502,7 @@ void Simulation::solve_continuity(MeshBlock& blk) {
     charge_per_rank(tracer, counts.nodes, 6.0, 40.0);
   }
 
-  const auto& rows = blk.layout.numbering.rows;
-  linalg::ParVector p_old_vec(*rt_, rows);
+  linalg::ParVector& p_old_vec = blk.prs_old;
   {
     perf::PhaseScope ph(tracer, "global");
     assemble_system(blk.prs_cache, *blk.prs_graph);
@@ -545,7 +551,7 @@ void Simulation::solve_continuity(MeshBlock& blk) {
   prs_stats_.amg_levels = pc.hierarchy().num_levels();
   prs_stats_.amg_operator_complexity = pc.hierarchy().operator_complexity();
 
-  linalg::ParVector x(*rt_, rows);
+  linalg::ParVector& x = blk.prs_x;
   x.copy_from(p_old_vec);
   solver::SolveStats st;
   {
@@ -645,7 +651,6 @@ void Simulation::solve_scalar(MeshBlock& blk) {
     charge_per_rank(tracer, counts.nodes, 8.0, 48.0);
   }
 
-  const auto& rows = blk.layout.numbering.rows;
   {
     perf::PhaseScope ph(tracer, "global");
     // The scalar system shares the momentum graph (same pattern), so it
@@ -661,7 +666,7 @@ void Simulation::solve_scalar(MeshBlock& blk) {
     // value rebind unless the scalar assembly went cold.
     precond = &momentum_smoother(blk, scl_stats_);
   }
-  linalg::ParVector x(*rt_, rows);
+  linalg::ParVector& x = blk.scl_x;
   assembly::field_to_lane(blk.layout, blk.scl, x, 0);
   solver::SolveStats st;
   {

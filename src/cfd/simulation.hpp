@@ -140,6 +140,14 @@ class Simulation {
     linalg::ValueCheck prs_values;
     /// Earlier pressure corrections the next solve's guess projects onto.
     solver::GuessProjector prs_projector;
+    /// Solve vectors over the block's rows, sized once in setup_block and
+    /// overwritten whole by every solve: the pressure solve's p_old and
+    /// iterate, the fused momentum solve's 3-lane rhs and iterate (only
+    /// with use_fused_momentum), and the 1-lane iterate the scalar and
+    /// sequential momentum solves share.
+    linalg::ParVector prs_old, prs_x;
+    linalg::ParVector mom_b, mom_x;
+    linalg::ParVector scl_x;
     // Nodal fields (indexed by mesh node id).
     RealVector u, v, w, p, scl;
     RealVector u_old, v_old, w_old, scl_old;

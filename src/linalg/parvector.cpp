@@ -32,9 +32,15 @@ ParVector::ParVector(par::Runtime& rt, par::RowPartition rows,
   EXW_REQUIRE(ncomp >= 1, "vector needs at least one lane");
   EXW_REQUIRE(rows_.nranks() == rt.nranks(),
               "vector partition does not match runtime rank count");
-  local_.resize(static_cast<std::size_t>(rows_.nranks()));
+  // Warm code constructs vectors only to prime scratch on first use
+  // (Smoother::residual_scratch, SmootherPrecond::fp32_scratch), under
+  // EXW_PURITY_ALLOW; the runtime purity check polices any other
+  // construction inside a warm region.
+  local_.resize(  // exw-warm-ok: first-use scratch priming
+      static_cast<std::size_t>(rows_.nranks()));
   for (RankId r{0}; r.value() < rows_.nranks(); ++r) {
-    local_[static_cast<std::size_t>(r)].assign(ncomp_ * local_n(r), 0.0);
+    local_[static_cast<std::size_t>(r)].assign(  // exw-warm-ok: first-use scratch priming
+        ncomp_ * local_n(r), 0.0);
   }
 }
 
@@ -388,15 +394,21 @@ void ParVector::extract_lane(std::size_t lane, ParVector& dst) const {
 }
 
 RealVector ParVector::gather(std::size_t lane) const {
-  EXW_REQUIRE(lane < ncomp_, "vector lane out of range");
   RealVector out(static_cast<std::size_t>(global_size()));
+  gather(out, lane);
+  return out;
+}
+
+void ParVector::gather(RealVector& out, std::size_t lane) const {
+  EXW_REQUIRE(lane < ncomp_, "vector lane out of range");
+  EXW_REQUIRE(out.size() == static_cast<std::size_t>(global_size()),
+              "vector size mismatch");
   // Ranks write disjoint [first_row, end_row) slices.
   rt_->parallel_for_ranks([&](RankId r) {
     const auto x = lane_span(r, lane);
     std::copy(x.begin(), x.end(),
               out.begin() + static_cast<std::ptrdiff_t>(rows_.first_row(r).value()));
   });
-  return out;
 }
 
 void ParVector::scatter(const RealVector& global, std::size_t lane) {

@@ -150,8 +150,11 @@ class ParVector {
   void set_lane(std::size_t lane, const ParVector& src);
   void extract_lane(std::size_t lane, ParVector& dst) const;
 
-  /// Gather one lane to a dense global vector (tests only; not charged).
+  /// Gather one lane to a dense global vector (not charged).
   RealVector gather(std::size_t lane = 0) const;
+  /// Same, into `out`, which must already hold global_size() values (no
+  /// allocation: the AMG coarse solve gathers into a kept buffer).
+  void gather(RealVector& out, std::size_t lane = 0) const;
   /// Scatter a dense global vector into one lane (tests/setup; not
   /// charged).
   void scatter(const RealVector& global, std::size_t lane = 0);

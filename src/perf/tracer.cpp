@@ -1,6 +1,7 @@
 #include "perf/tracer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/error.hpp"
@@ -113,7 +114,9 @@ double PhaseStats::max_kernel_flops() const {
 
 Tracer::Tracer(int nranks)
     : nranks_(nranks),
-      pending_(static_cast<std::size_t>(nranks > 0 ? nranks : 1) * kMaxDepth) {
+      pending_(static_cast<std::size_t>(nranks > 0 ? nranks : 1) * kMaxDepth),
+      words_((static_cast<std::size_t>(nranks > 0 ? nranks : 1) + 63) / 64),
+      touched_(words_ * kMaxDepth) {
   EXW_REQUIRE(nranks >= 1, "tracer needs at least one rank");
   // Root phase: untagged work is never lost.
   frames_.push_back(Frame{&intern(""), next_serial_++, 0, 0});
@@ -153,23 +156,25 @@ void Tracer::pop_phase() {
   s.allocs += static_cast<long long>(t.allocs - f.allocs0);
   s.alloc_bytes += static_cast<double>(t.bytes - f.bytes0);
   // Roll this opening's message charges up one level; the parent passes
-  // them on when it pops in turn.
+  // them on when it pops in turn. Only ranks a message touched in this
+  // opening hold charges.
   PhaseStats& parent = frames_[depth - 1].phase->second;
-  for (RankId r{0}; r.value() < nranks_; ++r) {
+  for_each_marked(depth, [&](RankId r) {
     Pending& c = pending(r, depth);
     s.messages += c.unsettled;
-    if (c.msgs == 0) {  // no message touched rank r in this opening
-      continue;
-    }
     auto& w = parent.rank[static_cast<std::size_t>(r)];
     w.msgs += c.msgs;
     w.msg_bytes += c.msg_bytes;
     parent.messages += c.sent;
     Pending& p = pending(r, depth - 1);
+    if (p.msgs == 0) mark(r, depth - 1);
     p.msgs += c.msgs;
     p.msg_bytes += c.msg_bytes;
     p.sent += c.sent;
     c = Pending{};
+  });
+  for (std::size_t i = 0; i < words_; ++i) {
+    touched_[depth * words_ + i].store(0, std::memory_order_relaxed);
   }
   // The registry's key, so it outlives the pop.
   const std::string& closed = f.phase->first;
@@ -181,12 +186,24 @@ void Tracer::pop_phase() {
   }
 }
 
+template <typename Fn>
+void Tracer::for_each_marked(std::size_t depth, Fn&& fn) const {
+  for (std::size_t i = 0; i < words_; ++i) {
+    std::uint64_t bits =
+        touched_[depth * words_ + i].load(std::memory_order_relaxed);
+    while (bits != 0) {
+      fn(RankId{static_cast<std::int64_t>(i * 64) + std::countr_zero(bits)});
+      bits &= bits - 1;
+    }
+  }
+}
+
 void Tracer::settle() const {
   for (std::size_t d = 0; d < frames_.size(); ++d) {
     long n = 0;
-    for (RankId r{0}; r.value() < nranks_; ++r) {
+    for_each_marked(d, [&](RankId r) {
       n += std::exchange(pending(r, d).unsettled, 0);
-    }
+    });
     frames_[d].phase->second.messages += n;
   }
 }
@@ -232,6 +249,7 @@ MessageStamp Tracer::message_sent(RankId src, [[maybe_unused]] RankId dst,
   w.msgs += 1;
   w.msg_bytes += bytes;
   Pending& p = pending(src, depth);
+  if (p.msgs == 0) mark(src, depth);
   p.msgs += 1;
   p.msg_bytes += bytes;
   p.sent += 1;
@@ -255,6 +273,7 @@ void Tracer::message_received(RankId dst, RankId src, double bytes,
   w.msgs += 1;
   w.msg_bytes += bytes;
   Pending& p = pending(dst, depth);
+  if (p.msgs == 0) mark(dst, depth);
   p.msgs += 1;
   p.msg_bytes += bytes;
 }
@@ -305,6 +324,7 @@ void Tracer::reset() {
     s.alloc_bytes = 0;
   }
   std::fill(pending_.begin(), pending_.end(), Pending{});
+  for (auto& word : touched_) word.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace exw::perf

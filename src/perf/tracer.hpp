@@ -30,6 +30,7 @@
 /// imbalance, which is the regime of this application (fixed partition,
 /// barrier-like collectives every few kernels).
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -256,6 +257,17 @@ class Tracer {
   Pending& pending(RankId r, std::size_t depth) const {
     return pending_[static_cast<std::size_t>(r) * kMaxDepth + depth];
   }
+  /// Mark rank r's slot at `depth` as charged in this opening. Called
+  /// by r's body on its first charge there, so one atomic OR per rank
+  /// and opening; the region barrier publishes it to the orchestrator.
+  void mark(RankId r, std::size_t depth) {
+    const auto i = static_cast<std::size_t>(r.value());
+    touched_[depth * words_ + i / 64].fetch_or(std::uint64_t{1} << (i % 64),
+                                               std::memory_order_relaxed);
+  }
+  /// Call fn(r) for every rank marked at `depth`, in rank order.
+  template <typename Fn>
+  void for_each_marked(std::size_t depth, Fn&& fn) const;
   /// Fold every open phase's unsettled send counts into its `messages`.
   void settle() const;
 
@@ -270,6 +282,11 @@ class Tracer {
   /// Rank-major [rank][depth] so each rank's slots are contiguous: only
   /// rank r's body writes rank r's slots during a region.
   mutable std::vector<Pending> pending_;
+  /// Which ranks' pending slots hold charges: one bit per rank, `words_`
+  /// words per depth. pop_phase and settle visit only marked ranks, so
+  /// their cost follows the ranks that messaged, not the rank count.
+  std::size_t words_;
+  std::vector<std::atomic<std::uint64_t>> touched_;
   PhasePopListener* pop_listener_ = nullptr;  ///< not owned; may be null
 };
 

@@ -194,6 +194,7 @@ class SmootherPrecond final : public Preconditioner {
                 "smoother precond lane count out of range");
     Fp32Scratch& s = fp32_[lanes - 1];
     if (s.r.ncomp() == 0) {
+      EXW_PURITY_ALLOW("first-use scratch priming");
       s.r = linalg::ParVector(a_->runtime(), a_->rows(), lanes,
                               Precision::kF32);
       s.z = linalg::ParVector(a_->runtime(), a_->rows(), lanes,

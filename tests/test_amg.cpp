@@ -1,13 +1,18 @@
 // Tests for the BoomerAMG-mini setup pipeline (paper §4.1): strength of
-// connection, PMIS, interpolation operators, distributed Galerkin RAP,
-// hierarchy construction, and V-cycle convergence.
+// connection, PMIS, coarse-level agglomeration, interpolation operators,
+// distributed Galerkin RAP, hierarchy construction, and V-cycle
+// convergence.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
 
 #include "amg/coarsen.hpp"
 #include "amg/hierarchy.hpp"
 #include "amg/interp.hpp"
 #include "amg/rap.hpp"
 #include "amg/soc.hpp"
+#include "par/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace exw::amg {
@@ -182,6 +187,96 @@ TEST_P(AmgRankSweep, VcycleConvergesOnLaplacian) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, AmgRankSweep, ::testing::Values(1, 2, 4, 6));
+
+// ----------------------------------------------- coarse-level agglomeration --
+
+class AgglomerateRankSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(AgglomerateRankSweep, KeepsSplitAndIdsAndMovesGroupsToFirstRank) {
+  // Agglomeration changes only coarse_rows: the C/F split and every
+  // coarse id stay as pmis made them, and each group of
+  // k = ceil(T / average) consecutive ranks' rows lands on the group's
+  // first rank. The thresholds cover no-op, groups that divide the rank
+  // count, a short last group and one group of every rank.
+  const int nranks = GetParam();
+  par::Runtime rt(nranks);
+  const auto a = distribute(rt, laplace3d(10));
+  const Coarsening ref = pmis(a, compute_strength(a, 0.25), 7);
+  const std::int64_t n = ref.coarse_size().value();
+  ASSERT_GT(n, 0);
+  for (int t : {0, 1, 7, 32, 100, 100000}) {
+    Coarsening c = ref;
+    agglomerate(c, t);
+    EXPECT_EQ(c.cf, ref.cf) << "T=" << t;
+    EXPECT_EQ(c.coarse_id, ref.coarse_id) << "T=" << t;
+    ASSERT_EQ(c.coarse_size(), ref.coarse_size());
+    const std::int64_t k =
+        t == 0 ? 1
+               : std::min<std::int64_t>(nranks, (std::int64_t{t} * nranks + n - 1) / n);
+    for (RankId r{0}; r.value() < nranks; ++r) {
+      const RankId leader{r.value() / k * k};
+      if (r == leader) {
+        const RankId end{std::min<std::int64_t>(r.value() + k, nranks)};
+        EXPECT_EQ(c.coarse_rows.first_row(r), ref.coarse_rows.first_row(r));
+        EXPECT_EQ(c.coarse_rows.end_row(r), ref.coarse_rows.first_row(end));
+      } else {
+        EXPECT_EQ(c.coarse_rows.local_size(r), LocalIndex{0})
+            << "T=" << t << " rank " << r.value();
+      }
+      for (const GlobalIndex g : c.coarse_id[static_cast<std::size_t>(r)]) {
+        if (g != kInvalidGlobal) {
+          EXPECT_EQ(c.coarse_rows.rank_of(g), leader);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, AgglomerateRankSweep,
+                         ::testing::Values(4, 24, 96));
+
+TEST(Agglomerate, VcycleMatchesBetweenInlineExecutorAndPool) {
+  // At T = 64 on 24 ranks the coarse levels live on a few group leaders;
+  // every other rank owns zero rows there and runs empty kernels, sends
+  // and receives. Two V-cycles must give the same bits on the inline
+  // executor and on the pool, in FP64 and FP32.
+  const auto mat = laplace3d(12, 0.01);
+  for (Precision prec : {Precision::kF64, Precision::kF32}) {
+    const auto run = [&] {
+      par::Runtime rt(24);
+      const auto a = distribute(rt, mat);
+      AmgConfig cfg;
+      cfg.min_coarse_rows_per_rank = 64;
+      cfg.precision = prec;
+      AmgHierarchy h(a, cfg);
+      bool empty_rank = false;
+      for (int l = 1; l < h.num_levels(); ++l) {
+        const auto& rows = h.level(l).a.rows();
+        for (RankId r{0}; r.value() < rows.nranks(); ++r) {
+          empty_rank = empty_rank || rows.local_size(r) == LocalIndex{0};
+        }
+      }
+      EXPECT_TRUE(empty_rank) << "no coarse level was agglomerated";
+      linalg::ParVector b(rt, a.rows()), x(rt, a.rows());
+      b.scatter(random_vector(static_cast<std::size_t>(mat.nrows()), 5));
+      x.fill(0.0);
+      h.vcycle(b, x);
+      h.vcycle(b, x);
+      return x.gather();
+    };
+    const bool saved = par::serial_mode();
+    par::set_serial_mode(true);
+    const auto ref = run();
+    par::set_serial_mode(false);
+    const auto got = run();
+    par::set_serial_mode(saved);
+    ASSERT_EQ(got.size(), ref.size());
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(Real)), 0)
+        << "agglomerated V-cycle differs between the inline executor and the "
+           "pool, precision "
+        << static_cast<int>(prec);
+  }
+}
 
 TEST(Interp, CoarseRowsAreIdentity) {
   par::Runtime rt(3);

@@ -52,20 +52,17 @@ bool bitwise_equal(const linalg::ParCsr& a, const linalg::ParCsr& b) {
   return true;
 }
 
-class AmgCacheRankSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(AmgCacheRankSweep, RefreshRoundTripMatchesRebuildBitwise) {
-  // Build a frozen hierarchy on A(shift=0), refresh it through three
-  // value changes ending back at the original values, and demand the
-  // result is bitwise indistinguishable from a cold rebuild: identical
-  // level operators and an identical V-cycle (which also exercises the
-  // refreshed smoother splits and the retained coarse LU).
-  const int nranks = GetParam();
+/// Build a frozen hierarchy on A(shift=0), refresh it through three
+/// value changes ending back at the original values, and demand the
+/// result is bitwise indistinguishable from a cold rebuild: identical
+/// level operators and an identical V-cycle (which also exercises the
+/// refreshed smoother splits and the retained coarse LU).
+void expect_refresh_round_trip_matches_rebuild(int nranks,
+                                               const AmgConfig& cfg) {
   par::Runtime rt(nranks);
   const auto a0 = distribute(rt, laplace3d(8, 0.0));
   const auto a1 = distribute(rt, laplace3d(8, 0.5));
   const auto a2 = distribute(rt, laplace3d(8, 0.01));
-  AmgConfig cfg;
 
   AmgHierarchy h(a0, cfg, /*freeze_replay=*/true);
   ASSERT_TRUE(h.frozen());
@@ -95,6 +92,12 @@ TEST_P(AmgCacheRankSweep, RefreshRoundTripMatchesRebuildBitwise) {
   }
 }
 
+class AmgCacheRankSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(AmgCacheRankSweep, RefreshRoundTripMatchesRebuildBitwise) {
+  expect_refresh_round_trip_matches_rebuild(GetParam(), AmgConfig{});
+}
+
 TEST_P(AmgCacheRankSweep, RefreshedCoarseOperatorsMatchColdGalerkin) {
   // After a refresh with genuinely different values, every coarse operator
   // must equal the cold Galerkin product of the refreshed finer level with
@@ -119,6 +122,26 @@ TEST_P(AmgCacheRankSweep, RefreshedCoarseOperatorsMatchColdGalerkin) {
 
 INSTANTIATE_TEST_SUITE_P(Ranks, AmgCacheRankSweep,
                          ::testing::Values(1, 2, 4, 8));
+
+TEST(AmgRefresh, AgglomeratedRoundTripMatchesRebuildBitwise) {
+  // Coarse levels agglomerated onto group leaders, some ranks owning no
+  // coarse rows: the frozen replay plans follow the agglomerated
+  // partition, so a refresh still equals a rebuild bit for bit.
+  AmgConfig cfg;
+  cfg.min_coarse_rows_per_rank = 16;
+  for (int nranks : {8, 24}) {
+    par::Runtime rt(nranks);
+    const AmgHierarchy h(distribute(rt, laplace3d(8, 0.0)), cfg);
+    ASSERT_GE(h.num_levels(), 2);
+    const auto& coarse = h.level(1).a.rows();
+    int active = 0;
+    for (RankId r{0}; r.value() < nranks; ++r) {
+      active += coarse.local_size(r) > LocalIndex{0} ? 1 : 0;
+    }
+    EXPECT_LT(active, nranks) << "level 1 was not agglomerated";
+    expect_refresh_round_trip_matches_rebuild(nranks, cfg);
+  }
+}
 
 TEST(AmgRefresh, ThrowsOnStalePatternOrUnfrozenHierarchy) {
   par::Runtime rt(2);

@@ -470,5 +470,56 @@ TEST(Tracer, PoolMessageHalvesMatchChargingEveryOpenPhase) {
   EXPECT_TRUE(rt.transport().drained());
 }
 
+TEST(Tracer, MessageRollUpReachesRanksInEveryMaskWord) {
+  // 130 ranks span three 64-rank words of the tracer's record of which
+  // ranks charged messages in an opening. A few ranks in each word send
+  // to their right neighbour inside a nested phase, opened twice; every
+  // phase then holds exactly those charges and the other ranks none,
+  // whether read open (settled) or after the pops (rolled up).
+  const int nranks = 130;
+  par::Runtime rt(nranks);
+  auto& tr = rt.tracer();
+  const auto sends = [](int r) {
+    return r == 0 || r == 63 || r == 64 || r == 127 || r == 128 || r == 129;
+  };
+  const auto ring = [&] {
+    rt.parallel_for_ranks([&](RankId r) {
+      if (sends(r.value())) {
+        rt.transport().send<int>(r, RankId{(r.value() + 1) % nranks},
+                                 par::tags::kTestRing, {1});
+      }
+    });
+    rt.parallel_for_ranks([&](RankId r) {
+      const int src = (r.value() + nranks - 1) % nranks;
+      if (sends(src)) {
+        (void)rt.transport().recv<int>(r, RankId{src}, par::tags::kTestRing);
+      }
+    });
+  };
+  tr.push_phase("a");
+  tr.push_phase("b");
+  ring();
+  EXPECT_EQ(tr.phase("a/b").messages, 6);
+  tr.pop_phase();
+  tr.push_phase("b");
+  ring();
+  tr.pop_phase();
+  tr.pop_phase();
+  for (const char* name : {"", "a", "a/b"}) {
+    const auto& s = tr.phase(name);
+    EXPECT_EQ(s.messages, 12) << "phase '" << name << "'";
+    for (int r = 0; r < nranks; ++r) {
+      const long want =
+          2 * ((sends(r) ? 1 : 0) + (sends((r + nranks - 1) % nranks) ? 1 : 0));
+      const auto ru = static_cast<std::size_t>(r);
+      EXPECT_EQ(s.rank[ru].msgs, want) << "phase '" << name << "' rank " << r;
+      EXPECT_DOUBLE_EQ(s.rank[ru].msg_bytes,
+                       static_cast<double>(want) * sizeof(int))
+          << "phase '" << name << "' rank " << r;
+    }
+  }
+  EXPECT_TRUE(rt.transport().drained());
+}
+
 }  // namespace
 }  // namespace exw

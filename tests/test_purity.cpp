@@ -3,8 +3,9 @@
 // region and its open site, propagation through par::ThreadPool workers,
 // and the zero-allocation steady-state contract of every warm cache
 // (assembly-plan refill, AMG value refresh and reuse check, smoother
-// rebind, fused momentum kernels, guess projection). Everything must also
-// compile and pass — vacuously — when EXW_PURITY_CHECKS=OFF.
+// rebind, fused momentum kernels, AMG V-cycle, guess projection).
+// Everything must also compile and pass — vacuously — when
+// EXW_PURITY_CHECKS=OFF.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -401,6 +402,31 @@ TEST(PurityWarmPath, HaloTransposeAndSweepsAreAllocationPure) {
     EXPECT_EQ(r.allocs, 0) << name;
     EXPECT_EQ(r.allowed_allocs, 0) << name;
   }
+}
+
+TEST(PurityWarmPath, AmgVcycleIsAllocationPure) {
+  // An agglomerated hierarchy (coarse levels on group leaders, ranks with
+  // zero rows) after one V-cycle has sized the channels and the sweep
+  // scratch: two more V-cycles, the coarse gather and direct solve
+  // included, allocate nothing at all.
+  par::Runtime rt(8);
+  const auto a = distribute(rt, laplace3d(8, 0.05));
+  amg::AmgConfig cfg;
+  cfg.min_coarse_rows_per_rank = 16;
+  amg::AmgHierarchy h(a, cfg);
+  linalg::ParVector b(rt, a.rows()), x(rt, a.rows());
+  b.scatter(random_vector(512, 9));
+  x.fill(0.0);
+  h.vcycle(b, x);  // first use sizes the channels and the sweep scratch
+  purity::reset();
+  FatalModeGuard guard;
+  purity::set_fatal(true);
+  h.vcycle(b, x);
+  h.vcycle(b, x);
+  const auto r = purity::region("amg-vcycle");
+  EXPECT_EQ(r.entries > 0, purity::enabled());
+  EXPECT_EQ(r.allocs, 0);
+  EXPECT_EQ(r.allowed_allocs, 0);
 }
 
 TEST(PurityWarmPath, GuessProjectionIsAllocationPure) {

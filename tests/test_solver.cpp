@@ -235,6 +235,19 @@ TEST(Gmres, ModeledLedgerIsPinned) {
   prob.rt.tracer().reset();
   ASSERT_EQ(gmres_solve(prob.a, prob.b, prob.x, amg_f32, opts).iterations, 16);
   expect_ledger({3468, 882, 74, 3984408.0, 566640.0});
+
+  // Coarse-level agglomeration on: level 1's rows sit on fewer ranks, so
+  // the restriction and prolongation messages and the coarse kernels
+  // move. Recorded when agglomeration was added.
+  amg::AmgConfig agg_cfg;
+  agg_cfg.min_coarse_rows_per_rank = 16;
+  AmgPrecond amg_agg(prob.a, agg_cfg);
+  const auto& coarse = amg_agg.hierarchy().level(1).a.rows();
+  EXPECT_EQ(coarse.local_size(RankId{1}), LocalIndex{0});
+  prob.x.fill(0.0);
+  prob.rt.tracer().reset();
+  ASSERT_EQ(gmres_solve(prob.a, prob.b, prob.x, amg_agg, opts).iterations, 14);
+  expect_ledger({2609, 462, 62, 4324536.0, 469608.0});
 }
 
 /// `m` with every 7th row replaced by a Dirichlet identity row; the
