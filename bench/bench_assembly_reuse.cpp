@@ -190,9 +190,9 @@ int run() {
   const bool warm_sorts = warm_excess != 0;
 
   // Steady state: from the second refill on, the per-refill allocation
-  // count must be flat. The residual constant count is the simulated
-  // NIC boundary (transport serialization + send staging, see
-  // assembly/plan.hpp); the compute pipeline itself allocates nothing.
+  // count must be flat. It reads zero: the first refill sizes the
+  // persistent channel buffers (assembly/plan.hpp), later ones allocate
+  // nothing.
   bool alloc_growth = false;
   for (std::size_t i = 2; i < allocs_per_refill.size(); ++i) {
     if (allocs_per_refill[i] > allocs_per_refill[1]) alloc_growth = true;

@@ -48,8 +48,11 @@ int main(int argc, char** argv) {
     rt.tracer().reset();
     sim.step();
     const auto& nli = rt.tracer().phase("nli");
+    // Every bit (%.17g), so comparing two runs' output catches a last-bit
+    // difference anywhere in the step.
     std::printf(
-        "step %d: div=%.3e vel=%.3f scalar=%.4f prs_it=%d | NLI(gpu)=%.3f s\n",
+        "step %d: div=%.17g vel=%.17g scalar=%.17g prs_it=%d | "
+        "NLI(gpu)=%.17g s\n",
         s, static_cast<double>(sim.divergence_rms()),
         static_cast<double>(sim.velocity_rms()),
         static_cast<double>(sim.scalar_mean()),

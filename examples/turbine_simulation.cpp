@@ -42,16 +42,20 @@ int main(int argc, char** argv) {
   const auto cpu = perf::MachineModel::summit_cpu();
   const auto eagle = perf::MachineModel::eagle_gpu();
 
-  std::printf("\n%4s %10s %10s %8s %8s %8s | %10s %10s %10s\n", "step",
-              "div_rms", "vel_rms", "mom_it", "prs_it", "scl_it",
-              "NLI@Summit", "NLI@Eagle", "NLI@CPUmdl");
+  // Diagnostics and modeled times print every bit (%.17g), so comparing
+  // two runs' output catches a last-bit difference anywhere in the step.
+  std::printf("\n%4s %23s %23s %23s %6s %6s %6s | %23s %23s %23s\n",
+              "step", "div_rms", "vel_rms", "scl_mean", "mom_it", "prs_it",
+              "scl_it", "NLI@Summit [s]", "NLI@Eagle [s]", "NLI@CPUmdl [s]");
   for (int s = 0; s < steps; ++s) {
     rt.tracer().reset();
     sim.step();
     const auto& nli = rt.tracer().phase("nli");
-    std::printf("%4d %10.3e %10.3f %8d %8d %8d | %9.3fs %9.3fs %9.3fs\n", s,
-                static_cast<double>(sim.divergence_rms()),
+    std::printf("%4d %23.17g %23.17g %23.17g %6d %6d %6d | %23.17g %23.17g "
+                "%23.17g\n",
+                s, static_cast<double>(sim.divergence_rms()),
                 static_cast<double>(sim.velocity_rms()),
+                static_cast<double>(sim.scalar_mean()),
                 sim.momentum_stats().gmres_iterations,
                 sim.continuity_stats().gmres_iterations,
                 sim.scalar_stats().gmres_iterations, nli.modeled_time(gpu),

@@ -4,6 +4,7 @@
 #include <atomic>
 
 #include "common/error.hpp"
+#include "par/contract.hpp"
 #include "par/thread_pool.hpp"
 
 namespace exw::assembly {
@@ -11,6 +12,10 @@ namespace exw::assembly {
 void RankSystem::zero_values() {
   std::fill(owned.vals.begin(), owned.vals.end(), 0.0);
   std::fill(shared.vals.begin(), shared.vals.end(), 0.0);
+  zero_rhs();
+}
+
+void RankSystem::zero_rhs() {
   std::fill(rhs_owned.begin(), rhs_owned.end(), 0.0);
   std::fill(rhs_shared.vals.begin(), rhs_shared.vals.end(), 0.0);
 }
@@ -58,19 +63,21 @@ void EquationGraph::build_patterns() {
     const RankId r = layout_->node_rank[static_cast<std::size_t>(n)];
     raw_owned[static_cast<std::size_t>(r)].push(row, row, 0.0);
   }
-  // Edge stencils; Dirichlet rows receive nothing off-diagonal.
-  for (std::size_t e = 0; e < db_->edges.size(); ++e) {
-    const auto& edge = db_->edges[e];
-    const RankId r = layout_->edge_rank[e];
-    const GlobalIndex ra = layout_->row_of(edge.a);
-    const GlobalIndex rb = layout_->row_of(edge.b);
-    if (!row_is_dirichlet(edge.a)) {
-      add_pattern(r, ra, ra);
-      add_pattern(r, ra, rb);
-    }
-    if (!row_is_dirichlet(edge.b)) {
-      add_pattern(r, rb, rb);
-      add_pattern(r, rb, ra);
+  // Edge stencils on each edge's processing rank; Dirichlet rows receive
+  // nothing off-diagonal.
+  for (RankId r{0}; r.value() < nranks; ++r) {
+    for (const std::uint32_t e : layout_->edges_of(r)) {
+      const auto& edge = db_->edges[e];
+      const GlobalIndex ra = layout_->row_of(edge.a);
+      const GlobalIndex rb = layout_->row_of(edge.b);
+      if (!row_is_dirichlet(edge.a)) {
+        add_pattern(r, ra, ra);
+        add_pattern(r, ra, rb);
+      }
+      if (!row_is_dirichlet(edge.b)) {
+        add_pattern(r, rb, rb);
+        add_pattern(r, rb, ra);
+      }
     }
   }
 
@@ -127,22 +134,23 @@ void EquationGraph::build_slots() {
     s.rhs = (row - rows.first_row(r)).value();
   }
   edge_slots_.resize(db_->edges.size());
-  for (std::size_t e = 0; e < db_->edges.size(); ++e) {
-    const auto& edge = db_->edges[e];
-    const RankId r = layout_->edge_rank[e];
-    const GlobalIndex ra = layout_->row_of(edge.a);
-    const GlobalIndex rb = layout_->row_of(edge.b);
-    EdgeSlots& s = edge_slots_[e];
-    s.rank = r;
-    if (!row_is_dirichlet(edge.a)) {
-      s.aa = locate_matrix(r, ra, ra);
-      s.ab = locate_matrix(r, ra, rb);
-      s.rhs_a = locate_rhs(r, ra);
-    }
-    if (!row_is_dirichlet(edge.b)) {
-      s.bb = locate_matrix(r, rb, rb);
-      s.ba = locate_matrix(r, rb, ra);
-      s.rhs_b = locate_rhs(r, rb);
+  for (RankId r{0}; r.value() < layout_->nranks; ++r) {
+    for (const std::uint32_t e : layout_->edges_of(r)) {
+      const auto& edge = db_->edges[e];
+      const GlobalIndex ra = layout_->row_of(edge.a);
+      const GlobalIndex rb = layout_->row_of(edge.b);
+      EdgeSlots& s = edge_slots_[e];
+      s.rank = r;
+      if (!row_is_dirichlet(edge.a)) {
+        s.aa = locate_matrix(r, ra, ra);
+        s.ab = locate_matrix(r, ra, rb);
+        s.rhs_a = locate_rhs(r, ra);
+      }
+      if (!row_is_dirichlet(edge.b)) {
+        s.bb = locate_matrix(r, rb, rb);
+        s.ba = locate_matrix(r, rb, ra);
+        s.rhs_b = locate_rhs(r, rb);
+      }
     }
   }
 }
@@ -196,6 +204,7 @@ void EquationGraph::zero_values() {
 }
 
 void EquationGraph::apply(RankId r, Slot slot, Real v, bool atomic) {
+  EXW_CONTRACT_CHECK_WRITE(r, "EquationGraph::apply");
   RankSystem& sys = ranks_[static_cast<std::size_t>(r)];
   Real& target = slot >= 0
                      ? sys.owned.vals[static_cast<std::size_t>(slot)]
@@ -208,6 +217,7 @@ void EquationGraph::apply(RankId r, Slot slot, Real v, bool atomic) {
 }
 
 void EquationGraph::apply_rhs(RankId r, Slot slot, Real v, bool atomic) {
+  EXW_CONTRACT_CHECK_WRITE(r, "EquationGraph::apply_rhs");
   RankSystem& sys = ranks_[static_cast<std::size_t>(r)];
   Real& target = slot >= 0
                      ? sys.rhs_owned[static_cast<std::size_t>(slot)]
@@ -243,8 +253,7 @@ void EquationGraph::add_node(GlobalIndex node, Real diag, Real rhs,
 
 void EquationGraph::zero_rhs() {
   for (auto& sys : ranks_) {
-    std::fill(sys.rhs_owned.begin(), sys.rhs_owned.end(), 0.0);
-    std::fill(sys.rhs_shared.vals.begin(), sys.rhs_shared.vals.end(), 0.0);
+    sys.zero_rhs();
   }
 }
 

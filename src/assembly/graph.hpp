@@ -42,6 +42,7 @@ struct RankSystem {
   sparse::CooVector rhs_shared;  ///< sparse contributions to off-rank rows
 
   void zero_values();
+  void zero_rhs();
 };
 
 /// Precomputed slots for one mesh edge's 2x2 stencil + RHS pair.
@@ -82,9 +83,14 @@ class EquationGraph {
   /// Reset all matrix/RHS values to zero (start of a Picard iteration).
   void zero_values();
 
-  /// Accumulate one edge's 2x2 stencil `m = [aa ab; ba bb]` and RHS pair.
-  /// With `atomic`, values are added through std::atomic_ref — the
-  /// device-atomics code path of §3.2 (non-reproducible order, same sum).
+  /// Accumulate one edge's 2x2 stencil `m = [aa ab; ba bb]` and RHS pair
+  /// into the edge's processing rank's RankSystem; each node's adds go to
+  /// its owner's. Inside a parallel rank region only that rank's body may
+  /// add (contract-checked), so a body that adds its own edges in global
+  /// order, then its own nodes, gives every slot the serial loop's
+  /// addend order. With `atomic`, values are added through
+  /// std::atomic_ref — the device-atomics code path of §3.2
+  /// (non-reproducible order, same sum).
   void add_edge(std::size_t edge_id, const std::array<Real, 4>& m,
                 const std::array<Real, 2>& rhs, bool atomic = false);
 

@@ -11,18 +11,30 @@ void field_to_lane(const MeshLayout& layout, const RealVector& field,
                    linalg::ParVector& x, std::size_t lane) {
   EXW_REQUIRE(field.size() == layout.numbering.old_to_new.size(),
               "field size does not match layout node count");
-  for (std::size_t i = 0; i < field.size(); ++i) {
-    x.at(lane, layout.row_of(checked_narrow<GlobalIndex>(i))) = field[i];
-  }
+  EXW_REQUIRE(x.rows().starts() == layout.numbering.rows.starts(),
+              "vector rows are not the layout's row partition");
+  x.runtime().parallel_for_ranks([&](RankId r) {
+    const auto nodes = layout.nodes_of(r);
+    const auto out = x.lane_span(r, lane);
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+      out[k] = field[static_cast<std::size_t>(nodes[k])];
+    }
+  });
 }
 
 void lane_to_field(const MeshLayout& layout, const linalg::ParVector& x,
                    std::size_t lane, RealVector& field) {
   EXW_REQUIRE(field.size() == layout.numbering.old_to_new.size(),
               "field size does not match layout node count");
-  for (std::size_t i = 0; i < field.size(); ++i) {
-    field[i] = x.at(lane, layout.row_of(checked_narrow<GlobalIndex>(i)));
-  }
+  EXW_REQUIRE(x.rows().starts() == layout.numbering.rows.starts(),
+              "vector rows are not the layout's row partition");
+  x.runtime().parallel_for_ranks([&](RankId r) {
+    const auto nodes = layout.nodes_of(r);
+    const auto in = x.lane_span(r, lane);
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+      field[static_cast<std::size_t>(nodes[k])] = in[k];
+    }
+  });
 }
 
 MeshLayout make_layout_from_parts(const mesh::MeshDB& db,
@@ -31,16 +43,30 @@ MeshLayout make_layout_from_parts(const mesh::MeshDB& db,
   layout.nranks = nranks;
   layout.node_rank = std::move(parts);
   layout.numbering = part::make_numbering(layout.node_rank, nranks);
-  layout.edge_rank.resize(static_cast<std::size_t>(db.num_edges()));
   // An edge is evaluated by the owner of its lower-numbered endpoint (in
   // the new numbering), mirroring element-ownership in Nalu-Wind: most
   // contributions are local, cut edges produce shared rows.
-  for (std::size_t e = 0; e < layout.edge_rank.size(); ++e) {
+  std::vector<RankId> edge_rank(db.edges.size());
+  for (std::size_t e = 0; e < edge_rank.size(); ++e) {
     const auto& edge = db.edges[e];
     const GlobalIndex ra = layout.row_of(edge.a);
     const GlobalIndex rb = layout.row_of(edge.b);
-    layout.edge_rank[e] =
-        layout.numbering.rows.rank_of(std::min(ra, rb));
+    edge_rank[e] = layout.numbering.rows.rank_of(std::min(ra, rb));
+  }
+  // Bucket the edges by rank (a counting sort keeps ascending ids).
+  layout.rank_edge_start.assign(static_cast<std::size_t>(nranks) + 1, 0);
+  for (RankId r : edge_rank) {
+    layout.rank_edge_start[static_cast<std::size_t>(r) + 1] += 1;
+  }
+  for (std::size_t r = 0; r < static_cast<std::size_t>(nranks); ++r) {
+    layout.rank_edge_start[r + 1] += layout.rank_edge_start[r];
+  }
+  layout.rank_edges.resize(edge_rank.size());
+  std::vector<std::uint32_t> cursor(layout.rank_edge_start.begin(),
+                                    layout.rank_edge_start.end() - 1);
+  for (std::size_t e = 0; e < edge_rank.size(); ++e) {
+    layout.rank_edges[cursor[static_cast<std::size_t>(edge_rank[e])]++] =
+        checked_narrow<std::uint32_t>(e);
   }
   return layout;
 }

@@ -10,6 +10,8 @@
 /// ranks produce the "shared" COO contributions that stage 3 exchanges.
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -29,11 +31,30 @@ enum class PartitionMethod { kRcb, kGraph };
 struct MeshLayout {
   part::Numbering numbering;        ///< node id <-> global row id
   std::vector<RankId> node_rank;    ///< owner rank per node
-  std::vector<RankId> edge_rank;    ///< processing rank per mesh edge
+  /// The mesh edges grouped by processing rank, each rank's in ascending
+  /// id: rank r's are rank_edges[rank_edge_start[r] ..
+  /// rank_edge_start[r + 1]).
+  std::vector<std::uint32_t> rank_edges;
+  std::vector<std::uint32_t> rank_edge_start;
   int nranks = 0;
 
   GlobalIndex row_of(GlobalIndex node) const {
     return numbering.old_to_new[static_cast<std::size_t>(node)];
+  }
+  /// Rank r's edges in ascending id: the order the serial edge loop
+  /// visits them.
+  std::span<const std::uint32_t> edges_of(RankId r) const {
+    const auto b = rank_edge_start[static_cast<std::size_t>(r)];
+    const auto e = rank_edge_start[static_cast<std::size_t>(r) + 1];
+    return {rank_edges.data() + b, e - b};
+  }
+  /// Rank r's nodes in ascending id, in local-row order (the renumbering
+  /// is stable, so both orders agree).
+  std::span<const GlobalIndex> nodes_of(RankId r) const {
+    const auto& rows = numbering.rows;
+    return {numbering.new_to_old.data() +
+                static_cast<std::size_t>(rows.first_row(r)),
+            static_cast<std::size_t>(rows.local_size(r))};
   }
 };
 
@@ -51,8 +72,7 @@ MeshLayout make_layout_from_parts(const mesh::MeshDB& db,
 /// Gather a nodal field into one lane of the layout's distributed row
 /// vector: x[lane, row_of(node)] = field[node]. Host-side glue between
 /// the physics fields (mesh node order) and solver vectors (renumbered
-/// row order); uncharged, like the per-element ParVector accessors it
-/// wraps.
+/// row order), one rank body per rank over its own rows; uncharged.
 void field_to_lane(const MeshLayout& layout, const RealVector& field,
                    linalg::ParVector& x, std::size_t lane);
 /// Scatter one lane back: field[node] = x[lane, row_of(node)].

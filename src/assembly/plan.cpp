@@ -10,10 +10,9 @@
 
 namespace exw::assembly {
 
-// Warm-path value-only exchange tags come from the central registry
-// (par/tags.hpp): kPlanMatVals/kPlanRhsVals, kept distinct from the cold
-// 201-205 channels so a warm refill can never consume a cold assembly's
-// triples by accident.
+// Warm-path channel tags come from the central registry (par/tags.hpp):
+// kPlanMatVals/kPlanRhsVals, kept distinct from the cold 201-205 channels
+// so the comm audit never mistakes a refill for a cold assembly message.
 namespace tags = par::tags;
 
 namespace {
@@ -43,14 +42,16 @@ std::vector<AssemblyPlan::Slice> owner_runs(
 
 /// Receive composition for rank dst: ascending-src slices tiling the
 /// received region [0, n_recv) — exactly the cold path's drain order.
+/// Each matching send learns its slot in that list.
 std::vector<AssemblyPlan::Slice> recv_runs(
-    RankId dst, const std::vector<const std::vector<AssemblyPlan::Slice>*>& sends) {
+    RankId dst, const std::vector<std::vector<AssemblyPlan::Slice>*>& sends) {
   std::vector<AssemblyPlan::Slice> runs;
   std::size_t off = 0;
   for (std::size_t src = 0; src < sends.size(); ++src) {
-    for (const auto& s : *sends[src]) {
+    for (auto& s : *sends[src]) {
       if (s.peer != dst) continue;
       const std::size_t len = s.end - s.begin;
+      s.slot = runs.size();
       runs.push_back({RankId{checked_narrow<int>(src)}, off, off + len});
       off += len;
     }
@@ -106,12 +107,12 @@ AssemblyPlan AssemblyPlan::build(par::Runtime& rt,
 
   // Receive composition: build-time replacement for the cold path's
   // nnz_recv allreduce; charge the same collective.
-  std::vector<const std::vector<Slice>*> mat_sends_all;
-  std::vector<const std::vector<Slice>*> rhs_sends_all;
+  std::vector<std::vector<Slice>*> mat_sends_all;
+  std::vector<std::vector<Slice>*> rhs_sends_all;
   std::vector<GlobalIndex> send_counts(static_cast<std::size_t>(nranks),
                                        GlobalIndex{0});
   for (RankId r{0}; r.value() < nranks; ++r) {
-    const auto& p = plan.ranks_[static_cast<std::size_t>(r)];
+    auto& p = plan.ranks_[static_cast<std::size_t>(r)];
     mat_sends_all.push_back(&p.mat_sends);
     rhs_sends_all.push_back(&p.rhs_sends);
     send_counts[static_cast<std::size_t>(r)] =
@@ -255,6 +256,30 @@ linalg::ParVector AssemblyPlan::create_vector(par::Runtime& rt) const {
   return linalg::ParVector(rt, rows_);
 }
 
+void AssemblyPlan::prime_matrix_channels() const {
+  if (mat_primed_) return;
+  EXW_PURITY_ALLOW("first-use scratch priming");
+  for (const RankPlan& p : ranks_) {
+    p.stacked.resize(  // exw-warm-ok: first-use scratch priming
+        p.n_own + p.n_recv);
+    p.mat_stamps.resize(  // exw-warm-ok: first-use scratch priming
+        p.mat_recvs.size());
+  }
+  mat_primed_ = true;
+}
+
+void AssemblyPlan::prime_vector_channels() const {
+  if (rhs_primed_) return;
+  EXW_PURITY_ALLOW("first-use scratch priming");
+  for (const RankPlan& p : ranks_) {
+    p.rhs_recv.resize(  // exw-warm-ok: first-use scratch priming
+        p.rhs_n_recv);
+    p.rhs_stamps.resize(  // exw-warm-ok: first-use scratch priming
+        p.rhs_recvs.size());
+  }
+  rhs_primed_ = true;
+}
+
 EXW_WARM_FN
 void AssemblyPlan::refill_matrix(par::Runtime& rt,
                                  std::span<const SystemView> systems,
@@ -262,46 +287,45 @@ void AssemblyPlan::refill_matrix(par::Runtime& rt,
   EXW_PURITY_REGION("assembly-refill-matrix");
   EXW_REQUIRE(valid(), "assembly plan not built");
   EXW_REQUIRE(systems.size() == ranks_.size(), "one system view per rank");
-  auto& transport = rt.transport();
+  prime_matrix_channels();
   auto& tracer = rt.tracer();
 
-  // Pack + post value-only messages (structure frozen: one message per
-  // neighbor pair; no row/col traffic, no counts allreduce).
+  // Each sender copies its shared values straight into the receivers'
+  // stacked streams, one message per neighbor pair (structure frozen: no
+  // row/col traffic, no counts allreduce).
   rt.parallel_for_ranks([&](RankId r) {
     const auto& p = ranks_[static_cast<std::size_t>(r)];
     const auto& sh = *systems[static_cast<std::size_t>(r)].shared;
     const std::size_t n_shared = p.mat_sends.empty() ? 0 : p.mat_sends.back().end;
     EXW_REQUIRE(sh.nnz() == n_shared,
                 "assembly plan is stale: shared triple count changed");
-    // The payload vector is the message being serialized — it belongs to
-    // the simulated NIC, like the staging inside Transport::send itself.
-    EXW_PURITY_ALLOW("simulated-NIC message serialization");
     for (const auto& s : p.mat_sends) {
-      transport.send(
-          r, s.peer, tags::kPlanMatVals,
-          std::vector<Real>(sh.vals.begin() + static_cast<std::ptrdiff_t>(s.begin),
-                            sh.vals.begin() + static_cast<std::ptrdiff_t>(s.end)));
-      charge_stream(tracer, r, s.end - s.begin, sizeof(Real));
+      const RankPlan& dst = ranks_[static_cast<std::size_t>(s.peer)];
+      const std::size_t count = s.end - s.begin;
+      std::copy_n(sh.vals.begin() + static_cast<std::ptrdiff_t>(s.begin), count,
+                  dst.stacked.begin() + static_cast<std::ptrdiff_t>(
+                                            dst.n_own + dst.mat_recvs[s.slot].begin));
+      dst.mat_stamps[s.slot] =
+          rt.channel_sent(r, s.peer, tags::kPlanMatVals, count,
+                          count * sizeof(Real), "AssemblyPlan::refill_matrix");
+      charge_stream(tracer, r, count, sizeof(Real));
     }
   });
 
-  // Stack owned + received values and segmented-sum them into place.
+  // Stack the owned values in front of the received ones and
+  // segmented-sum them into place.
   rt.parallel_for_ranks([&](RankId r) {
     const auto& p = ranks_[static_cast<std::size_t>(r)];
     const auto& own = *systems[static_cast<std::size_t>(r)].owned;
     EXW_REQUIRE(own.nnz() == p.n_own,
                 "assembly plan is stale: owned triple count changed");
-    {
-      EXW_PURITY_ALLOW("first-refill scratch priming");
-      p.stacked.resize(p.n_own + p.n_recv);  // no-op after the first refill
-    }
     std::copy(own.vals.begin(), own.vals.end(), p.stacked.begin());
-    for (const auto& s : p.mat_recvs) {
-      auto vals = transport.recv<Real>(r, s.peer, tags::kPlanMatVals);
-      EXW_REQUIRE(vals.size() == s.end - s.begin,
-                  "assembly plan is stale: received triple count changed");
-      std::copy(vals.begin(), vals.end(),
-                p.stacked.begin() + static_cast<std::ptrdiff_t>(p.n_own + s.begin));
+    for (std::size_t j = 0; j < p.mat_recvs.size(); ++j) {
+      const auto& s = p.mat_recvs[j];
+      const std::size_t count = s.end - s.begin;
+      rt.channel_received(r, s.peer, tags::kPlanMatVals, count,
+                          count * sizeof(Real), p.mat_stamps[j],
+                          "AssemblyPlan::refill_matrix");
     }
     charge_stream(tracer, r, p.stacked.size(), sizeof(Real));
     a.set_values_from_plan(r, p.mat_fill, p.stacked);
@@ -315,7 +339,7 @@ void AssemblyPlan::refill_vector(par::Runtime& rt,
   EXW_PURITY_REGION("assembly-refill-vector");
   EXW_REQUIRE(valid(), "assembly plan not built");
   EXW_REQUIRE(systems.size() == ranks_.size(), "one system view per rank");
-  auto& transport = rt.transport();
+  prime_vector_channels();
   auto& tracer = rt.tracer();
 
   rt.parallel_for_ranks([&](RankId r) {
@@ -324,13 +348,16 @@ void AssemblyPlan::refill_vector(par::Runtime& rt,
     const std::size_t n_shared = p.rhs_sends.empty() ? 0 : p.rhs_sends.back().end;
     EXW_REQUIRE(sh.size() == n_shared,
                 "assembly plan is stale: shared RHS count changed");
-    EXW_PURITY_ALLOW("simulated-NIC message serialization");
     for (const auto& s : p.rhs_sends) {
-      transport.send(
-          r, s.peer, tags::kPlanRhsVals,
-          std::vector<Real>(sh.vals.begin() + static_cast<std::ptrdiff_t>(s.begin),
-                            sh.vals.begin() + static_cast<std::ptrdiff_t>(s.end)));
-      charge_stream(tracer, r, s.end - s.begin, sizeof(Real));
+      const RankPlan& dst = ranks_[static_cast<std::size_t>(s.peer)];
+      const std::size_t count = s.end - s.begin;
+      std::copy_n(sh.vals.begin() + static_cast<std::ptrdiff_t>(s.begin), count,
+                  dst.rhs_recv.begin() + static_cast<std::ptrdiff_t>(
+                                             dst.rhs_recvs[s.slot].begin));
+      dst.rhs_stamps[s.slot] =
+          rt.channel_sent(r, s.peer, tags::kPlanRhsVals, count,
+                          count * sizeof(Real), "AssemblyPlan::refill_vector");
+      charge_stream(tracer, r, count, sizeof(Real));
     }
   });
 
@@ -339,16 +366,12 @@ void AssemblyPlan::refill_vector(par::Runtime& rt,
     const auto& own = *systems[static_cast<std::size_t>(r)].rhs_owned;
     EXW_REQUIRE(own.size() == p.rhs_n_own,
                 "assembly plan is stale: owned RHS size changed");
-    {
-      EXW_PURITY_ALLOW("first-refill scratch priming");
-      p.rhs_recv.resize(p.rhs_n_recv);  // no-op after the first refill
-    }
-    for (const auto& s : p.rhs_recvs) {
-      auto vals = transport.recv<Real>(r, s.peer, tags::kPlanRhsVals);
-      EXW_REQUIRE(vals.size() == s.end - s.begin,
-                  "assembly plan is stale: received RHS count changed");
-      std::copy(vals.begin(), vals.end(),
-                p.rhs_recv.begin() + static_cast<std::ptrdiff_t>(s.begin));
+    for (std::size_t j = 0; j < p.rhs_recvs.size(); ++j) {
+      const auto& s = p.rhs_recvs[j];
+      const std::size_t count = s.end - s.begin;
+      rt.channel_received(r, s.peer, tags::kPlanRhsVals, count,
+                          count * sizeof(Real), p.rhs_stamps[j],
+                          "AssemblyPlan::refill_vector");
     }
     b.set_values_from_plan(r, own, p.rhs_fill, p.rhs_recv);
   });

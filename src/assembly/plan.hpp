@@ -27,13 +27,17 @@
 ///     with zeroed values, cloned by create_matrix().
 ///
 /// `refill_matrix()` / `refill_vector()` are then pure value pipelines —
-/// gather values in send order, exchange value-only messages, segmented-
-/// sum through the frozen maps into the existing ParCsr/ParVector — with
-/// no sort, no searches, and no steady-state allocation on the value
-/// path (the transport's serialization buffers are the simulated NIC and
-/// are documented as out of scope). Results are bitwise-identical to
-/// cold kSortReduce assembly because the stable permutation fixes the
-/// addend order the cold path would have used.
+/// each sender copies its frozen slices straight into the receivers'
+/// stacked buffers, then each receiver segmented-sums through the frozen
+/// maps into the existing ParCsr/ParVector — with no sort, no searches
+/// and no steady-state allocation. The slices travel on persistent
+/// per-(src, dst) channels, as ParCsr's halo exchange does: the offset of
+/// every slice in its receiver's buffer is frozen by `build()`, and
+/// Runtime::channel_sent / channel_received do the contract, tracer and
+/// comm-audit bookkeeping, so a warm refill posts nothing to Transport.
+/// Results are bitwise-identical to cold kSortReduce assembly because
+/// the stable permutation fixes the addend order the cold path would
+/// have used.
 
 #include <cstdint>
 #include <span>
@@ -63,6 +67,9 @@ class AssemblyPlan {
     RankId peer{0};
     std::size_t begin = 0;
     std::size_t end = 0;
+    /// Sends only: the index of the matching slice in the receiver's
+    /// recv list, whose `begin` is where this run lands.
+    std::size_t slot = 0;
   };
 
   /// Frozen stage-3 structure for one rank.
@@ -79,13 +86,16 @@ class AssemblyPlan {
     std::size_t rhs_n_own = 0;  ///< local rows (dense owned RHS)
     std::size_t rhs_n_recv = 0;
     linalg::VectorFillPlan rhs_fill;
-    // Warm-path scratch, sized on first refill and reused afterwards
-    // (capacity never shrinks, so steady-state refills do not allocate).
-    // Mutable because refills are const operations on the plan; each
-    // rank's body touches only its own RankPlan, per the threading
-    // contract.
-    mutable RealVector stacked;
-    mutable RealVector rhs_recv;
+    // Channel buffers, sized on the first refill and reused afterwards
+    // (AMG level plans are built but never refilled in most runs, so
+    // build() leaves them empty). Mutable because refills are const
+    // operations on the plan. A sender's body writes only its own slices
+    // of a receiver's received region and the slices' stamps; the
+    // receiver's body reads them after the region barrier.
+    mutable RealVector stacked;   ///< [owned, received] matrix values
+    mutable RealVector rhs_recv;  ///< received RHS values
+    mutable std::vector<perf::MessageStamp> mat_stamps;  ///< per mat_recvs
+    mutable std::vector<perf::MessageStamp> rhs_stamps;  ///< per rhs_recvs
   };
 
   AssemblyPlan() = default;
@@ -114,10 +124,10 @@ class AssemblyPlan {
   linalg::ParVector create_vector(par::Runtime& rt) const;
 
   /// Warm value-only reassembly into a matrix created by create_matrix()
-  /// (or cold-assembled from the same pattern): gather shared values in
-  /// send order, exchange one value-only message per neighbor pair,
-  /// stack, segmented-sum through the frozen fill plan. Bitwise equal to
-  /// assemble_matrix(..., kSortReduce) on the same values.
+  /// (or cold-assembled from the same pattern): copy shared values into
+  /// their receivers' stacked streams, one channel message per neighbor
+  /// pair, then segmented-sum through the frozen fill plan. Bitwise equal
+  /// to assemble_matrix(..., kSortReduce) on the same values.
   void refill_matrix(par::Runtime& rt, std::span<const SystemView> systems,
                      linalg::ParCsr& a) const;
 
@@ -126,10 +136,17 @@ class AssemblyPlan {
                      linalg::ParVector& b) const;
 
  private:
+  /// Size every rank's channel buffers and stamps on the first matrix /
+  /// RHS refill (no-op afterwards).
+  void prime_matrix_channels() const;
+  void prime_vector_channels() const;
+
   par::RowPartition rows_;
   par::RowPartition cols_;
   std::vector<RankPlan> ranks_;
   std::vector<linalg::RankBlock> structure_;  ///< values all zero
+  mutable bool mat_primed_ = false;
+  mutable bool rhs_primed_ = false;
 };
 
 }  // namespace exw::assembly

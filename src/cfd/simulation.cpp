@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <span>
+#include <utility>
 
 #include "assembly/global.hpp"
 #include "assembly/plan.hpp"
@@ -17,20 +18,27 @@ namespace {
 
 using mesh::NodeRole;
 
-/// Per-rank element/node counts for charging the physics and local
-/// assembly kernels.
-struct RankCounts {
-  std::vector<double> edges;
-  std::vector<double> nodes;
+/// Rank r's share [begin, end) of `count` items split into one contiguous
+/// range per rank. The edge- and node-local physics passes run on these
+/// ranges rather than on each rank's own items: a rank's edges and nodes
+/// are scattered through the mesh arrays, so per-rank passes would share
+/// cache lines between threads.
+struct Range {
+  std::size_t begin, end;
 };
+Range chunk(std::size_t count, RankId r, int nranks) {
+  const auto i = static_cast<std::size_t>(r);
+  const auto n = static_cast<std::size_t>(nranks);
+  return {count * i / n, count * (i + 1) / n};
+}
 
-RankCounts count_work(const assembly::MeshLayout& layout) {
-  RankCounts c;
-  c.edges.assign(static_cast<std::size_t>(layout.nranks), 0.0);
-  c.nodes.assign(static_cast<std::size_t>(layout.nranks), 0.0);
-  for (RankId r : layout.edge_rank) c.edges[static_cast<std::size_t>(r)] += 1.0;
-  for (RankId r : layout.node_rank) c.nodes[static_cast<std::size_t>(r)] += 1.0;
-  return c;
+/// Rank r's hand-set charge for `items` edges or nodes (none for zero
+/// items), made from r's body.
+void charge_items(perf::Tracer& tracer, RankId r, std::size_t items,
+                  double flops_per_item, double bytes_per_item) {
+  if (items == 0) return;
+  const auto n = static_cast<double>(items);
+  tracer.kernel(r, n * flops_per_item, n * bytes_per_item);
 }
 
 void charge_per_rank(perf::Tracer& tracer, const std::vector<double>& items,
@@ -54,10 +62,9 @@ void count_solve(EquationStats& stats, const solver::SolveStats& st) {
 }  // namespace
 
 void Simulation::assemble_system(EquationCache& cache,
-                                 assembly::EquationGraph& g) {
+                                 const assembly::EquationGraph& g) {
   const auto& rows = g.layout().numbering.rows;
-  const auto views = assembly::system_views(g);
-  const auto span = std::span<const assembly::SystemView>(views);
+  const auto span = std::span<const assembly::SystemView>(cache.views);
   const bool plan_path =
       cfg_.use_assembly_plan &&
       cfg_.assembly_algo == assembly::GlobalAssemblyAlgo::kSortReduce;
@@ -80,10 +87,9 @@ void Simulation::assemble_system(EquationCache& cache,
   }
   // Warm: value-only exchange + segmented sums, bitwise-identical to
   // cold kSortReduce assembly. The purity region opens after the cold
-  // branch and the system_views staging above — those may allocate; the
-  // refills themselves must not. (Runtime-only check: this caller is not
-  // EXW_WARM_FN-annotated because it owns the cold fallback too — see
-  // DESIGN.md §14.)
+  // branch, which may allocate; the refills themselves must not.
+  // (Runtime-only check: this caller is not EXW_WARM_FN-annotated
+  // because it owns the cold fallback too — see DESIGN.md §14.)
   {
     EXW_PURITY_REGION("picard-warm-assemble");
     cache.plan.refill_matrix(*rt_, span, cache.matrix);
@@ -92,10 +98,9 @@ void Simulation::assemble_system(EquationCache& cache,
 }
 
 void Simulation::assemble_rhs(EquationCache& cache,
-                              assembly::EquationGraph& g) {
+                              const assembly::EquationGraph& g) {
   const auto& rows = g.layout().numbering.rows;
-  const auto views = assembly::system_views(g);
-  const auto span = std::span<const assembly::SystemView>(views);
+  const auto span = std::span<const assembly::SystemView>(cache.views);
   if (cache.valid && cache.generation == g.generation()) {
     EXW_PURITY_REGION("picard-warm-assemble");
     cache.plan.refill_vector(*rt_, span, cache.rhs);
@@ -189,6 +194,11 @@ void Simulation::setup_block(MeshBlock& blk) {
     charge_per_rank(rt_->tracer(), blk.prs_graph->pattern_nnz_per_rank(), 16.0,
                     64.0);
   }
+  blk.mom_cache.views = assembly::system_views(*blk.mom_graph);
+  blk.prs_cache.views = assembly::system_views(*blk.prs_graph);
+
+  blk.incidence = mesh::make_node_edge_incidence(db);
+  blk.node_scratch.assign(3 * n, 0.0);
 
   // Initial condition: uniform inflow, ambient scalar; boundary values on
   // their Dirichlet nodes.
@@ -274,105 +284,130 @@ void Simulation::exchange_fringe_values() {
   rt_->tracer().collective(8.0);
 }
 
-void Simulation::compute_fluxes(MeshBlock& blk) {
+void Simulation::compute_fluxes(MeshBlock& blk, std::size_t begin,
+                                std::size_t end) const {
   const mesh::MeshDB& db = *blk.db;
-  for (std::size_t e = 0; e < db.edges.size(); ++e) {
+  for (std::size_t e = begin; e < end; ++e) {
     const auto& edge = db.edges[e];
     const auto a = static_cast<std::size_t>(edge.a);
     const auto b = static_cast<std::size_t>(edge.b);
-    const Vec3 dx = db.coords[b] - db.coords[a];
     const Vec3 uavg{0.5 * (blk.u[a] + blk.u[b]), 0.5 * (blk.v[a] + blk.v[b]),
                     0.5 * (blk.w[a] + blk.w[b])};
     const Vec3 um = mesh_velocity(
         blk, (db.coords[a] + db.coords[b]) * 0.5);
-    (void)dx;
     blk.edge_flux[e] = cfg_.density * (uavg - um).dot(edge.area);
   }
 }
+
+void Simulation::add_transport_edges(
+    MeshBlock& blk, std::span<const std::uint32_t> edges) const {
+  const mesh::MeshDB& db = *blk.db;
+  for (const std::uint32_t e : edges) {
+    const auto& edge = db.edges[e];
+    const Real diff = cfg_.viscosity * edge.coeff;
+    const Real f = blk.edge_flux[e];
+    // Upwinded advection + diffusion, rows a and b.
+    const std::array<Real, 4> m{std::max(f, 0.0) + diff,
+                                std::min(f, 0.0) - diff,
+                                std::min(-f, 0.0) - diff,
+                                std::max(-f, 0.0) + diff};
+    blk.mom_graph->add_edge(e, m, {0.0, 0.0}, cfg_.atomic_local_assembly);
+  }
+}
+
+void Simulation::fill_momentum_rhs(MeshBlock& blk, RankId r,
+                                   std::size_t component) const {
+  const mesh::MeshDB& db = *blk.db;
+  const std::size_t n = blk.u.size();
+  const auto nodes = blk.layout.nodes_of(r);
+  for (const GlobalIndex node : nodes) {
+    const auto i = static_cast<std::size_t>(node);
+    if (blk.mom_dirichlet[i]) {
+      const Vec3 bc = boundary_velocity(blk, node);
+      const Real val = component == 0 ? bc.x : (component == 1 ? bc.y : bc.z);
+      blk.mom_graph->add_node_rhs(node, val, cfg_.atomic_local_assembly);
+    } else {
+      const Real vol = db.node_volume[i];
+      const Real mass = cfg_.density * vol / cfg_.dt;
+      const Real uo = component == 0 ? blk.u_old[i]
+                      : component == 1 ? blk.v_old[i] : blk.w_old[i];
+      const Real gp = blk.node_scratch[component * n + i];
+      blk.mom_graph->add_node_rhs(node, mass * uo - vol * gp,
+                                  cfg_.atomic_local_assembly);
+    }
+  }
+  charge_items(rt_->tracer(), r, nodes.size(), 8.0, 48.0);
+}
+
+// The physics passes and the local assembly below are rank bodies. The
+// physics splits edges and nodes into contiguous ranges (see chunk());
+// the local assembly has each rank add its own edges in global order,
+// then its own nodes, into its own RankSystem, which is the serial
+// loop's addend order at every slot. Each body makes its rank's share of
+// the hand-set charges, so the modeled ledger is the serial one.
 
 void Simulation::solve_momentum(MeshBlock& blk) {
   perf::Tracer& tracer = rt_->tracer();
   perf::PhaseScope eq(tracer, "momentum");
   const mesh::MeshDB& db = *blk.db;
-  const RankCounts counts = count_work(blk.layout);
-  const Real mu = cfg_.viscosity;
+  const assembly::MeshLayout& layout = blk.layout;
+  const int nranks = rt_->nranks();
   const Real rho = cfg_.density;
 
-  // Nodal pressure gradient (for the momentum RHS).
-  std::vector<Vec3> gradp(static_cast<std::size_t>(db.num_nodes()), Vec3{});
+  // Fluxes, then the nodal pressure gradient (for the momentum RHS).
   {
     perf::PhaseScope ph(tracer, "physics");
-    compute_fluxes(blk);
-    for (const auto& edge : db.edges) {
-      const auto a = static_cast<std::size_t>(edge.a);
-      const auto b = static_cast<std::size_t>(edge.b);
-      const Real pf = 0.5 * (blk.p[a] + blk.p[b]);
-      gradp[a] += edge.area * pf;
-      gradp[b] += edge.area * (-pf);
-    }
-    for (std::size_t i = 0; i < gradp.size(); ++i) {
-      gradp[i] += db.node_boundary_area[i] * blk.p[i];
-      const Real vol = std::max(db.node_volume[i], Real{1e-30});
-      gradp[i] = gradp[i] * (1.0 / vol);
-    }
-    charge_per_rank(tracer, counts.edges, 60.0, 200.0);
-    charge_per_rank(tracer, counts.nodes, 10.0, 60.0);
+    EXW_PURITY_REGION("picard-physics");
+    rt_->parallel_for_ranks([&](RankId r) {
+      const Range edges = chunk(db.edges.size(), r, nranks);
+      compute_fluxes(blk, edges.begin, edges.end);  // exw-comm-ok: Vec3::dot, a 3-vector product
+      const std::size_t n = blk.p.size();
+      const Range nodes = chunk(n, r, nranks);
+      for (std::size_t i = nodes.begin; i < nodes.end; ++i) {
+        Vec3 g = mesh::gather_area_sum(db, blk.incidence, i,
+                                       [&](std::size_t ia, std::size_t ib) {
+                                         return 0.5 * (blk.p[ia] + blk.p[ib]);
+                                       });
+        g += db.node_boundary_area[i] * blk.p[i];
+        const Real vol = std::max(db.node_volume[i], Real{1e-30});
+        g = g * (1.0 / vol);
+        blk.node_scratch[i] = g.x;
+        blk.node_scratch[n + i] = g.y;
+        blk.node_scratch[2 * n + i] = g.z;
+      }
+      charge_items(tracer, r, layout.edges_of(r).size(), 60.0, 200.0);
+      charge_items(tracer, r, layout.nodes_of(r).size(), 10.0, 60.0);
+    });
   }
 
   // Local assembly: matrix once + RHS for the u component.
-  auto fill_node_rhs = [&](std::size_t component) {
-    for (GlobalIndex node{0}; node < db.num_nodes(); ++node) {
-      const auto i = static_cast<std::size_t>(node);
-      if (blk.mom_dirichlet[i]) {
-        const Vec3 bc = boundary_velocity(blk, node);
-        const Real val = component == 0 ? bc.x : (component == 1 ? bc.y : bc.z);
-        blk.mom_graph->add_node_rhs(node, val, cfg_.atomic_local_assembly);
-      } else {
-        const Real vol = db.node_volume[i];
-        const Real mass = rho * vol / cfg_.dt;
-        const Real uo = component == 0 ? blk.u_old[i]
-                        : component == 1 ? blk.v_old[i] : blk.w_old[i];
-        const Real gp = component == 0 ? gradp[i].x
-                        : component == 1 ? gradp[i].y : gradp[i].z;
-        blk.mom_graph->add_node_rhs(node, mass * uo - vol * gp,
-                                    cfg_.atomic_local_assembly);
-      }
-    }
-    charge_per_rank(tracer, counts.nodes, 8.0, 48.0);
-  };
-
   {
     perf::PhaseScope ph(tracer, "local");
-    blk.mom_graph->zero_values();
-    for (std::size_t e = 0; e < db.edges.size(); ++e) {
-      const auto& edge = db.edges[e];
-      const Real diff = mu * edge.coeff;
-      const Real f = blk.edge_flux[e];
-      // Upwinded advection + diffusion, rows a and b.
-      const std::array<Real, 4> m{std::max(f, 0.0) + diff,
-                                  std::min(f, 0.0) - diff,
-                                  std::min(-f, 0.0) - diff,
-                                  std::max(-f, 0.0) + diff};
-      blk.mom_graph->add_edge(e, m, {0.0, 0.0}, cfg_.atomic_local_assembly);
-    }
-    for (GlobalIndex node{0}; node < db.num_nodes(); ++node) {
-      const auto i = static_cast<std::size_t>(node);
-      if (blk.mom_dirichlet[i]) {
-        blk.mom_graph->add_node(node, 1.0, 0.0, cfg_.atomic_local_assembly);
-      } else {
-        // Time term plus the boundary advection closure (outflow faces of
-        // the node's dual cell); together with the edge fluxes this makes
-        // constant velocity an exact steady state.
-        const Vec3 ui{blk.u[i], blk.v[i], blk.w[i]};
-        const Real fb = rho * (ui - mesh_velocity(blk, db.coords[i]))
-                                  .dot(db.node_boundary_area[i]);
-        blk.mom_graph->add_node(node, rho * db.node_volume[i] / cfg_.dt + fb,
-                                0.0, cfg_.atomic_local_assembly);
+    EXW_PURITY_REGION("picard-local");
+    rt_->parallel_for_ranks([&](RankId r) {
+      blk.mom_graph->rank(r).zero_values();
+      const auto edges = layout.edges_of(r);
+      add_transport_edges(blk, edges);
+      const auto nodes = layout.nodes_of(r);
+      for (const GlobalIndex node : nodes) {
+        const auto i = static_cast<std::size_t>(node);
+        if (blk.mom_dirichlet[i]) {
+          blk.mom_graph->add_node(node, 1.0, 0.0, cfg_.atomic_local_assembly);
+        } else {
+          // Time term plus the boundary advection closure (outflow faces
+          // of the node's dual cell); together with the edge fluxes this
+          // makes constant velocity an exact steady state.
+          const Vec3 ui{blk.u[i], blk.v[i], blk.w[i]};
+          const Real fb = rho * (ui - mesh_velocity(blk, db.coords[i]))
+                                    .dot(db.node_boundary_area[i]);  // exw-comm-ok: Vec3::dot, a 3-vector product
+          blk.mom_graph->add_node(node, rho * db.node_volume[i] / cfg_.dt + fb,
+                                  0.0, cfg_.atomic_local_assembly);
+        }
       }
-    }
-    fill_node_rhs(0);
-    charge_per_rank(tracer, counts.edges, 30.0, 160.0);
-    charge_per_rank(tracer, counts.nodes, 6.0, 40.0);
+      fill_momentum_rhs(blk, r, 0);
+      charge_items(tracer, r, edges.size(), 30.0, 160.0);
+      charge_items(tracer, r, nodes.size(), 6.0, 40.0);
+    });
   }
 
   {
@@ -393,8 +428,11 @@ void Simulation::solve_momentum(MeshBlock& blk) {
   auto assemble_component_rhs = [&](std::size_t component) {
     {
       perf::PhaseScope ph(tracer, "local");
-      blk.mom_graph->zero_rhs();
-      fill_node_rhs(component);
+      EXW_PURITY_REGION("picard-local");
+      rt_->parallel_for_ranks([&](RankId r) {
+        blk.mom_graph->rank(r).zero_rhs();
+        fill_momentum_rhs(blk, r, component);
+      });
     }
     perf::PhaseScope ph(tracer, "global");
     assemble_rhs(blk.mom_cache, *blk.mom_graph);
@@ -407,9 +445,9 @@ void Simulation::solve_momentum(MeshBlock& blk) {
     // bitwise-identical per component to the sequential branch below.
     linalg::ParVector& b = blk.mom_b;
     linalg::ParVector& x = blk.mom_x;
-    assembly::field_to_lane(blk.layout, blk.u, x, 0);
-    assembly::field_to_lane(blk.layout, blk.v, x, 1);
-    assembly::field_to_lane(blk.layout, blk.w, x, 2);
+    assembly::field_to_lane(layout, blk.u, x, 0);
+    assembly::field_to_lane(layout, blk.v, x, 1);
+    assembly::field_to_lane(layout, blk.w, x, 2);
     b.set_lane(0, rhs);
     for (std::size_t component = 1; component < 3; ++component) {
       assemble_component_rhs(component);
@@ -423,22 +461,22 @@ void Simulation::solve_momentum(MeshBlock& blk) {
     for (const auto& lane : st.lane) {
       count_solve(mom_stats_, lane);
     }
-    assembly::lane_to_field(blk.layout, x, 0, blk.u);
-    assembly::lane_to_field(blk.layout, x, 1, blk.v);
-    assembly::lane_to_field(blk.layout, x, 2, blk.w);
+    assembly::lane_to_field(layout, x, 0, blk.u);
+    assembly::lane_to_field(layout, x, 1, blk.v);
+    assembly::lane_to_field(layout, x, 2, blk.w);
     return;
   }
 
   linalg::ParVector& x = blk.scl_x;
   auto solve_component = [&](RealVector& field) {
-    assembly::field_to_lane(blk.layout, field, x, 0);
+    assembly::field_to_lane(layout, field, x, 0);
     solver::SolveStats st;
     {
       perf::PhaseScope ph(tracer, "solve");
       st = solver::gmres_solve(a, rhs, x, *precond, cfg_.momentum_gmres);
     }
     count_solve(mom_stats_, st);
-    assembly::lane_to_field(blk.layout, x, 0, field);
+    assembly::lane_to_field(layout, x, 0, field);
   };
 
   solve_component(blk.u);
@@ -452,56 +490,68 @@ void Simulation::solve_continuity(MeshBlock& blk) {
   perf::Tracer& tracer = rt_->tracer();
   perf::PhaseScope eq(tracer, "continuity");
   const mesh::MeshDB& db = *blk.db;
-  const RankCounts counts = count_work(blk.layout);
+  const assembly::MeshLayout& layout = blk.layout;
+  const int nranks = rt_->nranks();
   const Real rho = cfg_.density;
   const auto n = static_cast<std::size_t>(db.num_nodes());
+  RealVector& div = blk.node_scratch;
 
   // Physics: volume divergence of the predicted velocity.
-  RealVector div(n, 0.0);
   {
     perf::PhaseScope ph(tracer, "physics");
-    compute_fluxes(blk);
-    for (std::size_t e = 0; e < db.edges.size(); ++e) {
-      const auto& edge = db.edges[e];
-      div[static_cast<std::size_t>(edge.a)] += blk.edge_flux[e] / rho;
-      div[static_cast<std::size_t>(edge.b)] -= blk.edge_flux[e] / rho;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const Vec3 ui{blk.u[i], blk.v[i], blk.w[i]};
-      div[i] += (ui - mesh_velocity(blk, db.coords[i]))
-                    .dot(db.node_boundary_area[i]);
-    }
-    charge_per_rank(tracer, counts.edges, 20.0, 120.0);
+    EXW_PURITY_REGION("picard-physics");
+    rt_->parallel_for_ranks([&](RankId r) {
+      const Range edges = chunk(db.edges.size(), r, nranks);
+      compute_fluxes(blk, edges.begin, edges.end);  // exw-comm-ok: Vec3::dot, a 3-vector product
+    });
+    // Every flux is in place at the region barrier.
+    rt_->parallel_for_ranks([&](RankId r) {
+      const Range nodes = chunk(n, r, nranks);
+      for (std::size_t i = nodes.begin; i < nodes.end; ++i) {
+        const Real d = mesh::gather_net(db, blk.incidence, i,
+                                        [&](std::uint32_t e) {
+                                          return blk.edge_flux[e] / rho;
+                                        });
+        const Vec3 ui{blk.u[i], blk.v[i], blk.w[i]};
+        div[i] = d + (ui - mesh_velocity(blk, db.coords[i]))
+                         .dot(db.node_boundary_area[i]);  // exw-comm-ok: Vec3::dot, a 3-vector product
+      }
+      charge_items(tracer, r, layout.edges_of(r).size(), 20.0, 120.0);
+    });
   }
 
   {
     perf::PhaseScope ph(tracer, "local");
-    blk.prs_graph->zero_values();
-    for (std::size_t e = 0; e < db.edges.size(); ++e) {
-      const Real g = db.edges[e].coeff;
-      blk.prs_graph->add_edge(e, {g, -g, -g, g}, {0.0, 0.0},
-                              cfg_.atomic_local_assembly);
-    }
-    for (GlobalIndex node{0}; node < db.num_nodes(); ++node) {
-      const auto i = static_cast<std::size_t>(node);
-      if (blk.prs_dirichlet[i]) {
-        // Solve for total pressure: Dirichlet rows pin p_new; since the
-        // RHS later gains A p_old, store (p_bc - p_old) here.
-        Real p_bc = 0.0;  // outflow and hole reference pressure
-        if (db.roles[i] == NodeRole::kFringe) {
-          p_bc = blk.p[i];  // donor-interpolated
-        }
-        blk.prs_graph->add_node(node, 1.0, p_bc - blk.p[i],
-                                cfg_.atomic_local_assembly);
-      } else {
-        blk.prs_graph->add_node(node, 0.0, -(rho / cfg_.dt) * div[i],
+    EXW_PURITY_REGION("picard-local");
+    rt_->parallel_for_ranks([&](RankId r) {
+      blk.prs_graph->rank(r).zero_values();
+      const auto edges = layout.edges_of(r);
+      for (const std::uint32_t e : edges) {
+        const Real g = db.edges[e].coeff;
+        blk.prs_graph->add_edge(e, {g, -g, -g, g}, {0.0, 0.0},
                                 cfg_.atomic_local_assembly);
       }
-    }
-    charge_per_rank(tracer, counts.edges, 16.0, 120.0);
-    charge_per_rank(tracer, counts.nodes, 6.0, 40.0);
+      const auto nodes = layout.nodes_of(r);
+      for (const GlobalIndex node : nodes) {
+        const auto i = static_cast<std::size_t>(node);
+        if (blk.prs_dirichlet[i]) {
+          // Solve for total pressure: Dirichlet rows pin p_new; since the
+          // RHS later gains A p_old, store (p_bc - p_old) here.
+          Real p_bc = 0.0;  // outflow and hole reference pressure
+          if (db.roles[i] == NodeRole::kFringe) {
+            p_bc = blk.p[i];  // donor-interpolated
+          }
+          blk.prs_graph->add_node(node, 1.0, p_bc - blk.p[i],
+                                  cfg_.atomic_local_assembly);
+        } else {
+          blk.prs_graph->add_node(node, 0.0, -(rho / cfg_.dt) * div[i],
+                                  cfg_.atomic_local_assembly);
+        }
+      }
+      charge_items(tracer, r, edges.size(), 16.0, 120.0);
+      charge_items(tracer, r, nodes.size(), 6.0, 40.0);
+    });
   }
-
   linalg::ParVector& p_old_vec = blk.prs_old;
   {
     perf::PhaseScope ph(tracer, "global");
@@ -514,7 +564,7 @@ void Simulation::solve_continuity(MeshBlock& blk) {
   {
     perf::PhaseScope ph(tracer, "global");
     // Total-pressure form: rhs += A p_old.
-    assembly::field_to_lane(blk.layout, blk.p, p_old_vec, 0);
+    assembly::field_to_lane(layout, blk.p, p_old_vec, 0);
     a.matvec(p_old_vec, rhs, 1.0, 1.0);
   }
 
@@ -572,33 +622,38 @@ void Simulation::solve_continuity(MeshBlock& blk) {
   // Projection: u -= (dt / rho) grad(p_new - p_old); p := p_new.
   {
     perf::PhaseScope ph(tracer, "physics");
-    RealVector dp(n, 0.0);
-    assembly::lane_to_field(blk.layout, x, 0, dp);
-    for (std::size_t i = 0; i < n; ++i) {
-      dp[i] -= blk.p[i];
-      blk.p[i] += dp[i];
-    }
-    std::vector<Vec3> grad(n, Vec3{});
-    for (const auto& edge : db.edges) {
-      const auto ai = static_cast<std::size_t>(edge.a);
-      const auto bi = static_cast<std::size_t>(edge.b);
-      const Real pf = 0.5 * (dp[ai] + dp[bi]);
-      grad[ai] += edge.area * pf;
-      grad[bi] += edge.area * (-pf);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      grad[i] += db.node_boundary_area[i] * dp[i];
-    }
+    EXW_PURITY_REGION("picard-physics");
+    RealVector& dp = blk.node_scratch;
+    // The correction, copied out of each rank's rows.
+    rt_->parallel_for_ranks([&](RankId r) {
+      const auto nodes = layout.nodes_of(r);
+      const auto xr = std::as_const(x).lane_span(r, 0);
+      for (std::size_t k = 0; k < nodes.size(); ++k) {
+        const auto i = static_cast<std::size_t>(nodes[k]);
+        dp[i] = xr[k] - blk.p[i];
+        blk.p[i] += dp[i];
+      }
+    });
+    // Every correction is in place at the region barrier: gather its
+    // gradient and correct the velocity node by node.
     const Real c = cfg_.dt / rho;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (blk.mom_dirichlet[i]) continue;  // keep boundary velocities
-      const Real vol = std::max(db.node_volume[i], Real{1e-30});
-      blk.u[i] -= c * grad[i].x / vol;
-      blk.v[i] -= c * grad[i].y / vol;
-      blk.w[i] -= c * grad[i].z / vol;
-    }
-    charge_per_rank(tracer, counts.edges, 30.0, 160.0);
-    charge_per_rank(tracer, counts.nodes, 10.0, 60.0);
+    rt_->parallel_for_ranks([&](RankId r) {
+      const Range nodes = chunk(n, r, nranks);
+      for (std::size_t i = nodes.begin; i < nodes.end; ++i) {
+        if (blk.mom_dirichlet[i]) continue;  // keep boundary velocities
+        Vec3 g = mesh::gather_area_sum(db, blk.incidence, i,
+                                       [&](std::size_t ia, std::size_t ib) {
+                                         return 0.5 * (dp[ia] + dp[ib]);
+                                       });
+        g += db.node_boundary_area[i] * dp[i];
+        const Real vol = std::max(db.node_volume[i], Real{1e-30});
+        blk.u[i] -= c * g.x / vol;
+        blk.v[i] -= c * g.y / vol;
+        blk.w[i] -= c * g.z / vol;
+      }
+      charge_items(tracer, r, layout.edges_of(r).size(), 30.0, 160.0);
+      charge_items(tracer, r, layout.nodes_of(r).size(), 10.0, 60.0);
+    });
   }
 }
 
@@ -606,49 +661,49 @@ void Simulation::solve_scalar(MeshBlock& blk) {
   perf::Tracer& tracer = rt_->tracer();
   perf::PhaseScope eq(tracer, "scalar");
   const mesh::MeshDB& db = *blk.db;
-  const RankCounts counts = count_work(blk.layout);
+  const assembly::MeshLayout& layout = blk.layout;
+  const int nranks = rt_->nranks();
   const Real rho = cfg_.density;
-  const Real mu = cfg_.viscosity;
 
   {
     perf::PhaseScope ph(tracer, "physics");
-    compute_fluxes(blk);
-    charge_per_rank(tracer, counts.edges, 30.0, 150.0);
+    EXW_PURITY_REGION("picard-physics");
+    rt_->parallel_for_ranks([&](RankId r) {
+      const Range edges = chunk(db.edges.size(), r, nranks);
+      compute_fluxes(blk, edges.begin, edges.end);  // exw-comm-ok: Vec3::dot, a 3-vector product
+      charge_items(tracer, r, layout.edges_of(r).size(), 30.0, 150.0);
+    });
   }
   {
     perf::PhaseScope ph(tracer, "local");
-    blk.mom_graph->zero_values();
-    for (std::size_t e = 0; e < db.edges.size(); ++e) {
-      const auto& edge = db.edges[e];
-      const Real diff = mu * edge.coeff;
-      const Real f = blk.edge_flux[e];
-      const std::array<Real, 4> m{std::max(f, 0.0) + diff,
-                                  std::min(f, 0.0) - diff,
-                                  std::min(-f, 0.0) - diff,
-                                  std::max(-f, 0.0) + diff};
-      blk.mom_graph->add_edge(e, m, {0.0, 0.0}, cfg_.atomic_local_assembly);
-    }
-    for (GlobalIndex node{0}; node < db.num_nodes(); ++node) {
-      const auto i = static_cast<std::size_t>(node);
-      if (blk.mom_dirichlet[i]) {
-        Real bc = cfg_.scalar_inflow;
-        if (db.roles[i] == NodeRole::kFringe) bc = blk.scl[i];
-        if (db.roles[i] == NodeRole::kWall || db.roles[i] == NodeRole::kHole) bc = 0.0;
-        blk.mom_graph->add_node(node, 1.0, bc, cfg_.atomic_local_assembly);
-      } else {
-        const Real vol = db.node_volume[i];
-        const Real mass = rho * vol / cfg_.dt;
-        const Vec3 ui{blk.u[i], blk.v[i], blk.w[i]};
-        const Real fb = rho * (ui - mesh_velocity(blk, db.coords[i]))
-                                  .dot(db.node_boundary_area[i]);
-        // Shear-production-like source keeps the scalar field nontrivial.
-        blk.mom_graph->add_node(node, mass + fb,
-                                mass * blk.scl_old[i] + cfg_.scalar_source * vol,
-                                cfg_.atomic_local_assembly);
+    EXW_PURITY_REGION("picard-local");
+    rt_->parallel_for_ranks([&](RankId r) {
+      blk.mom_graph->rank(r).zero_values();
+      const auto edges = layout.edges_of(r);
+      add_transport_edges(blk, edges);
+      const auto nodes = layout.nodes_of(r);
+      for (const GlobalIndex node : nodes) {
+        const auto i = static_cast<std::size_t>(node);
+        if (blk.mom_dirichlet[i]) {
+          Real bc = cfg_.scalar_inflow;
+          if (db.roles[i] == NodeRole::kFringe) bc = blk.scl[i];
+          if (db.roles[i] == NodeRole::kWall || db.roles[i] == NodeRole::kHole) bc = 0.0;
+          blk.mom_graph->add_node(node, 1.0, bc, cfg_.atomic_local_assembly);
+        } else {
+          const Real vol = db.node_volume[i];
+          const Real mass = rho * vol / cfg_.dt;
+          const Vec3 ui{blk.u[i], blk.v[i], blk.w[i]};
+          const Real fb = rho * (ui - mesh_velocity(blk, db.coords[i]))
+                                    .dot(db.node_boundary_area[i]);  // exw-comm-ok: Vec3::dot, a 3-vector product
+          // Shear-production-like source keeps the scalar field nontrivial.
+          blk.mom_graph->add_node(node, mass + fb,
+                                  mass * blk.scl_old[i] + cfg_.scalar_source * vol,
+                                  cfg_.atomic_local_assembly);
+        }
       }
-    }
-    charge_per_rank(tracer, counts.edges, 30.0, 160.0);
-    charge_per_rank(tracer, counts.nodes, 8.0, 48.0);
+      charge_items(tracer, r, edges.size(), 30.0, 160.0);
+      charge_items(tracer, r, nodes.size(), 8.0, 48.0);
+    });
   }
 
   {
@@ -667,14 +722,14 @@ void Simulation::solve_scalar(MeshBlock& blk) {
     precond = &momentum_smoother(blk, scl_stats_);
   }
   linalg::ParVector& x = blk.scl_x;
-  assembly::field_to_lane(blk.layout, blk.scl, x, 0);
+  assembly::field_to_lane(layout, blk.scl, x, 0);
   solver::SolveStats st;
   {
     perf::PhaseScope ph(tracer, "solve");
     st = solver::gmres_solve(a, rhs, x, *precond, cfg_.momentum_gmres);
   }
   count_solve(scl_stats_, st);
-  assembly::lane_to_field(blk.layout, x, 0, blk.scl);
+  assembly::lane_to_field(layout, x, 0, blk.scl);
 }
 
 void Simulation::step() {
@@ -792,6 +847,23 @@ Real Simulation::divergence_rms() const {
     }
   }
   return std::sqrt(sum / std::max(count, 1.0));
+}
+
+const RealVector& Simulation::field(int mesh_index, Field f) const {
+  const MeshBlock& blk = blocks_[static_cast<std::size_t>(mesh_index)];
+  switch (f) {
+    case Field::kU:
+      return blk.u;
+    case Field::kV:
+      return blk.v;
+    case Field::kW:
+      return blk.w;
+    case Field::kP:
+      return blk.p;
+    case Field::kScalar:
+      break;
+  }
+  return blk.scl;
 }
 
 Real Simulation::scalar_mean() const {

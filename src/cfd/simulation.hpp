@@ -22,7 +22,9 @@
 /// with equations "momentum", "continuity", "scalar", all nested under
 /// "nli" (the paper's nonlinear-iteration time).
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,6 +95,11 @@ class Simulation {
   Real divergence_rms() const;
   Real scalar_mean() const;
 
+  /// One nodal field of one mesh, in mesh node order (tests compare
+  /// runs with it).
+  enum class Field { kU, kV, kW, kP, kScalar };
+  const RealVector& field(int mesh_index, Field f) const;
+
  private:
   /// Assembly-plan cache for one equation graph: the stage-3 structure
   /// (AssemblyPlan) plus the ParCsr/ParVector it refills in place. One
@@ -100,6 +107,8 @@ class Simulation {
   /// iteration reassembles values only. `generation` keys the cache on
   /// EquationGraph::generation() so a rebuilt graph invalidates it.
   struct EquationCache {
+    /// Per-rank views of the graph's stage-2 buffers, taken once.
+    std::vector<assembly::SystemView> views;
     assembly::AssemblyPlan plan;
     linalg::ParCsr matrix;
     linalg::ParVector rhs;
@@ -153,6 +162,13 @@ class Simulation {
     RealVector u_old, v_old, w_old, scl_old;
     // Cached per-edge mass flux of the latest momentum state.
     RealVector edge_flux;
+    /// The nodal sums gather over each node's edges (built once).
+    mesh::NodeEdgeIncidence incidence;
+    /// Per-node scratch kept across calls, three planes of one value per
+    /// node: the momentum RHS's pressure gradient (plane c holds component
+    /// c), then the continuity divergence and pressure correction (plane
+    /// 0).
+    RealVector node_scratch;
   };
 
   void setup_block(MeshBlock& blk);
@@ -160,10 +176,11 @@ class Simulation {
   /// Stage-3 global assembly of matrix + RHS through the plan cache:
   /// warm in-place refill when the cached plan matches the graph's
   /// generation, cold assembly (and plan build, if enabled) otherwise.
-  /// Results land in cache.matrix / cache.rhs.
-  void assemble_system(EquationCache& cache, assembly::EquationGraph& g);
+  /// `cache.views` must view `g`. Results land in cache.matrix /
+  /// cache.rhs.
+  void assemble_system(EquationCache& cache, const assembly::EquationGraph& g);
   /// RHS-only reassembly (momentum v/w components: matrix unchanged).
-  void assemble_rhs(EquationCache& cache, assembly::EquationGraph& g);
+  void assemble_rhs(EquationCache& cache, const assembly::EquationGraph& g);
   /// The block's SGS2 preconditioner for mom_cache.matrix, rebound to
   /// the current values (or rebuilt after a structural change); counts
   /// the outcome in `stats`. Call inside a "setup" phase, after
@@ -179,8 +196,18 @@ class Simulation {
   void solve_continuity(MeshBlock& blk);
   void solve_scalar(MeshBlock& blk);
 
-  /// Compute per-edge mass fluxes from the current velocity.
-  void compute_fluxes(MeshBlock& blk);
+  /// Per-edge mass fluxes of edges [begin, end) from the current
+  /// velocity.
+  void compute_fluxes(MeshBlock& blk, std::size_t begin,
+                      std::size_t end) const;
+  /// Upwinded advection + diffusion stencils of `edges` into the
+  /// momentum/scalar graph (call from the edges' rank's body).
+  void add_transport_edges(MeshBlock& blk,
+                           std::span<const std::uint32_t> edges) const;
+  /// Rank r's part of the momentum RHS for one velocity component, added
+  /// over r's own nodes (call from r's body).
+  void fill_momentum_rhs(MeshBlock& blk, RankId r,
+                         std::size_t component) const;
 
   mesh::OversetSystem* system_;
   SimConfig cfg_;

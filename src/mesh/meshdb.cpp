@@ -149,6 +149,29 @@ void MeshDB::bounding_box(Vec3& lo, Vec3& hi) const {
   }
 }
 
+NodeEdgeIncidence make_node_edge_incidence(const MeshDB& db) {
+  // A counting sort over the edge list keeps every node's edges in
+  // ascending id.
+  const auto n = static_cast<std::size_t>(db.num_nodes());
+  NodeEdgeIncidence inc;
+  inc.start.assign(n + 1, 0);
+  for (const Edge& edge : db.edges) {
+    inc.start[static_cast<std::size_t>(edge.a) + 1] += 1;
+    inc.start[static_cast<std::size_t>(edge.b) + 1] += 1;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    inc.start[i + 1] += inc.start[i];
+  }
+  inc.edges.resize(2 * db.edges.size());
+  std::vector<std::uint32_t> cursor(inc.start.begin(), inc.start.end() - 1);
+  for (std::size_t e = 0; e < db.edges.size(); ++e) {
+    const auto id = checked_narrow<std::uint32_t>(e);
+    inc.edges[cursor[static_cast<std::size_t>(db.edges[e].a)]++] = id;
+    inc.edges[cursor[static_cast<std::size_t>(db.edges[e].b)]++] = id;
+  }
+  return inc;
+}
+
 Real MeshDB::total_volume() const {
   Real v = 0;
   for (const auto& h : hexes) {

@@ -11,6 +11,8 @@
 /// fringe / overset hole).
 
 #include <array>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,6 +90,54 @@ class MeshDB {
   Real total_volume() const;
   bool edges_valid() const;
 };
+
+/// Node -> incident edges of a MeshDB, frozen from its edge list: node
+/// i's edges are edges[start[i] .. start[i + 1]), in ascending edge id
+/// (32-bit ids keep it compact). A pass over one node's edges meets them
+/// in the order a loop over all edges does, so the gathers below give
+/// every node the sum that loop's scatter gives it, bit for bit.
+struct NodeEdgeIncidence {
+  std::vector<std::uint32_t> start;
+  std::vector<std::uint32_t> edges;
+
+  std::span<const std::uint32_t> at(std::size_t node) const {
+    return {edges.data() + start[node], start[node + 1] - start[node]};
+  }
+};
+
+NodeEdgeIncidence make_node_edge_incidence(const MeshDB& db);
+
+/// Green-Gauss sum at `node` of the edge face values f = face(a, b):
+/// area * f at each edge's a end and area * (-f) at its b end — the
+/// scatter `g[a] += area * f; g[b] += area * (-f)` over all edges.
+template <typename Face>
+Vec3 gather_area_sum(const MeshDB& db, const NodeEdgeIncidence& inc,
+                     std::size_t node, Face&& face) {
+  Vec3 g{};
+  for (const std::uint32_t e : inc.at(node)) {
+    const Edge& edge = db.edges[e];
+    const auto a = static_cast<std::size_t>(edge.a);
+    const Real f = face(a, static_cast<std::size_t>(edge.b));
+    g += a == node ? edge.area * f : edge.area * (-f);
+  }
+  return g;
+}
+
+/// Net edge value at `node`: +value(e) at each edge's a end, -value(e)
+/// at its b end — the scatter `d[a] += value(e); d[b] -= value(e)`.
+template <typename Value>
+Real gather_net(const MeshDB& db, const NodeEdgeIncidence& inc,
+                std::size_t node, Value&& value) {
+  Real d = 0.0;
+  for (const std::uint32_t e : inc.at(node)) {
+    if (static_cast<std::size_t>(db.edges[e].a) == node) {
+      d += value(e);
+    } else {
+      d -= value(e);
+    }
+  }
+  return d;
+}
 
 /// Helper to build structured blocks of hexes as unstructured data:
 /// nodes indexed (i, j, k) on an (ni+1) x (nj+1) x (nk+1) lattice whose

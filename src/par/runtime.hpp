@@ -9,14 +9,17 @@
 /// source, destination, and tag; exchange = the pack/communicate/unpack
 /// halo pattern) so the code reads like the real program, and it charges
 /// every message to the Tracer's cost model. It carries the irregular
-/// traffic: cold assembly, AMG setup and warm assembly refills.
+/// traffic whose pattern is not frozen: cold and general assembly, AMG
+/// setup and the AMG external-row fetch.
 ///
 /// The regular, repeated traffic — ParCsr's halo exchange and transpose
-/// product — runs on persistent channels instead, as MPI persistent
-/// requests and hypre's communication package do: the sender packs
-/// straight into the receiver's buffer, frozen per (src, dst) pair, and
-/// Runtime::channel_sent / channel_received do the same bookkeeping a
-/// Transport message gets (contract checks, tracer charges, comm audit).
+/// product, and the warm assembly-plan refills — runs on persistent
+/// channels instead, as MPI persistent requests and hypre's communication
+/// package do: the sender packs straight into the receiver's buffer,
+/// frozen per (src, dst) pair, and Runtime::channel_sent /
+/// channel_received do the same bookkeeping a Transport message gets
+/// (contract checks, tracer charges, comm audit). A warm Picard
+/// iteration posts nothing to Transport.
 ///
 /// Local phases may also run concurrently, one thread per simulated rank,
 /// via Runtime::parallel_for_ranks (see thread_pool.hpp for the threading

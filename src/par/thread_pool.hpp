@@ -13,7 +13,8 @@
 ///   * body `i` runs exactly once, on some pool thread (or inline);
 ///   * a body may freely mutate rank-i-owned state, call
 ///     Transport::send / recv for rank i (mailboxes are lock-sharded),
-///     write rank i's side of a ParCsr persistent channel, and charge
+///     write rank i's side of a persistent channel (ParCsr halo, plan
+///     refill), and charge
 ///     Tracer::kernel for rank i. A message is charged in two halves,
 ///     each by the rank that owns it: the sender's body charges the src
 ///     side and the count, the receiver's body the dst side when it

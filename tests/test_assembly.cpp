@@ -177,6 +177,49 @@ TEST_P(AssemblyRankSweep, AtomicFillMatchesOrderedFill) {
   }
 }
 
+TEST_P(AssemblyRankSweep, RankBodyFillMatchesSerialFillBitwise) {
+  // Each rank body adds its own edges in ascending id, then its own
+  // nodes, as the simulation's local assembly does: every slot must get
+  // the serial loop's sum to the bit. Irregular values make the sums
+  // order-sensitive.
+  const int nranks = GetParam();
+  par::Runtime rt(nranks);
+  BoxFixture fx(GlobalIndex{5});
+  const MeshLayout layout =
+      make_layout(fx.db, nranks, PartitionMethod::kGraph);
+  EquationGraph serial(fx.db, layout, fx.dirichlet);
+  EquationGraph ranked(fx.db, layout, fx.dirichlet);
+  const auto edge_values = [&](std::size_t e) {
+    const Real g = fx.db.edges[e].coeff * (1.0 + 1e-3 * static_cast<Real>(e));
+    return std::array<Real, 4>{g, -0.7 * g, -1.3 * g, 0.9 * g};
+  };
+  const auto node_value = [](GlobalIndex node) {
+    return 0.3 + 1e-3 * static_cast<Real>(node.value());
+  };
+  serial.zero_values();
+  for (std::size_t e = 0; e < fx.db.edges.size(); ++e) {
+    serial.add_edge(e, edge_values(e), {0.1, -0.2});
+  }
+  for (GlobalIndex node{0}; node < fx.db.num_nodes(); ++node) {
+    serial.add_node(node, node_value(node), 0.5);
+  }
+  ranked.zero_values();
+  rt.parallel_for_ranks([&](RankId r) {
+    for (const std::uint32_t e : layout.edges_of(r)) {
+      ranked.add_edge(e, edge_values(e), {0.1, -0.2});
+    }
+    for (const GlobalIndex node : layout.nodes_of(r)) {
+      ranked.add_node(node, node_value(node), 0.5);
+    }
+  });
+  for (RankId r{0}; r.value() < nranks; ++r) {
+    EXPECT_EQ(serial.rank(r).owned.vals, ranked.rank(r).owned.vals);
+    EXPECT_EQ(serial.rank(r).shared.vals, ranked.rank(r).shared.vals);
+    EXPECT_EQ(serial.rank(r).rhs_owned, ranked.rank(r).rhs_owned);
+    EXPECT_EQ(serial.rank(r).rhs_shared.vals, ranked.rank(r).rhs_shared.vals);
+  }
+}
+
 TEST_P(AssemblyRankSweep, DirichletRowsAreIdentityOnly) {
   const int nranks = GetParam();
   par::Runtime rt(nranks);

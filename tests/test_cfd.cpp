@@ -2,7 +2,10 @@
 // projection behavior, turbine-case stepping, phase accounting.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "cfd/simulation.hpp"
+#include "par/thread_pool.hpp"
 
 namespace exw::cfd {
 namespace {
@@ -342,6 +345,102 @@ TEST(Cfd, AmgCacheDisabledRebuildsEverySolve) {
   EXPECT_EQ(sim.continuity_stats().amg_rebuilds, 3);
   EXPECT_EQ(sim.continuity_stats().amg_refreshes, 0);
   EXPECT_EQ(sim.continuity_stats().amg_reuses, 0);
+}
+
+TEST(Cfd, RankParallelStepMatchesSerialBitwise) {
+  // The physics, the local assembly and the field copies run as rank
+  // bodies: three steps on the pool and three inline must leave every
+  // nodal field bitwise equal, with fused and sequential momentum, plan
+  // and general assembly.
+  const bool was_serial = par::serial_mode();
+  for (const SimConfig& cfg : {SimConfig::optimized(), SimConfig::baseline()}) {
+    std::vector<RealVector> fields[2];
+    for (const bool serial : {true, false}) {
+      par::set_serial_mode(serial);
+      auto sys = mesh::make_turbine_case(mesh::TurbineCase::kSingle, 0.3);
+      par::Runtime rt(24);
+      Simulation sim(sys, cfg, rt);
+      for (int s = 0; s < 3; ++s) sim.step();
+      for (int m = 0; m < static_cast<int>(sys.meshes.size()); ++m) {
+        for (const auto f :
+             {Simulation::Field::kU, Simulation::Field::kV, Simulation::Field::kW,
+              Simulation::Field::kP, Simulation::Field::kScalar}) {
+          fields[serial ? 0 : 1].push_back(sim.field(m, f));
+        }
+      }
+    }
+    par::set_serial_mode(was_serial);
+    ASSERT_EQ(fields[0].size(), 10U);
+    for (std::size_t k = 0; k < fields[0].size(); ++k) {
+      EXPECT_EQ(fields[0][k], fields[1][k])
+          << "field " << k << (cfg.use_fused_momentum ? " (optimized)"
+                                                       : " (baseline)");
+    }
+  }
+}
+
+TEST(Cfd, NodeGatherMatchesEdgeLoopBitwise) {
+  // The nodal sums gather over each node's edges; the edge-loop scatter
+  // they replaced stays here as their reference. Node values come from
+  // an irregular field so that no addend is zero or repeated.
+  const auto sys = mesh::make_turbine_case(mesh::TurbineCase::kSingle, 0.3);
+  for (const mesh::MeshDB& db : sys.meshes) {
+    const auto n = static_cast<std::size_t>(db.num_nodes());
+    RealVector q(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      q[i] = std::sin(0.37 * static_cast<Real>(i)) + 1e-3 * static_cast<Real>(i);
+    }
+    std::vector<Vec3> grad(n, Vec3{});
+    RealVector net(n, 0.0);
+    for (std::size_t e = 0; e < db.edges.size(); ++e) {
+      const auto& edge = db.edges[e];
+      const auto a = static_cast<std::size_t>(edge.a);
+      const auto b = static_cast<std::size_t>(edge.b);
+      const Real pf = 0.5 * (q[a] + q[b]);
+      grad[a] += edge.area * pf;
+      grad[b] += edge.area * (-pf);
+      const Real f = q[a] * edge.coeff / 1.225;
+      net[a] += f;
+      net[b] -= f;
+    }
+    const auto inc = mesh::make_node_edge_incidence(db);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Vec3 g = mesh::gather_area_sum(
+          db, inc, i, [&](std::size_t a, std::size_t b) {
+            return 0.5 * (q[a] + q[b]);
+          });
+      ASSERT_EQ(g.x, grad[i].x) << db.name << " node " << i;
+      ASSERT_EQ(g.y, grad[i].y) << db.name << " node " << i;
+      ASSERT_EQ(g.z, grad[i].z) << db.name << " node " << i;
+      const Real d = mesh::gather_net(db, inc, i, [&](std::uint32_t e) {
+        const auto& edge = db.edges[e];
+        return q[static_cast<std::size_t>(edge.a)] * edge.coeff / 1.225;
+      });
+      ASSERT_EQ(d, net[i]) << db.name << " node " << i;
+    }
+  }
+}
+
+TEST(Cfd, WarmStepLedgerIsPinned) {
+  // A warm step's modeled ledger, recorded while the physics, the local
+  // assembly and the field copies were serial loops on the orchestrator
+  // and the plan refills went through Transport. Any charge that moves,
+  // appears or goes missing changes these figures.
+  auto sys = mesh::make_turbine_case(mesh::TurbineCase::kSingle, 0.3);
+  par::Runtime rt(24);
+  Simulation sim(sys, SimConfig::optimized(), rt);
+  sim.step();
+  rt.tracer().reset();
+  sim.step();
+  const auto& nli = rt.tracer().phase("nli");
+  EXPECT_EQ(nli.total_kernels(), 235062);
+  EXPECT_EQ(nli.messages, 113693);
+  EXPECT_EQ(nli.collectives, 454);
+  EXPECT_EQ(nli.total_bytes(), 383904936.0);
+  EXPECT_EQ(nli.total_index_bytes(), 40124560.0);
+  EXPECT_EQ(nli.total_value_bytes_f32(), 105041008.0);
+  EXPECT_EQ(nli.modeled_time(perf::MachineModel::summit_gpu()),
+            0.33265353057962965);
 }
 
 TEST(Cfd, RotorRotationAdvancesWithTime) {

@@ -8,7 +8,9 @@
 #include <string>
 #include <thread>
 
+#include "assembly/graph.hpp"
 #include "assembly/ij.hpp"
+#include "assembly/layout.hpp"
 #include "linalg/parcsr.hpp"
 #include "linalg/parvector.hpp"
 #include "par/contract.hpp"
@@ -16,6 +18,7 @@
 #include "par/partition.hpp"
 #include "par/runtime.hpp"
 #include "par/thread_pool.hpp"
+#include "mesh/meshdb.hpp"
 #include "sparse/csr.hpp"
 
 namespace exw {
@@ -247,6 +250,32 @@ TEST(Contract, CrossRankIJAssemblyWriteThrows) {
     });
   });
   EXPECT_NE(msg.find("IJMatrix::SetValues2"), std::string::npos) << msg;
+}
+
+TEST(Contract, CrossRankEquationGraphWriteThrows) {
+  par::Runtime rt(2);
+  mesh::MeshDB db;
+  const GlobalIndex n{3};
+  mesh::StructuredBlockBuilder block(n, n, n);
+  block.emit(db, [](GlobalIndex i, GlobalIndex j, GlobalIndex k) {
+    return Vec3{static_cast<Real>(i.value()), static_cast<Real>(j.value()),
+                static_cast<Real>(k.value())};
+  });
+  db.coords = db.ref_coords;
+  db.compute_dual_quantities();
+  const std::vector<std::uint8_t> dirichlet(
+      static_cast<std::size_t>(db.num_nodes()), 0);
+  const auto layout =
+      assembly::make_layout(db, rt.nranks(), assembly::PartitionMethod::kRcb);
+  assembly::EquationGraph graph(db, layout, dirichlet);
+  const std::string msg = thrown_message([&] {
+    rt.parallel_for_ranks([&](RankId r) {
+      // Body r adds the diagonal of a node the *other* rank owns.
+      const RankId other{1 - r.value()};
+      graph.add_node(layout.nodes_of(other).front(), 1.0, 0.0);
+    });
+  });
+  EXPECT_NE(msg.find("EquationGraph::apply"), std::string::npos) << msg;
 }
 
 TEST(Contract, TwoThreadsOnOneChannelThrows) {

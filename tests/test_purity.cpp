@@ -3,7 +3,8 @@
 // region and its open site, propagation through par::ThreadPool workers,
 // and the zero-allocation steady-state contract of every warm cache
 // (assembly-plan refill, AMG value refresh and reuse check, smoother
-// rebind, fused momentum kernels, AMG V-cycle, guess projection).
+// rebind, fused momentum kernels, AMG V-cycle, guess projection) and of
+// a warm Picard iteration's physics and local assembly.
 // Everything must also compile and pass — vacuously — when
 // EXW_PURITY_CHECKS=OFF.
 #include <gtest/gtest.h>
@@ -19,9 +20,11 @@
 #include "assembly/graph.hpp"
 #include "assembly/layout.hpp"
 #include "assembly/plan.hpp"
+#include "cfd/simulation.hpp"
 #include "linalg/parcsr.hpp"
 #include "linalg/parvector.hpp"
 #include "linalg/value_check.hpp"
+#include "mesh/generators.hpp"
 #include "mesh/meshdb.hpp"
 #include "par/partition.hpp"
 #include "par/runtime.hpp"
@@ -219,7 +222,8 @@ TEST(Purity, ThreadPoolDispatchItselfDoesNotAllocate) {
 //
 // Pattern: run the warm path once to prime first-refill scratch, then
 // reset the counters, run it again and demand zero disallowed
-// allocations in its region (allowed NIC/collective staging may remain).
+// allocations in its region (allowed collective staging may remain where
+// a test does not also demand zero allowed allocations).
 
 TEST(PurityWarmPath, AssemblyPlanRefillIsAllocationPure) {
   using namespace assembly;
@@ -265,15 +269,44 @@ TEST(PurityWarmPath, AssemblyPlanRefillIsAllocationPure) {
   auto a = plan.create_matrix(rt);
   auto b = plan.create_vector(rt);
 
-  plan.refill_matrix(rt, span, a);  // prime scratch
+  plan.refill_matrix(rt, span, a);  // first use sizes the channels
   plan.refill_vector(rt, span, b);
   purity::reset();
   FatalModeGuard guard;
   purity::set_fatal(true);  // a violation fails loudly, not just by count
   plan.refill_matrix(rt, span, a);
   plan.refill_vector(rt, span, b);
-  EXPECT_EQ(purity::region("assembly-refill-matrix").allocs, 0);
-  EXPECT_EQ(purity::region("assembly-refill-vector").allocs, 0);
+  // The slices travel on persistent channels, so nothing is allocated at
+  // all — not even allowlisted message staging.
+  for (const char* name : {"assembly-refill-matrix", "assembly-refill-vector"}) {
+    const auto r = purity::region(name);
+    EXPECT_EQ(r.allocs, 0) << name;
+    EXPECT_EQ(r.allowed_allocs, 0) << name;
+  }
+}
+
+TEST(PurityWarmPath, PicardPhysicsAndAssemblyAreAllocationPure) {
+  // The first step builds the plans and sizes the channels and the
+  // per-block scratch; in two warm steps the physics, the local assembly
+  // and the warm plan refills allocate nothing at all.
+  auto sys = mesh::make_turbine_case(mesh::TurbineCase::kSingle, 0.3);
+  par::Runtime rt(4);
+  cfd::SimConfig cfg;
+  cfg.picard_iters = 2;
+  cfd::Simulation sim(sys, cfg, rt);
+  sim.step();
+  purity::reset();
+  FatalModeGuard guard;
+  purity::set_fatal(true);
+  sim.step();
+  sim.step();
+  for (const char* name :
+       {"picard-physics", "picard-local", "picard-warm-assemble"}) {
+    const auto r = purity::region(name);
+    EXPECT_EQ(r.entries > 0, purity::enabled()) << name;
+    EXPECT_EQ(r.allocs, 0) << name;
+    EXPECT_EQ(r.allowed_allocs, 0) << name;
+  }
 }
 
 TEST(PurityWarmPath, AmgValueRefreshIsAllocationPure) {

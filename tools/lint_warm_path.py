@@ -70,12 +70,10 @@ WARM_MACRO = "EXW_WARM_FN"
 # Frozen per-file allowances. Counts may only decrease; delete a line
 # once its file reaches zero. Every entry is a construct inside the warm
 # call graph that is justified at runtime by an EXW_PURITY_ALLOW scope
-# (NIC serialization payloads, collective staging, first-refill scratch
-# priming) — see the matching comments at each site.
+# (collective staging, first-refill scratch priming) — see the matching
+# comments at each site.
 WARM_ALLOWANCE = {
     "src/amg/cache.cpp": 2,      # first-refill scratch priming (resize)
-    "src/assembly/plan.cpp": 2,  # first-refill scratch priming (resize)
-    "src/par/runtime.hpp": 1,    # simulated-NIC mailbox push in send()
 }
 
 
