@@ -192,15 +192,23 @@ void AmgHierarchy::cycle_level(std::size_t l, const linalg::ParVector& b,
   }
   AmgLevel& next = levels_[l + 1];
 
+  par::Runtime& rt = lvl.a.runtime();
   lvl.smoother->apply(b, x, /*sweeps=*/1);
   lvl.a.residual(b, x, *lvl.r);
-  // Restrict with R = P^T.
-  lvl.p.matvec_transpose(*lvl.r, *next.b);
-  next.x->fill(0.0);
+  // Restrict with R = P^T; the owners' pass also zeroes the next level's
+  // iterate.
+  lvl.p.transpose_send(*lvl.r, *next.b);
+  rt.parallel_for_ranks([&](RankId rk) {
+    lvl.p.transpose_receive(rk, *next.b);
+    next.x->fill(rk, 0.0);
+  });
   cycle_level(l + 1, *next.b, *next.x);
-  // Prolong and correct.
-  lvl.p.matvec(*next.x, *lvl.r);
-  x.axpy(1.0, *lvl.r);
+  // Prolong and correct, one body per rank.
+  lvl.p.halo_pack(*next.x);
+  rt.parallel_for_ranks([&](RankId rk) {
+    lvl.p.matvec(rk, *next.x, *lvl.r);
+    x.axpy(rk, 1.0, *lvl.r);
+  });
   lvl.smoother->apply(b, x, /*sweeps=*/1);
 }
 

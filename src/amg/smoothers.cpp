@@ -143,13 +143,13 @@ void Smoother::sweep_hybrid_gs(const linalg::ParVector& b,
   EXW_PURITY_REGION("smoother-sweep-hybrid-gs");
   const Precision pr = a_->value_precision();
   const std::size_t lanes = x.ncomp();
-  const auto& ext = a_->halo_exchange(x);
+  a_->halo_pack(x);
   auto& tracer = a_->runtime().tracer();
   a_->runtime().parallel_for_ranks([&](RankId rk) {
+    const auto& el = a_->halo_receive(rk, x);
     const auto& blk = a_->block(rk);
     auto& xl = x.local(rk);
     const auto& bl = b.local(rk);
-    const auto& el = ext[static_cast<std::size_t>(rk)];
     const auto n = static_cast<std::size_t>(blk.diag.nrows());
     const std::size_t m = blk.col_map.size();
     for (LocalIndex i{0}; i < blk.diag.nrows(); ++i) {
@@ -233,12 +233,16 @@ EXW_WARM_FN
 void Smoother::sweep_two_stage(const linalg::ParVector& b,
                                linalg::ParVector& x,
                                linalg::ParVector& r) const {
-  // x += Mtilde^-1 (b - A x) with Mtilde^-1 ~ (L+D)^-1 by inner JR.
+  // x += Mtilde^-1 (b - A x) with Mtilde^-1 ~ (L+D)^-1 by inner JR: the
+  // halo pack, then one body per rank for its residual rows, the JR
+  // solve and the update (its own rows of x, which no other body reads:
+  // they see x's off-rank values through the packed halo).
   EXW_PURITY_REGION("smoother-sweep-two-stage");
   const Precision pr = a_->value_precision();
-  a_->residual(b, x, r);
   const auto nl = static_cast<double>(x.ncomp());
+  a_->halo_pack(x);
   a_->runtime().parallel_for_ranks([&](RankId rk) {
+    a_->residual(rk, b, x, r);
     auto& [g, tg] = scratch_[static_cast<std::size_t>(rk)];
     jr_solve(rk, ldu_.lower[static_cast<std::size_t>(rk)], r.local(rk),
              x.ncomp(), g, tg);
@@ -260,13 +264,15 @@ void Smoother::sweep_sgs2(const linalg::ParVector& b, linalg::ParVector& x,
   // Symmetric two-stage GS: M = (L+D) D^-1 (D+U), both triangular solves
   // approximated by inner JR sweeps (compact form of Eqs. 11-14): one
   // residual, then the forward and backward JR stages stream L/U once
-  // per inner sweep for all lanes.
+  // per inner sweep for all lanes — all in one body per rank after the
+  // halo pack, as in the two-stage sweep.
   EXW_PURITY_REGION("smoother-sweep-sgs2");
   const Precision pr = a_->value_precision();
-  a_->residual(b, x, r);
   const std::size_t lanes = x.ncomp();
   const auto nl = static_cast<double>(lanes);
+  a_->halo_pack(x);
   a_->runtime().parallel_for_ranks([&](RankId rk) {
+    a_->residual(rk, b, x, r);
     auto& [g, tg] = scratch_[static_cast<std::size_t>(rk)];
     const auto& d = ldu_.dinv[static_cast<std::size_t>(rk)];
     const std::size_t n = d.size();

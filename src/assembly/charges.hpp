@@ -37,4 +37,11 @@ inline void charge_stream(perf::Tracer& tracer, RankId r, std::size_t n,
   tracer.kernel(r, 2.0 * dn, 2.0 * width * dn);
 }
 
+/// The same pass, added to a rank body's tally (perf::Tally), which the
+/// body charges with its channel messages at once.
+inline void tally_stream(perf::Tally& tally, std::size_t n, double width) {
+  const auto dn = static_cast<double>(n);
+  tally.kernel(2.0 * dn, 2.0 * width * dn);
+}
+
 }  // namespace exw::assembly::detail

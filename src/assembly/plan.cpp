@@ -19,6 +19,7 @@ namespace {
 
 using detail::charge_sort;
 using detail::charge_stream;
+using detail::tally_stream;
 using detail::kPairBytes;
 using detail::kTripleBytes;
 
@@ -262,8 +263,6 @@ void AssemblyPlan::prime_matrix_channels() const {
   for (const RankPlan& p : ranks_) {
     p.stacked.resize(  // exw-warm-ok: first-use scratch priming
         p.n_own + p.n_recv);
-    p.mat_stamps.resize(  // exw-warm-ok: first-use scratch priming
-        p.mat_recvs.size());
   }
   mat_primed_ = true;
 }
@@ -274,8 +273,6 @@ void AssemblyPlan::prime_vector_channels() const {
   for (const RankPlan& p : ranks_) {
     p.rhs_recv.resize(  // exw-warm-ok: first-use scratch priming
         p.rhs_n_recv);
-    p.rhs_stamps.resize(  // exw-warm-ok: first-use scratch priming
-        p.rhs_recvs.size());
   }
   rhs_primed_ = true;
 }
@@ -292,24 +289,28 @@ void AssemblyPlan::refill_matrix(par::Runtime& rt,
 
   // Each sender copies its shared values straight into the receivers'
   // stacked streams, one message per neighbor pair (structure frozen: no
-  // row/col traffic, no counts allreduce).
+  // row/col traffic, no counts allreduce), and charges its copies and
+  // messages at once.
+  stamp_ = tracer.stamp();
   rt.parallel_for_ranks([&](RankId r) {
     const auto& p = ranks_[static_cast<std::size_t>(r)];
     const auto& sh = *systems[static_cast<std::size_t>(r)].shared;
     const std::size_t n_shared = p.mat_sends.empty() ? 0 : p.mat_sends.back().end;
     EXW_REQUIRE(sh.nnz() == n_shared,
                 "assembly plan is stale: shared triple count changed");
+    perf::Tally tally;
     for (const auto& s : p.mat_sends) {
       const RankPlan& dst = ranks_[static_cast<std::size_t>(s.peer)];
       const std::size_t count = s.end - s.begin;
       std::copy_n(sh.vals.begin() + static_cast<std::ptrdiff_t>(s.begin), count,
                   dst.stacked.begin() + static_cast<std::ptrdiff_t>(
                                             dst.n_own + dst.mat_recvs[s.slot].begin));
-      dst.mat_stamps[s.slot] =
-          rt.channel_sent(r, s.peer, tags::kPlanMatVals, count,
-                          count * sizeof(Real), "AssemblyPlan::refill_matrix");
-      charge_stream(tracer, r, count, sizeof(Real));
+      tally_stream(tally, count, sizeof(Real));
+      rt.channel_sent(r, s.peer, tags::kPlanMatVals, count,
+                      count * sizeof(Real), tally,
+                      "AssemblyPlan::refill_matrix");
     }
+    tracer.charge_sent(r, tally);
   });
 
   // Stack the owned values in front of the received ones and
@@ -320,13 +321,14 @@ void AssemblyPlan::refill_matrix(par::Runtime& rt,
     EXW_REQUIRE(own.nnz() == p.n_own,
                 "assembly plan is stale: owned triple count changed");
     std::copy(own.vals.begin(), own.vals.end(), p.stacked.begin());
-    for (std::size_t j = 0; j < p.mat_recvs.size(); ++j) {
-      const auto& s = p.mat_recvs[j];
+    perf::Tally tally;
+    for (const auto& s : p.mat_recvs) {
       const std::size_t count = s.end - s.begin;
       rt.channel_received(r, s.peer, tags::kPlanMatVals, count,
-                          count * sizeof(Real), p.mat_stamps[j],
+                          count * sizeof(Real), stamp_, tally,
                           "AssemblyPlan::refill_matrix");
     }
+    tracer.charge_received(r, tally, stamp_);
     charge_stream(tracer, r, p.stacked.size(), sizeof(Real));
     a.set_values_from_plan(r, p.mat_fill, p.stacked);
   });
@@ -342,23 +344,26 @@ void AssemblyPlan::refill_vector(par::Runtime& rt,
   prime_vector_channels();
   auto& tracer = rt.tracer();
 
+  stamp_ = tracer.stamp();
   rt.parallel_for_ranks([&](RankId r) {
     const auto& p = ranks_[static_cast<std::size_t>(r)];
     const auto& sh = *systems[static_cast<std::size_t>(r)].rhs_shared;
     const std::size_t n_shared = p.rhs_sends.empty() ? 0 : p.rhs_sends.back().end;
     EXW_REQUIRE(sh.size() == n_shared,
                 "assembly plan is stale: shared RHS count changed");
+    perf::Tally tally;
     for (const auto& s : p.rhs_sends) {
       const RankPlan& dst = ranks_[static_cast<std::size_t>(s.peer)];
       const std::size_t count = s.end - s.begin;
       std::copy_n(sh.vals.begin() + static_cast<std::ptrdiff_t>(s.begin), count,
                   dst.rhs_recv.begin() + static_cast<std::ptrdiff_t>(
                                              dst.rhs_recvs[s.slot].begin));
-      dst.rhs_stamps[s.slot] =
-          rt.channel_sent(r, s.peer, tags::kPlanRhsVals, count,
-                          count * sizeof(Real), "AssemblyPlan::refill_vector");
-      charge_stream(tracer, r, count, sizeof(Real));
+      tally_stream(tally, count, sizeof(Real));
+      rt.channel_sent(r, s.peer, tags::kPlanRhsVals, count,
+                      count * sizeof(Real), tally,
+                      "AssemblyPlan::refill_vector");
     }
+    tracer.charge_sent(r, tally);
   });
 
   rt.parallel_for_ranks([&](RankId r) {
@@ -366,13 +371,14 @@ void AssemblyPlan::refill_vector(par::Runtime& rt,
     const auto& own = *systems[static_cast<std::size_t>(r)].rhs_owned;
     EXW_REQUIRE(own.size() == p.rhs_n_own,
                 "assembly plan is stale: owned RHS size changed");
-    for (std::size_t j = 0; j < p.rhs_recvs.size(); ++j) {
-      const auto& s = p.rhs_recvs[j];
+    perf::Tally tally;
+    for (const auto& s : p.rhs_recvs) {
       const std::size_t count = s.end - s.begin;
       rt.channel_received(r, s.peer, tags::kPlanRhsVals, count,
-                          count * sizeof(Real), p.rhs_stamps[j],
+                          count * sizeof(Real), stamp_, tally,
                           "AssemblyPlan::refill_vector");
     }
+    tracer.charge_received(r, tally, stamp_);
     b.set_values_from_plan(r, own, p.rhs_fill, p.rhs_recv);
   });
 }

@@ -90,12 +90,10 @@ class AssemblyPlan {
     // (AMG level plans are built but never refilled in most runs, so
     // build() leaves them empty). Mutable because refills are const
     // operations on the plan. A sender's body writes only its own slices
-    // of a receiver's received region and the slices' stamps; the
-    // receiver's body reads them after the region barrier.
+    // of a receiver's received region; the receiver's body reads them
+    // after the region barrier.
     mutable RealVector stacked;   ///< [owned, received] matrix values
     mutable RealVector rhs_recv;  ///< received RHS values
-    mutable std::vector<perf::MessageStamp> mat_stamps;  ///< per mat_recvs
-    mutable std::vector<perf::MessageStamp> rhs_stamps;  ///< per rhs_recvs
   };
 
   AssemblyPlan() = default;
@@ -136,8 +134,8 @@ class AssemblyPlan {
                      linalg::ParVector& b) const;
 
  private:
-  /// Size every rank's channel buffers and stamps on the first matrix /
-  /// RHS refill (no-op afterwards).
+  /// Size every rank's channel buffers on the first matrix / RHS refill
+  /// (no-op afterwards).
   void prime_matrix_channels() const;
   void prime_vector_channels() const;
 
@@ -147,6 +145,8 @@ class AssemblyPlan {
   std::vector<linalg::RankBlock> structure_;  ///< values all zero
   mutable bool mat_primed_ = false;
   mutable bool rhs_primed_ = false;
+  /// Tracer stamp of the refill in flight, taken before its send region.
+  mutable perf::MessageStamp stamp_;
 };
 
 }  // namespace exw::assembly

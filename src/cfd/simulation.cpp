@@ -572,7 +572,7 @@ void Simulation::solve_continuity(MeshBlock& blk) {
   // and reuse (amg/cache.hpp); this only counts its answer. Whether the
   // matrix changed is checked once, here, for the cache and the projector
   // alike, and only when one of them keeps state across solves.
-  amg::HierarchyCache& pc = blk.prs_precond;
+  solver::KeptAmgPrecond& pc = blk.prs_precond;
   solver::GuessProjector& proj = blk.prs_projector;
   bool changed = true;
   {
@@ -597,9 +597,10 @@ void Simulation::solve_continuity(MeshBlock& blk) {
         break;
     }
   }
-  solver::AmgPrecond precond(pc.hierarchy());
-  prs_stats_.amg_levels = pc.hierarchy().num_levels();
-  prs_stats_.amg_operator_complexity = pc.hierarchy().operator_complexity();
+  solver::AmgPrecond& precond = *pc.get();
+  prs_stats_.amg_levels = precond.hierarchy().num_levels();
+  prs_stats_.amg_operator_complexity =
+      precond.hierarchy().operator_complexity();
 
   linalg::ParVector& x = blk.prs_x;
   x.copy_from(p_old_vec);
@@ -616,7 +617,7 @@ void Simulation::solve_continuity(MeshBlock& blk) {
       proj.absorb(a, x, st);
     }
   }
-  pc.note_solve(st.iterations);
+  pc.cache().note_solve(st.iterations);
   count_solve(prs_stats_, st);
 
   // Projection: u -= (dt / rho) grad(p_new - p_old); p := p_new.
@@ -864,6 +865,10 @@ const RealVector& Simulation::field(int mesh_index, Field f) const {
       break;
   }
   return blk.scl;
+}
+
+const solver::AmgPrecond* Simulation::pressure_precond(int mesh_index) const {
+  return blocks_[static_cast<std::size_t>(mesh_index)].prs_precond.get();
 }
 
 Real Simulation::scalar_mean() const {

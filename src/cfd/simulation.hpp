@@ -99,6 +99,9 @@ class Simulation {
   /// runs with it).
   enum class Field { kU, kV, kW, kP, kScalar };
   const RealVector& field(int mesh_index, Field f) const;
+  /// One mesh's kept pressure preconditioner (null before its first
+  /// pressure solve), for tests.
+  const solver::AmgPrecond* pressure_precond(int mesh_index) const;
 
  private:
   /// Assembly-plan cache for one equation graph: the stage-3 structure
@@ -140,9 +143,11 @@ class Simulation {
       std::uint64_t epoch = 0;
     };
     SmootherSlot mom_smoother;
-    /// Pressure AMG hierarchy kept across Picard solves and time steps;
-    /// HierarchyCache::update decides rebuild, refresh or reuse.
-    amg::HierarchyCache prs_precond;
+    /// Pressure AMG hierarchy kept across Picard solves and time steps,
+    /// with the preconditioner bound to it; HierarchyCache::update
+    /// decides rebuild, refresh or reuse, and only a rebuild rebinds the
+    /// preconditioner.
+    solver::KeptAmgPrecond prs_precond;
     /// Whether prs_cache.matrix changed since the last pressure solve,
     /// checked once per solve for both the hierarchy cache and the
     /// projector.

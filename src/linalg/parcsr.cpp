@@ -225,20 +225,17 @@ std::vector<double> ParCsr::nnz_per_rank() const {
 }
 
 void ParCsr::prime_channels(std::size_t lanes) const {
-  if (!stamps_.empty() && (lanes == 0 || lanes == halo_lanes_)) return;
+  if (!contrib_.empty() && (lanes == 0 || lanes == halo_lanes_)) return;
   // First use, or a new halo lane count: vectors only grow, so going
   // back to a smaller lane count later reuses the capacity.
   EXW_PURITY_ALLOW("first-use scratch priming");
   const auto nranks = static_cast<std::size_t>(rows_.nranks());
-  if (stamps_.empty()) {
+  if (contrib_.empty()) {
     halo_.resize(nranks);     // exw-warm-ok: first-use scratch priming
     contrib_.resize(nranks);  // exw-warm-ok: first-use scratch priming
-    stamps_.resize(nranks);   // exw-warm-ok: first-use scratch priming
     for (std::size_t r = 0; r < nranks; ++r) {
       contrib_[r].resize(  // exw-warm-ok: first-use scratch priming
           blocks_[r].col_map.size());
-      stamps_[r].resize(  // exw-warm-ok: first-use scratch priming
-          comm_.recvs[r].size());
     }
   }
   if (lanes != 0) {
@@ -251,8 +248,9 @@ void ParCsr::prime_channels(std::size_t lanes) const {
 }
 
 EXW_WARM_FN
-const std::vector<RealVector>& ParCsr::halo_exchange(const ParVector& x) const {
+void ParCsr::halo_pack(const ParVector& x) const {
   EXW_PURITY_REGION("parcsr-halo-exchange");
+  EXW_REQUIRE(x.global_size() == global_cols(), "halo x size mismatch");
   const std::size_t lanes = x.ncomp();
   prime_channels(lanes);
   // FP32-tagged vectors ship their halos as float: lossless (stores
@@ -260,10 +258,12 @@ const std::vector<RealVector>& ParCsr::halo_exchange(const ParVector& x) const {
   // the message charge is priced at the float payload.
   const bool f32 = x.value_precision() == Precision::kF32;
   const std::size_t wire = f32 ? sizeof(float) : sizeof(Real);
+  stamp_ = rt_->tracer().stamp();
   // Each owner packs every lane's requested values straight into the
   // receiver's halo buffer at its run's offset, one message per neighbor
   // pair for all lanes.
   rt_->parallel_for_ranks([&](RankId r) {
+    perf::Tally tally;
     for (const auto& send : comm_.sends[static_cast<std::size_t>(r)]) {
       const std::size_t count = send.idx.size();
       auto& halo = halo_[static_cast<std::size_t>(send.dst)];
@@ -280,80 +280,94 @@ const std::vector<RealVector>& ParCsr::halo_exchange(const ParVector& x) const {
       }
       const double pack_bytes = 2.0 * bytes_of(x.value_precision()) *
                                 static_cast<double>(lanes * count);
-      if (f32) {
-        rt_->tracer().kernel_split_prec(r, 0.0, 0.0, pack_bytes, 0.0);
-      } else {
-        rt_->tracer().kernel(r, 0.0, pack_bytes);
-      }
-      stamps_[static_cast<std::size_t>(send.dst)][send.slot] =
-          rt_->channel_sent(r, send.dst, tags::kHaloValues, lanes * count,
-                            lanes * count * wire, "ParCsr::halo_exchange");
+      tally.kernel(0.0, f32 ? 0.0 : pack_bytes, f32 ? pack_bytes : 0.0);
+      rt_->channel_sent(r, send.dst, tags::kHaloValues, lanes * count,
+                        lanes * count * wire, tally, "ParCsr::halo_pack");
     }
+    rt_->tracer().charge_sent(r, tally);
   });
-  // Every pack finished at the region barrier; each receiver now takes
-  // its messages in col_map order.
-  rt_->parallel_for_ranks([&](RankId r) {
-    const auto& recvs = comm_.recvs[static_cast<std::size_t>(r)];
-    const auto& stamps = stamps_[static_cast<std::size_t>(r)];
-    for (std::size_t j = 0; j < recvs.size(); ++j) {
-      const auto count = lanes * static_cast<std::size_t>(recvs[j].count);
-      rt_->channel_received(r, recvs[j].src, tags::kHaloValues, count,
-                            count * wire, stamps[j], "ParCsr::halo_exchange");
-    }
-  });
-  return halo_;
+}
+
+const RealVector& ParCsr::halo_receive(RankId r, const ParVector& x) const {
+  const std::size_t lanes = x.ncomp();
+  EXW_ASSERT(lanes == halo_lanes_);
+  const std::size_t wire =
+      x.value_precision() == Precision::kF32 ? sizeof(float) : sizeof(Real);
+  // Every pack finished at the packing region's barrier; the receiver
+  // takes its messages in col_map order.
+  perf::Tally tally;
+  for (const auto& recv : comm_.recvs[static_cast<std::size_t>(r)]) {
+    const auto count = lanes * static_cast<std::size_t>(recv.count);
+    rt_->channel_received(r, recv.src, tags::kHaloValues, count,
+                          count * wire, stamp_, tally, "ParCsr::halo_receive");
+  }
+  rt_->tracer().charge_received(r, tally, stamp_);
+  return halo_[static_cast<std::size_t>(r)];
 }
 
 void ParCsr::matvec(const ParVector& x, ParVector& y, Real alpha,
                     Real beta) const {
-  EXW_REQUIRE(x.global_size() == global_cols(), "matvec x size mismatch");
   EXW_REQUIRE(y.global_size() == global_rows(), "matvec y size mismatch");
   EXW_REQUIRE(x.ncomp() == y.ncomp(), "matvec lane count mismatch");
+  halo_pack(x);
+  rt_->parallel_for_ranks([&](RankId r) { matvec(r, x, y, alpha, beta); });
+}
+
+void ParCsr::matvec(RankId r, const ParVector& x, ParVector& y, Real alpha,
+                    Real beta) const {
   const std::size_t lanes = x.ncomp();
-  const auto& ext = halo_exchange(x);
-  rt_->parallel_for_ranks([&](RankId r) {
-    const auto& b = blocks_[static_cast<std::size_t>(r)];
-    const std::size_t xs =
-        static_cast<std::size_t>(cols_.local_size(r).value());
-    const std::size_t ys =
-        static_cast<std::size_t>(rows_.local_size(r).value());
-    auto& yl = y.local(r);
-    b.diag.spmv_multi(x.local(r), xs, yl, ys, lanes, alpha, beta);
-    if (b.offd.nnz() > 0) {
-      const std::size_t m = b.col_map.size();
-      b.offd.spmv_multi(ext[static_cast<std::size_t>(r)], m, yl, ys, lanes,
-                        alpha, 1.0);
-    }
-    if (y.value_precision() == Precision::kF32) {
-      // Fused diag+offd accumulation in fp64 registers, one rounded
-      // store into the FP32-tagged result.
-      for (Real& v : yl) v = demote_value(v);
-    }
-    // Matrix values, x gathers and y updates stream once per lane, the
-    // column indices once for all lanes (the fused-lane saving); each
-    // value stream is priced at its container's storage precision.
-    const auto nnz = static_cast<double>(b.diag.nnz() + b.offd.nnz());
-    const auto nl = static_cast<double>(lanes);
-    double f64 = 0, f32 = 0;
-    split_value_bytes(prec_, nl * nnz * bytes_of(prec_), f64, f32);
-    split_value_bytes(y.value_precision(),
-                      nl * 2.0 * bytes_of(y.value_precision()) *
-                          static_cast<double>(ys),
-                      f64, f32);
-    rt_->tracer().kernel_split_prec(r, 2.0 * nnz * nl, f64, f32,
-                                    nnz * sizeof(LocalIndex));
-  });
+  const auto& ext = halo_receive(r, x);
+  const auto& b = blocks_[static_cast<std::size_t>(r)];
+  const std::size_t xs = static_cast<std::size_t>(cols_.local_size(r).value());
+  const std::size_t ys = static_cast<std::size_t>(rows_.local_size(r).value());
+  auto& yl = y.local(r);
+  b.diag.spmv_multi(x.local(r), xs, yl, ys, lanes, alpha, beta);
+  if (b.offd.nnz() > 0) {
+    b.offd.spmv_multi(ext, b.col_map.size(), yl, ys, lanes, alpha, 1.0);
+  }
+  if (y.value_precision() == Precision::kF32) {
+    // Fused diag+offd accumulation in fp64 registers, one rounded store
+    // into the FP32-tagged result.
+    for (Real& v : yl) v = demote_value(v);
+  }
+  // Matrix values, x gathers and y updates stream once per lane, the
+  // column indices once for all lanes (the fused-lane saving); each value
+  // stream is priced at its container's storage precision.
+  const auto nnz = static_cast<double>(b.diag.nnz() + b.offd.nnz());
+  const auto nl = static_cast<double>(lanes);
+  double f64 = 0, f32 = 0;
+  split_value_bytes(prec_, nl * nnz * bytes_of(prec_), f64, f32);
+  split_value_bytes(y.value_precision(),
+                    nl * 2.0 * bytes_of(y.value_precision()) *
+                        static_cast<double>(ys),
+                    f64, f32);
+  rt_->tracer().kernel_split_prec(r, 2.0 * nnz * nl, f64, f32,
+                                  nnz * sizeof(LocalIndex));
 }
 
 void ParCsr::residual(const ParVector& b, const ParVector& x,
-                      ParVector& r) const {
-  r.copy_from(b);
-  matvec(x, r, -1.0, 1.0);
+                      ParVector& res) const {
+  EXW_REQUIRE(res.global_size() == global_rows(), "residual size mismatch");
+  EXW_REQUIRE(x.ncomp() == res.ncomp(), "residual lane count mismatch");
+  halo_pack(x);
+  rt_->parallel_for_ranks([&](RankId r) { residual(r, b, x, res); });
+}
+
+void ParCsr::residual(RankId r, const ParVector& b, const ParVector& x,
+                      ParVector& res) const {
+  res.copy_from(r, b);
+  matvec(r, x, res, -1.0, 1.0);
+}
+
+void ParCsr::matvec_transpose(const ParVector& x, ParVector& y, Real alpha,
+                              Real beta) const {
+  transpose_send(x, y, alpha, beta);
+  rt_->parallel_for_ranks([&](RankId r) { transpose_receive(r, y); });
 }
 
 EXW_WARM_FN
-void ParCsr::matvec_transpose(const ParVector& x, ParVector& y, Real alpha,
-                              Real beta) const {
+void ParCsr::transpose_send(const ParVector& x, ParVector& y, Real alpha,
+                            Real beta) const {
   EXW_PURITY_REGION("parcsr-matvec-transpose");
   EXW_REQUIRE(x.global_size() == global_rows(), "matvec_T x size mismatch");
   EXW_REQUIRE(y.global_size() == global_cols(), "matvec_T y size mismatch");
@@ -364,6 +378,7 @@ void ParCsr::matvec_transpose(const ParVector& x, ParVector& y, Real alpha,
   // applies; deterministic because the partition is fixed.
   const bool f32_wire = prec_ == Precision::kF32;
   const std::size_t wire = f32_wire ? sizeof(float) : sizeof(Real);
+  stamp_ = rt_->tracer().stamp();
 
   // Local transpose products: diag^T into the owned part of y; offd^T
   // into the rank's contribution buffer in col_map order, each recv run
@@ -389,42 +404,44 @@ void ParCsr::matvec_transpose(const ParVector& x, ParVector& y, Real alpha,
                       2.0 * bytes_of(y.value_precision()) *
                           static_cast<double>(yl.size()),
                       f64, f32);
-    rt_->tracer().kernel_split_prec(r, 2.0 * nnz, f64, f32,
-                                    nnz * sizeof(LocalIndex));
-    const auto& recvs = comm_.recvs[static_cast<std::size_t>(r)];
-    auto& stamps = stamps_[static_cast<std::size_t>(r)];
-    for (std::size_t j = 0; j < recvs.size(); ++j) {
-      const auto count = static_cast<std::size_t>(recvs[j].count);
-      stamps[j] = rt_->channel_sent(r, recvs[j].src, tags::kHaloValues, count,
-                                    count * wire, "ParCsr::matvec_transpose");
+    perf::Tally tally;
+    tally.kernel(2.0 * nnz, f64, f32, nnz * sizeof(LocalIndex));
+    for (const auto& recv : comm_.recvs[static_cast<std::size_t>(r)]) {
+      const auto count = static_cast<std::size_t>(recv.count);
+      rt_->channel_sent(r, recv.src, tags::kHaloValues, count, count * wire,
+                        tally, "ParCsr::transpose_send");
     }
+    rt_->tracer().charge_sent(r, tally);
   });
+}
+
+void ParCsr::transpose_receive(RankId owner, ParVector& y) const {
+  const std::size_t wire =
+      prec_ == Precision::kF32 ? sizeof(float) : sizeof(Real);
   // Owners add the contributions in comm_.sends order.
-  rt_->parallel_for_ranks([&](RankId owner) {
-    auto& yl = y.local(owner);
-    for (const auto& send : comm_.sends[static_cast<std::size_t>(owner)]) {
-      const std::size_t count = send.idx.size();
-      const auto dst = static_cast<std::size_t>(send.dst);
-      rt_->channel_received(owner, send.dst, tags::kHaloValues, count,
-                            count * wire, stamps_[dst][send.slot],
-                            "ParCsr::matvec_transpose");
-      const Real* in =
-          contrib_[dst].data() + static_cast<std::size_t>(send.offset);
-      for (std::size_t i = 0; i < count; ++i) {
-        yl[static_cast<std::size_t>(send.idx[i])] += in[i];
-      }
-      double f64 = 0, f32 = 0;
-      split_value_bytes(y.value_precision(),
-                        3.0 * bytes_of(y.value_precision()) *
-                            static_cast<double>(count),
-                        f64, f32);
-      rt_->tracer().kernel_split_prec(owner, static_cast<double>(count), f64,
-                                      f32, 0.0);
+  auto& yl = y.local(owner);
+  perf::Tally tally;
+  for (const auto& send : comm_.sends[static_cast<std::size_t>(owner)]) {
+    const std::size_t count = send.idx.size();
+    rt_->channel_received(owner, send.dst, tags::kHaloValues, count,
+                          count * wire, stamp_, tally,
+                          "ParCsr::transpose_receive");
+    const Real* in = contrib_[static_cast<std::size_t>(send.dst)].data() +
+                     static_cast<std::size_t>(send.offset);
+    for (std::size_t i = 0; i < count; ++i) {
+      yl[static_cast<std::size_t>(send.idx[i])] += in[i];
     }
-    if (y.value_precision() == Precision::kF32) {
-      for (Real& v : yl) v = demote_value(v);
-    }
-  });
+    double f64 = 0, f32 = 0;
+    split_value_bytes(y.value_precision(),
+                      3.0 * bytes_of(y.value_precision()) *
+                          static_cast<double>(count),
+                      f64, f32);
+    tally.kernel(static_cast<double>(count), f64, f32);
+  }
+  if (y.value_precision() == Precision::kF32) {
+    for (Real& v : yl) v = demote_value(v);
+  }
+  rt_->tracer().charge_received(owner, tally, stamp_);
 }
 
 sparse::Csr ParCsr::to_serial() const {

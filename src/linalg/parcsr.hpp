@@ -126,16 +126,29 @@ class ParCsr {
   /// Per-rank nonzero counts — the quantity of Figs. 5 and 10.
   std::vector<double> nnz_per_rank() const;
 
-  /// Fetch the halo values of every lane of `x`: per rank one SoA buffer
-  /// of size ncomp * col_map.size() (lane c's halo values occupy the
-  /// plane [c*m, (c+1)*m) in col_map order), charging pack kernels and
-  /// one message per neighbor pair that carries every lane's payload.
-  /// Each owner packs straight into the receiver's buffer at its run's
-  /// offset (an FP32-tagged vector's values round through float, as on
-  /// the wire). The buffers persist: the reference stays valid until the
-  /// next halo_exchange on this matrix, and after the first call at a
-  /// lane count nothing is allocated.
-  const std::vector<RealVector>& halo_exchange(const ParVector& x) const;
+  // --- sparse kernels ------------------------------------------------------
+  // A product that needs off-rank values is two regions: halo_pack (or
+  // transpose_send), then one body per rank that books its receipt and
+  // consumes the values. The whole-matrix forms below are those two
+  // steps; a caller that has more work per rank (a smoother sweep, the
+  // V-cycle's transfers) runs the second region itself and calls the
+  // per-rank forms from its own body.
+
+  /// Pack every lane of `x`'s halo values into their receivers' buffers
+  /// (one region): per rank one SoA buffer of ncomp * col_map.size()
+  /// values, lane c in the plane [c*m, (c+1)*m) in col_map order. Each
+  /// owner packs straight into the receiver's buffer at its run's offset
+  /// (an FP32-tagged vector's values round through float, as on the
+  /// wire), charging its pack kernels and one message per neighbor pair
+  /// in one batched charge. The buffers persist; after the first call at
+  /// a lane count nothing is allocated. Every receiver must then run
+  /// halo_receive (directly or through the per-rank matvec / residual)
+  /// before the phase that packed closes.
+  void halo_pack(const ParVector& x) const;
+  /// Rank r's halo of the last halo_pack of `x`, with its receipt booked
+  /// (per-message checks, one batched receive charge). Called by r's
+  /// body.
+  const RealVector& halo_receive(RankId r, const ParVector& x) const;
 
   /// y = alpha * A * x + beta * y lane by lane (x over cols(), y over
   /// rows(), equal lane counts). One pass reads row_ptr/cols once for
@@ -145,22 +158,37 @@ class ParCsr {
   /// perf::Tracer::kernel_split_prec so the saving is auditable.
   void matvec(const ParVector& x, ParVector& y, Real alpha = 1.0,
               Real beta = 0.0) const;
+  /// Rank r's rows of matvec after halo_pack(x): receipt, then product.
+  void matvec(RankId r, const ParVector& x, ParVector& y, Real alpha = 1.0,
+              Real beta = 0.0) const;
   /// Former name of matvec, still called by perfbench/runner.
   void matvec_multi(const ParVector& x, ParVector& y, Real alpha = 1.0,
                     Real beta = 0.0) const {
     matvec(x, y, alpha, beta);
   }
 
-  /// r = b - A * x, lane by lane.
-  void residual(const ParVector& b, const ParVector& x, ParVector& r) const;
+  /// res = b - A * x, lane by lane.
+  void residual(const ParVector& b, const ParVector& x, ParVector& res) const;
+  /// Rank r's rows of residual after halo_pack(x): copy b, then the
+  /// product.
+  void residual(RankId r, const ParVector& b, const ParVector& x,
+                ParVector& res) const;
 
   /// y = alpha * A^T * x + beta * y (x over rows(), y over cols(), one
   /// lane each). Off-diagonal contributions are sent to the owning
   /// ranks — the reverse of the halo pattern; used for AMG restriction
-  /// with R = P^T. Each rank leaves them in a persistent buffer in
-  /// col_map order, which the owners add in comm().sends order.
+  /// with R = P^T. transpose_send then transpose_receive on every rank.
   void matvec_transpose(const ParVector& x, ParVector& y, Real alpha = 1.0,
                         Real beta = 0.0) const;
+  /// First region of matvec_transpose: each rank's local products, diag^T
+  /// into its part of y and offd^T into a persistent buffer in col_map
+  /// order, one message per run back to its owner (one batched charge).
+  void transpose_send(const ParVector& x, ParVector& y, Real alpha = 1.0,
+                      Real beta = 0.0) const;
+  /// Owner r's part of the second region: receipt, then the received
+  /// contributions added into y in comm().sends order. Called by r's
+  /// body.
+  void transpose_receive(RankId r, ParVector& y) const;
 
   /// Reassemble the full matrix on one "rank" (tests only).
   sparse::Csr to_serial() const;
@@ -183,11 +211,11 @@ class ParCsr {
   // Persistent channel state, indexed by the receiving side of the halo
   // pattern. halo_[r]: rank r's halo values, written by their owners.
   // contrib_[r]: rank r's transpose contributions, read by their owners.
-  // stamps_[r][j]: the tracer stamp of the message on channel
-  // comm_.recvs[r][j] (either direction), written by its sender.
+  // stamp_: the tracer stamp of the exchange in flight (either
+  // direction), taken on the orchestrator before its sending region.
   mutable std::vector<RealVector> halo_;
   mutable std::vector<RealVector> contrib_;
-  mutable std::vector<std::vector<perf::MessageStamp>> stamps_;
+  mutable perf::MessageStamp stamp_;
   mutable std::size_t halo_lanes_ = 0;  ///< lanes halo_ is sized for
 };
 

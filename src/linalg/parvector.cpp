@@ -103,38 +103,43 @@ void ParVector::set_values_from_plan(RankId r, std::span<const Real> owned,
 }
 
 void ParVector::fill(Real value) {
-  const Real sv = store_value(value, prec_);
-  rt_->parallel_for_ranks([&](RankId r) {
-    auto& x = local_[static_cast<std::size_t>(r)];
-    std::fill(x.begin(), x.end(), sv);
-    double f64 = 0, f32 = 0;
-    split_value_bytes(prec_, bytes_of(prec_) * static_cast<double>(x.size()),
-                      f64, f32);
-    rt_->tracer().kernel_split_prec(r, 0.0, f64, f32, 0.0);
-  });
+  rt_->parallel_for_ranks([&](RankId r) { fill(r, value); });
+}
+
+void ParVector::fill(RankId r, Real value) {
+  EXW_CONTRACT_CHECK_WRITE(r, "ParVector::fill(r)");
+  auto& x = local_[static_cast<std::size_t>(r)];
+  std::fill(x.begin(), x.end(), store_value(value, prec_));
+  double f64 = 0, f32 = 0;
+  split_value_bytes(prec_, bytes_of(prec_) * static_cast<double>(x.size()),
+                    f64, f32);
+  rt_->tracer().kernel_split_prec(r, 0.0, f64, f32, 0.0);
 }
 
 void ParVector::copy_from(const ParVector& other) {
+  rt_->parallel_for_ranks([&](RankId r) { copy_from(r, other); });
+}
+
+void ParVector::copy_from(RankId r, const ParVector& other) {
   EXW_REQUIRE(other.ncomp_ == ncomp_, "vector lane count mismatch");
   EXW_REQUIRE(other.global_size() == global_size(), "vector size mismatch");
-  rt_->parallel_for_ranks([&](RankId r) {
-    auto& y = local_[static_cast<std::size_t>(r)];
-    const auto& xs = other.local_[static_cast<std::size_t>(r)];
-    if (prec_ == Precision::kF32 && other.prec_ == Precision::kF64) {
-      for (std::size_t i = 0; i < y.size(); ++i) {
-        y[i] = demote_value(xs[i]);
-      }
-    } else {
-      // Same precision, or f64 <- f32: source values already
-      // representable in the destination storage.
-      y = xs;
+  EXW_CONTRACT_CHECK_WRITE(r, "ParVector::copy_from(r)");
+  auto& y = local_[static_cast<std::size_t>(r)];
+  const auto& xs = other.local_[static_cast<std::size_t>(r)];
+  if (prec_ == Precision::kF32 && other.prec_ == Precision::kF64) {
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      y[i] = demote_value(xs[i]);
     }
-    const auto n = static_cast<double>(y.size());
-    double f64 = 0, f32 = 0;
-    split_value_bytes(other.prec_, bytes_of(other.prec_) * n, f64, f32);
-    split_value_bytes(prec_, bytes_of(prec_) * n, f64, f32);
-    rt_->tracer().kernel_split_prec(r, 0.0, f64, f32, 0.0);
-  });
+  } else {
+    // Same precision, or f64 <- f32: source values already representable
+    // in the destination storage.
+    y = xs;
+  }
+  const auto n = static_cast<double>(y.size());
+  double f64 = 0, f32 = 0;
+  split_value_bytes(other.prec_, bytes_of(other.prec_) * n, f64, f32);
+  split_value_bytes(prec_, bytes_of(prec_) * n, f64, f32);
+  rt_->tracer().kernel_split_prec(r, 0.0, f64, f32, 0.0);
 }
 
 EXW_WARM_FN
@@ -166,55 +171,64 @@ EXW_WARM_FN
 void ParVector::scale_lanes(std::span<const Real> alpha,
                             std::span<const std::uint8_t> mask) {
   EXW_PURITY_REGION("multivector-scale-lanes");
+  rt_->parallel_for_ranks([&](RankId r) { scale_lanes(r, alpha, mask); });
+}
+
+void ParVector::scale_lanes(RankId r, std::span<const Real> alpha,
+                            std::span<const std::uint8_t> mask) {
   EXW_REQUIRE(alpha.size() == ncomp_, "one scale factor per lane required");
   EXW_REQUIRE(mask.empty() || mask.size() == ncomp_,
               "lane mask size mismatch");
   EXW_REQUIRE(prec_ == Precision::kF64, "scale_lanes runs on fp64 vectors");
-  const auto na = static_cast<double>(active_lanes(ncomp_, mask));
-  rt_->parallel_for_ranks([&](RankId r) {
-    const std::size_t n = local_n(r);
-    auto& x = local_[static_cast<std::size_t>(r)];
-    for (std::size_t c = 0; c < ncomp_; ++c) {
-      if (!mask.empty() && mask[c] == 0) continue;
-      const Real a = alpha[c];
-      for (std::size_t i = 0; i < n; ++i) {
-        x[c * n + i] *= a;
-      }
+  EXW_CONTRACT_CHECK_WRITE(r, "ParVector::scale_lanes(r)");
+  const std::size_t n = local_n(r);
+  auto& x = local_[static_cast<std::size_t>(r)];
+  for (std::size_t c = 0; c < ncomp_; ++c) {
+    if (!mask.empty() && mask[c] == 0) continue;
+    const Real a = alpha[c];
+    for (std::size_t i = 0; i < n; ++i) {
+      x[c * n + i] *= a;
     }
-    const double m = na * static_cast<double>(n);
-    rt_->tracer().kernel(r, m, 2.0 * kRead * m);
-  });
+  }
+  const double m =
+      static_cast<double>(active_lanes(ncomp_, mask)) * static_cast<double>(n);
+  rt_->tracer().kernel(r, m, 2.0 * kRead * m);
 }
 
 EXW_WARM_FN
 void ParVector::axpy_lanes(std::span<const Real> alpha, const ParVector& x,
                            std::span<const std::uint8_t> mask) {
   EXW_PURITY_REGION("multivector-axpy-lanes");
+  rt_->parallel_for_ranks([&](RankId r) { axpy_lanes(r, alpha, x, mask); });
+}
+
+void ParVector::axpy_lanes(RankId r, std::span<const Real> alpha,
+                           const ParVector& x,
+                           std::span<const std::uint8_t> mask) {
   EXW_REQUIRE(alpha.size() == ncomp_, "one axpy factor per lane required");
   EXW_REQUIRE(mask.empty() || mask.size() == ncomp_,
               "lane mask size mismatch");
   EXW_REQUIRE(x.ncomp_ == ncomp_, "vector lane count mismatch");
   EXW_REQUIRE(x.global_size() == global_size(), "vector size mismatch");
-  const auto na = static_cast<double>(active_lanes(ncomp_, mask));
-  rt_->parallel_for_ranks([&](RankId r) {
-    const std::size_t n = local_n(r);
-    auto& y = local_[static_cast<std::size_t>(r)];
-    const auto& xs = x.local_[static_cast<std::size_t>(r)];
-    for (std::size_t c = 0; c < ncomp_; ++c) {
-      if (!mask.empty() && mask[c] == 0) continue;
-      const Real a = alpha[c];
-      for (std::size_t i = 0; i < n; ++i) {
-        y[c * n + i] = store_value(y[c * n + i] + a * xs[c * n + i], prec_);
-      }
+  EXW_CONTRACT_CHECK_WRITE(r, "ParVector::axpy_lanes(r)");
+  const std::size_t n = local_n(r);
+  auto& y = local_[static_cast<std::size_t>(r)];
+  const auto& xs = x.local_[static_cast<std::size_t>(r)];
+  for (std::size_t c = 0; c < ncomp_; ++c) {
+    if (!mask.empty() && mask[c] == 0) continue;
+    const Real a = alpha[c];
+    for (std::size_t i = 0; i < n; ++i) {
+      y[c * n + i] = store_value(y[c * n + i] + a * xs[c * n + i], prec_);
     }
-    double f64 = 0, f32 = 0;
-    split_value_bytes(prec_, 2.0 * bytes_of(prec_) * na * static_cast<double>(n),
-                      f64, f32);
-    split_value_bytes(x.prec_, bytes_of(x.prec_) * na * static_cast<double>(n),
-                      f64, f32);
-    rt_->tracer().kernel_split_prec(r, 2.0 * na * static_cast<double>(n), f64,
-                                    f32, 0.0);
-  });
+  }
+  const auto na = static_cast<double>(active_lanes(ncomp_, mask));
+  double f64 = 0, f32 = 0;
+  split_value_bytes(prec_, 2.0 * bytes_of(prec_) * na * static_cast<double>(n),
+                    f64, f32);
+  split_value_bytes(x.prec_, bytes_of(x.prec_) * na * static_cast<double>(n),
+                    f64, f32);
+  rt_->tracer().kernel_split_prec(r, 2.0 * na * static_cast<double>(n), f64,
+                                  f32, 0.0);
 }
 
 EXW_WARM_FN
@@ -320,29 +334,32 @@ double ParVector::dot(const ParVector& other) const {
 double ParVector::norm2() const { return std::sqrt(dot(*this)); }
 
 void ParVector::lane_fill(std::size_t lane, Real value) {
-  EXW_REQUIRE(lane < ncomp_, "vector lane out of range");
+  rt_->parallel_for_ranks([&](RankId r) { lane_fill(r, lane, value); });
+}
+
+void ParVector::lane_fill(RankId r, std::size_t lane, Real value) {
   EXW_REQUIRE(prec_ == Precision::kF64, "lane_fill runs on fp64 vectors");
-  rt_->parallel_for_ranks([&](RankId r) {
-    auto s = lane_span(r, lane);
-    std::fill(s.begin(), s.end(), value);
-    rt_->tracer().kernel(r, 0.0, kRead * static_cast<double>(s.size()));
-  });
+  auto s = lane_span(r, lane);
+  std::fill(s.begin(), s.end(), value);
+  rt_->tracer().kernel(r, 0.0, kRead * static_cast<double>(s.size()));
 }
 
 void ParVector::lane_axpy(std::size_t lane, Real alpha, const ParVector& x) {
-  EXW_REQUIRE(lane < ncomp_ && lane < x.ncomp_, "vector lane out of range");
+  rt_->parallel_for_ranks([&](RankId r) { lane_axpy(r, lane, alpha, x); });
+}
+
+void ParVector::lane_axpy(RankId r, std::size_t lane, Real alpha,
+                          const ParVector& x) {
   EXW_REQUIRE(x.global_size() == global_size(), "vector size mismatch");
   EXW_REQUIRE(prec_ == Precision::kF64 && x.prec_ == Precision::kF64,
               "lane_axpy runs on fp64 vectors");
-  rt_->parallel_for_ranks([&](RankId r) {
-    auto y = lane_span(r, lane);
-    const auto xs = x.lane_span(r, lane);
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      y[i] += alpha * xs[i];
-    }
-    const auto n = static_cast<double>(y.size());
-    rt_->tracer().kernel(r, 2.0 * n, 3.0 * kRead * n);
-  });
+  auto y = lane_span(r, lane);
+  const auto xs = x.lane_span(r, lane);
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    y[i] += alpha * xs[i];
+  }
+  const auto n = static_cast<double>(y.size());
+  rt_->tracer().kernel(r, 2.0 * n, 3.0 * kRead * n);
 }
 
 double ParVector::lane_norm2(std::size_t lane) const {
@@ -366,31 +383,34 @@ double ParVector::lane_norm2(std::size_t lane) const {
 }
 
 void ParVector::set_lane(std::size_t lane, const ParVector& src) {
-  EXW_REQUIRE(lane < ncomp_, "vector lane out of range");
+  rt_->parallel_for_ranks([&](RankId r) { set_lane(r, lane, src); });
+}
+
+void ParVector::set_lane(RankId r, std::size_t lane, const ParVector& src) {
   EXW_REQUIRE(src.ncomp_ == 1, "set_lane copies from a 1-lane vector");
   EXW_REQUIRE(src.global_size() == global_size(), "vector size mismatch");
   EXW_REQUIRE(prec_ == Precision::kF64 && src.prec_ == Precision::kF64,
               "set_lane runs on fp64 vectors");
-  rt_->parallel_for_ranks([&](RankId r) {
-    auto dst = lane_span(r, lane);
-    const auto& s = src.local(r);
-    std::copy(s.begin(), s.end(), dst.begin());
-    rt_->tracer().kernel(r, 0.0, 2.0 * kRead * static_cast<double>(s.size()));
-  });
+  auto dst = lane_span(r, lane);
+  const auto& s = src.local(r);
+  std::copy(s.begin(), s.end(), dst.begin());
+  rt_->tracer().kernel(r, 0.0, 2.0 * kRead * static_cast<double>(s.size()));
 }
 
 void ParVector::extract_lane(std::size_t lane, ParVector& dst) const {
-  EXW_REQUIRE(lane < ncomp_, "vector lane out of range");
+  rt_->parallel_for_ranks([&](RankId r) { extract_lane(r, lane, dst); });
+}
+
+void ParVector::extract_lane(RankId r, std::size_t lane,
+                             ParVector& dst) const {
   EXW_REQUIRE(dst.ncomp_ == 1, "extract_lane copies into a 1-lane vector");
   EXW_REQUIRE(dst.global_size() == global_size(), "vector size mismatch");
   EXW_REQUIRE(prec_ == Precision::kF64 && dst.prec_ == Precision::kF64,
               "extract_lane runs on fp64 vectors");
-  rt_->parallel_for_ranks([&](RankId r) {
-    const auto s = lane_span(r, lane);
-    auto& d = dst.local(r);
-    std::copy(s.begin(), s.end(), d.begin());
-    rt_->tracer().kernel(r, 0.0, 2.0 * kRead * static_cast<double>(s.size()));
-  });
+  const auto s = lane_span(r, lane);
+  auto& d = dst.local(r);
+  std::copy(s.begin(), s.end(), d.begin());
+  rt_->tracer().kernel(r, 0.0, 2.0 * kRead * static_cast<double>(s.size()));
 }
 
 RealVector ParVector::gather(std::size_t lane) const {

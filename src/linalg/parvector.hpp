@@ -100,9 +100,16 @@ class ParVector {
 
   // --- fused charged operations (one kernel per rank, one collective
   // --- per reduction, regardless of lane count) --------------------------
+  // The element-wise operations that fused solver bodies use also have a
+  // per-rank form, taking the rank first: rank r's kernel with its
+  // charge, which the whole-vector form runs in one region and which a
+  // caller's own rank body calls directly. Inside a region only r's body
+  // may call it (contract-checked).
 
   void fill(Real value);
+  void fill(RankId r, Real value);
   void copy_from(const ParVector& other);
+  void copy_from(RankId r, const ParVector& other);
   /// Lane c = (lane c of src) for lanes with mask[c] != 0; other lanes
   /// are untouched (same frozen-lane rule as scale_lanes/axpy_lanes).
   /// An empty mask means all lanes.
@@ -113,8 +120,12 @@ class ParVector {
   /// must stay bitwise-frozen). An empty mask means all lanes.
   void scale_lanes(std::span<const Real> alpha,
                    std::span<const std::uint8_t> mask = {});
+  void scale_lanes(RankId r, std::span<const Real> alpha,
+                   std::span<const std::uint8_t> mask = {});
   /// Lane c += alpha[c] * (lane c of x), same masking rule.
   void axpy_lanes(std::span<const Real> alpha, const ParVector& x,
+                  std::span<const std::uint8_t> mask = {});
+  void axpy_lanes(RankId r, std::span<const Real> alpha, const ParVector& x,
                   std::span<const std::uint8_t> mask = {});
   /// Per-lane dot products against `other`, one batched allreduce.
   std::vector<double> dots(const ParVector& other) const;
@@ -138,17 +149,24 @@ class ParVector {
   void scale(Real alpha) { scale_lanes({&alpha, 1}); }
   /// this += alpha * x
   void axpy(Real alpha, const ParVector& x) { axpy_lanes({&alpha, 1}, x); }
+  void axpy(RankId r, Real alpha, const ParVector& x) {
+    axpy_lanes(r, {&alpha, 1}, x);
+  }
   double dot(const ParVector& other) const;
   double norm2() const;
 
   // --- single-lane charged operations ------------------------------------
 
   void lane_fill(std::size_t lane, Real value);
+  void lane_fill(RankId r, std::size_t lane, Real value);
   void lane_axpy(std::size_t lane, Real alpha, const ParVector& x);
+  void lane_axpy(RankId r, std::size_t lane, Real alpha, const ParVector& x);
   double lane_norm2(std::size_t lane) const;
   /// Copy a 1-lane vector into / out of one lane (streaming copy charge).
   void set_lane(std::size_t lane, const ParVector& src);
+  void set_lane(RankId r, std::size_t lane, const ParVector& src);
   void extract_lane(std::size_t lane, ParVector& dst) const;
+  void extract_lane(RankId r, std::size_t lane, ParVector& dst) const;
 
   /// Gather one lane to a dense global vector (not charged).
   RealVector gather(std::size_t lane = 0) const;

@@ -214,6 +214,8 @@ class Auditor final : public perf::PhasePopListener {
 #define EXW_COMM_SITE_DECL \
   , std::source_location exw_site = std::source_location::current()
 #define EXW_COMM_SITE_DEF , std::source_location exw_site
+/// Forwards a caller's captured site to a callee that takes one.
+#define EXW_COMM_SITE_PASS , exw_site
 /// Run an audit-recording statement (compiled out when OFF).
 #define EXW_COMM_AUDIT_RECORD(...) \
   do {                             \
@@ -232,6 +234,7 @@ inline std::string summary() {
 
 #define EXW_COMM_SITE_DECL
 #define EXW_COMM_SITE_DEF
+#define EXW_COMM_SITE_PASS
 #define EXW_COMM_AUDIT_RECORD(...) ((void)0)
 
 #endif  // EXW_COMM_AUDIT_ENABLED

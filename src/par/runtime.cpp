@@ -43,9 +43,10 @@ comm_audit::Auditor* Runtime::comm_auditor() {
 #endif
 }
 
-perf::MessageStamp Runtime::channel_sent(
-    RankId src, RankId dst, [[maybe_unused]] int tag,
-    [[maybe_unused]] std::size_t count, std::size_t bytes,
+void Runtime::check_channel_sent(
+    [[maybe_unused]] RankId src, [[maybe_unused]] RankId dst,
+    [[maybe_unused]] int tag, [[maybe_unused]] std::size_t count,
+    [[maybe_unused]] std::size_t bytes,
     [[maybe_unused]] const char* where EXW_COMM_SITE_DEF) {
 #if EXW_CONTRACT_CHECKS_ENABLED
   {
@@ -54,19 +55,21 @@ perf::MessageStamp Runtime::channel_sent(
     EXW_PURITY_ALLOW("contract channel registry");
     contract::check_send(src, dst, tag, where);
   }
+  contract::check_message_charge(src);
 #endif
   EXW_COMM_AUDIT_RECORD(
       audit_->on_send(src, dst, tag, count, bytes, exw_site));
-  return tracer_.message_sent(src, dst, static_cast<double>(bytes));
 }
 
-void Runtime::channel_received(
-    RankId dst, RankId src, [[maybe_unused]] int tag,
-    [[maybe_unused]] std::size_t count, std::size_t bytes,
-    perf::MessageStamp stamp,
+void Runtime::check_channel_received(
+    [[maybe_unused]] RankId dst, [[maybe_unused]] RankId src,
+    [[maybe_unused]] int tag, [[maybe_unused]] std::size_t count,
+    [[maybe_unused]] std::size_t bytes,
+    [[maybe_unused]] perf::MessageStamp stamp,
     [[maybe_unused]] const char* where EXW_COMM_SITE_DEF) {
   EXW_CONTRACT_CHECK(contract::check_recv(dst, src, tag, where));
-  tracer_.message_received(dst, src, static_cast<double>(bytes), stamp);
+  EXW_CONTRACT_CHECK(
+      contract::check_message_receipt(dst, src, tracer_.open(stamp)));
   EXW_COMM_AUDIT_RECORD(
       audit_->on_recv(dst, src, tag, count, bytes, exw_site));
 }

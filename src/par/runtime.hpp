@@ -233,20 +233,40 @@ class Runtime {
   /// The world's auditor, for introspection; null when EXW_COMM_AUDIT=OFF.
   comm_audit::Auditor* comm_auditor();
 
-  /// Bookkeeping of one message on a persistent channel, which the
-  /// caller already packed straight into the receiver's buffer: the same
-  /// contract check (rank context, single sender per channel), tracer
-  /// send half and comm-audit record as Transport::send. `where` names
-  /// the caller in contract diagnostics. Called by src's body; the stamp
-  /// goes to the receiver.
-  perf::MessageStamp channel_sent(RankId src, RankId dst, int tag,
-                                  std::size_t count, std::size_t bytes,
-                                  const char* where EXW_COMM_SITE_DECL);
+  /// One message on a persistent channel, which the caller already
+  /// packed straight into the receiver's buffer: the contract checks
+  /// (rank context, single sender per channel, the charge's owner) and
+  /// the comm-audit record Transport::send makes, per message, in check
+  /// builds; then its send half goes into src's body tally, which the
+  /// body charges once at its end (perf::Tracer::charge_sent). `where`
+  /// names the caller in contract diagnostics. Called by src's body;
+  /// the receivers take the exchange's perf::Tracer::stamp().
+  void channel_sent([[maybe_unused]] RankId src, [[maybe_unused]] RankId dst,
+                    [[maybe_unused]] int tag,
+                    [[maybe_unused]] std::size_t count, std::size_t bytes,
+                    perf::Tally& tally,
+                    [[maybe_unused]] const char* where EXW_COMM_SITE_DECL) {
+#if EXW_CONTRACT_CHECKS_ENABLED || EXW_COMM_AUDIT_ENABLED
+    check_channel_sent(src, dst, tag, count, bytes,
+                       where EXW_COMM_SITE_PASS);
+#endif
+    tally.message(static_cast<double>(bytes));
+  }
   /// The receiving half, called by dst's body when it consumes the
-  /// message: contract check, tracer receive half, comm-audit record.
-  void channel_received(RankId dst, RankId src, int tag, std::size_t count,
-                        std::size_t bytes, perf::MessageStamp stamp,
-                        const char* where EXW_COMM_SITE_DECL);
+  /// message: contract checks (the sending phase still open), comm-audit
+  /// record, and the receive half into dst's tally (none for dst ==
+  /// src), charged by perf::Tracer::charge_received.
+  void channel_received(RankId dst, RankId src, [[maybe_unused]] int tag,
+                        [[maybe_unused]] std::size_t count, std::size_t bytes,
+                        [[maybe_unused]] perf::MessageStamp stamp,
+                        perf::Tally& tally,
+                        [[maybe_unused]] const char* where EXW_COMM_SITE_DECL) {
+#if EXW_CONTRACT_CHECKS_ENABLED || EXW_COMM_AUDIT_ENABLED
+    check_channel_received(dst, src, tag, count, bytes, stamp,
+                           where EXW_COMM_SITE_PASS);
+#endif
+    if (dst != src) tally.message(static_cast<double>(bytes));
+  }
 
   /// Run fn(r) for every rank, potentially concurrently (one thread per
   /// rank body, blocking until all return). Rank bodies stay internally
@@ -289,6 +309,14 @@ class Runtime {
       const std::vector<GlobalIndex>& per_rank_values EXW_COMM_SITE_DECL);
 
  private:
+  void check_channel_sent(RankId src, RankId dst, int tag, std::size_t count,
+                          std::size_t bytes,
+                          const char* where EXW_COMM_SITE_DECL);
+  void check_channel_received(RankId dst, RankId src, int tag,
+                              std::size_t count, std::size_t bytes,
+                              perf::MessageStamp stamp,
+                              const char* where EXW_COMM_SITE_DECL);
+
   perf::Tracer tracer_;
 #if EXW_COMM_AUDIT_ENABLED
   /// Declared between tracer_ and transport_: constructed after the

@@ -208,6 +208,7 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(int n, FunctionRef fn) {
   if (n <= 0) return;
+  if (!t_in_region) regions_.fetch_add(1, std::memory_order_relaxed);
   if (num_threads_ <= 1 || n == 1 || t_in_region ||
       g_serial.load(std::memory_order_relaxed)) {
     // Mirror drain(): run every body even if one throws, then rethrow

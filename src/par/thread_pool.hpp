@@ -45,6 +45,8 @@
 /// path is bitwise-identical anyway because each rank body is unchanged
 /// and all reductions happen on the orchestrator.
 
+#include <atomic>
+#include <cstdint>
 #include <type_traits>
 #include <utility>
 
@@ -91,6 +93,14 @@ class ThreadPool {
   /// dispatches at a time (the orchestrator).
   void parallel_for(int n, FunctionRef fn);
 
+  /// Top-level regions run so far, inline ones included (a nested call
+  /// is part of its enclosing body and does not count), so serial and
+  /// threaded runs read the same numbers. Tests pin the region structure
+  /// of the fused kernels with it.
+  std::uint64_t regions() const {
+    return regions_.load(std::memory_order_relaxed);
+  }
+
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -105,6 +115,7 @@ class ThreadPool {
   struct Impl;
   Impl* impl_;
   int num_threads_ = 1;
+  std::atomic<std::uint64_t> regions_{0};
 };
 
 /// True while the calling thread is executing a parallel_for body.

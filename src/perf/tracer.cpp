@@ -119,7 +119,7 @@ Tracer::Tracer(int nranks)
       touched_(words_ * kMaxDepth) {
   EXW_REQUIRE(nranks >= 1, "tracer needs at least one rank");
   // Root phase: untagged work is never lost.
-  frames_.push_back(Frame{&intern(""), next_serial_++, 0, 0});
+  frames_.push_back(Frame{&intern(""), next_serial_++, 0, 0, {}});
 }
 
 Tracer::Phase& Tracer::intern(const std::string& name) {
@@ -140,7 +140,8 @@ void Tracer::push_phase(const std::string& name) {
   const std::string& parent = frames_.back().phase->first;
   Phase& phase = intern(parent.empty() ? name : parent + "/" + name);
   const auto t = purity::totals();
-  frames_.push_back(Frame{&phase, next_serial_++, t.allocs, t.bytes});
+  frames_.push_back(Frame{&phase, next_serial_++, t.allocs, t.bytes,
+                          std::chrono::steady_clock::now()});
 }
 
 void Tracer::pop_phase() {
@@ -149,6 +150,9 @@ void Tracer::pop_phase() {
   const std::size_t depth = frames_.size() - 1;
   const Frame& f = frames_.back();
   PhaseStats& s = f.phase->second;
+  s.wall_s +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - f.t0)
+          .count();
   // Fold the process-wide allocation delta into the closing phase. The
   // delta naturally includes nested phases' activity, matching how
   // kernel charges accrue to every open phase.
@@ -216,6 +220,13 @@ void Tracer::kernel_split_prec(RankId r, double flops, double value_bytes_f64,
                                double value_bytes_f32, double index_bytes) {
   EXW_ASSERT(r.value() >= 0 && r.value() < nranks_);
   EXW_CONTRACT_CHECK(par::contract::check_kernel_charge(r));
+  add_kernels(r, 1, flops, value_bytes_f64, value_bytes_f32, index_bytes,
+              flops);
+}
+
+void Tracer::add_kernels(RankId r, long n, double flops,
+                         double value_bytes_f64, double value_bytes_f32,
+                         double index_bytes, double max_flops) {
   // Rank r's slots are written only by the thread running rank r's body,
   // so plain accumulation is race-free even inside parallel regions (the
   // stack is frozen there and charges never look up or insert phases).
@@ -227,8 +238,8 @@ void Tracer::kernel_split_prec(RankId r, double flops, double value_bytes_f64,
     w.bytes += value_bytes_f64 + value_bytes_f32 + index_bytes;
     w.index_bytes += index_bytes;
     w.value_bytes_f32 += value_bytes_f32;
-    w.kernels += 1;
-    w.max_kernel_flops = std::max(w.max_kernel_flops, flops);
+    w.kernels += n;
+    w.max_kernel_flops = std::max(w.max_kernel_flops, max_flops);
   }
 }
 
@@ -241,40 +252,64 @@ MessageStamp Tracer::message_sent(RankId src, [[maybe_unused]] RankId dst,
   EXW_ASSERT(src.value() >= 0 && src.value() < nranks_ &&
              dst.value() >= 0 && dst.value() < nranks_);
   EXW_CONTRACT_CHECK(par::contract::check_message_charge(src));
-  const std::size_t depth = frames_.size() - 1;
-  const Frame& f = frames_.back();
-  // Byte counts are integers, exact in double, so the roll-up's sums of
-  // sums equal the per-message adds they replace bit for bit.
-  auto& w = f.phase->second.rank[static_cast<std::size_t>(src)];
-  w.msgs += 1;
-  w.msg_bytes += bytes;
-  Pending& p = pending(src, depth);
-  if (p.msgs == 0) mark(src, depth);
-  p.msgs += 1;
-  p.msg_bytes += bytes;
-  p.sent += 1;
-  p.unsettled += 1;
-  return MessageStamp{static_cast<std::uint32_t>(depth), f.serial};
+  add_sent(src, 1, bytes);
+  return stamp();
 }
 
 void Tracer::message_received(RankId dst, RankId src, double bytes,
                               MessageStamp stamp) {
   EXW_ASSERT(src.value() >= 0 && src.value() < nranks_ &&
              dst.value() >= 0 && dst.value() < nranks_);
-  EXW_CONTRACT_CHECK(par::contract::check_message_receipt(
-      dst, src,
-      stamp.depth < frames_.size() &&
-          frames_[stamp.depth].serial == stamp.serial));
+  EXW_CONTRACT_CHECK(
+      par::contract::check_message_receipt(dst, src, open(stamp)));
   if (dst == src) return;  // a self-message is charged once, at send
+  add_received(dst, 1, bytes, stamp);
+}
+
+void Tracer::charge_sent(RankId r, const Tally& t) {
+  charge_kernels(r, t);
+  if (t.msgs > 0) add_sent(r, t.msgs, t.msg_bytes);
+}
+
+void Tracer::charge_received(RankId r, const Tally& t, MessageStamp stamp) {
+  charge_kernels(r, t);
+  if (t.msgs > 0) add_received(r, t.msgs, t.msg_bytes, stamp);
+}
+
+void Tracer::charge_kernels(RankId r, const Tally& t) {
+  EXW_ASSERT(r.value() >= 0 && r.value() < nranks_);
+  if (t.kernels == 0) return;
+  EXW_CONTRACT_CHECK(par::contract::check_kernel_charge(r));
+  add_kernels(r, t.kernels, t.flops, t.value_bytes_f64, t.value_bytes_f32,
+              t.index_bytes, t.max_kernel_flops);
+}
+
+void Tracer::add_sent(RankId src, long n, double bytes) {
+  const std::size_t depth = frames_.size() - 1;
+  // Byte counts are integers, exact in double, so the roll-up's sums of
+  // sums equal the per-message adds they replace bit for bit.
+  auto& w = frames_.back().phase->second.rank[static_cast<std::size_t>(src)];
+  w.msgs += n;
+  w.msg_bytes += bytes;
+  Pending& p = pending(src, depth);
+  if (p.msgs == 0) mark(src, depth);
+  p.msgs += n;
+  p.msg_bytes += bytes;
+  p.sent += n;
+  p.unsettled += n;
+}
+
+void Tracer::add_received(RankId dst, long n, double bytes,
+                          MessageStamp stamp) {
   // Unchecked builds keep a late receipt in bounds (and misattributed).
   const std::size_t depth =
       std::min<std::size_t>(stamp.depth, frames_.size() - 1);
   auto& w = frames_[depth].phase->second.rank[static_cast<std::size_t>(dst)];
-  w.msgs += 1;
+  w.msgs += n;
   w.msg_bytes += bytes;
   Pending& p = pending(dst, depth);
   if (p.msgs == 0) mark(dst, depth);
-  p.msgs += 1;
+  p.msgs += n;
   p.msg_bytes += bytes;
 }
 
@@ -322,6 +357,7 @@ void Tracer::reset() {
     s.messages = 0;
     s.allocs = 0;
     s.alloc_bytes = 0;
+    s.wall_s = 0;
   }
   std::fill(pending_.begin(), pending_.end(), Pending{});
   for (auto& word : touched_) word.store(0, std::memory_order_relaxed);

@@ -30,7 +30,9 @@
 /// imbalance, which is the regime of this application (fixed partition,
 /// barrier-like collectives every few kernels).
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -101,6 +103,11 @@ struct PhaseStats {
   /// own operator new. Zero when EXW_PURITY_CHECKS=OFF.
   long long allocs = 0;
   double alloc_bytes = 0;
+  /// Host wall-clock seconds this phase was open, summed over its
+  /// openings: one steady_clock read at each push and pop, on the
+  /// orchestrator. A measurement of this host, not a charge — modeled
+  /// times ignore it, and two runs of the same program differ in it.
+  double wall_s = 0;
 
   /// Modeled wall time of this phase on machine `m`.
   double modeled_time(const MachineModel& m) const;
@@ -129,6 +136,41 @@ struct PhaseStats {
 struct MessageStamp {
   std::uint32_t depth = 0;
   std::uint64_t serial = 0;
+};
+
+/// One rank body's kernel and channel-message charges, summed while the
+/// body runs and made by one Tracer::charge_sent / charge_received call
+/// at its end, instead of one charge per message (each charge walks every
+/// open phase). Every summand is an integer-valued double (bytes, flop
+/// counts of streaming kernels), so the sums are exact and the phase
+/// totals come out bit for bit as the per-kernel and per-message charges
+/// they replace would leave them; the largest single kernel's flops are
+/// kept for max_kernel_flops.
+struct Tally {
+  long kernels = 0;
+  double flops = 0;
+  double value_bytes_f64 = 0;
+  double value_bytes_f32 = 0;
+  double index_bytes = 0;
+  double max_kernel_flops = 0;
+  long msgs = 0;
+  double msg_bytes = 0;
+
+  /// One kernel, split as Tracer::kernel_split_prec splits it.
+  void kernel(double f, double f64, double f32 = 0.0, double index = 0.0) {
+    kernels += 1;
+    flops += f;
+    value_bytes_f64 += f64;
+    value_bytes_f32 += f32;
+    index_bytes += index;
+    max_kernel_flops = std::max(max_kernel_flops, f);
+  }
+  /// One message's half (par::Runtime::channel_sent / channel_received
+  /// add it after their per-message checks).
+  void message(double bytes) {
+    msgs += 1;
+    msg_bytes += bytes;
+  }
 };
 
 /// Phase-boundary hook: notified after each pop_phase, with the fully-
@@ -199,6 +241,32 @@ class Tracer {
   void message_received(RankId dst, RankId src, double bytes,
                         MessageStamp stamp);
 
+  /// The stamp every message sent now carries: the innermost open
+  /// phase. A persistent-channel exchange takes it once on the
+  /// orchestrator, before the region whose bodies send, and hands it to
+  /// the bodies that receive.
+  MessageStamp stamp() const {
+    return MessageStamp{static_cast<std::uint32_t>(frames_.size() - 1),
+                        frames_.back().serial};
+  }
+  /// True while the phase that sent a message with this stamp is open.
+  bool open(MessageStamp stamp) const {
+    return stamp.depth < frames_.size() &&
+           frames_[stamp.depth].serial == stamp.serial;
+  }
+
+  /// Rank r's tally as the sending side: its kernels in every open phase
+  /// and the send halves of its messages in the innermost one, exactly as
+  /// kernel_split_prec and message_sent per item would. Called by r's
+  /// body; the per-message contract checks are the caller's
+  /// (par::Runtime::channel_sent).
+  void charge_sent(RankId r, const Tally& t);
+  /// The receiving side: kernels in every open phase, receive halves in
+  /// the phase `stamp` names (the tally holds no message from r to
+  /// itself). Called by r's body, after par::Runtime::channel_received
+  /// checked each message.
+  void charge_received(RankId r, const Tally& t, MessageStamp stamp);
+
   /// One allreduce-style collective with `bytes` payload per rank.
   void collective(double bytes);
 
@@ -242,6 +310,7 @@ class Tracer {
     /// pop is folded into the phase's `allocs`. Unused for the root.
     unsigned long long allocs0;
     unsigned long long bytes0;
+    std::chrono::steady_clock::time_point t0;  ///< push time (wall_s)
   };
   /// Message charges of one rank in one open phase that its ancestors
   /// have not seen yet (rolled up at pop). `unsettled` counts sends not
@@ -265,6 +334,15 @@ class Tracer {
     touched_[depth * words_ + i / 64].fetch_or(std::uint64_t{1} << (i % 64),
                                                std::memory_order_relaxed);
   }
+  /// The kernels of a tally (none: nothing), contract-checked once.
+  void charge_kernels(RankId r, const Tally& t);
+  /// `n` kernels of rank r at once, in every open phase.
+  void add_kernels(RankId r, long n, double flops, double value_bytes_f64,
+                   double value_bytes_f32, double index_bytes,
+                   double max_flops);
+  /// Send / receive halves of `n` messages of rank r with `bytes` in all.
+  void add_sent(RankId src, long n, double bytes);
+  void add_received(RankId dst, long n, double bytes, MessageStamp stamp);
   /// Call fn(r) for every rank marked at `depth`, in rank order.
   template <typename Fn>
   void for_each_marked(std::size_t depth, Fn&& fn) const;

@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -177,9 +178,27 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
   std::vector<std::vector<Real>> g(nc);
   std::vector<Real> hlast(nc, 0.0);
 
-  // Scratch masks / per-lane coefficient vectors for the fused ops.
+  // Scratch masks / per-lane coefficient vectors for the fused ops, and
+  // the coefficients of one basis update: row i holds every lane's
+  // coefficient of v_i, so one region applies all of them.
   std::vector<std::uint8_t> mask(nc, 0);
   std::vector<Real> coef(nc, 0.0);
+  std::vector<Real> basis_coef(restart * nc, 0.0);
+  auto row = [&](std::size_t i) {
+    return std::span<const Real>(basis_coef).subspan(i * nc, nc);
+  };
+  // w += sum over i <= j of row(i) * v_i (and the same combination of the
+  // q_i into tq when `also_tq`), lanes in `lanes` only: one region, each
+  // rank applying the terms in order i = 0..j, as j + 1 axpy_lanes would.
+  auto update_basis = [&](std::size_t j, std::span<const std::uint8_t> lanes,
+                          bool also_tq) {
+    rt.parallel_for_ranks([&](RankId rk) {
+      for (std::size_t i = 0; i <= j; ++i) {
+        w.axpy_lanes(rk, row(i), v[i], lanes);
+        if (also_tq) tq.axpy_lanes(rk, row(i), q[i], lanes);
+      }
+    });
+  };
 
   auto any_state = [&](LaneState want) {
     return std::any_of(state.begin(), state.end(),
@@ -201,10 +220,12 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
       }
       y[i] = acc / h[c][i][i];
     }
-    w.lane_fill(c, 0.0);
-    for (std::size_t i = 0; i < jcols; ++i) {
-      w.lane_axpy(c, y[i], v[i]);
-    }
+    rt.parallel_for_ranks([&](RankId rk) {
+      w.lane_fill(rk, c, 0.0);
+      for (std::size_t i = 0; i < jcols; ++i) {
+        w.lane_axpy(rk, c, y[i], v[i]);
+      }
+    });
     const bool confirm = s.final_residual <= target[c];
     if (nc == 1) {
       // The scratch planes are the lane's own: z and r are fully
@@ -218,9 +239,11 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
     } else {
       w.extract_lane(c, ws);
       m.apply(ws, zs);
-      x.extract_lane(c, xs);
-      xs.axpy(1.0, zs);
-      x.set_lane(c, xs);
+      rt.parallel_for_ranks([&](RankId rk) {
+        x.extract_lane(rk, c, xs);
+        xs.axpy(rk, 1.0, zs);
+        x.set_lane(rk, c, xs);
+      });
       if (confirm) {
         b.extract_lane(c, bs);
         a.residual(bs, xs, rs);
@@ -277,8 +300,10 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
     if (v.empty()) {
       v.emplace_back(rt, a.rows(), nc);
     }
-    v[0].copy_from(r);
-    v[0].scale_lanes(coef, mask);
+    rt.parallel_for_ranks([&](RankId rk) {
+      v[0].copy_from(rk, r);
+      v[0].scale_lanes(rk, coef, mask);
+    });
     if (pipe) {
       // Prime the pipeline: q_0 = A M^-1 v_0, fused across lanes (dead
       // planes are scribble space, exactly like the w planes below).
@@ -375,13 +400,12 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
         }
         for (std::size_t i = 0; i <= j; ++i) {
           for (std::size_t c : act) {
-            coef[c] = -h[c][j][i];
+            basis_coef[i * nc + c] = -h[c][j][i];
           }
-          w.axpy_lanes(coef, v[i], mask);
-          // The q recurrence gets the same combination so that
-          // q_{j+1} = A M^-1 v_{j+1} keeps holding by linearity.
-          if (pipe && !sync) tq.axpy_lanes(coef, q[i], mask);
         }
+        // The q recurrence gets the same combination so that
+        // q_{j+1} = A M^-1 v_{j+1} keeps holding by linearity.
+        update_basis(j, mask, pipe && !sync);
         // Rutishauser "twice is enough", per lane; lanes that trigger
         // share one second fused reduction.
         std::vector<std::size_t> reo;
@@ -412,16 +436,14 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
           }
           for (std::size_t i = 0; i <= j; ++i) {
             for (std::size_t li = 0; li < reo.size(); ++li) {
-              const std::size_t c = reo[li];
-              coef[c] = -dots2[li * seg + i];
+              basis_coef[i * nc + reo[li]] = -dots2[li * seg + i];
             }
-            w.axpy_lanes(coef, v[i], rmask);
-            // Fold the (blocking) reorthogonalization into the q
-            // recurrence too, keeping both bases consistent. (Lanes
-            // that resync below overwrite this — the fold is only live
-            // for lanes still on the recurrence.)
-            if (pipe && !sync) tq.axpy_lanes(coef, q[i], rmask);
           }
+          // Fold the (blocking) reorthogonalization into the q
+          // recurrence too, keeping both bases consistent. (Lanes that
+          // resync below overwrite this — the fold is only live for
+          // lanes still on the recurrence.)
+          update_basis(j, rmask, pipe && !sync);
           for (std::size_t li = 0; li < reo.size(); ++li) {
             const std::size_t c = reo[li];
             const double w_norm2_2 = dots2[li * seg + j + 1];
@@ -471,18 +493,21 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
         }
       }
       if (any_push) {
-        v[j + 1].copy_from(w);
-        v[j + 1].scale_lanes(coef, pmask);
-        // Scrub the scribble planes. Dead-lane values cycle through
-        // A M^-1 every iteration (directly in the pipelined q recurrence,
+        // Copy, scale and scrub in one body per rank. The scrub zeroes
+        // the scribble planes: dead-lane values cycle through A M^-1
+        // every iteration (directly in the pipelined q recurrence,
         // via the fused w product otherwise) and the operator's norm can
         // exceed 1, so left alone they grow geometrically until the FP32
         // demote boundary inside a mixed-precision preconditioner
         // overflows. Zeroing is invisible to live lanes — every fused
         // kernel is lane-wise — and keeps the scratch planes bounded.
-        for (std::size_t c = 0; c < nc; ++c) {
-          if (!pmask[c]) v[j + 1].lane_fill(c, 0.0);
-        }
+        rt.parallel_for_ranks([&](RankId rk) {
+          v[j + 1].copy_from(rk, w);
+          v[j + 1].scale_lanes(rk, coef, pmask);
+          for (std::size_t c = 0; c < nc; ++c) {
+            if (!pmask[c]) v[j + 1].lane_fill(rk, c, 0.0);
+          }
+        });
       }
       if (pipe) {
         if (q.size() <= j + 1) {

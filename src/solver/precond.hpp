@@ -7,8 +7,10 @@
 /// convergence in less than five preconditioned GMRES iterations", §4.2).
 
 #include <array>
+#include <cstdint>
 #include <memory>
 
+#include "amg/cache.hpp"
 #include "amg/hierarchy.hpp"
 #include "amg/smoothers.hpp"
 #include "linalg/parcsr.hpp"
@@ -62,10 +64,13 @@ class AmgPrecond final : public Preconditioner {
   void apply(const linalg::ParVector& r, linalg::ParVector& z) override {
     perf::PhaseScope ph(r.runtime().tracer(), "precond");
     if (rb_) {
-      // FP64 -> FP32 demote at the boundary (charged by copy_from), FP32
-      // V-cycle, FP32 -> FP64 promote of the correction (lossless).
-      rb_->copy_from(r);
-      zb_->fill(0.0);
+      // FP64 -> FP32 demote at the boundary (charged by copy_from) and
+      // the zero guess in one body per rank, FP32 V-cycle, FP32 -> FP64
+      // promote of the correction (lossless).
+      r.runtime().parallel_for_ranks([&](RankId rk) {
+        rb_->copy_from(rk, r);
+        zb_->fill(rk, 0.0);
+      });
       h_->vcycle(*rb_, *zb_);
       z.copy_from(*zb_);
       return;
@@ -75,6 +80,8 @@ class AmgPrecond final : public Preconditioner {
   }
 
   const amg::AmgHierarchy& hierarchy() const { return *h_; }
+  /// The FP32 boundary residual (null in the FP64 configuration).
+  const linalg::ParVector* boundary_residual() const { return rb_.get(); }
 
  private:
   void init_mixed_scratch() {
@@ -93,6 +100,35 @@ class AmgPrecond final : public Preconditioner {
   /// FP32 boundary scratch (residual in, correction out); null in the
   /// full-FP64 configuration.
   std::unique_ptr<linalg::ParVector> rb_, zb_;
+};
+
+/// The pressure preconditioner kept across solves (cfd::Simulation keeps
+/// one per mesh block): the hierarchy cache and one AmgPrecond borrowing
+/// its hierarchy. update() makes a new AmgPrecond, with new FP32 boundary
+/// vectors, only when the cache rebuilt — a rebuild replaces the
+/// hierarchy the old one borrows; a refresh or reuse keeps it.
+class KeptAmgPrecond {
+ public:
+  /// HierarchyCache::update, then the rebind it calls for.
+  amg::CacheAction update(const linalg::ParCsr& a, const amg::AmgConfig& cfg,
+                          std::uint64_t generation, bool use_cache,
+                          bool values_changed) {
+    const amg::CacheAction action =
+        cache_.update(a, cfg, generation, use_cache, values_changed);
+    if (action == amg::CacheAction::kRebuild || !precond_) {
+      precond_ = std::make_unique<AmgPrecond>(cache_.hierarchy());
+    }
+    return action;
+  }
+
+  amg::HierarchyCache& cache() { return cache_; }
+  /// The preconditioner bound to the current hierarchy (null before the
+  /// first update()).
+  AmgPrecond* get() const { return precond_.get(); }
+
+ private:
+  amg::HierarchyCache cache_;
+  std::unique_ptr<AmgPrecond> precond_;
 };
 
 /// `outer` sweeps of a relaxation scheme from a zero initial guess
@@ -122,9 +158,13 @@ class SmootherPrecond final : public Preconditioner {
   void apply(const linalg::ParVector& r, linalg::ParVector& z) override {
     perf::PhaseScope ph(a_->runtime().tracer(), "precond");
     if (prec_ == Precision::kF32) {
+      // Demote and zero guess in one body per rank, as in AmgPrecond.
       Fp32Scratch& s = fp32_scratch(r.ncomp());
-      s.r.copy_from(r);
-      smoother_.apply_zero(s.r, s.z, outer_);
+      a_->runtime().parallel_for_ranks([&](RankId rk) {
+        s.r.copy_from(rk, r);
+        s.z.fill(rk, 0.0);
+      });
+      smoother_.apply(s.r, s.z, outer_);
       z.copy_from(s.z);
       return;
     }

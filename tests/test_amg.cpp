@@ -377,5 +377,29 @@ TEST(Hierarchy, DescribeListsLevels) {
   EXPECT_NE(desc.find("operator complexity"), std::string::npos);
 }
 
+TEST(Hierarchy, VcycleRunsTenRegionsPerLevel) {
+  // The fused region structure of a V-cycle level: each two-stage sweep
+  // is a halo pack plus one body (residual, JR solve, update), the
+  // residual a pack plus one body, the restriction the transpose send
+  // plus the owners' pass (which zeroes the next level's iterate), and
+  // the prolongation a pack plus one body that also applies the
+  // correction: 2 + 2 + 2 + 2 + 2. The coarse solve gathers and
+  // scatters.
+  par::Runtime rt(4);
+  const auto a = distribute(rt, laplace3d(10, 0.05));
+  AmgConfig cfg;
+  cfg.agg_levels = 0;  // standard coarsening: more levels from 1000 rows
+  AmgHierarchy h(a, cfg);
+  ASSERT_GE(h.num_levels(), 3);
+  linalg::ParVector b(rt, a.rows()), x(rt, a.rows());
+  b.scatter(random_vector(1000, 5));
+  h.vcycle(b, x);  // first use sizes the channels and the sweep scratch
+  const auto& pool = par::ThreadPool::instance();
+  const std::uint64_t before = pool.regions();
+  h.vcycle(b, x);
+  EXPECT_EQ(pool.regions() - before,
+            10u * static_cast<std::uint64_t>(h.num_levels() - 1) + 2u);
+}
+
 }  // namespace
 }  // namespace exw::amg

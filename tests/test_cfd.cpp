@@ -6,6 +6,7 @@
 
 #include "cfd/simulation.hpp"
 #include "par/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace exw::cfd {
 namespace {
@@ -441,6 +442,82 @@ TEST(Cfd, WarmStepLedgerIsPinned) {
   EXPECT_EQ(nli.total_value_bytes_f32(), 105041008.0);
   EXPECT_EQ(nli.modeled_time(perf::MachineModel::summit_gpu()),
             0.33265353057962965);
+}
+
+TEST(Cfd, PressurePrecondIsKeptUntilARebuild) {
+  // Across warm steps the pressure solves reuse the block's AmgPrecond
+  // and its FP32 boundary vectors, data pointers included.
+  auto sys = mesh::make_turbine_case(mesh::TurbineCase::kSingle, 0.3);
+  par::Runtime rt(8);
+  const SimConfig cfg = SimConfig::optimized();
+  ASSERT_EQ(cfg.precond_precision, Precision::kF32);
+  Simulation sim(sys, cfg, rt);
+  sim.step();
+  const solver::AmgPrecond* pc = sim.pressure_precond(0);
+  ASSERT_NE(pc, nullptr);
+  ASSERT_NE(pc->boundary_residual(), nullptr);
+  const Real* data = pc->boundary_residual()->local(RankId{0}).data();
+  for (int s = 2; s <= 3; ++s) {
+    sim.step();
+    EXPECT_EQ(sim.pressure_precond(0), pc) << "step " << s;
+    EXPECT_EQ(pc->boundary_residual()->local(RankId{0}).data(), data)
+        << "step " << s;
+  }
+  EXPECT_EQ(sim.continuity_stats().amg_rebuilds, 0);
+
+  // A new graph generation rebuilds the hierarchy, which replaces the one
+  // the kept preconditioner borrowed: it rebinds to the new one.
+  const auto rows = par::RowPartition::even(GlobalIndex{1000}, rt.nranks());
+  const auto a = linalg::ParCsr::from_serial(
+      rt, testutil::laplace3d(10, 0.05), rows, rows);
+  solver::KeptAmgPrecond kept;
+  amg::AmgConfig acfg = cfg.pressure_amg;
+  acfg.precision = Precision::kF32;
+  EXPECT_EQ(kept.update(a, acfg, 1, true, true), amg::CacheAction::kRebuild);
+  const solver::AmgPrecond* first = kept.get();
+  EXPECT_EQ(kept.update(a, acfg, 1, true, true), amg::CacheAction::kRefresh);
+  EXPECT_EQ(kept.update(a, acfg, 1, true, false), amg::CacheAction::kReuse);
+  EXPECT_EQ(kept.get(), first);
+  EXPECT_EQ(kept.update(a, acfg, 2, true, false), amg::CacheAction::kRebuild);
+  ASSERT_NE(kept.get(), first);
+  EXPECT_EQ(&kept.get()->hierarchy(), &kept.cache().hierarchy());
+  ASSERT_NE(kept.get()->boundary_residual(), nullptr);
+}
+
+TEST(Cfd, PhaseWallClockNestsInItsParent) {
+  // Every phase of a warm step reads a non-negative host wall time, and
+  // no sub-phase more than the phase it is nested in.
+  auto sys = mesh::make_turbine_case(mesh::TurbineCase::kSingle, 0.3);
+  par::Runtime rt(8);
+  Simulation sim(sys, SimConfig::optimized(), rt);
+  sim.step();
+  rt.tracer().reset();
+  sim.step();
+  const auto& tr = rt.tracer();
+  EXPECT_GT(tr.phase("nli").wall_s, 0.0);
+  for (const std::string& name : tr.phase_names()) {
+    const double wall = tr.phase(name).wall_s;
+    EXPECT_GE(wall, 0.0) << name;
+    const auto cut = name.rfind('/');
+    if (cut == std::string::npos) continue;
+    EXPECT_LE(wall, tr.phase(name.substr(0, cut)).wall_s) << name;
+  }
+}
+
+TEST(Cfd, WarmDualStepRunsAtMost5400Regions) {
+  // The turbine2-strong shape (two turbines, 96 ranks): the solves run
+  // each sparse kernel as a halo pack plus one consuming body, so the
+  // first three warm steps take at most 5,400 rank-pool regions each on
+  // average (9,228 when every SpMV took three regions, every residual
+  // four and every Gram-Schmidt update one per basis vector).
+  auto sys = mesh::make_turbine_case(mesh::TurbineCase::kDual, 0.3);
+  par::Runtime rt(96);
+  Simulation sim(sys, SimConfig::optimized(), rt);
+  sim.step();
+  const auto& pool = par::ThreadPool::instance();
+  const std::uint64_t before = pool.regions();
+  for (int s = 0; s < 3; ++s) sim.step();
+  EXPECT_LE(pool.regions() - before, 3u * 5400u);
 }
 
 TEST(Cfd, RotorRotationAdvancesWithTime) {

@@ -210,6 +210,61 @@ TEST_P(RankSweep, ResidualIsExact) {
   }
 }
 
+TEST_P(RankSweep, FusedResidualMatchesCopyThenMatvecBitwise) {
+  // residual() copies b and runs the product in one body per rank after
+  // the halo pack; it must leave every lane, and the ledger, exactly as
+  // copy_from followed by matvec(x, r, -1, 1) does, on FP64 and FP32
+  // vectors.
+  const int nranks = GetParam();
+  const sparse::Csr a = laplace3d(5, 0.3);
+  const auto rows = par::RowPartition::even(GlobalIndex{125}, nranks);
+  for (const Precision prec : {Precision::kF64, Precision::kF32}) {
+    for (const std::size_t lanes : kLaneCounts) {
+      SCOPED_TRACE(testing::Message() << lanes << " lanes, "
+                                      << (prec == Precision::kF32 ? "fp32"
+                                                                  : "fp64"));
+      par::Runtime rt_fused(nranks), rt_ref(nranks);
+      std::vector<RealVector> out[2];
+      const perf::PhaseStats* ledger[2] = {nullptr, nullptr};
+      for (const bool fused : {true, false}) {
+        par::Runtime& rt = fused ? rt_fused : rt_ref;
+        const ParCsr pa = ParCsr::from_serial(rt, a, rows, rows);
+        ParVector x(rt, rows, lanes, prec), b(rt, rows, lanes, prec),
+            r(rt, rows, lanes, prec);
+        for (std::size_t c = 0; c < lanes; ++c) {
+          x.scatter(random_vector(125, 31 + 10 * c), c);
+          b.scatter(random_vector(125, 32 + 10 * c), c);
+        }
+        rt.tracer().reset();
+        if (fused) {
+          pa.residual(b, x, r);
+        } else {
+          r.copy_from(b);
+          pa.matvec(x, r, -1.0, 1.0);
+        }
+        for (std::size_t c = 0; c < lanes; ++c) {
+          out[fused ? 0 : 1].push_back(r.gather(c));
+        }
+        ledger[fused ? 0 : 1] = &rt.tracer().phase("");
+      }
+      for (std::size_t c = 0; c < lanes; ++c) {
+        EXPECT_EQ(out[0][c], out[1][c]) << "lane " << c;
+      }
+      for (int rk = 0; rk < nranks; ++rk) {
+        const auto& f = ledger[0]->rank[static_cast<std::size_t>(rk)];
+        const auto& g = ledger[1]->rank[static_cast<std::size_t>(rk)];
+        EXPECT_EQ(f.kernels, g.kernels) << "rank " << rk;
+        EXPECT_EQ(f.flops, g.flops) << "rank " << rk;
+        EXPECT_EQ(f.bytes, g.bytes) << "rank " << rk;
+        EXPECT_EQ(f.value_bytes_f32, g.value_bytes_f32) << "rank " << rk;
+        EXPECT_EQ(f.msgs, g.msgs) << "rank " << rk;
+        EXPECT_EQ(f.msg_bytes, g.msg_bytes) << "rank " << rk;
+      }
+      EXPECT_EQ(ledger[0]->messages, ledger[1]->messages);
+    }
+  }
+}
+
 TEST_P(RankSweep, FetchExternalRows) {
   const int nranks = GetParam();
   par::Runtime rt(nranks);

@@ -2,7 +2,9 @@
 // and the shared-memory parallel rank executor.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <numeric>
@@ -468,6 +470,143 @@ TEST(Tracer, PoolMessageHalvesMatchChargingEveryOpenPhase) {
     }
   }
   EXPECT_TRUE(rt.transport().drained());
+}
+
+TEST(Tracer, BatchedChannelChargesMatchPerMessageCharges) {
+  // The same channel traffic charged twice: per kernel and per message
+  // (kernel_split_prec, message_sent / message_received), and batched
+  // per rank body (a perf::Tally through Runtime::channel_sent /
+  // channel_received and Tracer::charge_sent / charge_received, one
+  // stamp per exchange). Every rank sends to two neighbours and itself,
+  // with a pack kernel per message on the sending side and an add kernel
+  // per message on the receiving side, in a sub-phase that is popped and
+  // reopened and in its parent. Every per-rank field and every phase's
+  // message count must agree.
+  const int nranks = 5;
+  par::Runtime per_msg(nranks), batched(nranks);
+  const auto dsts = [&](int r) {
+    return std::array<int, 3>{(r + 1) % nranks, (r + 2) % nranks, r};
+  };
+  const auto count = [](int src, int dst) {
+    return static_cast<std::size_t>(3 + 2 * src + dst);
+  };
+  // One exchange on both runtimes, in whatever phase is open.
+  const auto exchange = [&] {
+    std::vector<perf::MessageStamp> stamps(nranks * nranks);
+    auto& t1 = per_msg.tracer();
+    per_msg.parallel_for_ranks([&](RankId r) {
+      for (const int d : dsts(r.value())) {
+        const auto n = static_cast<double>(count(r.value(), d));
+        t1.kernel_split_prec(r, 0.0, 16.0 * n, 0.0, 4.0 * n);
+        stamps[static_cast<std::size_t>(d * nranks) + r.value()] =
+            t1.message_sent(r, RankId{d}, 8.0 * n);
+      }
+    });
+    per_msg.parallel_for_ranks([&](RankId r) {
+      for (int src = 0; src < nranks; ++src) {
+        for (const int d : dsts(src)) {
+          if (d != r.value()) continue;
+          const auto n = static_cast<double>(count(src, d));
+          t1.message_received(r, RankId{src}, 8.0 * n,
+                              stamps[static_cast<std::size_t>(d * nranks) + src]);
+          t1.kernel_split_prec(r, n, 0.0, 24.0 * n, 0.0);
+        }
+      }
+    });
+    auto& t2 = batched.tracer();
+    const perf::MessageStamp stamp = t2.stamp();
+    batched.parallel_for_ranks([&](RankId r) {
+      perf::Tally tally;
+      for (const int d : dsts(r.value())) {
+        const std::size_t n = count(r.value(), d);
+        tally.kernel(0.0, 16.0 * static_cast<double>(n), 0.0,
+                     4.0 * static_cast<double>(n));
+        batched.channel_sent(r, RankId{d}, par::tags::kTestRing, n, 8 * n,
+                             tally, "test send");
+      }
+      t2.charge_sent(r, tally);
+    });
+    batched.parallel_for_ranks([&](RankId r) {
+      perf::Tally tally;
+      for (int src = 0; src < nranks; ++src) {
+        for (const int d : dsts(src)) {
+          if (d != r.value()) continue;
+          const std::size_t n = count(src, d);
+          batched.channel_received(r, RankId{src}, par::tags::kTestRing, n,
+                                   8 * n, stamp, tally, "test receive");
+          tally.kernel(static_cast<double>(n), 0.0,
+                       24.0 * static_cast<double>(n));
+        }
+      }
+      t2.charge_received(r, tally, stamp);
+    });
+  };
+  const auto compare = [&](const char* name) {
+    const auto& a = per_msg.tracer().phase(name);
+    const auto& b = batched.tracer().phase(name);
+    EXPECT_GT(a.messages, 0) << "phase '" << name << "'";
+    EXPECT_EQ(a.messages, b.messages) << "phase '" << name << "'";
+    for (int r = 0; r < nranks; ++r) {
+      const auto& x = a.rank[static_cast<std::size_t>(r)];
+      const auto& y = b.rank[static_cast<std::size_t>(r)];
+      SCOPED_TRACE(testing::Message() << "phase '" << name << "' rank " << r);
+      EXPECT_EQ(x.msgs, y.msgs);
+      EXPECT_EQ(x.msg_bytes, y.msg_bytes);
+      EXPECT_EQ(x.kernels, y.kernels);
+      EXPECT_EQ(x.flops, y.flops);
+      EXPECT_EQ(x.bytes, y.bytes);
+      EXPECT_EQ(x.index_bytes, y.index_bytes);
+      EXPECT_EQ(x.value_bytes_f32, y.value_bytes_f32);
+      EXPECT_EQ(x.max_kernel_flops, y.max_kernel_flops);
+    }
+  };
+  for (par::Runtime* rt : {&per_msg, &batched}) rt->tracer().push_phase("a");
+  exchange();
+  for (int opening = 0; opening < 2; ++opening) {
+    for (par::Runtime* rt : {&per_msg, &batched}) rt->tracer().push_phase("b");
+    exchange();
+    exchange();
+    compare("a/b");
+    for (par::Runtime* rt : {&per_msg, &batched}) rt->tracer().pop_phase();
+    compare("a/b");  // rolled up into "a" by the pop
+    compare("a");
+  }
+  for (par::Runtime* rt : {&per_msg, &batched}) rt->tracer().pop_phase();
+  for (const char* name : {"", "a", "a/b"}) compare(name);
+  EXPECT_EQ(per_msg.tracer().phase("").messages, 5 * 3 * nranks);
+}
+
+TEST(Tracer, WallClockIsClearedByReset) {
+  // Each pop adds the time since its push; reset() clears it, and the
+  // root phase, never popped, reads zero.
+  perf::Tracer tr(2);
+  tr.push_phase("a");
+  tr.push_phase("b");
+  volatile double sink = 0;
+  for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
+  tr.pop_phase();
+  tr.pop_phase();
+  EXPECT_GT(tr.phase("a/b").wall_s, 0.0);
+  EXPECT_LE(tr.phase("a/b").wall_s, tr.phase("a").wall_s);
+  EXPECT_EQ(tr.phase("").wall_s, 0.0);
+  tr.reset();
+  EXPECT_EQ(tr.phase("a").wall_s, 0.0);
+  EXPECT_EQ(tr.phase("a/b").wall_s, 0.0);
+}
+
+TEST(ThreadPool, RegionCounterCountsTopLevelRegionsOnly) {
+  // Pool and inline regions count once each; nested calls are part of
+  // their enclosing body and an empty region runs nothing.
+  auto& pool = par::ThreadPool::instance();
+  const std::uint64_t before = pool.regions();
+  par::parallel_for(4, [](int) { par::parallel_for(3, [](int) {}); });
+  par::parallel_for(1, [](int) {});
+  par::parallel_for(0, [](int) {});
+  const bool was_serial = par::serial_mode();
+  par::set_serial_mode(true);
+  par::parallel_for(5, [](int) { par::parallel_for(2, [](int) {}); });
+  par::set_serial_mode(was_serial);
+  EXPECT_EQ(pool.regions() - before, 3u);
 }
 
 TEST(Tracer, MessageRollUpReachesRanksInEveryMaskWord) {

@@ -57,6 +57,88 @@ INSTANTIATE_TEST_SUITE_P(
                                          SmootherType::kSgs2),
                        ::testing::Values(1, 3, 5)));
 
+/// One two-stage or SGS2 sweep as a residual followed by the sweep: the
+/// residual by copy_from and matvec, then, rank by rank, the inner
+/// Jacobi-Richardson solves (Eqs. 5-7, 11-14) and the update.
+void reference_sweep(const linalg::ParCsr& a, const LduSplit& ldu,
+                     SmootherType type, int inner, const linalg::ParVector& b,
+                     linalg::ParVector& x, linalg::ParVector& r) {
+  const Precision pr = a.value_precision();
+  const std::size_t lanes = x.ncomp();
+  r.copy_from(b);
+  a.matvec(x, r, -1.0, 1.0);
+  for (RankId rk{0}; rk.value() < a.nranks(); ++rk) {
+    const auto& d = ldu.dinv[static_cast<std::size_t>(rk)];
+    const std::size_t n = d.size();
+    const auto jr = [&](const sparse::Csr& tri, const RealVector& rhs) {
+      RealVector g(lanes * n), tg(lanes * n);
+      for (std::size_t i = 0; i < lanes * n; ++i) {
+        g[i] = store_value(d[i % n] * rhs[i], pr);
+      }
+      for (int j = 0; j < inner; ++j) {
+        tri.spmv_multi(g, n, tg, n, lanes);
+        for (std::size_t i = 0; i < lanes * n; ++i) {
+          g[i] = store_value(d[i % n] * (rhs[i] - tg[i]), pr);
+        }
+      }
+      return g;
+    };
+    RealVector& t = r.local(rk);
+    RealVector g = jr(ldu.lower[static_cast<std::size_t>(rk)], t);
+    if (type == SmootherType::kSgs2) {
+      for (std::size_t i = 0; i < lanes * n; ++i) {
+        t[i] = store_value(g[i] / d[i % n], pr);
+      }
+      g = jr(ldu.upper[static_cast<std::size_t>(rk)], t);
+    }
+    RealVector& xl = x.local(rk);
+    for (std::size_t i = 0; i < xl.size(); ++i) {
+      xl[i] = store_value(xl[i] + g[i], pr);
+    }
+  }
+}
+
+TEST(Smoother, FusedSweepsMatchResidualThenSweep) {
+  // A two-stage or SGS2 sweep packs the halo, then runs each rank's
+  // residual rows, JR solves and update in one body. Two sweeps must
+  // leave x bitwise where the residual-then-sweep sequence leaves it, on
+  // any rank count, at 1 and 3 lanes, on FP64 and FP32 operators.
+  const sparse::Csr mat = laplace3d(6, 0.1);
+  const auto n = static_cast<std::size_t>(mat.nrows());
+  for (const int nranks : {1, 3, 4}) {
+    for (const Precision prec : {Precision::kF64, Precision::kF32}) {
+      par::Runtime rt(nranks);
+      const auto rows =
+          par::RowPartition::even(GlobalIndex{mat.nrows().value()}, nranks);
+      auto a = linalg::ParCsr::from_serial(rt, mat, rows, rows);
+      if (prec == Precision::kF32) a.demote_values();
+      const LduSplit ldu = LduSplit::build(a);
+      for (const SmootherType type :
+           {SmootherType::kTwoStageGs, SmootherType::kSgs2}) {
+        const Smoother sm(a, type, /*inner_sweeps=*/2);
+        for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+          SCOPED_TRACE(testing::Message()
+                       << nranks << " ranks, " << lanes << " lanes, "
+                       << (type == SmootherType::kSgs2 ? "sgs2" : "two-stage")
+                       << (prec == Precision::kF32 ? ", fp32" : ", fp64"));
+          linalg::ParVector b(rt, rows, lanes, prec), x(rt, rows, lanes, prec),
+              xr(rt, rows, lanes, prec), r(rt, rows, lanes, prec);
+          for (std::size_t c = 0; c < lanes; ++c) {
+            b.scatter(random_vector(n, 50 + c), c);
+            x.scatter(random_vector(n, 60 + c), c);
+            xr.scatter(random_vector(n, 60 + c), c);
+          }
+          sm.apply(b, x, 2);
+          for (int s = 0; s < 2; ++s) reference_sweep(a, ldu, type, 2, b, xr, r);
+          for (std::size_t c = 0; c < lanes; ++c) {
+            EXPECT_EQ(x.gather(c), xr.gather(c)) << "lane " << c;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Smoother, TwoStageApproachesHybridGsWithManyInnerSweeps) {
   // The Neumann expansion (I + Dinv L)^-1 converges in finitely many
   // terms, so a two-stage sweep with many inner iterations must act like

@@ -7,6 +7,7 @@
 
 #include "cfd/config.hpp"
 #include "linalg/value_check.hpp"
+#include "par/thread_pool.hpp"
 #include "solver/gmres.hpp"
 #include "solver/projection.hpp"
 #include "test_util.hpp"
@@ -168,6 +169,42 @@ TEST(Gmres, ExactPreconditionerConvergesInOneIteration) {
   const auto stats = gmres_solve(prob.a, prob.b, prob.x, m, opts);
   EXPECT_TRUE(stats.converged);
   EXPECT_LE(stats.iterations, 2);
+}
+
+TEST(Gmres, IterationRunsTwelveRegionsWithSgs2) {
+  // One one-reduce GMRES iteration with the SGS2 preconditioner (two
+  // outer sweeps, FP64): the zero guess, two sweeps of a halo pack plus
+  // one body each, the SpMV as a pack plus one body, the fused dots, the
+  // Gram-Schmidt update of every basis vector in one region, the
+  // reorthogonalization's fused dots and its update in one region (SGS2
+  // brings A M^-1 close enough to the identity that it runs every
+  // iteration here), and the copy + scale (+ scrub) of the next basis
+  // vector: 1 + 4 + 2 + 1 + 1 + 2 + 1 regions, whatever the iteration
+  // index and lane count. Solves cut off after k and k + 1 iterations
+  // differ by exactly that.
+  Problem p(4, laplace3d(6, 0.1));
+  SmootherPrecond m(p.a, amg::SmootherType::kSgs2, 2, 2);
+  GmresOptions opts;
+  opts.rel_tol = 1e-300;
+  const auto& pool = par::ThreadPool::instance();
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    linalg::ParVector b(p.rt, p.a.rows(), lanes), x(p.rt, p.a.rows(), lanes);
+    for (std::size_t c = 0; c < lanes; ++c) {
+      b.scatter(random_vector(216, 70 + c), c);
+    }
+    std::vector<std::uint64_t> regions;
+    for (int k = 1; k <= 5; ++k) {
+      opts.max_iters = k;
+      x.fill(0.0);
+      const std::uint64_t before = pool.regions();
+      (void)gmres_solve_multi(p.a, b, x, m, opts);
+      regions.push_back(pool.regions() - before);
+    }
+    for (std::size_t k = 1; k < regions.size(); ++k) {
+      EXPECT_EQ(regions[k] - regions[k - 1], 12u) << "iteration " << k + 1;
+    }
+  }
 }
 
 TEST(Gmres, ModeledLedgerIsPinned) {
