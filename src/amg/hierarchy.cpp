@@ -180,36 +180,101 @@ EXW_WARM_FN
 void AmgHierarchy::vcycle(const linalg::ParVector& b, linalg::ParVector& x) {
   EXW_PURITY_REGION("amg-vcycle");
   EXW_REQUIRE(b.ncomp() == 1 && x.ncomp() == 1, "AMG V-cycle runs one lane");
-  cycle_level(0, b, x);
-}
-
-void AmgHierarchy::cycle_level(std::size_t l, const linalg::ParVector& b,
-                               linalg::ParVector& x) {
-  AmgLevel& lvl = levels_[l];
-  if (l + 1 == levels_.size() || !lvl.has_p) {
+  if (levels_.size() == 1) {
     coarse_solve(b, x);
     return;
   }
-  AmgLevel& next = levels_[l + 1];
+  AmgLevel& l0 = levels_.front();
+  l0.smoother->apply(b, x, /*sweeps=*/1);
+  l0.a.halo_pack(x);
+  cycle(b, x, nullptr);
+}
 
-  par::Runtime& rt = lvl.a.runtime();
-  lvl.smoother->apply(b, x, /*sweeps=*/1);
-  lvl.a.residual(b, x, *lvl.r);
-  // Restrict with R = P^T; the owners' pass also zeroes the next level's
-  // iterate.
-  lvl.p.transpose_send(*lvl.r, *next.b);
+EXW_WARM_FN
+void AmgHierarchy::vcycle_zero(const linalg::ParVector& b,
+                               linalg::ParVector& x) {
+  EXW_PURITY_REGION("amg-vcycle");
+  EXW_REQUIRE(b.ncomp() == 1 && x.ncomp() == 1, "AMG V-cycle runs one lane");
+  EXW_REQUIRE(b.value_precision() == x.value_precision(),
+              "AMG V-cycle rhs and iterate precision mismatch");
+  AmgLevel& l0 = levels_.front();
+  par::Runtime& rt = l0.a.runtime();
+  const bool mixed = x.value_precision() != l0.a.value_precision();
+  const linalg::ParVector& bs = mixed ? *l0.b : b;
+  linalg::ParVector& xs = mixed ? *l0.x : x;
+  if (levels_.size() == 1) {
+    if (mixed) l0.b->copy_from(b);
+    coarse_solve(bs, xs);
+    if (mixed) x.copy_from(xs);
+    return;
+  }
+  // The boundary body: each rank demotes its rows of b, runs level 0's
+  // pre-sweep from the zero guess and packs its rows of the result for
+  // the residual.
+  l0.a.halo_begin(xs);
   rt.parallel_for_ranks([&](RankId rk) {
-    lvl.p.transpose_receive(rk, *next.b);
-    next.x->fill(rk, 0.0);
+    if (mixed) l0.b->copy_from(rk, b);
+    l0.smoother->sweep_zero(rk, bs, xs, *l0.r);
+    l0.a.halo_pack(rk, xs);
   });
-  cycle_level(l + 1, *next.b, *next.x);
-  // Prolong and correct, one body per rank.
-  lvl.p.halo_pack(*next.x);
-  rt.parallel_for_ranks([&](RankId rk) {
-    lvl.p.matvec(rk, *next.x, *lvl.r);
-    x.axpy(rk, 1.0, *lvl.r);
-  });
-  lvl.smoother->apply(b, x, /*sweeps=*/1);
+  cycle(bs, xs, mixed ? &x : nullptr);
+}
+
+void AmgHierarchy::cycle(const linalg::ParVector& b0, linalg::ParVector& x0,
+                         linalg::ParVector* promoted) {
+  par::Runtime& rt = levels_.front().a.runtime();
+  const std::size_t coarsest = levels_.size() - 1;
+  const auto rhs = [&](std::size_t l) -> const linalg::ParVector& {
+    return l == 0 ? b0 : *levels_[l].b;
+  };
+  const auto iterate = [&](std::size_t l) -> linalg::ParVector& {
+    return l == 0 ? x0 : *levels_[l].x;
+  };
+  // Descent. Level l's residual body also sends its share of the
+  // restriction R = P^T; the owners' pass receives it and, above the
+  // coarsest level, runs level l + 1's pre-sweep from the zero guess and
+  // packs its rows of the result for that level's residual.
+  for (std::size_t l = 0; l < coarsest; ++l) {
+    AmgLevel& lvl = levels_[l];
+    AmgLevel& next = levels_[l + 1];
+    lvl.p.transpose_begin();
+    rt.parallel_for_ranks([&](RankId rk) {
+      lvl.a.residual(rk, rhs(l), iterate(l), *lvl.r);
+      lvl.p.transpose_send(rk, *lvl.r, *next.b);
+    });
+    const bool smooth = l + 1 < coarsest;
+    if (smooth) next.a.halo_begin(*next.x);
+    rt.parallel_for_ranks([&](RankId rk) {
+      lvl.p.transpose_receive(rk, *next.b);
+      if (smooth) {
+        next.smoother->sweep_zero(rk, *next.b, *next.x, *next.r);
+        next.a.halo_pack(rk, *next.x);
+      }
+    });
+  }
+  coarse_solve(*levels_[coarsest].b, *levels_[coarsest].x);
+  // Ascent. The prolongation body adds the correction and packs the
+  // corrected rows for the post-sweep; the post-sweep packs its result
+  // for the parent level's prolongation (at level 0 it stores it into
+  // `promoted`, when given).
+  for (std::size_t l = coarsest; l-- > 0;) {
+    AmgLevel& lvl = levels_[l];
+    const AmgLevel& next = levels_[l + 1];
+    linalg::ParVector& x = iterate(l);
+    lvl.a.halo_begin(x);
+    rt.parallel_for_ranks([&](RankId rk) {
+      lvl.p.matvec(rk, *next.x, *lvl.r);
+      x.axpy(rk, 1.0, *lvl.r);
+      lvl.a.halo_pack(rk, x);
+    });
+    const linalg::ParCsr* parent = l > 0 ? &levels_[l - 1].p : nullptr;
+    if (parent != nullptr) parent->halo_begin(x);
+    rt.parallel_for_ranks([&](RankId rk) {
+      lvl.smoother->sweep(rk, rhs(l), x, *lvl.r,
+                          parent != nullptr ? nullptr : promoted);
+      if (parent != nullptr) parent->halo_pack(rk, x);
+    });
+  }
 }
 
 void AmgHierarchy::coarse_solve(const linalg::ParVector& b,
@@ -225,7 +290,13 @@ void AmgHierarchy::coarse_solve(const linalg::ParVector& b,
   coarse_lu_.solve_in_place(coarse_rhs_);
   rt.tracer().kernel(RankId{0}, 2.0 * n * n, 8.0 * n * n);
   rt.tracer().collective(n * bytes_of(x.value_precision()));
-  x.scatter(coarse_rhs_);
+  const linalg::ParCsr* parent =
+      levels_.size() > 1 ? &levels_[levels_.size() - 2].p : nullptr;
+  if (parent != nullptr) parent->halo_begin(x);
+  rt.parallel_for_ranks([&](RankId rk) {
+    x.scatter(rk, coarse_rhs_);
+    if (parent != nullptr) parent->halo_pack(rk, x);
+  });
 }
 
 double AmgHierarchy::grid_complexity() const {

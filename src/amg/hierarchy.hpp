@@ -66,6 +66,13 @@ class AmgHierarchy {
 
   /// One V-cycle for A x = b (x is both initial guess and result).
   void vcycle(const linalg::ParVector& b, linalg::ParVector& x);
+  /// One V-cycle from a zero guess, x = M^-1 b: the preconditioner
+  /// application, bitwise what fill(0) and vcycle() leave. With an FP64
+  /// b and x and an FP32 hierarchy (AmgConfig::precision) this is the
+  /// precision boundary, iterative-refinement style: the first body
+  /// demotes b into level 0's FP32 right-hand side, the whole cycle runs
+  /// on FP32 storage, and the last body promotes the correction into x.
+  void vcycle_zero(const linalg::ParVector& b, linalg::ParVector& x);
 
   int num_levels() const { return checked_narrow<int>(levels_.size()); }
   const AmgLevel& level(int l) const {
@@ -82,9 +89,14 @@ class AmgHierarchy {
 
  private:
   void setup(const linalg::ParCsr& a);
-  void cycle_level(std::size_t l, const linalg::ParVector& b,
-                   linalg::ParVector& x);
-  /// Gather + dense-LU solve on the coarsest level.
+  /// The V-cycle after level 0's pre-sweep, with x0's halo packed for
+  /// level 0's residual: the descent, the coarse solve and the ascent.
+  /// With `promoted`, level 0's post-sweep stores its result there,
+  /// promoted, instead of into x0.
+  void cycle(const linalg::ParVector& b0, linalg::ParVector& x0,
+             linalg::ParVector* promoted);
+  /// Gather + dense-LU solve on the coarsest level, each rank packing
+  /// its scattered rows for the parent level's prolongation.
   void coarse_solve(const linalg::ParVector& b, linalg::ParVector& x);
 
   AmgConfig cfg_;

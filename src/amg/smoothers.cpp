@@ -98,26 +98,61 @@ void Smoother::refresh_values() {
   ldu_.refresh_values(*a_);
 }
 
+EXW_WARM_FN
 void Smoother::apply(const linalg::ParVector& b, linalg::ParVector& x,
                      int sweeps) const {
   EXW_REQUIRE(b.ncomp() == x.ncomp(), "smoother lane count mismatch");
   for (std::int64_t s = 0; s < sweeps; ++s) {
-    switch (type_) {
-      case SmootherType::kHybridGs: sweep_hybrid_gs(b, x); break;
-      case SmootherType::kTwoStageGs:
-        sweep_two_stage(b, x, residual_scratch(x.ncomp()));
-        break;
-      case SmootherType::kSgs2:
-        sweep_sgs2(b, x, residual_scratch(x.ncomp()));
-        break;
+    if (type_ == SmootherType::kHybridGs) {
+      sweep_hybrid_gs(b, x);
+      continue;
     }
+    // The halo pack, then one body per rank for its residual rows, the
+    // JR solve(s) and the update (its own rows of x, which no other body
+    // reads: they see x's off-rank values through the packed halo).
+    linalg::ParVector& r = residual_scratch(x.ncomp());
+    a_->halo_pack(x);
+    a_->runtime().parallel_for_ranks(
+        [&](RankId rk) { sweep(rk, b, x, r); });
   }
 }
 
-void Smoother::apply_zero(const linalg::ParVector& r, linalg::ParVector& z,
+EXW_WARM_FN
+void Smoother::apply_zero(const linalg::ParVector& b, linalg::ParVector& x,
                           int sweeps) const {
-  z.fill(0.0);
-  apply(r, z, sweeps);
+  EXW_REQUIRE(b.ncomp() == x.ncomp(), "smoother lane count mismatch");
+  EXW_REQUIRE(b.value_precision() == x.value_precision(),
+              "smoother rhs and iterate precision mismatch");
+  EXW_REQUIRE(sweeps >= 1, "apply_zero runs at least one sweep");
+  const bool mixed = x.value_precision() != a_->value_precision();
+  Boundary* bd = mixed ? &boundary_scratch(x.ncomp()) : nullptr;
+  const linalg::ParVector& bs = mixed ? bd->b : b;
+  linalg::ParVector& xs = mixed ? bd->x : x;
+  if (type_ == SmootherType::kHybridGs) {
+    // The test reference keeps the zero fill and the full sweeps.
+    if (mixed) bd->b.copy_from(b);
+    xs.fill(0.0);
+    apply(bs, xs, sweeps);
+    if (mixed) x.copy_from(xs);
+    return;
+  }
+  linalg::ParVector& r = residual_scratch(x.ncomp());
+  linalg::ParVector* promoted = mixed ? &x : nullptr;
+  // The first body demotes b's rows at the boundary, runs the sweep from
+  // the zero guess and packs its rows of the result for the second
+  // sweep; the last sweep promotes its result at the boundary.
+  if (sweeps > 1) a_->halo_begin(xs);
+  a_->runtime().parallel_for_ranks([&](RankId rk) {
+    if (mixed) bd->b.copy_from(rk, b);
+    sweep_zero(rk, bs, xs, r, sweeps == 1 ? promoted : nullptr);
+    if (sweeps > 1) a_->halo_pack(rk, xs);
+  });
+  for (std::int64_t s = 1; s < sweeps; ++s) {
+    if (s > 1) a_->halo_pack(xs);
+    linalg::ParVector* out = s + 1 == sweeps ? promoted : nullptr;
+    a_->runtime().parallel_for_ranks(
+        [&](RankId rk) { sweep(rk, bs, xs, r, out); });
+  }
 }
 
 linalg::ParVector& Smoother::residual_scratch(std::size_t lanes) const {
@@ -132,6 +167,21 @@ linalg::ParVector& Smoother::residual_scratch(std::size_t lanes) const {
         linalg::ParVector(a_->runtime(), a_->rows(), lanes, pr);
   }
   return residual_[lanes];
+}
+
+Smoother::Boundary& Smoother::boundary_scratch(std::size_t lanes) const {
+  const Precision pr = a_->value_precision();
+  if (boundary_.size() <= lanes || boundary_[lanes].x.ncomp() != lanes) {
+    EXW_PURITY_ALLOW("first-use scratch priming");
+    if (boundary_.size() <= lanes) {
+      boundary_.resize(lanes + 1);  // exw-warm-ok: first-use scratch priming
+    }
+    boundary_[lanes].b =
+        linalg::ParVector(a_->runtime(), a_->rows(), lanes, pr);
+    boundary_[lanes].x =
+        linalg::ParVector(a_->runtime(), a_->rows(), lanes, pr);
+  }
+  return boundary_[lanes];
 }
 
 EXW_WARM_FN
@@ -230,72 +280,71 @@ void Smoother::jr_solve(RankId r, const sparse::Csr& tri,
 }
 
 EXW_WARM_FN
-void Smoother::sweep_two_stage(const linalg::ParVector& b,
-                               linalg::ParVector& x,
-                               linalg::ParVector& r) const {
-  // x += Mtilde^-1 (b - A x) with Mtilde^-1 ~ (L+D)^-1 by inner JR: the
-  // halo pack, then one body per rank for its residual rows, the JR
-  // solve and the update (its own rows of x, which no other body reads:
-  // they see x's off-rank values through the packed halo).
-  EXW_PURITY_REGION("smoother-sweep-two-stage");
-  const Precision pr = a_->value_precision();
-  const auto nl = static_cast<double>(x.ncomp());
-  a_->halo_pack(x);
-  a_->runtime().parallel_for_ranks([&](RankId rk) {
-    a_->residual(rk, b, x, r);
-    auto& [g, tg] = scratch_[static_cast<std::size_t>(rk)];
-    jr_solve(rk, ldu_.lower[static_cast<std::size_t>(rk)], r.local(rk),
-             x.ncomp(), g, tg);
-    auto& xl = x.local(rk);
-    for (std::size_t i = 0; i < xl.size(); ++i) {
-      xl[i] = store_value(xl[i] + g[i], pr);
-    }
-    const auto n =
-        static_cast<double>(ldu_.dinv[static_cast<std::size_t>(rk)].size());
-    double f64 = 0, f32 = 0;
-    split_value_bytes(pr, 3.0 * bytes_of(pr) * nl * n, f64, f32);
-    a_->runtime().tracer().kernel_split_prec(rk, nl * n, f64, f32, 0.0);
-  });
+void Smoother::sweep(RankId rk, const linalg::ParVector& b,
+                     linalg::ParVector& x, linalg::ParVector& r,
+                     linalg::ParVector* promoted) const {
+  EXW_PURITY_REGION(type_ == SmootherType::kSgs2 ? "smoother-sweep-sgs2"
+                                                 : "smoother-sweep-two-stage");
+  a_->residual(rk, b, x, r);
+  relax(rk, r.local(rk), /*zero_guess=*/false, x, r, promoted);
 }
 
 EXW_WARM_FN
-void Smoother::sweep_sgs2(const linalg::ParVector& b, linalg::ParVector& x,
-                          linalg::ParVector& r) const {
-  // Symmetric two-stage GS: M = (L+D) D^-1 (D+U), both triangular solves
-  // approximated by inner JR sweeps (compact form of Eqs. 11-14): one
-  // residual, then the forward and backward JR stages stream L/U once
-  // per inner sweep for all lanes — all in one body per rank after the
-  // halo pack, as in the two-stage sweep.
-  EXW_PURITY_REGION("smoother-sweep-sgs2");
+void Smoother::sweep_zero(RankId rk, const linalg::ParVector& b,
+                          linalg::ParVector& x, linalg::ParVector& r,
+                          linalg::ParVector* promoted) const {
+  EXW_PURITY_REGION(type_ == SmootherType::kSgs2 ? "smoother-sweep-sgs2"
+                                                 : "smoother-sweep-two-stage");
+  EXW_ASSERT(b.value_precision() == a_->value_precision());
+  relax(rk, b.local(rk), /*zero_guess=*/true, x, r, promoted);
+}
+
+void Smoother::relax(RankId rk, const RealVector& rhs, bool zero_guess,
+                     linalg::ParVector& x, linalg::ParVector& r,
+                     linalg::ParVector* promoted) const {
+  // Two-stage: x += Mtilde^-1 (b - A x) with Mtilde^-1 ~ (L+D)^-1 by
+  // inner JR. SGS2, the symmetric variant: M = (L+D) D^-1 (D+U), both
+  // triangular solves approximated by inner JR sweeps (compact form of
+  // Eqs. 11-14), the forward and backward stages streaming L/U once per
+  // inner sweep for all lanes.
   const Precision pr = a_->value_precision();
   const std::size_t lanes = x.ncomp();
-  const auto nl = static_cast<double>(lanes);
-  a_->halo_pack(x);
-  a_->runtime().parallel_for_ranks([&](RankId rk) {
-    a_->residual(rk, b, x, r);
-    auto& [g, tg] = scratch_[static_cast<std::size_t>(rk)];
-    const auto& d = ldu_.dinv[static_cast<std::size_t>(rk)];
-    const std::size_t n = d.size();
+  auto& [g, tg] = scratch_[static_cast<std::size_t>(rk)];
+  const auto& d = ldu_.dinv[static_cast<std::size_t>(rk)];
+  const std::size_t n = d.size();
+  jr_solve(rk, ldu_.lower[static_cast<std::size_t>(rk)], rhs, lanes, g, tg);
+  const bool sgs2 = type_ == SmootherType::kSgs2;
+  if (sgs2) {
+    // rhs for the backward stage: D * g, lane by lane, into rk's rows of
+    // the residual, which the forward stage has finished reading.
     auto& t = r.local(rk);
-    jr_solve(rk, ldu_.lower[static_cast<std::size_t>(rk)], t, lanes, g, tg);
-    // rhs for the backward stage: D * g, lane by lane, into the residual
-    // plane the forward stage has finished reading.
     for (std::size_t c = 0; c < lanes; ++c) {
       for (std::size_t i = 0; i < n; ++i) {
         t[c * n + i] = store_value(g[c * n + i] / d[i], pr);
       }
     }
     jr_solve(rk, ldu_.upper[static_cast<std::size_t>(rk)], t, lanes, g, tg);
-    auto& xl = x.local(rk);
-    for (std::size_t i = 0; i < xl.size(); ++i) {
-      xl[i] = store_value(xl[i] + g[i], pr);
-    }
-    double f64 = 0, f32 = 0;
-    split_value_bytes(pr, 4.0 * bytes_of(pr) * nl * static_cast<double>(n),
-                      f64, f32);
-    a_->runtime().tracer().kernel_split_prec(
-        rk, 2.0 * nl * static_cast<double>(n), f64, f32, 0.0);
-  });
+  }
+  // 0.0 + g, not g: a -0.0 in g stores +0.0, as x + g from a zero fill.
+  const Real* x0 = zero_guess ? nullptr : x.local(rk).data();
+  RealVector& out = promoted != nullptr ? promoted->local(rk) : x.local(rk);
+  for (std::size_t i = 0; i < lanes * n; ++i) {
+    out[i] = store_value((x0 != nullptr ? x0[i] : 0.0) + g[i], pr);
+  }
+  // The update reads g (SGS2's backward rhs streams it once more) and x
+  // unless it starts from zero, and writes x, or the promoted result.
+  const double nln = static_cast<double>(lanes * n);
+  const double reads = (sgs2 ? 2.0 : 1.0) + (zero_guess ? 0.0 : 1.0);
+  double f64 = 0, f32 = 0;
+  split_value_bytes(pr, (promoted != nullptr ? reads : reads + 1.0) *
+                            bytes_of(pr) * nln,
+                    f64, f32);
+  if (promoted != nullptr) {
+    const Precision po = promoted->value_precision();
+    split_value_bytes(po, bytes_of(po) * nln, f64, f32);
+  }
+  a_->runtime().tracer().kernel_split_prec(rk, (sgs2 ? 2.0 : 1.0) * nln, f64,
+                                           f32, 0.0);
 }
 
 }  // namespace exw::amg

@@ -52,18 +52,46 @@ class Smoother {
   void apply(const linalg::ParVector& b, linalg::ParVector& x,
              int sweeps) const;
 
-  /// z = M^-1 r with x starting from zero (preconditioner application).
-  void apply_zero(const linalg::ParVector& r, linalg::ParVector& z,
+  /// x = M^-1 b: `sweeps` steps from a zero guess (preconditioner
+  /// application), bitwise what fill(0) and apply() leave, signed zeros
+  /// included. A two-stage or SGS2 first sweep reads only b's rows
+  /// (sweep_zero: no halo exchange, no residual SpMV) and packs its
+  /// result for the second sweep in the same body. With an FP64 b and x
+  /// and an FP32 matrix (the mixed-precision boundary of
+  /// solver::SmootherPrecond) the first body also demotes b into FP32
+  /// scratch, the iterate lives in FP32 scratch, and the last sweep
+  /// stores its result promoted into x.
+  void apply_zero(const linalg::ParVector& b, linalg::ParVector& x,
                   int sweeps) const;
+
+  // Rank rk's body of a two-stage or SGS2 sweep, for a caller that runs
+  // sweeps inside its own regions (the V-cycle). `r` is residual scratch
+  // with x's lanes at the matrix's precision; only rk's rows of it are
+  // touched. With `promoted` (an FP64 vector) the update is stored
+  // there, promoted, instead of into x.
+
+  /// The sweep after the smoother's matrix ran halo_begin(x) and every
+  /// owner's halo_pack of x: the halo's receipt, rk's residual rows, the
+  /// JR solve(s) and the update of rk's rows of x.
+  void sweep(RankId rk, const linalg::ParVector& b, linalg::ParVector& x,
+             linalg::ParVector& r,
+             linalg::ParVector* promoted = nullptr) const;
+  /// The sweep from x = 0: the JR solve(s) straight from rk's rows of b
+  /// (b - A 0 is b, bit for bit) and x = 0.0 + g; x is neither read nor
+  /// exchanged, and b must be at the matrix's precision.
+  void sweep_zero(RankId rk, const linalg::ParVector& b, linalg::ParVector& x,
+                  linalg::ParVector& r,
+                  linalg::ParVector* promoted = nullptr) const;
 
  private:
   void sweep_hybrid_gs(const linalg::ParVector& b, linalg::ParVector& x) const;
-  /// The two-stage and SGS2 sweeps take their residual scratch `r`
-  /// (same lanes as x) from residual_scratch().
-  void sweep_two_stage(const linalg::ParVector& b, linalg::ParVector& x,
-                       linalg::ParVector& r) const;
-  void sweep_sgs2(const linalg::ParVector& b, linalg::ParVector& x,
-                  linalg::ParVector& r) const;
+  /// The JR solve(s) of a two-stage or SGS2 sweep from `rhs` (rank rk's
+  /// residual rows, which may be rk's rows of r) and the update x + g of
+  /// rk's rows, x taken as zero (and not read) with `zero_guess`; SGS2's
+  /// backward stage takes its rhs in rk's rows of r.
+  void relax(RankId rk, const RealVector& rhs, bool zero_guess,
+             linalg::ParVector& x, linalg::ParVector& r,
+             linalg::ParVector* promoted) const;
 
   /// Inner Jacobi-Richardson approximation of (T+D)^-1 rhs for one of
   /// the rank's triangles T (Eqs. 5-7); `rhs` and the result `g` are
@@ -76,6 +104,16 @@ class Smoother {
   /// sized on first use.
   linalg::ParVector& residual_scratch(std::size_t lanes) const;
 
+  /// The FP32 right-hand side and iterate of apply_zero's
+  /// mixed-precision boundary at one lane count.
+  struct Boundary {
+    linalg::ParVector b, x;
+  };
+  /// The boundary scratch for `lanes`, made on first use. One smoother
+  /// serves 3-lane momentum and 1-lane scalar solves alternately every
+  /// Picard iteration, so each lane count keeps its own pair.
+  Boundary& boundary_scratch(std::size_t lanes) const;
+
   /// One rank's sweep scratch: the JR iterate and T times it.
   struct RankScratch {
     RealVector g, tg;
@@ -86,10 +124,11 @@ class Smoother {
   int inner_sweeps_;
   LduSplit ldu_;
   // Sweep scratch, sized on first use at a lane count and reused by every
-  // later sweep (vectors only grow): one residual per lane count (SGS2
-  // reuses it for the backward stage's rhs), and per-rank JR buffers
-  // that only rank r's body touches.
+  // later sweep (vectors only grow): one residual and one boundary pair
+  // per lane count (SGS2 reuses the residual for the backward stage's
+  // rhs), and per-rank JR buffers that only rank r's body touches.
   mutable std::vector<linalg::ParVector> residual_;  ///< [lanes]
+  mutable std::vector<Boundary> boundary_;           ///< [lanes]
   mutable std::vector<RankScratch> scratch_;         ///< [rank]
 };
 

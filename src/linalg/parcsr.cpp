@@ -247,45 +247,52 @@ void ParCsr::prime_channels(std::size_t lanes) const {
   }
 }
 
-EXW_WARM_FN
-void ParCsr::halo_pack(const ParVector& x) const {
-  EXW_PURITY_REGION("parcsr-halo-exchange");
+void ParCsr::halo_begin(const ParVector& x) const {
   EXW_REQUIRE(x.global_size() == global_cols(), "halo x size mismatch");
+  prime_channels(x.ncomp());
+  stamp_ = rt_->tracer().stamp();
+}
+
+EXW_WARM_FN
+void ParCsr::halo_pack(RankId r, const ParVector& x) const {
+  EXW_PURITY_REGION("parcsr-halo-exchange");
   const std::size_t lanes = x.ncomp();
-  prime_channels(lanes);
+  EXW_ASSERT(lanes == halo_lanes_);
   // FP32-tagged vectors ship their halos as float: lossless (stores
   // round through float, so every held value is FP32-representable), and
   // the message charge is priced at the float payload.
   const bool f32 = x.value_precision() == Precision::kF32;
   const std::size_t wire = f32 ? sizeof(float) : sizeof(Real);
-  stamp_ = rt_->tracer().stamp();
-  // Each owner packs every lane's requested values straight into the
+  // The owner packs every lane's requested values straight into the
   // receiver's halo buffer at its run's offset, one message per neighbor
   // pair for all lanes.
-  rt_->parallel_for_ranks([&](RankId r) {
-    perf::Tally tally;
-    for (const auto& send : comm_.sends[static_cast<std::size_t>(r)]) {
-      const std::size_t count = send.idx.size();
-      auto& halo = halo_[static_cast<std::size_t>(send.dst)];
-      const std::size_t m =
-          blocks_[static_cast<std::size_t>(send.dst)].col_map.size();
-      const auto offset = static_cast<std::size_t>(send.offset);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const auto xl = x.lane_span(r, l);
-        Real* out = halo.data() + l * m + offset;
-        for (std::size_t i = 0; i < count; ++i) {
-          const Real v = xl[static_cast<std::size_t>(send.idx[i])];
-          out[i] = f32 ? static_cast<Real>(static_cast<float>(v)) : v;
-        }
+  perf::Tally tally;
+  for (const auto& send : comm_.sends[static_cast<std::size_t>(r)]) {
+    const std::size_t count = send.idx.size();
+    auto& halo = halo_[static_cast<std::size_t>(send.dst)];
+    const std::size_t m =
+        blocks_[static_cast<std::size_t>(send.dst)].col_map.size();
+    const auto offset = static_cast<std::size_t>(send.offset);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const auto xl = x.lane_span(r, l);
+      Real* out = halo.data() + l * m + offset;
+      for (std::size_t i = 0; i < count; ++i) {
+        const Real v = xl[static_cast<std::size_t>(send.idx[i])];
+        out[i] = f32 ? static_cast<Real>(static_cast<float>(v)) : v;
       }
-      const double pack_bytes = 2.0 * bytes_of(x.value_precision()) *
-                                static_cast<double>(lanes * count);
-      tally.kernel(0.0, f32 ? 0.0 : pack_bytes, f32 ? pack_bytes : 0.0);
-      rt_->channel_sent(r, send.dst, tags::kHaloValues, lanes * count,
-                        lanes * count * wire, tally, "ParCsr::halo_pack");
     }
-    rt_->tracer().charge_sent(r, tally);
-  });
+    const double pack_bytes = 2.0 * bytes_of(x.value_precision()) *
+                              static_cast<double>(lanes * count);
+    tally.kernel(0.0, f32 ? 0.0 : pack_bytes, f32 ? pack_bytes : 0.0);
+    rt_->channel_sent(r, send.dst, tags::kHaloValues, lanes * count,
+                      lanes * count * wire, tally, "ParCsr::halo_pack");
+  }
+  rt_->tracer().charge_sent(r, tally);
+}
+
+void ParCsr::halo_pack(const ParVector& x) const {
+  halo_begin(x);
+  rt_->parallel_for_ranks([&](RankId r) { halo_pack(r, x); });
 }
 
 const RealVector& ParCsr::halo_receive(RankId r, const ParVector& x) const {
@@ -365,54 +372,61 @@ void ParCsr::matvec_transpose(const ParVector& x, ParVector& y, Real alpha,
   rt_->parallel_for_ranks([&](RankId r) { transpose_receive(r, y); });
 }
 
+void ParCsr::transpose_begin() const {
+  prime_channels(0);
+  stamp_ = rt_->tracer().stamp();
+}
+
 EXW_WARM_FN
-void ParCsr::transpose_send(const ParVector& x, ParVector& y, Real alpha,
-                            Real beta) const {
+void ParCsr::transpose_send(RankId r, const ParVector& x, ParVector& y,
+                            Real alpha, Real beta) const {
   EXW_PURITY_REGION("parcsr-matvec-transpose");
   EXW_REQUIRE(x.global_size() == global_rows(), "matvec_T x size mismatch");
   EXW_REQUIRE(y.global_size() == global_cols(), "matvec_T y size mismatch");
   EXW_REQUIRE(x.ncomp() == 1 && y.ncomp() == 1, "matvec_T runs one lane");
-  prime_channels(0);
   // An FP32-tagged operator (AMG restriction in the mixed hierarchy)
   // ships float contributions — the rounding a real FP32 MPI buffer
   // applies; deterministic because the partition is fixed.
   const bool f32_wire = prec_ == Precision::kF32;
   const std::size_t wire = f32_wire ? sizeof(float) : sizeof(Real);
-  stamp_ = rt_->tracer().stamp();
-
   // Local transpose products: diag^T into the owned part of y; offd^T
   // into the rank's contribution buffer in col_map order, each recv run
   // of which is one message back to its source rank (the exact reverse
   // of the halo exchange, so the comm package is reused).
-  rt_->parallel_for_ranks([&](RankId r) {
-    const auto& b = blocks_[static_cast<std::size_t>(r)];
-    auto& yl = y.local(r);
-    b.diag.spmv_transpose(x.local(r), yl, alpha, beta);
-    auto& buf = contrib_[static_cast<std::size_t>(r)];
-    if (b.offd.nnz() > 0) {
-      b.offd.spmv_transpose(x.local(r), buf, alpha, 0.0);
-    } else {
-      std::fill(buf.begin(), buf.end(), 0.0);
-    }
-    if (f32_wire) {
-      for (Real& v : buf) v = static_cast<Real>(static_cast<float>(v));
-    }
-    const auto nnz = static_cast<double>(b.diag.nnz() + b.offd.nnz());
-    double f64 = 0, f32 = 0;
-    split_value_bytes(prec_, nnz * bytes_of(prec_), f64, f32);
-    split_value_bytes(y.value_precision(),
-                      2.0 * bytes_of(y.value_precision()) *
-                          static_cast<double>(yl.size()),
-                      f64, f32);
-    perf::Tally tally;
-    tally.kernel(2.0 * nnz, f64, f32, nnz * sizeof(LocalIndex));
-    for (const auto& recv : comm_.recvs[static_cast<std::size_t>(r)]) {
-      const auto count = static_cast<std::size_t>(recv.count);
-      rt_->channel_sent(r, recv.src, tags::kHaloValues, count, count * wire,
-                        tally, "ParCsr::transpose_send");
-    }
-    rt_->tracer().charge_sent(r, tally);
-  });
+  const auto& b = blocks_[static_cast<std::size_t>(r)];
+  auto& yl = y.local(r);
+  b.diag.spmv_transpose(x.local(r), yl, alpha, beta);
+  auto& buf = contrib_[static_cast<std::size_t>(r)];
+  if (b.offd.nnz() > 0) {
+    b.offd.spmv_transpose(x.local(r), buf, alpha, 0.0);
+  } else {
+    std::fill(buf.begin(), buf.end(), 0.0);
+  }
+  if (f32_wire) {
+    for (Real& v : buf) v = static_cast<Real>(static_cast<float>(v));
+  }
+  const auto nnz = static_cast<double>(b.diag.nnz() + b.offd.nnz());
+  double f64 = 0, f32 = 0;
+  split_value_bytes(prec_, nnz * bytes_of(prec_), f64, f32);
+  split_value_bytes(y.value_precision(),
+                    2.0 * bytes_of(y.value_precision()) *
+                        static_cast<double>(yl.size()),
+                    f64, f32);
+  perf::Tally tally;
+  tally.kernel(2.0 * nnz, f64, f32, nnz * sizeof(LocalIndex));
+  for (const auto& recv : comm_.recvs[static_cast<std::size_t>(r)]) {
+    const auto count = static_cast<std::size_t>(recv.count);
+    rt_->channel_sent(r, recv.src, tags::kHaloValues, count, count * wire,
+                      tally, "ParCsr::transpose_send");
+  }
+  rt_->tracer().charge_sent(r, tally);
+}
+
+void ParCsr::transpose_send(const ParVector& x, ParVector& y, Real alpha,
+                            Real beta) const {
+  transpose_begin();
+  rt_->parallel_for_ranks(
+      [&](RankId r) { transpose_send(r, x, y, alpha, beta); });
 }
 
 void ParCsr::transpose_receive(RankId owner, ParVector& y) const {

@@ -127,23 +127,33 @@ class ParCsr {
   std::vector<double> nnz_per_rank() const;
 
   // --- sparse kernels ------------------------------------------------------
-  // A product that needs off-rank values is two regions: halo_pack (or
-  // transpose_send), then one body per rank that books its receipt and
-  // consumes the values. The whole-matrix forms below are those two
-  // steps; a caller that has more work per rank (a smoother sweep, the
-  // V-cycle's transfers) runs the second region itself and calls the
-  // per-rank forms from its own body.
+  // A product that needs off-rank values is an orchestrator step that
+  // opens the exchange (halo_begin / transpose_begin: channel sizing and
+  // the stamp), the owners' packs (halo_pack(r, x) / transpose_send(r,
+  // ...)), and then one body per rank that books its receipt and consumes
+  // the values. The whole-matrix forms below run the packs in a region
+  // of their own. A caller with more work per rank runs the regions
+  // itself and calls the per-rank forms from its own bodies; the body
+  // that finishes a vector's rows may pack them, as long as no body of
+  // its region reads this matrix's halo (halo_pack) or its contribution
+  // buffers (transpose_send).
 
-  /// Pack every lane of `x`'s halo values into their receivers' buffers
-  /// (one region): per rank one SoA buffer of ncomp * col_map.size()
-  /// values, lane c in the plane [c*m, (c+1)*m) in col_map order. Each
-  /// owner packs straight into the receiver's buffer at its run's offset
+  /// Open a halo exchange of `x` on the orchestrator: size the halo
+  /// buffers for its lane count (per rank one SoA buffer of ncomp *
+  /// col_map.size() values, lane c in the plane [c*m, (c+1)*m) in
+  /// col_map order; they persist, and after the first call at a lane
+  /// count nothing is allocated) and take the exchange's stamp. Every
+  /// owner then runs halo_pack(r, x), and every receiver halo_receive
+  /// (directly or through the per-rank matvec / residual) before the
+  /// phase open now closes.
+  void halo_begin(const ParVector& x) const;
+  /// Owner r's share of the exchange: pack every lane of the values its
+  /// neighbors request straight into their buffers at its runs' offsets
   /// (an FP32-tagged vector's values round through float, as on the
   /// wire), charging its pack kernels and one message per neighbor pair
-  /// in one batched charge. The buffers persist; after the first call at
-  /// a lane count nothing is allocated. Every receiver must then run
-  /// halo_receive (directly or through the per-rank matvec / residual)
-  /// before the phase that packed closes.
+  /// in one batched charge. Called by r's body.
+  void halo_pack(RankId r, const ParVector& x) const;
+  /// halo_begin, then every owner's halo_pack in one region.
   void halo_pack(const ParVector& x) const;
   /// Rank r's halo of the last halo_pack of `x`, with its receipt booked
   /// (per-message checks, one batched receive charge). Called by r's
@@ -180,9 +190,16 @@ class ParCsr {
   /// with R = P^T. transpose_send then transpose_receive on every rank.
   void matvec_transpose(const ParVector& x, ParVector& y, Real alpha = 1.0,
                         Real beta = 0.0) const;
-  /// First region of matvec_transpose: each rank's local products, diag^T
-  /// into its part of y and offd^T into a persistent buffer in col_map
-  /// order, one message per run back to its owner (one batched charge).
+  /// Open a transpose product on the orchestrator: size the
+  /// contribution buffers on first use and take the exchange's stamp.
+  void transpose_begin() const;
+  /// Rank r's share of matvec_transpose's first region: its local
+  /// products, diag^T into its part of y and offd^T into its persistent
+  /// contribution buffer in col_map order, one message per run back to
+  /// its owner (one batched charge). Called by r's body.
+  void transpose_send(RankId r, const ParVector& x, ParVector& y,
+                      Real alpha = 1.0, Real beta = 0.0) const;
+  /// transpose_begin, then every rank's transpose_send in one region.
   void transpose_send(const ParVector& x, ParVector& y, Real alpha = 1.0,
                       Real beta = 0.0) const;
   /// Owner r's part of the second region: receipt, then the received

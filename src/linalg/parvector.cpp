@@ -33,7 +33,7 @@ ParVector::ParVector(par::Runtime& rt, par::RowPartition rows,
   EXW_REQUIRE(rows_.nranks() == rt.nranks(),
               "vector partition does not match runtime rank count");
   // Warm code constructs vectors only to prime scratch on first use
-  // (Smoother::residual_scratch, SmootherPrecond::fp32_scratch), under
+  // (Smoother::residual_scratch, Smoother::boundary_scratch), under
   // EXW_PURITY_ALLOW; the runtime purity check polices any other
   // construction inside a warm region.
   local_.resize(  // exw-warm-ok: first-use scratch priming
@@ -432,19 +432,20 @@ void ParVector::gather(RealVector& out, std::size_t lane) const {
 }
 
 void ParVector::scatter(const RealVector& global, std::size_t lane) {
+  rt_->parallel_for_ranks([&](RankId r) { scatter(r, global, lane); });
+}
+
+void ParVector::scatter(RankId r, const RealVector& global, std::size_t lane) {
   EXW_REQUIRE(lane < ncomp_, "vector lane out of range");
   EXW_REQUIRE(global.size() == static_cast<std::size_t>(global_size()),
               "vector size mismatch");
-  rt_->parallel_for_ranks([&](RankId r) {
-    auto x = lane_span(r, lane);
-    std::copy(global.begin() +
-                  static_cast<std::ptrdiff_t>(rows_.first_row(r).value()),
-              global.begin() + static_cast<std::ptrdiff_t>(rows_.end_row(r).value()),
-              x.begin());
-    if (prec_ == Precision::kF32) {
-      for (Real& v : x) v = demote_value(v);
-    }
-  });
+  auto x = lane_span(r, lane);
+  const auto first = static_cast<std::ptrdiff_t>(rows_.first_row(r).value());
+  const auto end = static_cast<std::ptrdiff_t>(rows_.end_row(r).value());
+  std::copy(global.begin() + first, global.begin() + end, x.begin());
+  if (prec_ == Precision::kF32) {
+    for (Real& v : x) v = demote_value(v);
+  }
 }
 
 }  // namespace exw::linalg

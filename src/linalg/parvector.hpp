@@ -173,9 +173,10 @@ class ParVector {
   /// Same, into `out`, which must already hold global_size() values (no
   /// allocation: the AMG coarse solve gathers into a kept buffer).
   void gather(RealVector& out, std::size_t lane = 0) const;
-  /// Scatter a dense global vector into one lane (tests/setup; not
-  /// charged).
+  /// Scatter a dense global vector into one lane (tests/setup and the
+  /// AMG coarse solve; not charged).
   void scatter(const RealVector& global, std::size_t lane = 0);
+  void scatter(RankId r, const RealVector& global, std::size_t lane = 0);
 
  private:
   std::size_t local_n(RankId r) const {

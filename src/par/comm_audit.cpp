@@ -206,6 +206,13 @@ void Auditor::on_send(RankId src, RankId dst, int tag, std::size_t count,
   std::lock_guard<std::mutex> lock(impl_->mutex);
   EXW_PURITY_ALLOW("comm-audit ledger");
   Channel& ch = impl_->channels[{src.value(), dst.value(), tag}];
+  // A fused rank body may send on a channel while the receiver's body,
+  // in the same region, has yet to take the message sent a region
+  // earlier, so a ring holds up to two records: size it for both on
+  // first use, before the order of the two bodies can decide it.
+  if (ch.fifo.capacity() == 0) {
+    ch.fifo.reserve(2);  // exw-warm-ok: first use of a channel
+  }
   ch.fifo.push_back(rec);  // exw-warm-ok: drained rings retain capacity
   impl_->ranks[static_cast<std::size_t>(src.value())].sends.fetch_add(
       1, std::memory_order_relaxed);

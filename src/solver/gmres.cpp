@@ -200,6 +200,14 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
     });
   };
 
+  // True while x's halo holds a pack that no residual has consumed yet
+  // (a 1-lane epilogue packs ahead for the residual that follows it).
+  bool x_packed = false;
+  auto residual_from_packed = [&] {
+    rt.parallel_for_ranks([&](RankId rk) { a.residual(rk, b, x, r); });
+    x_packed = false;
+  };
+
   auto any_state = [&](LaneState want) {
     return std::any_of(state.begin(), state.end(),
                        [want](LaneState sc) { return sc == want; });
@@ -229,11 +237,18 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
     const bool confirm = s.final_residual <= target[c];
     if (nc == 1) {
       // The scratch planes are the lane's own: z and r are fully
-      // rewritten before their next use.
+      // rewritten before their next use. When a residual on x follows
+      // (the confirmation, or the next restart's), each rank packs its
+      // corrected rows for it in the body that adds the correction.
       m.apply(w, z);
-      x.axpy(1.0, z);
+      x_packed = confirm || s.iterations < opts.max_iters;
+      if (x_packed) a.halo_begin(x);
+      rt.parallel_for_ranks([&](RankId rk) {
+        x.axpy(rk, 1.0, z);
+        if (x_packed) a.halo_pack(rk, x);
+      });
       if (confirm) {
-        a.residual(b, x, r);
+        residual_from_packed();
         s.final_residual = r.norm2();
       }
     } else {
@@ -271,7 +286,11 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
     if (!any_state(LaneState::kWaiting)) break;
 
     // --- shared (re)start for every waiting lane ------------------------
-    a.residual(b, x, r);
+    if (x_packed) {
+      residual_from_packed();
+    } else {
+      a.residual(b, x, r);
+    }
     betas = r.norms();
     std::fill(mask.begin(), mask.end(), 0);
     std::fill(coef.begin(), coef.end(), 0.0);

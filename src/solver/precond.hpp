@@ -6,7 +6,6 @@
 /// transport ("two outer and two inner iterations often leads to rapid
 /// convergence in less than five preconditioned GMRES iterations", §4.2).
 
-#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -44,69 +43,45 @@ class IdentityPrecond final : public Preconditioner {
 /// amg::HierarchyCache kept across Picard solves by cfd::Simulation).
 ///
 /// With a mixed-precision hierarchy (AmgConfig::precision == kF32) the
-/// precision boundary lives here, iterative-refinement style: the FP64
-/// residual demotes into an FP32 scratch once per application, the whole
-/// V-cycle runs on FP32 storage, and the correction promotes back into
-/// the caller's FP64 vector. The outer Krylov space never sees rounded
-/// storage. Work inside apply() lands in a nested "precond" phase so
-/// benches can split preconditioner traffic from the outer solve.
+/// V-cycle is the precision boundary (amg::AmgHierarchy::vcycle_zero):
+/// the FP64 residual demotes into level 0's FP32 right-hand side once
+/// per application, the whole V-cycle runs on FP32 storage, and the
+/// correction promotes back into the caller's FP64 vector. The outer
+/// Krylov space never sees rounded storage. Work inside apply() lands
+/// in a nested "precond" phase so benches can split preconditioner
+/// traffic from the outer solve.
 class AmgPrecond final : public Preconditioner {
  public:
   AmgPrecond(const linalg::ParCsr& a, const amg::AmgConfig& cfg)
       : owned_(std::make_unique<amg::AmgHierarchy>(a, cfg)),
-        h_(owned_.get()) {
-    init_mixed_scratch();
-  }
+        h_(owned_.get()) {}
 
   /// Borrow an externally owned hierarchy (must outlive the precond).
-  explicit AmgPrecond(amg::AmgHierarchy& h) : h_(&h) { init_mixed_scratch(); }
+  explicit AmgPrecond(amg::AmgHierarchy& h) : h_(&h) {}
 
   void apply(const linalg::ParVector& r, linalg::ParVector& z) override {
     perf::PhaseScope ph(r.runtime().tracer(), "precond");
-    if (rb_) {
-      // FP64 -> FP32 demote at the boundary (charged by copy_from) and
-      // the zero guess in one body per rank, FP32 V-cycle, FP32 -> FP64
-      // promote of the correction (lossless).
-      r.runtime().parallel_for_ranks([&](RankId rk) {
-        rb_->copy_from(rk, r);
-        zb_->fill(rk, 0.0);
-      });
-      h_->vcycle(*rb_, *zb_);
-      z.copy_from(*zb_);
-      return;
-    }
-    z.fill(0.0);
-    h_->vcycle(r, z);
+    h_->vcycle_zero(r, z);
   }
 
   const amg::AmgHierarchy& hierarchy() const { return *h_; }
-  /// The FP32 boundary residual (null in the FP64 configuration).
-  const linalg::ParVector* boundary_residual() const { return rb_.get(); }
-
- private:
-  void init_mixed_scratch() {
-    if (h_->config().precision != Precision::kF32) {
-      return;
-    }
-    const auto& fine = h_->level(0).a;
-    rb_ = std::make_unique<linalg::ParVector>(fine.runtime(), fine.rows(), 1,
-                                              Precision::kF32);
-    zb_ = std::make_unique<linalg::ParVector>(fine.runtime(), fine.rows(), 1,
-                                              Precision::kF32);
+  /// The FP32 boundary residual, level 0's right-hand side (null in the
+  /// FP64 configuration).
+  const linalg::ParVector* boundary_residual() const {
+    return h_->config().precision == Precision::kF32 ? h_->level(0).b.get()
+                                                     : nullptr;
   }
 
+ private:
   std::unique_ptr<amg::AmgHierarchy> owned_;
   amg::AmgHierarchy* h_ = nullptr;
-  /// FP32 boundary scratch (residual in, correction out); null in the
-  /// full-FP64 configuration.
-  std::unique_ptr<linalg::ParVector> rb_, zb_;
 };
 
 /// The pressure preconditioner kept across solves (cfd::Simulation keeps
 /// one per mesh block): the hierarchy cache and one AmgPrecond borrowing
-/// its hierarchy. update() makes a new AmgPrecond, with new FP32 boundary
-/// vectors, only when the cache rebuilt — a rebuild replaces the
-/// hierarchy the old one borrows; a refresh or reuse keeps it.
+/// its hierarchy. update() makes a new AmgPrecond only when the cache
+/// rebuilt — a rebuild replaces the hierarchy the old one borrows, and
+/// with it the FP32 boundary vectors; a refresh or reuse keeps both.
 class KeptAmgPrecond {
  public:
   /// HierarchyCache::update, then the rebind it calls for.
@@ -141,9 +116,10 @@ class KeptAmgPrecond {
 /// of the setup traffic and no allocation — instead of rebuilding.
 /// With `precision == kF32` the precond owns a demoted FP32 twin of the
 /// matrix: the smoother is built on (and refreshed from) the twin, its
-/// scratch streams price at 4 bytes/value, and apply() demotes/promotes
-/// at the boundary exactly like AmgPrecond. The caller's matrix stays
-/// FP64 — it is still the operator of the outer Krylov solve.
+/// scratch streams price at 4 bytes/value, and its apply_zero
+/// demotes/promotes at the boundary (amg::Smoother::apply_zero), as
+/// AmgPrecond's V-cycle does. The caller's matrix stays FP64 — it is
+/// still the operator of the outer Krylov solve.
 class SmootherPrecond final : public Preconditioner {
  public:
   SmootherPrecond(const linalg::ParCsr& a, amg::SmootherType type,
@@ -157,17 +133,6 @@ class SmootherPrecond final : public Preconditioner {
 
   void apply(const linalg::ParVector& r, linalg::ParVector& z) override {
     perf::PhaseScope ph(a_->runtime().tracer(), "precond");
-    if (prec_ == Precision::kF32) {
-      // Demote and zero guess in one body per rank, as in AmgPrecond.
-      Fp32Scratch& s = fp32_scratch(r.ncomp());
-      a_->runtime().parallel_for_ranks([&](RankId rk) {
-        s.r.copy_from(rk, r);
-        s.z.fill(rk, 0.0);
-      });
-      smoother_.apply(s.r, s.z, outer_);
-      z.copy_from(s.z);
-      return;
-    }
     smoother_.apply_zero(r, z, outer_);
   }
 
@@ -220,29 +185,6 @@ class SmootherPrecond final : public Preconditioner {
     });
   }
 
-  /// FP32 boundary scratch for one lane count (residual in, correction
-  /// out).
-  struct Fp32Scratch {
-    linalg::ParVector r, z;
-  };
-
-  /// The scratch pair for `lanes`, made on first use. One slot serves
-  /// 3-lane momentum and 1-lane scalar solves alternately every Picard
-  /// iteration, so each lane count keeps its own pair.
-  Fp32Scratch& fp32_scratch(std::size_t lanes) {
-    EXW_REQUIRE(lanes >= 1 && lanes <= fp32_.size(),
-                "smoother precond lane count out of range");
-    Fp32Scratch& s = fp32_[lanes - 1];
-    if (s.r.ncomp() == 0) {
-      EXW_PURITY_ALLOW("first-use scratch priming");
-      s.r = linalg::ParVector(a_->runtime(), a_->rows(), lanes,
-                              Precision::kF32);
-      s.z = linalg::ParVector(a_->runtime(), a_->rows(), lanes,
-                              Precision::kF32);
-    }
-    return s;
-  }
-
   const linalg::ParCsr* a_;
   Precision prec_ = Precision::kF64;
   /// Demoted twin (empty in the FP64 configuration); must be declared
@@ -250,9 +192,6 @@ class SmootherPrecond final : public Preconditioner {
   linalg::ParCsr a32_;
   amg::Smoother smoother_;
   int outer_;
-  /// FP32 scratch indexed by lane count - 1 (unused in the FP64
-  /// configuration).
-  std::array<Fp32Scratch, sparse::Csr::kMaxLanes> fp32_;
 };
 
 }  // namespace exw::solver

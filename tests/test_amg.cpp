@@ -377,14 +377,17 @@ TEST(Hierarchy, DescribeListsLevels) {
   EXPECT_NE(desc.find("operator complexity"), std::string::npos);
 }
 
-TEST(Hierarchy, VcycleRunsTenRegionsPerLevel) {
-  // The fused region structure of a V-cycle level: each two-stage sweep
-  // is a halo pack plus one body (residual, JR solve, update), the
-  // residual a pack plus one body, the restriction the transpose send
-  // plus the owners' pass (which zeroes the next level's iterate), and
-  // the prolongation a pack plus one body that also applies the
-  // correction: 2 + 2 + 2 + 2 + 2. The coarse solve gathers and
-  // scatters.
+TEST(Hierarchy, VcycleRunsFourRegionsPerLevel) {
+  // The fused region structure of a V-cycle from a zero guess: a boundary
+  // body runs level 0's pre-sweep from b alone and packs its result; then
+  // every level above the coarsest runs four bodies: the residual with
+  // the restriction's send share, the owners' pass with the next level's
+  // zero-guess pre-sweep and pack, the prolongation with the correction
+  // and the pack for the post-sweep, and the post-sweep with the pack for
+  // the parent's prolongation. The coarse solve gathers, then scatters
+  // and packs: 1 + 4 per level + 2. From a caller's guess, level 0's
+  // pre-sweep is a pack and a body and its residual needs a pack of its
+  // own: two more.
   par::Runtime rt(4);
   const auto a = distribute(rt, laplace3d(10, 0.05));
   AmgConfig cfg;
@@ -394,11 +397,82 @@ TEST(Hierarchy, VcycleRunsTenRegionsPerLevel) {
   linalg::ParVector b(rt, a.rows()), x(rt, a.rows());
   b.scatter(random_vector(1000, 5));
   h.vcycle(b, x);  // first use sizes the channels and the sweep scratch
+  const auto levels = static_cast<std::uint64_t>(h.num_levels() - 1);
   const auto& pool = par::ThreadPool::instance();
-  const std::uint64_t before = pool.regions();
+  std::uint64_t before = pool.regions();
+  h.vcycle_zero(b, x);
+  EXPECT_EQ(pool.regions() - before, 4u * levels + 3u);
+  before = pool.regions();
   h.vcycle(b, x);
-  EXPECT_EQ(pool.regions() - before,
-            10u * static_cast<std::uint64_t>(h.num_levels() - 1) + 2u);
+  EXPECT_EQ(pool.regions() - before, 4u * levels + 5u);
+}
+
+TEST(Hierarchy, ZeroGuessVcycleSkipsOneHaloExchangePerLevel) {
+  // A V-cycle whose every sweep exchanged x's halo sends, per level
+  // above the coarsest, three halo exchanges of A (pre-sweep, residual,
+  // post-sweep) and two of P (restriction and prolongation; the
+  // transpose product sends one message per halo run): each pre-sweep
+  // from the zero guess drops exactly one, so vcycle_zero's message
+  // count falls by the sum of those levels' halo sends. Levels below
+  // the first always start from zero, so a V-cycle from a caller's guess
+  // falls by the same sum less level 0's. vcycle_zero leaves x
+  // memcmp-equal to fill(0) and vcycle(), whatever x held, with as many
+  // collectives. An FP32 hierarchy is run behind the FP64 boundary too,
+  // against demote, zero fill, V-cycle and promote.
+  const bool saved = par::serial_mode();
+  for (const bool serial : {true, false}) {
+    par::set_serial_mode(serial);
+    for (const Precision prec : {Precision::kF64, Precision::kF32}) {
+      SCOPED_TRACE(testing::Message() << (serial ? "inline, " : "pool, ")
+                                      << (prec == Precision::kF32 ? "fp32"
+                                                                  : "fp64"));
+      par::Runtime rt(4);
+      const auto a = distribute(rt, laplace3d(10, 0.05));
+      AmgConfig cfg;
+      cfg.agg_levels = 0;
+      cfg.precision = prec;
+      AmgHierarchy h(a, cfg);
+      ASSERT_GE(h.num_levels(), 3);
+      const auto halo_sends = [](const linalg::ParCsr& m) {
+        long n = 0;
+        for (const auto& s : m.comm().sends) n += static_cast<long>(s.size());
+        return n;
+      };
+      long every_sweep = 0;  // messages when every sweep exchanged
+      long skipped = 0;      // one exchange of A per level above the coarsest
+      for (int l = 0; l + 1 < h.num_levels(); ++l) {
+        every_sweep +=
+            3 * halo_sends(h.level(l).a) + 2 * halo_sends(h.level(l).p);
+        skipped += halo_sends(h.level(l).a);
+      }
+      linalg::ParVector b(rt, a.rows()), x(rt, a.rows()), xr(rt, a.rows());
+      linalg::ParVector bp(rt, a.rows(), 1, prec), xp(rt, a.rows(), 1, prec);
+      b.scatter(random_vector(1000, 15));
+      x.scatter(random_vector(1000, 16));
+      bp.copy_from(b);
+      xp.fill(0.0);
+      auto& tracer = rt.tracer();
+      tracer.reset();
+      h.vcycle(bp, xp);
+      EXPECT_EQ(tracer.phase("").messages,
+                every_sweep - skipped + halo_sends(a));
+      const long guess_collectives = tracer.phase("").collectives;
+      xr.copy_from(xp);
+      tracer.reset();
+      h.vcycle_zero(b, x);
+      EXPECT_EQ(tracer.phase("").messages, every_sweep - skipped);
+      EXPECT_EQ(tracer.phase("").collectives, guess_collectives);
+      for (RankId r{0}; r.value() < rt.nranks(); ++r) {
+        const RealVector& got = x.local(r);
+        const RealVector& want = xr.local(r);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(Real)),
+                  0)
+            << "rank " << r;
+      }
+    }
+  }
+  par::set_serial_mode(saved);
 }
 
 }  // namespace

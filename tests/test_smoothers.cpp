@@ -1,7 +1,10 @@
 // Tests for the relaxation schemes of paper §4.2.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "amg/smoothers.hpp"
+#include "par/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace exw::amg {
@@ -137,6 +140,99 @@ TEST(Smoother, FusedSweepsMatchResidualThenSweep) {
       }
     }
   }
+}
+
+/// True when every rank's block of `a` and `b` holds the same bytes.
+bool same_bytes(const linalg::ParVector& a, const linalg::ParVector& b) {
+  for (RankId r{0}; r.value() < a.nranks(); ++r) {
+    const RealVector& x = a.local(r);
+    const RealVector& y = b.local(r);
+    if (x.size() != y.size() ||
+        std::memcmp(x.data(), y.data(), x.size() * sizeof(Real)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Smoother, ZeroGuessSweepMatchesZeroFillBitwise) {
+  // apply_zero's first two-stage or SGS2 sweep runs from b's rows alone:
+  // no zero fill, no halo exchange, no residual SpMV. x must come out
+  // memcmp-equal, signed zeros included, to fill(0) followed by the full
+  // sweeps, whatever x held before, and the lone zero-guess sweep must
+  // charge no message. b is -0.0 on a block of rows, so the JR iterate
+  // holds -0.0 there and the update must store 0.0 + g, not g. Covered:
+  // one and two sweeps, 1 and 3 lanes, FP64 and FP32 operators (the
+  // latter also behind the FP64 boundary, which demotes b in the first
+  // body and promotes the result in the last), 1, 4 and 24 ranks, on the
+  // inline executor and on the pool.
+  const sparse::Csr mat = laplace3d(6, 0.1);
+  const auto n = static_cast<std::size_t>(mat.nrows());
+  const bool saved = par::serial_mode();
+  for (const bool serial : {true, false}) {
+    par::set_serial_mode(serial);
+    for (const int nranks : {1, 4, 24}) {
+      for (const Precision prec : {Precision::kF64, Precision::kF32}) {
+        par::Runtime rt(nranks);
+        const auto rows =
+            par::RowPartition::even(GlobalIndex{mat.nrows().value()}, nranks);
+        auto a = linalg::ParCsr::from_serial(rt, mat, rows, rows);
+        if (prec == Precision::kF32) a.demote_values();
+        long halo_sends = 0;
+        for (const auto& sends : a.comm().sends) {
+          halo_sends += static_cast<long>(sends.size());
+        }
+        for (const SmootherType type :
+             {SmootherType::kTwoStageGs, SmootherType::kSgs2}) {
+          const Smoother sm(a, type, /*inner_sweeps=*/2);
+          for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+            // Vectors at the operator's precision, and FP64 vectors
+            // behind the boundary of an FP32 operator.
+            for (const Precision vec : {Precision::kF64, Precision::kF32}) {
+              if (vec == Precision::kF32 && prec == Precision::kF64) continue;
+              SCOPED_TRACE(testing::Message()
+                           << (serial ? "inline, " : "pool, ") << nranks
+                           << " ranks, " << lanes << " lanes, "
+                           << (type == SmootherType::kSgs2 ? "sgs2"
+                                                           : "two-stage")
+                           << (prec == Precision::kF32 ? ", fp32" : ", fp64")
+                           << " operator, "
+                           << (vec == Precision::kF32 ? "fp32" : "fp64")
+                           << " vectors");
+              linalg::ParVector b(rt, rows, lanes, vec),
+                  x(rt, rows, lanes, vec), xr(rt, rows, lanes, vec);
+              linalg::ParVector bp(rt, rows, lanes, prec),
+                  xp(rt, rows, lanes, prec);
+              for (std::size_t c = 0; c < lanes; ++c) {
+                RealVector v = random_vector(n, 80 + c);
+                for (std::size_t i = 0; i < 40; ++i) v[i] = -0.0;
+                b.scatter(v, c);
+              }
+              for (const int sweeps : {1, 2}) {
+                for (std::size_t c = 0; c < lanes; ++c) {
+                  x.scatter(random_vector(n, 90 + c + sweeps), c);
+                }
+                // The reference: demote (a no-op copy at equal
+                // precisions), zero fill, full sweeps, promote.
+                bp.copy_from(b);
+                xp.fill(0.0);
+                sm.apply(bp, xp, sweeps);
+                xr.copy_from(xp);
+                rt.tracer().reset();
+                sm.apply_zero(b, x, sweeps);
+                // The second sweep makes the one halo exchange.
+                EXPECT_EQ(rt.tracer().phase("").messages,
+                          sweeps == 1 ? 0 : halo_sends)
+                    << sweeps << " sweeps";
+                EXPECT_TRUE(same_bytes(x, xr)) << sweeps << " sweeps";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  par::set_serial_mode(saved);
 }
 
 TEST(Smoother, TwoStageApproachesHybridGsWithManyInnerSweeps) {
