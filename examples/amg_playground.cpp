@@ -2,7 +2,9 @@
 // sweeps two BoomerAMG-style knobs of paper §4.1 — interpolation
 // operator and aggressive-coarsening depth — printing hierarchy
 // complexities and measured V-cycle convergence factors. The strength
-// threshold column shows the default it runs at.
+// threshold column shows the default it runs at. Complexities and
+// convergence factors print at %.17g, so comparing two runs' output
+// (serial vs threaded, or two commits) sees a last-bit change in setup.
 //
 //   ./build/examples/amg_playground [refine] [nranks]
 
@@ -75,7 +77,7 @@ int main(int argc, char** argv) {
   linalg::ParVector b(rt, a.rows()), x(rt, a.rows()), r(rt, a.rows());
   b.fill(1.0);
 
-  std::printf("%-10s %5s %6s %7s %7s %9s %7s\n", "interp", "agg", "theta",
+  std::printf("%-10s %5s %6s %7s %24s %24s %7s\n", "interp", "agg", "theta",
               "levels", "opC", "rho", "iters");
   for (auto interp : {amg::InterpType::kDirect, amg::InterpType::kBamg,
                       amg::InterpType::kMmExt, amg::InterpType::kMmExtI}) {
@@ -103,7 +105,7 @@ int main(int argc, char** argv) {
       opts.rel_tol = 1e-8;
       const auto stats = solver::gmres_solve(a, b, x, precond, opts);
 
-      std::printf("%-10s %5d %6.2f %7d %7.2f %9.3f %7d\n", interp_name(interp),
+      std::printf("%-10s %5d %6.2f %7d %24.17g %24.17g %7d\n", interp_name(interp),
                   agg, static_cast<double>(cfg.strong_threshold), h.num_levels(),
                   h.operator_complexity(), rho, stats.iterations);
     }

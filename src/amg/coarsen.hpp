@@ -15,10 +15,12 @@
 /// id, so the coarse grid is independent of the rank count (cuRAND's role
 /// in the paper, made reproducible).
 ///
-/// The rank-sequential driver reads neighbor state from the global
-/// arrays directly and charges one (w, cf) boundary exchange per round —
-/// the values are identical to what owner-pushed halo messages would
-/// deliver.
+/// Every step runs as rank bodies on the pool, each writing only its own
+/// rows: the strong graph (two passes), the measures, both phases of
+/// every round and the coarse numbering. Bodies read neighbor state from
+/// global arrays written in an earlier region, and each round charges
+/// one (w, cf) boundary exchange — the values are identical to what
+/// owner-pushed halo messages would deliver.
 
 #include <vector>
 

@@ -107,14 +107,18 @@ void AmgHierarchy::setup(const linalg::ParCsr& a) {
     }
   }
 
-  // Smoothers + work vectors per level; dense LU on the coarsest.
+  // Smoothers + work vectors per level; dense LU on the coarsest. Level 0
+  // runs on the caller's vectors: its x and b exist only as the FP32
+  // boundary of a mixed-precision hierarchy (vcycle_zero).
   for (auto& lvl : levels_) {
     lvl.smoother = std::make_unique<Smoother>(lvl.a, SmootherType::kTwoStageGs,
                                               /*inner_sweeps=*/1);
-    lvl.x = std::make_unique<linalg::ParVector>(rt, lvl.a.rows(), 1,
-                                                cfg_.precision);
-    lvl.b = std::make_unique<linalg::ParVector>(rt, lvl.a.rows(), 1,
-                                                cfg_.precision);
+    if (&lvl != &levels_.front() || cfg_.precision == Precision::kF32) {
+      lvl.x = std::make_unique<linalg::ParVector>(rt, lvl.a.rows(), 1,
+                                                  cfg_.precision);
+      lvl.b = std::make_unique<linalg::ParVector>(rt, lvl.a.rows(), 1,
+                                                  cfg_.precision);
+    }
     lvl.r = std::make_unique<linalg::ParVector>(rt, lvl.a.rows(), 1,
                                                 cfg_.precision);
   }
@@ -200,6 +204,8 @@ void AmgHierarchy::vcycle_zero(const linalg::ParVector& b,
   AmgLevel& l0 = levels_.front();
   par::Runtime& rt = l0.a.runtime();
   const bool mixed = x.value_precision() != l0.a.value_precision();
+  EXW_REQUIRE(!mixed || cfg_.precision == Precision::kF32,
+              "AMG V-cycle: only an FP32 hierarchy takes FP64 vectors");
   const linalg::ParVector& bs = mixed ? *l0.b : b;
   linalg::ParVector& xs = mixed ? *l0.x : x;
   if (levels_.size() == 1) {

@@ -33,7 +33,8 @@ struct AmgLevel {
   linalg::ParCsr a;
   linalg::ParCsr p;  ///< to the next coarser level (unused on coarsest)
   std::unique_ptr<Smoother> smoother;
-  // Work vectors (allocated once at setup).
+  // Work vectors (allocated once at setup). Level 0 has x and b only in
+  // an FP32 hierarchy, where they are the precision boundary.
   std::unique_ptr<linalg::ParVector> x, b, r;
   bool has_p = false;
 };

@@ -46,19 +46,11 @@ void for_each_offdiag(const linalg::ParCsr& a, const Strength& s, RankId r,
   }
 }
 
-linalg::ParCsr p_from_rank_coos(par::Runtime& rt,
-                                const par::RowPartition& fine,
-                                const par::RowPartition& coarse,
-                                std::vector<sparse::Coo> coos) {
-  std::vector<linalg::RankBlock> blocks(coos.size());
-  const RankId nblocks{checked_narrow<int>(coos.size())};
-  for (RankId r{0}; r < nblocks; ++r) {
-    auto& coo = coos[static_cast<std::size_t>(r)];
-    coo.normalize();
-    blocks[static_cast<std::size_t>(r)] =
-        assembly::split_diag_offd(coo, fine, coarse, r);
-  }
-  return linalg::ParCsr(rt, fine, coarse, std::move(blocks));
+/// Rank r's block of an interpolation-shaped matrix from its COO rows.
+linalg::RankBlock p_block(sparse::Coo& coo, const par::RowPartition& fine,
+                          const par::RowPartition& coarse, RankId r) {
+  coo.normalize();
+  return assembly::split_diag_offd(coo, fine, coarse, r);
 }
 
 /// Classical direct and BAMG-direct interpolation (one-pass, row-local).
@@ -69,11 +61,11 @@ linalg::ParCsr build_direct(const linalg::ParCsr& a, const Strength& s,
   auto& tracer = a.runtime().tracer();
   charge_cf_exchange(a);
 
-  std::vector<sparse::Coo> coos(static_cast<std::size_t>(nranks));
-  for (RankId r{0}; r.value() < nranks; ++r) {
+  std::vector<linalg::RankBlock> blocks(static_cast<std::size_t>(nranks));
+  a.runtime().parallel_for_ranks([&](RankId r) {
     const auto& b = a.block(r);
     const GlobalIndex row0 = rows.first_row(r);
-    auto& coo = coos[static_cast<std::size_t>(r)];
+    sparse::Coo coo;
     const auto& diag_vals = b.diag.diagonal();
     for (LocalIndex i{0}; i < rows.local_size(r); ++i) {
       const GlobalIndex gi = row0 + i.value();
@@ -124,64 +116,67 @@ linalg::ParCsr build_direct(const linalg::ParCsr& a, const Strength& s,
     }
     const auto nnz = static_cast<double>(b.diag.nnz() + b.offd.nnz());
     tracer.kernel(r, 4.0 * nnz, 2.0 * nnz * (sizeof(Real) + sizeof(LocalIndex)));
-  }
-  return p_from_rank_coos(a.runtime(), rows, c.coarse_rows, std::move(coos));
+    blocks[static_cast<std::size_t>(r)] = p_block(coo, rows, c.coarse_rows, r);
+  });
+  return linalg::ParCsr(a.runtime(), rows, c.coarse_rows, std::move(blocks));
 }
 
 /// Matrix-matrix extended interpolation ("MM-ext", optionally "+i").
 linalg::ParCsr build_mm_ext(const linalg::ParCsr& a, const Strength& s,
                             const Coarsening& c, bool plus_i) {
-  const int nranks = a.nranks();
+  const auto nranks = static_cast<std::size_t>(a.nranks());
   const auto& rows = a.rows();
-  auto& tracer = a.runtime().tracer();
+  par::Runtime& rt = a.runtime();
+  auto& tracer = rt.tracer();
   charge_cf_exchange(a);
 
   // Per-row beta (sum of strong-C couplings) and gamma (sum of weak
   // couplings), and the scaled FC operator Y = D_beta^-1 A^s_FC as a
   // distributed matrix over the *fine* row partition (C rows empty).
-  std::vector<RealVector> beta(static_cast<std::size_t>(nranks));
-  std::vector<RealVector> gamma(static_cast<std::size_t>(nranks));
-  std::vector<sparse::Coo> y_coos(static_cast<std::size_t>(nranks));
+  std::vector<RealVector> beta(nranks);
+  std::vector<RealVector> gamma(nranks);
   // Strong F-F couplings per row: (global col, value) lists.
-  std::vector<std::vector<std::pair<GlobalIndex, Real>>> ff(
-      static_cast<std::size_t>(nranks));
-  std::vector<std::vector<std::size_t>> ff_ptr(static_cast<std::size_t>(nranks));
+  std::vector<std::vector<std::pair<GlobalIndex, Real>>> ff(nranks);
+  std::vector<std::vector<std::size_t>> ff_ptr(nranks);
+  // Distance-2 reach: the Y rows of external strong-F neighbors.
+  std::vector<std::vector<GlobalIndex>> needed(nranks);
+  std::vector<linalg::RankBlock> y_blocks(nranks);
 
-  for (RankId r{0}; r.value() < nranks; ++r) {
+  rt.parallel_for_ranks([&](RankId r) {
+    const auto ri = static_cast<std::size_t>(r);
     const GlobalIndex row0 = rows.first_row(r);
     const auto nlocal = static_cast<std::size_t>(rows.local_size(r));
-    beta[static_cast<std::size_t>(r)].assign(nlocal, 0.0);
-    gamma[static_cast<std::size_t>(r)].assign(nlocal, 0.0);
-    ff_ptr[static_cast<std::size_t>(r)].assign(nlocal + 1, 0);
-    auto& ffr = ff[static_cast<std::size_t>(r)];
+    auto& br = beta[ri];
+    auto& gr = gamma[ri];
+    auto& ffr = ff[ri];
+    br.assign(nlocal, 0.0);
+    gr.assign(nlocal, 0.0);
+    ff_ptr[ri].assign(nlocal + 1, 0);
     for (LocalIndex i{0}; i < rows.local_size(r); ++i) {
       const bool is_f =
-          c.cf[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)] !=
-          CF::kCoarse;
+          c.cf[ri][static_cast<std::size_t>(i)] != CF::kCoarse;
       if (is_f) {
         for_each_offdiag(a, s, r, i, [&](GlobalIndex g, Real v, bool strong) {
           const bool is_c = c.cf_of(rows, g) == CF::kCoarse;
           if (!strong) {
-            gamma[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)] += v;
+            gr[static_cast<std::size_t>(i)] += v;
           } else if (is_c) {
-            beta[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)] += v;
+            br[static_cast<std::size_t>(i)] += v;
           } else {
             ffr.emplace_back(g, v);
           }
         });
       }
-      ff_ptr[static_cast<std::size_t>(r)][static_cast<std::size_t>(i) + 1] = ffr.size();
+      ff_ptr[ri][static_cast<std::size_t>(i) + 1] = ffr.size();
     }
     // Y rows: strong-C entries scaled by 1/beta.
-    auto& yc = y_coos[static_cast<std::size_t>(r)];
+    sparse::Coo yc;
     for (LocalIndex i{0}; i < rows.local_size(r); ++i) {
       const GlobalIndex gi = row0 + i.value();
-      if (c.cf[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)] ==
-          CF::kCoarse) {
+      if (c.cf[ri][static_cast<std::size_t>(i)] == CF::kCoarse) {
         continue;
       }
-      const Real bi =
-          beta[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)];
+      const Real bi = br[static_cast<std::size_t>(i)];
       if (bi == 0.0) continue;
       for_each_offdiag(a, s, r, i, [&](GlobalIndex g, Real v, bool strong) {
         if (strong && c.cf_of(rows, g) == CF::kCoarse) {
@@ -192,19 +187,12 @@ linalg::ParCsr build_mm_ext(const linalg::ParCsr& a, const Strength& s,
     const auto nnz = static_cast<double>(a.block(r).diag.nnz() +
                                          a.block(r).offd.nnz());
     tracer.kernel(r, 4.0 * nnz, 2.0 * nnz * (sizeof(Real) + sizeof(LocalIndex)));
-  }
-  linalg::ParCsr y = p_from_rank_coos(a.runtime(), rows, c.coarse_rows,
-                                      std::move(y_coos));
-
-  // Distance-2 reach: fetch Y rows of external strong-F neighbors.
-  std::vector<std::vector<GlobalIndex>> needed(static_cast<std::size_t>(nranks));
-  for (RankId r{0}; r.value() < nranks; ++r) {
-    for (const auto& [g, v] : ff[static_cast<std::size_t>(r)]) {
-      if (!rows.owns(r, g)) {
-        needed[static_cast<std::size_t>(r)].push_back(g);
-      }
+    y_blocks[ri] = p_block(yc, rows, c.coarse_rows, r);
+    for (const auto& [g, v] : ffr) {
+      if (!rows.owns(r, g)) needed[ri].push_back(g);
     }
-  }
+  });
+  const linalg::ParCsr y(rt, rows, c.coarse_rows, std::move(y_blocks));
   const auto ext = fetch_external_rows(y, needed);
 
   // Row helper: emit Y(f, :) as (global coarse col, val) pairs.
@@ -212,10 +200,9 @@ linalg::ParCsr build_mm_ext(const linalg::ParCsr& a, const Strength& s,
                         std::vector<std::pair<GlobalIndex, Real>>& out,
                         Real scale) {
     if (rows.owns(r, gf)) {
-      const RankId owner = r;
-      const auto li = rows.to_local(owner, gf);
-      const auto& yb = y.block(owner);
-      const GlobalIndex c0 = c.coarse_rows.first_row(owner);
+      const auto li = rows.to_local(r, gf);
+      const auto& yb = y.block(r);
+      const GlobalIndex c0 = c.coarse_rows.first_row(r);
       for (EntryOffset k = yb.diag.row_begin(li); k < yb.diag.row_end(li); ++k) {
         out.emplace_back(c0 + yb.diag.cols()[k].value(),
                          scale * yb.diag.vals()[k]);
@@ -236,45 +223,47 @@ linalg::ParCsr build_mm_ext(const linalg::ParCsr& a, const Strength& s,
     }
   };
 
-  std::vector<sparse::Coo> coos(static_cast<std::size_t>(nranks));
-  for (RankId r{0}; r.value() < nranks; ++r) {
+  std::vector<linalg::RankBlock> blocks(nranks);
+  rt.parallel_for_ranks([&](RankId r) {
+    const auto ri = static_cast<std::size_t>(r);
     const GlobalIndex row0 = rows.first_row(r);
     const auto& diag_vals = a.block(r).diag.diagonal();
-    auto& coo = coos[static_cast<std::size_t>(r)];
+    sparse::Coo coo;
     std::vector<std::pair<GlobalIndex, Real>> acc;
+    std::vector<std::pair<GlobalIndex, Real>> merged;
     double flops = 0;
     for (LocalIndex i{0}; i < rows.local_size(r); ++i) {
       const GlobalIndex gi = row0 + i.value();
-      if (c.cf[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)] ==
-          CF::kCoarse) {
-        coo.push(gi, c.coarse_id[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)], 1.0);
+      if (c.cf[ri][static_cast<std::size_t>(i)] == CF::kCoarse) {
+        coo.push(gi, c.coarse_id[ri][static_cast<std::size_t>(i)], 1.0);
         continue;
       }
       acc.clear();
       // (A^s_FF + D_beta) row i applied to Y: strong-F neighbors' rows
       // plus the diagonal beta_i * Y(i, :).
-      const auto p0 = ff_ptr[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)];
-      const auto p1 = ff_ptr[static_cast<std::size_t>(r)][static_cast<std::size_t>(i) + 1];
+      const auto p0 = ff_ptr[ri][static_cast<std::size_t>(i)];
+      const auto p1 = ff_ptr[ri][static_cast<std::size_t>(i) + 1];
       for (std::size_t k = p0; k < p1; ++k) {
-        const auto& [gf, v] = ff[static_cast<std::size_t>(r)][k];
+        const auto& [gf, v] = ff[ri][k];
         emit_y_row(r, gf, acc, v);
       }
-      const Real bi = beta[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)];
+      const Real bi = beta[ri][static_cast<std::size_t>(i)];
       if (bi != 0.0) {
         emit_y_row(r, gi, acc, bi);
       }
       if (acc.empty()) continue;
       flops += 2.0 * static_cast<double>(acc.size());
-      // Combine duplicates and scale by -(a_ii + gamma_i)^-1.
+      // Combine duplicates and scale by -(a_ii + gamma_i)^-1. The sort is
+      // not stable: its tie order is the addend order of each sum.
       std::sort(acc.begin(), acc.end(),
                 [](const auto& x, const auto& z) { return x.first < z.first; });
       const Real denom = diag_vals[static_cast<std::size_t>(i)] +
-                         gamma[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)];
+                         gamma[ri][static_cast<std::size_t>(i)];
       if (denom == 0.0) continue;
       const Real scale = -1.0 / denom;
       std::size_t k = 0;
       Real row_sum = 0;
-      std::vector<std::pair<GlobalIndex, Real>> merged;
+      merged.clear();
       while (k < acc.size()) {
         GlobalIndex col = acc[k].first;
         Real v = 0;
@@ -292,8 +281,9 @@ linalg::ParCsr build_mm_ext(const linalg::ParCsr& a, const Strength& s,
       }
     }
     tracer.kernel(r, flops, flops * (sizeof(Real) + sizeof(GlobalIndex)));
-  }
-  return p_from_rank_coos(a.runtime(), rows, c.coarse_rows, std::move(coos));
+    blocks[ri] = p_block(coo, rows, c.coarse_rows, r);
+  });
+  return linalg::ParCsr(rt, rows, c.coarse_rows, std::move(blocks));
 }
 
 }  // namespace
@@ -322,7 +312,7 @@ linalg::ParCsr build_interpolation(const linalg::ParCsr& a, const Strength& s,
 void truncate_interpolation(linalg::ParCsr& p, int pmax) {
   if (pmax <= 0) return;
   auto& tracer = p.runtime().tracer();
-  for (RankId r{0}; r.value() < p.nranks(); ++r) {
+  p.runtime().parallel_for_ranks([&](RankId r) {
     auto& b = p.block_mut(r);
     // Work on the concatenated (diag, offd) row with a shared budget.
     sparse::Csr new_diag(b.diag.nrows(), b.diag.ncols());
@@ -378,7 +368,7 @@ void truncate_interpolation(linalg::ParCsr& p, int pmax) {
     b.offd = std::move(new_offd);
     // Note: col_map may now contain unreferenced columns; they only cost
     // a few halo values and keep the comm package valid.
-  }
+  });
 }
 
 }  // namespace exw::amg

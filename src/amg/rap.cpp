@@ -1,73 +1,150 @@
 #include "amg/rap.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "assembly/global.hpp"
 #include "common/error.hpp"
-#include "sparse/prim.hpp"
 
 namespace exw::amg {
 
 namespace {
 
-/// Sparse row accumulator over global coarse columns.
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+/// Dense-marker row accumulator over a product's global output columns.
+/// Each column's terms are summed in push order; with `zero_init` the
+/// first one is added onto 0.0 (the row products' convention), otherwise
+/// it seeds the sum as reduce_by_key does. finish() emits the row's
+/// columns, ascending or in first-touch order, and leaves, per
+/// first-touch slot, the column's output position.
 class RowAccumulator {
  public:
-  void clear() { entries_.clear(); }
+  RowAccumulator(GlobalIndex ncols, bool zero_init)
+      : marker_(static_cast<std::size_t>(ncols), kNone),
+        zero_init_(zero_init) {}
 
-  void add(GlobalIndex col, Real v) { entries_.emplace_back(col, v); }
-
-  /// Merge duplicates (sort-based; rows are short). The sort is *stable*
-  /// so ties keep push order: the addend order of each merged sum is then
-  /// a pure function of the push sequence, which is what lets RapRecord
-  /// freeze it and replay it bitwise.
-  const std::vector<std::pair<GlobalIndex, Real>>& merged() {
-    std::stable_sort(entries_.begin(), entries_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::size_t out = 0;
-    for (std::size_t k = 0; k < entries_.size();) {
-      GlobalIndex col = entries_[k].first;
-      Real v = 0;
-      while (k < entries_.size() && entries_[k].first == col) {
-        v += entries_[k].second;
-        ++k;
-      }
-      entries_[out++] = {col, v};
+  /// Add v to column `col`; returns the column's slot in this row.
+  std::size_t add(GlobalIndex col, Real v) {
+    std::size_t& slot = marker_[static_cast<std::size_t>(col)];
+    if (slot == kNone) {
+      slot = vals_.size();
+      cols_.push_back(col);
+      vals_.push_back(zero_init_ ? 0.0 + v : v);
+    } else {
+      vals_[slot] += v;
     }
-    entries_.resize(out);
-    return entries_;
+    return slot;
+  }
+
+  /// emit(col, value) per column; then reset for the next row.
+  template <typename Emit>
+  void finish(bool ascending, Emit&& emit) {
+    order_.resize(vals_.size());
+    if (ascending) std::sort(cols_.begin(), cols_.end());
+    for (std::size_t pos = 0; pos < cols_.size(); ++pos) {
+      std::size_t& slot = marker_[static_cast<std::size_t>(cols_[pos])];
+      emit(cols_[pos], vals_[slot]);
+      order_[slot] = pos;
+      slot = kNone;
+    }
+    cols_.clear();
+    vals_.clear();
+  }
+
+  /// Output position of each slot of the last finished row.
+  std::span<const std::size_t> order() const { return order_; }
+
+ private:
+  std::vector<std::size_t> marker_;  ///< column -> slot, or kNone
+  std::vector<GlobalIndex> cols_;    ///< the row's columns
+  RealVector vals_;
+  std::vector<std::size_t> order_;
+  bool zero_init_;
+};
+
+/// The (left, right) term slots of one accumulated row, in push order,
+/// appended to a ProductPlan grouped by output entry: each entry's term
+/// list is then its accumulator's addend order.
+class RowTerms {
+ public:
+  void push(std::size_t slot, std::size_t l, std::size_t r) {
+    slot_.push_back(slot);
+    l_.push_back(l);
+    r_.push_back(r);
+  }
+
+  /// Append one plan entry per output position; `order` maps each slot
+  /// to its output position (RowAccumulator::order()).
+  void group_into(std::span<const std::size_t> order,
+                  sparse::ProductPlan& plan) {
+    start_.assign(order.size() + 1, 0);
+    for (const std::size_t s : slot_) ++start_[order[s] + 1];
+    for (std::size_t e = 0; e < order.size(); ++e) start_[e + 1] += start_[e];
+    ls_.resize(slot_.size());
+    rs_.resize(slot_.size());
+    next_.assign(start_.begin(), start_.end() - 1);
+    for (std::size_t t = 0; t < slot_.size(); ++t) {
+      const std::size_t at = next_[order[slot_[t]]]++;
+      ls_[at] = l_[t];
+      rs_[at] = r_[t];
+    }
+    const std::span<const std::size_t> ls(ls_), rs(rs_);
+    for (std::size_t e = 0; e < order.size(); ++e) {
+      plan.append(ls.subspan(start_[e], start_[e + 1] - start_[e]),
+                  rs.subspan(start_[e], start_[e + 1] - start_[e]));
+    }
+    slot_.clear();
+    l_.clear();
+    r_.clear();
   }
 
  private:
-  std::vector<std::pair<GlobalIndex, Real>> entries_;
+  std::vector<std::size_t> slot_, l_, r_;
+  std::vector<std::size_t> start_, next_, ls_, rs_;
 };
 
-/// Freeze the reduction Coo::normalize() is about to perform on `coo`:
-/// group the per-triple (left, right) term slots by the stable (row, col)
-/// sort permutation — exactly the permutation normalize() applies — so
-/// each output entry's term list is reduce_by_key's addend order.
-sparse::ProductPlan freeze_coo_reduction(
-    const sparse::Coo& coo,
-    const std::vector<std::pair<std::size_t, std::size_t>>& terms) {
-  EXW_REQUIRE(coo.nnz() == terms.size(),
-              "RAP record: one term per COO triple required");
-  sparse::ProductPlan plan;
-  const auto perm = sparse::prim::sort_permutation2(coo.rows, coo.cols);
-  std::vector<std::size_t> ls, rs;
-  for (std::size_t s = 0; s < perm.size();) {
-    const GlobalIndex row = coo.rows[perm[s]];
-    const GlobalIndex col = coo.cols[perm[s]];
-    ls.clear();
-    rs.clear();
-    while (s < perm.size() && coo.rows[perm[s]] == row &&
-           coo.cols[perm[s]] == col) {
-      ls.push_back(terms[perm[s]].first);
-      rs.push_back(terms[perm[s]].second);
-      ++s;
+/// Column-major view of a CSR block: the entries of column c, by
+/// ascending row, are entry[ptr[c] .. ptr[c + 1]) of rows `row`.
+struct Columns {
+  std::vector<std::size_t> ptr;
+  std::vector<LocalIndex> row;
+  std::vector<EntryOffset> entry;
+
+  explicit Columns(const sparse::Csr& m)
+      : ptr(static_cast<std::size_t>(m.ncols()) + 1, 0),
+        row(m.nnz()),
+        entry(m.nnz()) {
+    for (const LocalIndex c : m.cols().raw()) {
+      ++ptr[static_cast<std::size_t>(c) + 1];
     }
-    plan.append(ls, rs);
+    for (std::size_t c = 0; c + 1 < ptr.size(); ++c) ptr[c + 1] += ptr[c];
+    std::vector<std::size_t> next(ptr.begin(), ptr.end() - 1);
+    for (LocalIndex i{0}; i < m.nrows(); ++i) {
+      for (EntryOffset k = m.row_begin(i); k < m.row_end(i); ++k) {
+        const std::size_t at = next[static_cast<std::size_t>(m.cols()[k])]++;
+        row[at] = i;
+        entry[at] = k;
+      }
+    }
   }
-  return plan;
+};
+
+/// A rank's rows of a product, CSR over global columns.
+struct LocalRows {
+  std::vector<std::size_t> ptr{0};
+  std::vector<GlobalIndex> col;
+  RealVector val;
+};
+
+/// Index in `ext` of every column of `col_map` (npos when not fetched).
+std::vector<std::size_t> ext_rows_of(const std::vector<GlobalIndex>& col_map,
+                                     const linalg::ExtRows& ext) {
+  std::vector<std::size_t> out(col_map.size());
+  for (std::size_t q = 0; q < col_map.size(); ++q) {
+    out[q] = ext.find(col_map[q]);
+  }
+  return out;
 }
 
 }  // namespace
@@ -77,180 +154,177 @@ linalg::ParCsr galerkin_rap(const linalg::ParCsr& a, const linalg::ParCsr& p,
   EXW_REQUIRE(a.global_cols() == p.global_rows(), "RAP shape mismatch");
   par::Runtime& rt = a.runtime();
   auto& tracer = rt.tracer();
-  const int nranks = a.nranks();
+  const auto nranks = static_cast<std::size_t>(a.nranks());
   const auto& fine = a.rows();
   const auto& coarse = p.cols();
 
   if (record) {
     // assign() resets any previous recording — the aggressive-coarsening
     // path runs galerkin_rap twice per level and keeps only the last.
-    record->ranks.assign(static_cast<std::size_t>(nranks), {});
-    record->owned.assign(static_cast<std::size_t>(nranks), {});
-    record->shared.assign(static_cast<std::size_t>(nranks), {});
+    record->ranks.assign(nranks, {});
+    record->owned.assign(nranks, {});
+    record->shared.assign(nranks, {});
   }
-  // Per-triple (p_flat slot, AP entry) term pairs in COO push order,
-  // grouped into ProductPlans after the triples are normalized below.
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> owned_terms(
-      static_cast<std::size_t>(nranks));
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> shared_terms(
-      static_cast<std::size_t>(nranks));
 
   // Fetch external P rows for A's offd columns.
-  std::vector<std::vector<GlobalIndex>> needed(static_cast<std::size_t>(nranks));
-  for (RankId r{0}; r.value() < nranks; ++r) {
+  std::vector<std::vector<GlobalIndex>> needed(nranks);
+  for (RankId r{0}; r.value() < a.nranks(); ++r) {
     needed[static_cast<std::size_t>(r)] = a.block(r).col_map;
   }
   const auto ext = fetch_external_rows(p, needed);
 
-  // The sort-expand variant pays an extra sort of all partial products
-  // (cuSPARSE-style); the hash variant streams them once. Model the
-  // difference via the charge below.
+  // The charge prices the SpGEMM flavor: the sort-expand variant pays an
+  // extra sort of all partial products (cuSPARSE-style), the hash variant
+  // streams them once. Both accumulate row by row here.
   const double sort_penalty =
       algo == sparse::SpGemmAlgo::kSort ? 8.0 : 2.0;
 
-  std::vector<sparse::Coo> owned(static_cast<std::size_t>(nranks));
-  std::vector<sparse::Coo> shared(static_cast<std::size_t>(nranks));
+  std::vector<sparse::Coo> owned(nranks);
+  std::vector<sparse::Coo> shared(nranks);
   rt.parallel_for_ranks([&](RankId r) {
+    const auto ri = static_cast<std::size_t>(r);
     const auto& ab = a.block(r);
     const auto& pb = p.block(r);
-    const auto& er = ext[static_cast<std::size_t>(r)];
-    const GlobalIndex pc0 = coarse.first_row(r);
-    RowAccumulator ap_row;
-    double products = 0;
-
-    RapRecord::Rank* rec =
-        record ? &record->ranks[static_cast<std::size_t>(r)] : nullptr;
+    const auto& er = ext[ri];
     const std::size_t p_diag_nnz = pb.diag.nnz();
     const std::size_t p_offd_nnz = pb.offd.nnz();
     const std::size_t a_diag_nnz = ab.diag.nnz();
+    const GlobalIndex pc0 = coarse.first_row(r);
+    const auto a_ext = ext_rows_of(ab.col_map, er);
+    double products = 0;
+
+    RapRecord::Rank* rec = record ? &record->ranks[ri] : nullptr;
     if (rec) {
       rec->a_diag_nnz = a_diag_nnz;
       rec->a_offd_nnz = ab.offd.nnz();
-      rec->ap.zero_init = true;  // RowAccumulator folds into an explicit 0
+      rec->ap.zero_init = true;  // AP rows add onto an explicit 0.0
       auto& pf = rec->p_flat;
       pf.reserve(p_diag_nnz + p_offd_nnz + er.vals.size());
       pf.insert(pf.end(), pb.diag.vals().begin(), pb.diag.vals().end());
       pf.insert(pf.end(), pb.offd.vals().begin(), pb.offd.vals().end());
       pf.insert(pf.end(), er.vals.begin(), er.vals.end());
+      // The term lists are sized exactly up front: they are the record's
+      // bulk, and growing them by doubling would hold up to twice that.
+      std::size_t n = 0;
+      for (const LocalIndex kc : ab.diag.cols().raw()) {
+        n += static_cast<std::size_t>(pb.diag.row_nnz(kc).value() +
+                                      pb.offd.row_nnz(kc).value());
+      }
+      for (const LocalIndex q : ab.offd.cols().raw()) {
+        const std::size_t ei = a_ext[static_cast<std::size_t>(q)];
+        if (ei != kNone) n += er.row_ptr[ei + 1] - er.row_ptr[ei];
+      }
+      rec->ap.lslot.reserve(n);
+      rec->ap.rslot.reserve(n);
     }
-    // Row-local recording scratch: one (a_flat, p_flat) slot pair per
-    // partial product, in push order, keyed by the AP column.
-    std::vector<GlobalIndex> term_cols;
-    std::vector<std::pair<std::size_t, std::size_t>> terms;
-    std::vector<std::size_t> ls, rs;
+    RowTerms terms;
 
-    // Emit P(local row li) as (global coarse col, val, p_flat slot).
-    auto for_p_row = [&](LocalIndex li, auto&& fn) {
-      for (EntryOffset k = pb.diag.row_begin(li); k < pb.diag.row_end(li); ++k) {
-        fn(pc0 + pb.diag.cols()[k].value(),
-           pb.diag.vals()[k], static_cast<std::size_t>(k.value()));
-      }
-      for (EntryOffset k = pb.offd.row_begin(li); k < pb.offd.row_end(li); ++k) {
-        fn(pb.col_map[static_cast<std::size_t>(
-               pb.offd.cols()[k])],
-           pb.offd.vals()[k], p_diag_nnz + static_cast<std::size_t>(k.value()));
-      }
-    };
-
+    // AP(i, :) = sum_k A(i, k) P(k, :), pushed in A's row order, each P
+    // row diag then offd; the terms are (a_flat slot, p_flat slot) pairs.
+    // AP's rows keep their first-touch column order: only P^T AP's rows
+    // need ascending columns, and its addend order does not depend on it.
+    LocalRows ap;
+    RowAccumulator ap_acc(coarse.global_size(), /*zero_init=*/true);
     for (LocalIndex i{0}; i < fine.local_size(r); ++i) {
-      // AP(i, :) = sum_k A(i, k) P(k, :).
-      ap_row.clear();
-      term_cols.clear();
-      terms.clear();
       for (EntryOffset k = ab.diag.row_begin(i); k < ab.diag.row_end(i); ++k) {
         const LocalIndex kc = ab.diag.cols()[k];
         const Real av = ab.diag.vals()[k];
         const auto a_slot = static_cast<std::size_t>(k.value());
-        for_p_row(kc, [&](GlobalIndex col, Real pv, std::size_t p_slot) {
-          ap_row.add(col, av * pv);
+        for (EntryOffset q = pb.diag.row_begin(kc); q < pb.diag.row_end(kc);
+             ++q) {
+          const std::size_t slot = ap_acc.add(
+              pc0 + pb.diag.cols()[q].value(), av * pb.diag.vals()[q]);
+          if (rec) terms.push(slot, a_slot, static_cast<std::size_t>(q.value()));
+        }
+        for (EntryOffset q = pb.offd.row_begin(kc); q < pb.offd.row_end(kc);
+             ++q) {
+          const std::size_t slot = ap_acc.add(
+              pb.col_map[static_cast<std::size_t>(pb.offd.cols()[q])],
+              av * pb.offd.vals()[q]);
           if (rec) {
-            term_cols.push_back(col);
-            terms.emplace_back(a_slot, p_slot);
+            terms.push(slot, a_slot,
+                       p_diag_nnz + static_cast<std::size_t>(q.value()));
           }
-          products += 1;
-        });
+        }
+        products += static_cast<double>(pb.diag.row_nnz(kc).value() +
+                                        pb.offd.row_nnz(kc).value());
       }
       for (EntryOffset k = ab.offd.row_begin(i); k < ab.offd.row_end(i); ++k) {
-        const GlobalIndex gk =
-            ab.col_map[static_cast<std::size_t>(
-                ab.offd.cols()[k])];
+        const std::size_t ei = a_ext[static_cast<std::size_t>(ab.offd.cols()[k])];
+        if (ei == kNone) continue;
         const Real av = ab.offd.vals()[k];
-        const std::size_t ei = er.find(gk);
-        if (ei == static_cast<std::size_t>(-1)) continue;
         const std::size_t a_slot =
             a_diag_nnz + static_cast<std::size_t>(k.value());
         for (std::size_t q = er.row_ptr[ei]; q < er.row_ptr[ei + 1]; ++q) {
-          ap_row.add(er.cols[q], av * er.vals[q]);
-          if (rec) {
-            term_cols.push_back(er.cols[q]);
-            terms.emplace_back(a_slot, p_diag_nnz + p_offd_nnz + q);
-          }
-          products += 1;
+          const std::size_t slot = ap_acc.add(er.cols[q], av * er.vals[q]);
+          if (rec) terms.push(slot, a_slot, p_diag_nnz + p_offd_nnz + q);
         }
+        products += static_cast<double>(er.row_ptr[ei + 1] - er.row_ptr[ei]);
       }
-      const auto& ap = ap_row.merged();
-      if (ap.empty()) continue;
-      std::size_t ap_base = 0;
-      if (rec) {
-        // Group this row's terms by AP column with the same stable sort
-        // merged() used: group t's term order is the accumulator's addend
-        // order for entry ap[t].
-        ap_base = rec->ap.outputs();
-        const auto perm =
-            sparse::prim::sort_permutation(term_cols, std::less<GlobalIndex>{});
-        for (std::size_t s = 0; s < perm.size();) {
-          const GlobalIndex col = term_cols[perm[s]];
-          ls.clear();
-          rs.clear();
-          while (s < perm.size() && term_cols[perm[s]] == col) {
-            ls.push_back(terms[perm[s]].first);
-            rs.push_back(terms[perm[s]].second);
-            ++s;
-          }
-          rec->ap.append(ls, rs);
-        }
-        EXW_ASSERT(rec->ap.outputs() - ap_base == ap.size());
-      }
-      // Outer product: triples (P(i, jc), AP(i, kc)).
-      for_p_row(i, [&](GlobalIndex jc, Real pv, std::size_t p_slot) {
-        const bool own = coarse.rank_of(jc) == r;
-        auto& dest = own ? owned[static_cast<std::size_t>(r)]
-                         : shared[static_cast<std::size_t>(r)];
-        auto* term_dest =
-            rec ? (own ? &owned_terms[static_cast<std::size_t>(r)]
-                       : &shared_terms[static_cast<std::size_t>(r)])
-                : nullptr;
-        for (std::size_t m = 0; m < ap.size(); ++m) {
-          dest.push(jc, ap[m].first, pv * ap[m].second);
-          if (term_dest) term_dest->emplace_back(p_slot, ap_base + m);
-          products += 1;
-        }
+      ap_acc.finish(/*ascending=*/false, [&](GlobalIndex col, Real v) {
+        ap.col.push_back(col);
+        ap.val.push_back(v);
       });
+      ap.ptr.push_back(ap.col.size());
+      if (rec) terms.group_into(ap_acc.order(), rec->ap);
     }
+
+    // (P^T AP)(c, :) = sum_i P(i, c) AP(i, :) over the fine rows i of
+    // column c of P, ascending, the first term seeding each sum: the
+    // addend order reduce_by_key gives the stably (row, col)-sorted
+    // outer-product triples (P(i, c), AP(i, :)), so each entry is the
+    // sort-expand product's bit for bit. P's diag columns are the coarse
+    // rows this rank owns, its offd columns the rows it shares with their
+    // owners; both come out sorted and duplicate-free. The terms are
+    // (p_flat slot, AP entry) pairs.
+    RowAccumulator acc(coarse.global_size(), /*zero_init=*/false);
+    const auto coarse_rows = [&](const sparse::Csr& pm, std::size_t p_slot0,
+                                 auto&& row_of, sparse::Coo& out,
+                                 sparse::ProductPlan* plan) {
+      const Columns cols(pm);
+      if (plan) {
+        std::size_t n = 0;
+        for (const LocalIndex i : cols.row) {
+          n += ap.ptr[static_cast<std::size_t>(i) + 1] -
+               ap.ptr[static_cast<std::size_t>(i)];
+        }
+        plan->lslot.reserve(n);
+        plan->rslot.reserve(n);
+      }
+      for (std::size_t c = 0; c + 1 < cols.ptr.size(); ++c) {
+        for (std::size_t t = cols.ptr[c]; t < cols.ptr[c + 1]; ++t) {
+          const auto i = static_cast<std::size_t>(cols.row[t]);
+          const EntryOffset k = cols.entry[t];
+          const Real pv = pm.vals()[k];
+          for (std::size_t m = ap.ptr[i]; m < ap.ptr[i + 1]; ++m) {
+            const std::size_t slot = acc.add(ap.col[m], pv * ap.val[m]);
+            if (plan) {
+              terms.push(slot, p_slot0 + static_cast<std::size_t>(k.value()),
+                         m);
+            }
+          }
+          products += static_cast<double>(ap.ptr[i + 1] - ap.ptr[i]);
+        }
+        const GlobalIndex row = row_of(c);
+        acc.finish(/*ascending=*/true,
+                   [&](GlobalIndex col, Real v) { out.push(row, col, v); });
+        if (plan) terms.group_into(acc.order(), *plan);
+      }
+    };
+    coarse_rows(pb.diag, 0, [&](std::size_t c) { return pc0 + c; }, owned[ri],
+                rec ? &rec->owned : nullptr);
+    coarse_rows(pb.offd, p_diag_nnz,
+                [&](std::size_t c) { return pb.col_map[c]; }, shared[ri],
+                rec ? &rec->shared : nullptr);
     tracer.kernel(r, 2.0 * products,
                   sort_penalty * products * (sizeof(Real) + sizeof(GlobalIndex)));
+    if (record) {
+      record->owned[ri] = owned[ri];
+      record->shared[ri] = shared[ri];
+    }
   });
 
   // Reuse the paper's Algorithm 1 for the coarse operator.
-  rt.parallel_for_ranks([&](RankId r) {
-    auto& ow = owned[static_cast<std::size_t>(r)];
-    auto& sh = shared[static_cast<std::size_t>(r)];
-    if (record) {
-      auto& rec = record->ranks[static_cast<std::size_t>(r)];
-      rec.owned = freeze_coo_reduction(ow, owned_terms[static_cast<std::size_t>(r)]);
-      rec.shared = freeze_coo_reduction(sh, shared_terms[static_cast<std::size_t>(r)]);
-    }
-    ow.normalize();
-    sh.normalize();
-    if (record) {
-      auto& rec = record->ranks[static_cast<std::size_t>(r)];
-      EXW_REQUIRE(rec.owned.outputs() == ow.nnz() &&
-                      rec.shared.outputs() == sh.nnz(),
-                  "RAP record does not match the normalized triples");
-      record->owned[static_cast<std::size_t>(r)] = ow;
-      record->shared[static_cast<std::size_t>(r)] = sh;
-    }
-  });
   return assembly::assemble_matrix(rt, coarse, coarse, owned, shared);
 }
 
@@ -277,43 +351,38 @@ linalg::ParCsr par_matmat(const linalg::ParCsr& a, const linalg::ParCsr& b,
     const auto& er = ext[static_cast<std::size_t>(r)];
     const GlobalIndex row0 = a.rows().first_row(r);
     const GlobalIndex bc0 = out_cols.first_row(r);
-    RowAccumulator acc;
+    const auto a_ext = ext_rows_of(ab.col_map, er);
+    RowAccumulator acc(out_cols.global_size(), /*zero_init=*/true);
     sparse::Coo coo;
     double products = 0;
     for (LocalIndex i{0}; i < a.rows().local_size(r); ++i) {
-      acc.clear();
       for (EntryOffset k = ab.diag.row_begin(i); k < ab.diag.row_end(i); ++k) {
         const LocalIndex kc = ab.diag.cols()[k];
         const Real av = ab.diag.vals()[k];
         // kc is owned by r in b's row partition when partitions align;
         // they do by construction (a.cols() == b.rows()).
         for (EntryOffset q = bb.diag.row_begin(kc); q < bb.diag.row_end(kc); ++q) {
-          acc.add(bc0 + bb.diag.cols()[q].value(),
-                  av * bb.diag.vals()[q]);
-          products += 1;
+          acc.add(bc0 + bb.diag.cols()[q].value(), av * bb.diag.vals()[q]);
         }
         for (EntryOffset q = bb.offd.row_begin(kc); q < bb.offd.row_end(kc); ++q) {
-          acc.add(bb.col_map[static_cast<std::size_t>(
-                      bb.offd.cols()[q])],
+          acc.add(bb.col_map[static_cast<std::size_t>(bb.offd.cols()[q])],
                   av * bb.offd.vals()[q]);
-          products += 1;
         }
+        products += static_cast<double>(bb.diag.row_nnz(kc).value() +
+                                        bb.offd.row_nnz(kc).value());
       }
       for (EntryOffset k = ab.offd.row_begin(i); k < ab.offd.row_end(i); ++k) {
-        const GlobalIndex gk =
-            ab.col_map[static_cast<std::size_t>(
-                ab.offd.cols()[k])];
+        const std::size_t ei = a_ext[static_cast<std::size_t>(ab.offd.cols()[k])];
+        if (ei == kNone) continue;
         const Real av = ab.offd.vals()[k];
-        const std::size_t ei = er.find(gk);
-        if (ei == static_cast<std::size_t>(-1)) continue;
         for (std::size_t q = er.row_ptr[ei]; q < er.row_ptr[ei + 1]; ++q) {
           acc.add(er.cols[q], av * er.vals[q]);
-          products += 1;
         }
+        products += static_cast<double>(er.row_ptr[ei + 1] - er.row_ptr[ei]);
       }
-      for (const auto& [col, v] : acc.merged()) {
+      acc.finish(/*ascending=*/true, [&](GlobalIndex col, Real v) {
         coo.push(row0 + i.value(), col, v);
-      }
+      });
     }
     tracer.kernel(r, 2.0 * products,
                   sort_penalty * products * (sizeof(Real) + sizeof(GlobalIndex)));

@@ -7,13 +7,13 @@
 namespace exw::amg {
 
 Strength compute_strength(const linalg::ParCsr& a, Real theta) {
-  const int nranks = a.nranks();
+  const auto nranks = static_cast<std::size_t>(a.nranks());
   Strength s;
-  s.diag.resize(static_cast<std::size_t>(nranks));
-  s.offd.resize(static_cast<std::size_t>(nranks));
+  s.diag.resize(nranks);
+  s.offd.resize(nranks);
   auto& tracer = a.runtime().tracer();
 
-  for (RankId r{0}; r.value() < nranks; ++r) {
+  a.runtime().parallel_for_ranks([&](RankId r) {
     const auto& b = a.block(r);
     auto& sd = s.diag[static_cast<std::size_t>(r)];
     auto& so = s.offd[static_cast<std::size_t>(r)];
@@ -45,7 +45,7 @@ Strength compute_strength(const linalg::ParCsr& a, Real theta) {
     }
     const auto nnz = static_cast<double>(b.diag.nnz() + b.offd.nnz());
     tracer.kernel(r, 2.0 * nnz, nnz * (sizeof(Real) + sizeof(LocalIndex) + 1.0));
-  }
+  });
   return s;
 }
 

@@ -252,16 +252,23 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
         s.final_residual = r.norm2();
       }
     } else {
+      // The same through the 1-lane scratch: the body that adds lane c's
+      // correction also copies out lane c of b and packs its rows of xs
+      // for the confirmation residual.
       w.extract_lane(c, ws);
       m.apply(ws, zs);
+      if (confirm) a.halo_begin(xs);
       rt.parallel_for_ranks([&](RankId rk) {
         x.extract_lane(rk, c, xs);
         xs.axpy(rk, 1.0, zs);
         x.set_lane(rk, c, xs);
+        if (confirm) {
+          b.extract_lane(rk, c, bs);
+          a.halo_pack(rk, xs);
+        }
       });
       if (confirm) {
-        b.extract_lane(c, bs);
-        a.residual(bs, xs, rs);
+        rt.parallel_for_ranks([&](RankId rk) { a.residual(rk, bs, xs, rs); });
         s.final_residual = rs.norm2();
       }
     }

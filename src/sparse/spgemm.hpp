@@ -11,6 +11,11 @@
 ///     per-row open-addressing hash table (hypre's approach),
 ///   * spgemm_sort: expand all partial products into COO triples, then
 ///     stable_sort_by_key + reduce_by_key (cuSPARSE-style baseline).
+/// These serial kernels run both. The distributed AMG products
+/// (amg::galerkin_rap, amg::par_matmat) accumulate row by row with a
+/// dense marker whatever the flavor: there SpGemmAlgo::kSort only prices
+/// the sort-expand variant's extra traffic in the modeled charge, for the
+/// SpGEMM ablation.
 
 #include <cstdint>
 #include <span>
@@ -57,11 +62,11 @@ struct ProductPlan {
   std::vector<std::size_t> seg_ptr;  ///< output entry -> term range
   std::vector<std::size_t> lslot;    ///< term -> index into `left`
   std::vector<std::size_t> rslot;    ///< term -> index into `right`
-  /// Cold accumulators differ in their first addend: reduce_by_key seeds
-  /// the sum with the first value (zero_init = false) while the RAP row
-  /// accumulator folds into an explicit 0.0 (zero_init = true). The seed
-  /// changes the bit pattern when the first product is -0.0, so replays
-  /// must reproduce it.
+  /// Cold accumulators differ in their first addend: RAP's coarse rows
+  /// seed each sum with the first value, as reduce_by_key does
+  /// (zero_init = false), while its AP rows fold into an explicit 0.0
+  /// (zero_init = true). The seed changes the bit pattern when the first
+  /// product is -0.0, so replays must reproduce it.
   bool zero_init = false;
 
   std::size_t outputs() const { return seg_ptr.empty() ? 0 : seg_ptr.size() - 1; }

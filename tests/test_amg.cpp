@@ -5,14 +5,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
+#include <memory>
 
 #include "amg/coarsen.hpp"
 #include "amg/hierarchy.hpp"
 #include "amg/interp.hpp"
 #include "amg/rap.hpp"
 #include "amg/soc.hpp"
+#include "assembly/global.hpp"
+#include "assembly/graph.hpp"
+#include "assembly/layout.hpp"
+#include "mesh/generators.hpp"
 #include "par/thread_pool.hpp"
+#include "perf/tracer.hpp"
 #include "test_util.hpp"
 
 namespace exw::amg {
@@ -470,6 +478,224 @@ TEST(Hierarchy, ZeroGuessVcycleSkipsOneHaloExchangePerLevel) {
                   0)
             << "rank " << r;
       }
+    }
+  }
+  par::set_serial_mode(saved);
+}
+
+// ------------------------------------------------------ pinned cold setup --
+
+
+
+namespace setup_pin {
+
+/// FNV-1a over 64-bit words: any flipped bit of any word moves it.
+struct Digest {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+};
+
+/// Row partition, col_map, CSR structure and value bits of `m`.
+void add_matrix(Digest& d, const linalg::ParCsr& m) {
+  d.add(m.rows().global_size().value());
+  d.add(m.cols().global_size().value());
+  for (RankId r{0}; r.value() < m.nranks(); ++r) {
+    d.add(m.rows().first_row(r).value());
+    d.add(m.cols().first_row(r).value());
+    const auto& b = m.block(r);
+    d.add(static_cast<std::uint64_t>(b.col_map.size()));
+    for (const GlobalIndex g : b.col_map) d.add(g.value());
+    for (const sparse::Csr* c : {&b.diag, &b.offd}) {
+      d.add(static_cast<std::int64_t>(c->ncols().value()));
+      for (const EntryOffset e : c->row_ptr().raw()) d.add(e.value());
+      for (const LocalIndex j : c->cols().raw()) {
+        d.add(static_cast<std::int64_t>(j.value()));
+      }
+      for (const Real v : c->vals().raw()) d.add(v);
+    }
+  }
+}
+
+/// Every level's A and P.
+void add_hierarchy(Digest& d, const AmgHierarchy& h) {
+  d.add(static_cast<std::int64_t>(h.num_levels()));
+  for (int l = 0; l < h.num_levels(); ++l) {
+    add_matrix(d, h.level(l).a);
+    if (h.level(l).has_p) add_matrix(d, h.level(l).p);
+  }
+}
+
+/// The phase's per-rank work and its message and collective counts.
+void add_ledger(Digest& d, const perf::PhaseStats& ph) {
+  for (const auto& w : ph.rank) {
+    d.add(w.flops);
+    d.add(w.bytes);
+    d.add(w.index_bytes);
+    d.add(w.value_bytes_f32);
+    d.add(static_cast<std::int64_t>(w.kernels));
+    d.add(w.msg_bytes);
+    d.add(static_cast<std::int64_t>(w.msgs));
+    d.add(w.max_kernel_flops);
+  }
+  d.add(static_cast<std::int64_t>(ph.messages));
+  d.add(static_cast<std::int64_t>(ph.collectives));
+  d.add(ph.coll_bytes);
+}
+
+/// The pressure-Poisson matrix of the single-turbine case's background
+/// mesh (Dirichlet identity rows at outflow, fringe and hole nodes).
+sparse::Csr pressure_matrix(Real refine) {
+  auto sys = mesh::make_turbine_case(mesh::TurbineCase::kSingle, refine);
+  const auto& db = sys.meshes[0];
+  par::Runtime rt(1);
+  const auto layout =
+      assembly::make_layout(db, 1, assembly::PartitionMethod::kGraph);
+  std::vector<std::uint8_t> dirichlet(static_cast<std::size_t>(db.num_nodes()),
+                                      0);
+  for (std::size_t i = 0; i < dirichlet.size(); ++i) {
+    const auto role = db.roles[i];
+    dirichlet[i] = role == mesh::NodeRole::kOutflow ||
+                   role == mesh::NodeRole::kFringe ||
+                   role == mesh::NodeRole::kHole;
+  }
+  assembly::EquationGraph graph(db, layout, dirichlet);
+  for (std::size_t e = 0; e < db.edges.size(); ++e) {
+    const Real g = db.edges[e].coeff;
+    graph.add_edge(e, {g, -g, -g, g}, {0, 0});
+  }
+  for (GlobalIndex node{0}; node < db.num_nodes(); ++node) {
+    graph.add_node(node, dirichlet[static_cast<std::size_t>(node)] ? 1.0 : 0.0,
+                   1.0);
+  }
+  const auto& rows = layout.numbering.rows;
+  const std::vector<sparse::Coo> owned{graph.rank(RankId{0}).owned};
+  const std::vector<sparse::Coo> shared{graph.rank(RankId{0}).shared};
+  return assembly::assemble_matrix(rt, rows, rows, owned, shared).to_serial();
+}
+
+}  // namespace setup_pin
+
+TEST(Hierarchy, Fp64LevelZeroHoldsNoWorkVectors) {
+  // Level 0 runs on the caller's vectors, so an FP64 hierarchy holds no
+  // level-0 x or b; an FP32 one keeps them as its precision boundary.
+  // V-cycles from zero and from a guess leave the bits recorded while
+  // every hierarchy still allocated them (digests of x).
+  const std::uint64_t want[2][2] = {
+      {2343548701435786993ull, 7087861998912339ull},               // fp64
+      {17320150235185710692ull, 12505887102223248369ull}};  // fp32
+  for (const Precision prec : {Precision::kF64, Precision::kF32}) {
+    SCOPED_TRACE(prec == Precision::kF32 ? "fp32" : "fp64");
+    par::Runtime rt(4);
+    const auto a = distribute(rt, laplace3d(10, 0.05));
+    AmgConfig cfg;
+    cfg.agg_levels = 0;
+    cfg.precision = prec;
+    AmgHierarchy h(a, cfg);
+    ASSERT_GE(h.num_levels(), 3);
+    const bool boundary = prec == Precision::kF32;
+    EXPECT_EQ(h.level(0).x != nullptr, boundary);
+    EXPECT_EQ(h.level(0).b != nullptr, boundary);
+    EXPECT_NE(h.level(0).r, nullptr);
+    for (int l = 1; l < h.num_levels(); ++l) {
+      EXPECT_NE(h.level(l).x, nullptr) << "level " << l;
+      EXPECT_NE(h.level(l).b, nullptr) << "level " << l;
+    }
+    const auto digest = [](const linalg::ParVector& v) {
+      setup_pin::Digest d;
+      for (const Real x : v.gather()) d.add(x);
+      return d.h;
+    };
+    linalg::ParVector b(rt, a.rows()), x(rt, a.rows());
+    b.scatter(random_vector(1000, 25));
+    h.vcycle_zero(b, x);
+    // From a guess: the hierarchy's own precision on both sides.
+    linalg::ParVector bg(rt, a.rows(), 1, prec), xg(rt, a.rows(), 1, prec);
+    bg.copy_from(b);
+    linalg::ParVector guess(rt, a.rows());
+    guess.scatter(random_vector(1000, 26));
+    xg.copy_from(guess);
+    h.vcycle(bg, xg);
+    const auto i = static_cast<std::size_t>(boundary);
+    EXPECT_EQ(digest(x), want[i][0]) << "from zero: " << digest(x);
+    EXPECT_EQ(digest(xg), want[i][1]) << "from a guess: " << digest(xg);
+  }
+}
+
+TEST(Hierarchy, ColdSetupIsPinned) {
+  // Every level's row partition, col_map, CSR structure and value bits
+  // of A and P, and the setup phase's per-rank ledger, over the four
+  // interpolations, both coarsening depths, agglomeration off and on,
+  // FP64 and FP32 and replay freezing off and on: one digest per input
+  // and rank count, the same on the inline executor and on the pool.
+  // Recorded before AMG setup ran on the rank pool; a changed addend
+  // order, a flipped -0.0 or a moved charge changes a digest.
+  struct Pin {
+    int input;  // 0: laplace3d(8, 0.05), 1: single-turbine pressure
+    int nranks;
+    std::uint64_t setup, ledger;
+  };
+  const Pin pins[] = {
+      {0, 1, 11858275062089086349ull, 7225744816623566266ull},
+      {0, 4, 14080387771464547973ull, 40889027234187980ull},
+      {0, 24, 16066324259981741640ull, 18126848193206893806ull},
+      {0, 96, 662479410549617248ull, 5528790453109217916ull},
+      {1, 1, 5547906799780256973ull, 8467560029405175500ull},
+      {1, 4, 18185964326083067897ull, 16302619104364998934ull},
+      {1, 24, 11792922231346569859ull, 12607232729155277112ull},
+      {1, 96, 13986610658040797734ull, 5334667144304151684ull},
+  };
+  const sparse::Csr inputs[] = {laplace3d(8, 0.05),
+                                setup_pin::pressure_matrix(0.2)};
+  const bool saved = par::serial_mode();
+  for (const bool serial : {true, false}) {
+    par::set_serial_mode(serial);
+    for (const Pin& pin : pins) {
+      setup_pin::Digest setup, ledger;
+      par::Runtime rt(pin.nranks);
+      const auto a =
+          distribute(rt, inputs[static_cast<std::size_t>(pin.input)]);
+      for (const InterpType interp :
+           {InterpType::kDirect, InterpType::kBamg, InterpType::kMmExt,
+            InterpType::kMmExtI}) {
+        for (const int agg : {0, 2}) {
+          for (const int t : {0, 16}) {
+            // Two of the four (precision, freeze) pairs per case,
+            // alternating, so every interpolation meets all four.
+            const int pair = (static_cast<int>(interp) + agg / 2 + t / 16) % 2;
+            for (const int variant : {pair, 3 - pair}) {
+              AmgConfig cfg;
+              cfg.interp = interp;
+              cfg.pmax = interp == InterpType::kDirect ? 0 : 4;
+              cfg.agg_levels = agg;
+              cfg.min_coarse_rows_per_rank = t;
+              cfg.precision =
+                  variant % 2 == 0 ? Precision::kF64 : Precision::kF32;
+              const bool freeze = variant >= 2;
+              rt.tracer().reset();
+              std::unique_ptr<AmgHierarchy> h;
+              {
+                perf::PhaseScope scope(rt.tracer(), "setup");
+                h = std::make_unique<AmgHierarchy>(a, cfg, freeze);
+              }
+              setup_pin::add_hierarchy(setup, *h);
+              setup_pin::add_ledger(ledger, rt.tracer().phase("setup"));
+            }
+          }
+        }
+      }
+      EXPECT_EQ(setup.h, pin.setup)
+          << (serial ? "inline" : "pool") << ", input " << pin.input << ", "
+          << pin.nranks << " ranks: setup digest " << setup.h;
+      EXPECT_EQ(ledger.h, pin.ledger)
+          << (serial ? "inline" : "pool") << ", input " << pin.input << ", "
+          << pin.nranks << " ranks: ledger digest " << ledger.h;
     }
   }
   par::set_serial_mode(saved);

@@ -207,6 +207,34 @@ TEST(Gmres, IterationRunsNineRegionsWithSgs2) {
   }
 }
 
+TEST(Gmres, ConfirmedLaneOfThreeRunsTwoFewerRegions) {
+  // Each lane of this 3-lane SGS2 solve converges in one restart cycle
+  // and confirms once against a true residual. The body that adds a
+  // lane's correction also copies out its lane of b and packs its rows
+  // of x for that residual, which then runs as one region: before, the
+  // copy, the pack and the residual were three regions (the solve ran
+  // kRegionsBefore), so each confirmed lane runs 2 fewer.
+  constexpr std::uint64_t kRegionsBefore = 197;
+  Problem p(4, laplace3d(6, 0.05));
+  SmootherPrecond m(p.a, amg::SmootherType::kSgs2, 2, 2);
+  GmresOptions opts;
+  opts.rel_tol = 1e-8;
+  linalg::ParVector b(p.rt, p.a.rows(), 3), x(p.rt, p.a.rows(), 3);
+  for (std::size_t c = 0; c < 3; ++c) {
+    b.scatter(random_vector(216, 31 + c), c);
+  }
+  x.fill(0.0);
+  const auto& pool = par::ThreadPool::instance();
+  const std::uint64_t before = pool.regions();
+  const auto stats = gmres_solve_multi(p.a, b, x, m, opts);
+  const std::uint64_t regions = pool.regions() - before;
+  for (const auto& lane : stats.lane) {
+    ASSERT_TRUE(lane.converged);
+    ASSERT_LT(lane.iterations, opts.restart);
+  }
+  EXPECT_EQ(regions, kRegionsBefore - 2 * 3) << regions << " regions";
+}
+
 TEST(Gmres, ModeledLedgerIsPinned) {
   // Iterations and modeled ledger of six solves. The iterations were
   // recorded before the 1-lane solves became the 1-lane case of the
