@@ -63,83 +63,5 @@ int main() {
                   std::max(summit_at_144, 1e-12),
               eagle_at_72 < summit_at_144 ? "faster" : "slower");
 
-  // --- one-reduce vs pipelined GMRES A/B --------------------------------
-  // The pipelined (depth-1) variant moves the per-iteration fused
-  // reduction off the blocking ledger (its bandwidth is still priced, as
-  // an overlapped collective), so its blocking-collective count per GMRES
-  // iteration must be strictly lower, and the latency term it removes
-  // grows with log2(R) — the strong-scaling knee (the rank count past
-  // which modeled time stops improving) must not move left.
-  std::printf("\nOne-reduce vs pipelined GMRES (Summit model):\n");
-  std::printf("%6s %12s %12s | %12s %12s | %8s %8s | %7s %7s\n", "GPUs",
-              "one[s]", "pipe[s]", "bcoll/it 1r", "bcoll/it pp", "ovl 1r",
-              "ovl pp", "it 1r", "it pp");
-  struct Variant {
-    std::vector<double> nli;
-    std::vector<double> bcoll_per_iter;
-  };
-  Variant one, pipe;
-  const std::vector<int> gpu_list = {12, 24, 48, 72, 96, 144};
-  for (int gpus : gpu_list) {
-    double nli[2], bpi[2];
-    long ovl[2];
-    int its[2];
-    for (int variant = 0; variant < 2; ++variant) {
-      cfd::SimConfig vcfg = cfg;
-      const auto ortho = variant == 0 ? solver::OrthoMethod::kOneReduce
-                                      : solver::OrthoMethod::kPipelined;
-      vcfg.pressure_gmres.ortho = ortho;
-      vcfg.momentum_gmres.ortho = ortho;
-      par::Runtime rt(gpus);
-      cfd::Simulation sim(sys, vcfg, rt);
-      rt.tracer().reset();
-      sim.step();
-      const auto& nli_ph = rt.tracer().phase("nli");
-      const int iters = sim.continuity_stats().gmres_iterations +
-                        sim.momentum_stats().gmres_iterations;
-      nli[variant] = nli_ph.modeled_time(summit);
-      bpi[variant] = static_cast<double>(nli_ph.collectives) /
-                     std::max(1, iters);
-      ovl[variant] = nli_ph.overlapped_collectives;
-      its[variant] = iters;
-    }
-    std::printf("%6d %12.4f %12.4f | %12.2f %12.2f | %8ld %8ld | %7d %7d\n",
-                gpus, nli[0], nli[1], bpi[0], bpi[1], ovl[0], ovl[1], its[0],
-                its[1]);
-    one.nli.push_back(nli[0]);
-    one.bcoll_per_iter.push_back(bpi[0]);
-    pipe.nli.push_back(nli[1]);
-    pipe.bcoll_per_iter.push_back(bpi[1]);
-  }
-
-  // Knee: the rank count with the best modeled time (after it, adding
-  // ranks no longer pays).
-  auto knee = [&](const std::vector<double>& nli) {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < nli.size(); ++i) {
-      if (nli[i] < nli[best]) best = i;
-    }
-    return gpu_list[best];
-  };
-  const int knee_one = knee(one.nli);
-  const int knee_pipe = knee(pipe.nli);
-  std::printf("\nknee: one-reduce %d GPUs, pipelined %d GPUs\n", knee_one,
-              knee_pipe);
-
-  bool ok = true;
-  for (std::size_t i = 0; i < gpu_list.size(); ++i) {
-    if (!(pipe.bcoll_per_iter[i] < one.bcoll_per_iter[i])) {
-      std::fprintf(stderr, "FAIL: pipelined blocking collectives/iter %.2f "
-                           "not strictly below one-reduce %.2f at %d GPUs\n",
-                   pipe.bcoll_per_iter[i], one.bcoll_per_iter[i],
-                   gpu_list[i]);
-      ok = false;
-    }
-  }
-  if (knee_pipe < knee_one) {
-    std::fprintf(stderr, "FAIL: pipelined knee (%d GPUs) moved left of "
-                         "one-reduce (%d GPUs)\n", knee_pipe, knee_one);
-    ok = false;
-  }
-  return ok ? 0 : 1;
+  return 0;
 }

@@ -333,33 +333,11 @@ double ParVector::dot(const ParVector& other) const {
 
 double ParVector::norm2() const { return std::sqrt(dot(*this)); }
 
-void ParVector::lane_fill(std::size_t lane, Real value) {
-  rt_->parallel_for_ranks([&](RankId r) { lane_fill(r, lane, value); });
-}
-
 void ParVector::lane_fill(RankId r, std::size_t lane, Real value) {
   EXW_REQUIRE(prec_ == Precision::kF64, "lane_fill runs on fp64 vectors");
   auto s = lane_span(r, lane);
   std::fill(s.begin(), s.end(), value);
   rt_->tracer().kernel(r, 0.0, kRead * static_cast<double>(s.size()));
-}
-
-void ParVector::lane_axpy(std::size_t lane, Real alpha, const ParVector& x) {
-  rt_->parallel_for_ranks([&](RankId r) { lane_axpy(r, lane, alpha, x); });
-}
-
-void ParVector::lane_axpy(RankId r, std::size_t lane, Real alpha,
-                          const ParVector& x) {
-  EXW_REQUIRE(x.global_size() == global_size(), "vector size mismatch");
-  EXW_REQUIRE(prec_ == Precision::kF64 && x.prec_ == Precision::kF64,
-              "lane_axpy runs on fp64 vectors");
-  auto y = lane_span(r, lane);
-  const auto xs = x.lane_span(r, lane);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    y[i] += alpha * xs[i];
-  }
-  const auto n = static_cast<double>(y.size());
-  rt_->tracer().kernel(r, 2.0 * n, 3.0 * kRead * n);
 }
 
 double ParVector::lane_norm2(std::size_t lane) const {

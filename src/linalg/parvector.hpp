@@ -17,9 +17,10 @@
 ///
 /// The lane ops come in two groups: fused all-lane ops (optionally
 /// masked, so converged GMRES components stop participating without
-/// perturbing their lanes), and single-lane ops for per-component
-/// epilogues. The scalar conveniences (scale, axpy, dot, norm2) are the
-/// 1-lane case of the fused ops.
+/// perturbing their lanes), and single-lane ops (GMRES's scrub of dead
+/// basis planes, lane copies into and out of fused vectors). The scalar
+/// conveniences (scale, axpy, dot, norm2) are the 1-lane case of the
+/// fused ops.
 
 #include <cstdint>
 #include <span>
@@ -84,9 +85,9 @@ class ParVector {
   /// construction. Every charged store into a kF32 vector rounds through
   /// float (store_value), so the invariant "an FP32 vector holds only
   /// FP32-representable values" holds and float halo serialization of its
-  /// data is lossless. copy_lanes, scale_lanes, lane_fill, lane_axpy,
-  /// set_lane and extract_lane serve only the FP64 Krylov side and throw
-  /// on a kF32 operand.
+  /// data is lossless. copy_lanes, scale_lanes, lane_fill, set_lane and
+  /// extract_lane serve only the FP64 Krylov side and throw on a kF32
+  /// operand.
   Precision value_precision() const { return prec_; }
 
   /// Warm-path refill of rank r's local block of a 1-lane vector: copy
@@ -157,10 +158,7 @@ class ParVector {
 
   // --- single-lane charged operations ------------------------------------
 
-  void lane_fill(std::size_t lane, Real value);
   void lane_fill(RankId r, std::size_t lane, Real value);
-  void lane_axpy(std::size_t lane, Real alpha, const ParVector& x);
-  void lane_axpy(RankId r, std::size_t lane, Real alpha, const ParVector& x);
   double lane_norm2(std::size_t lane) const;
   /// Copy a 1-lane vector into / out of one lane (streaming copy charge).
   void set_lane(std::size_t lane, const ParVector& src);

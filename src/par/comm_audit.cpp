@@ -98,8 +98,6 @@ const char* op_name(OpKind kind) {
       return "allreduce_sum";
     case OpKind::kAllreduceSumVec:
       return "allreduce_sum_vec";
-    case OpKind::kAllreduceSumVecOverlapped:
-      return "allreduce_sum_vec_overlapped";
     case OpKind::kAllreduceMax:
       return "allreduce_max";
     case OpKind::kSend:

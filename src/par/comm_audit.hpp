@@ -2,9 +2,9 @@
 /// \file comm_audit.hpp
 /// Runtime communication-determinism audit for the simulated runtime.
 ///
-/// The next ROADMAP items (pipelined/s-step GMRES, 10k-rank streaming)
-/// will reorder and batch collectives — exactly the class of change that
-/// introduces rank-divergent collective sequences, tag collisions, and
+/// Changes such as s-step GMRES or 10k-rank streaming reorder and batch
+/// collectives — exactly the class of change that introduces
+/// rank-divergent collective sequences, tag collisions, and
 /// deadlock-shaped bugs that neither the threading contract (PR 3) nor
 /// the purity sanitizer (PR 8) can see. This layer makes the
 /// communication contract machine-checked the same way those layers
@@ -104,7 +104,6 @@ std::string summary();
 enum class OpKind : int {
   kAllreduceSum = 0,
   kAllreduceSumVec,
-  kAllreduceSumVecOverlapped,
   kAllreduceMax,
   kSend,
   kRecv,

@@ -28,15 +28,6 @@ double MachineModel::allreduce_time(double bytes, int nranks) const {
   return hops * (coll_hop_s + bytes / msg_bytes_per_s);
 }
 
-double MachineModel::allreduce_overlapped_time(double bytes,
-                                               int nranks) const {
-  if (nranks <= 1) {
-    return 0.0;
-  }
-  const double hops = std::ceil(std::log2(static_cast<double>(nranks)));
-  return hops * (bytes / msg_bytes_per_s);
-}
-
 MachineModel MachineModel::summit_gpu() {
   MachineModel m;
   m.name = "SummitGPU";

@@ -61,15 +61,6 @@ struct MachineModel {
   /// Modeled time for an allreduce of `bytes` across `nranks` ranks.
   double allreduce_time(double bytes, int nranks) const;
 
-  /// Modeled time for an allreduce whose latency is hidden behind
-  /// overlapped local work (pipelined Krylov, depth 1): the per-hop
-  /// alpha_coll disappears into the overlapped SpMV+precond, but the
-  /// payload still crosses every tree hop, so the bandwidth term
-  /// remains. This is the term that moves the strong-scaling knee —
-  /// alpha_coll * ceil(log2 R) is exactly the cost that grows with R
-  /// while per-rank work shrinks (paper Fig. 11, Eagle-vs-Summit gap).
-  double allreduce_overlapped_time(double bytes, int nranks) const;
-
   // --- The platforms of the paper's evaluation section -------------------
 
   /// Summit, rank = one V100 SXM2 (GPU runs of Figs. 3, 7, 8, 9, 11).

@@ -24,15 +24,8 @@ double PhaseStats::modeled_time(const MachineModel& m) const {
   const int nranks = checked_narrow<int>(rank.size());
   const double avg_coll_bytes =
       collectives > 0 ? coll_bytes / static_cast<double>(collectives) : 0.0;
-  const double avg_ovl_bytes =
-      overlapped_collectives > 0
-          ? overlapped_coll_bytes / static_cast<double>(overlapped_collectives)
-          : 0.0;
-  return worst +
-         static_cast<double>(collectives) *
-             m.allreduce_time(avg_coll_bytes, nranks) +
-         static_cast<double>(overlapped_collectives) *
-             m.allreduce_overlapped_time(avg_ovl_bytes, nranks);
+  return worst + static_cast<double>(collectives) *
+                     m.allreduce_time(avg_coll_bytes, nranks);
 }
 
 double PhaseStats::compute_time(const MachineModel& m) const {
@@ -55,15 +48,8 @@ double PhaseStats::comm_time(const MachineModel& m) const {
   const int nranks = checked_narrow<int>(rank.size());
   const double avg_coll_bytes =
       collectives > 0 ? coll_bytes / static_cast<double>(collectives) : 0.0;
-  const double avg_ovl_bytes =
-      overlapped_collectives > 0
-          ? overlapped_coll_bytes / static_cast<double>(overlapped_collectives)
-          : 0.0;
-  return worst +
-         static_cast<double>(collectives) *
-             m.allreduce_time(avg_coll_bytes, nranks) +
-         static_cast<double>(overlapped_collectives) *
-             m.allreduce_overlapped_time(avg_ovl_bytes, nranks);
+  return worst + static_cast<double>(collectives) *
+                     m.allreduce_time(avg_coll_bytes, nranks);
 }
 
 long PhaseStats::total_kernels() const {
@@ -321,14 +307,6 @@ void Tracer::collective(double bytes) {
   }
 }
 
-void Tracer::collective_overlapped(double bytes) {
-  for (const Frame& f : frames_) {
-    auto& s = f.phase->second;
-    s.overlapped_collectives += 1;
-    s.overlapped_coll_bytes += bytes;
-  }
-}
-
 double Tracer::phase_time(const std::string& name,
                           const MachineModel& m) const {
   return phase(name).modeled_time(m);
@@ -352,8 +330,6 @@ void Tracer::reset() {
     std::fill(s.rank.begin(), s.rank.end(), RankWork{});
     s.collectives = 0;
     s.coll_bytes = 0;
-    s.overlapped_collectives = 0;
-    s.overlapped_coll_bytes = 0;
     s.messages = 0;
     s.allocs = 0;
     s.alloc_bytes = 0;

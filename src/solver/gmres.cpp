@@ -1,6 +1,6 @@
 /// \file gmres.cpp
-/// Right-preconditioned GMRES over the lanes of a ParVector: every
-/// pressure, scalar and momentum solve runs this one implementation
+/// Right-preconditioned flexible GMRES over the lanes of a ParVector:
+/// every pressure, scalar and momentum solve runs this one implementation
 /// (a plain solve is the 1-lane case, fused u/v/w momentum the 3-lane
 /// case).
 ///
@@ -8,7 +8,12 @@
 /// inner iteration runs ONE fused preconditioner application, ONE fused
 /// SpMV, and ONE batched orthogonalization allreduce carrying every
 /// active lane's [V^T w ; ||w||^2] payload. Per-lane Hessenberg/Givens
-/// state is host-side scalar work.
+/// state is host-side scalar work. Each application z_j = M^-1 v_j is
+/// kept (Saad's flexible GMRES), and a lane leaving the cycle after k
+/// iterations finishes with x += Z y, y from its k Givens columns: no
+/// preconditioner application follows the last iteration, and the finish
+/// is exact for a preconditioner that is not bitwise linear (the FP32
+/// V-cycle and SGS2 round their stores).
 ///
 /// Lane independence is the invariant everything rests on: every fused
 /// kernel (spmv_multi, the smoother sweeps, the masked BLAS-1 ops)
@@ -20,10 +25,12 @@
 ///  * Converged lanes are masked out of fused ops (never touched again —
 ///    even an alpha = 0 axpy could flip a -0.0) while full-width
 ///    scratch ops may scribble on their dead planes freely.
-///  * A lane that exits the inner loop early (converged or happy
-///    breakdown) runs its epilogue immediately with single-lane ops;
-///    the shared scratch planes it used are fully overwritten before
-///    any other lane reads them (matvec beta = 0, apply_zero).
+///  * Lanes that leave the cycle at the same step (converged, happy
+///    breakdown, budget or restart exhausted) finish together: one
+///    masked update of x, then one fused confirmation residual and one
+///    batched norm for those whose Givens estimate says converged. Lane
+///    c of x gets the same addends in the same order as in a 1-lane
+///    solve.
 ///  * A lane whose true-residual confirmation fails waits, frozen, and
 ///    rejoins at the next shared restart — the same arithmetic a 1-lane
 ///    solve performs, just later in wall-clock.
@@ -41,42 +48,28 @@ namespace exw::solver {
 
 namespace {
 
-/// kPipelined: the q recurrence multiplies accumulated rounding error by
-/// ~||q_j||/h_{j+1,j} each iteration (~sqrt(2) when the Rutishauser test
-/// does not fire, orders of magnitude when it does). The solver tracks
-/// the running product per lane and restart cycle and resynchronizes
-/// q_{j+1} by direct recompute once it exceeds this limit, holding the
-/// basis error near limit * machine-epsilon (~1e-9) at the cost of one
-/// extra preconditioner + SpMV application per resync. Every lane tracks
-/// it from bitwise-identical reduced quantities, so a lane resyncs
-/// exactly when its 1-lane solve would.
-constexpr double kPipelineDriftLimit = 1e7;
-
 enum class LaneState : std::uint8_t {
   kIterating,  ///< inside the current shared restart cycle
   kWaiting,    ///< needs a (re)start
   kDone,       ///< finished, converged or budget-exhausted
 };
 
+/// Per-rank partial sums of the batched reductions, one row per rank,
+/// kept for a whole solve: a reduction refills each row in place.
+using Partials = std::vector<std::vector<double>>;
+
 /// Batched one-reduce payload: for each lane in `lanes` (ascending), the
 /// partial dots of its w plane against v[0..count) plus ||w||^2, all in
-/// ONE allreduce — the kernel of the one-reduce orthogonalization. With
-/// `overlapped` the same payload rides the non-blocking collective
-/// (charged so its latency hides behind whatever the caller computes
-/// next); the returned values are identical either way, because both
-/// reductions sum rank partials element-wise in rank order.
+/// ONE allreduce — the kernel of the one-reduce orthogonalization.
 std::vector<double> fused_dots(const std::vector<linalg::ParVector>& v,
                                std::size_t count, const linalg::ParVector& w,
                                const std::vector<std::size_t>& lanes,
-                               bool overlapped = false) {
+                               Partials& partial) {
   par::Runtime& rt = w.runtime();
-  const int nranks = w.nranks();
   const std::size_t seg = count + 1;
-  std::vector<std::vector<double>> partial(
-      static_cast<std::size_t>(nranks),
-      std::vector<double>(lanes.size() * seg, 0.0));
   rt.parallel_for_ranks([&](RankId r) {
     auto& p = partial[static_cast<std::size_t>(r)];
+    p.assign(lanes.size() * seg, 0.0);
     double n = 0.0;
     for (std::size_t li = 0; li < lanes.size(); ++li) {
       const std::size_t c = lanes[li];
@@ -98,8 +91,44 @@ std::vector<double> fused_dots(const std::vector<linalg::ParVector>& v,
     rt.tracer().kernel(r, nl * 2.0 * static_cast<double>(count + 1) * n,
                        nl * static_cast<double>(count + 2) * n * sizeof(Real));
   });
-  return overlapped ? rt.allreduce_sum_vec_overlapped(partial)
-                    : rt.allreduce_sum_vec(partial);
+  return rt.allreduce_sum_vec(partial);
+}
+
+/// Every lane's ||b|| and ||r||, in that order (2 * ncomp values), from
+/// one kernel per rank and ONE allreduce. Each value sums its squares in
+/// the same order as ParVector::norms, so it is bitwise the value a
+/// separate b.norms() or r.norms() returns.
+std::vector<double> paired_norms(const linalg::ParVector& b,
+                                 const linalg::ParVector& r,
+                                 Partials& partial) {
+  par::Runtime& rt = r.runtime();
+  const std::size_t nc = r.ncomp();
+  rt.parallel_for_ranks([&](RankId rk) {
+    auto& p = partial[static_cast<std::size_t>(rk)];
+    p.assign(2 * nc, 0.0);
+    double n = 0.0;
+    for (std::size_t c = 0; c < nc; ++c) {
+      const auto bl = b.lane_span(rk, c);
+      const auto rl = r.lane_span(rk, c);
+      n = static_cast<double>(rl.size());
+      double sb = 0;
+      for (double v : bl) sb += v * v;
+      double sr = 0;
+      for (double v : rl) sr += v * v;
+      p[c] = sb;
+      p[nc + c] = sr;
+    }
+    const double m = static_cast<double>(nc) * n;
+    double f64 = 0, f32 = 0;
+    split_value_bytes(b.value_precision(), bytes_of(b.value_precision()) * m,
+                      f64, f32);
+    split_value_bytes(r.value_precision(), bytes_of(r.value_precision()) * m,
+                      f64, f32);
+    rt.tracer().kernel_split_prec(rk, 4.0 * m, f64, f32, 0.0);
+  });
+  auto out = rt.allreduce_sum_vec(partial);
+  for (double& v : out) v = std::sqrt(v);
+  return out;
 }
 
 }  // namespace
@@ -122,35 +151,21 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
   MultiSolveStats out;
   out.lane.assign(nc, SolveStats{});
 
-  const bool pipe = opts.ortho == OrthoMethod::kPipelined;
-
   linalg::ParVector r(rt, a.rows(), nc);
   linalg::ParVector w(rt, a.rows(), nc);
-  linalg::ParVector z(rt, a.rows(), nc);
-  // Pipelined auxiliary planes: t = A M^-1 q_j and the running
-  // combination that becomes q_{j+1} (allocated only when used).
-  linalg::ParVector t;
-  linalg::ParVector tq;
-  if (pipe) {
-    t = linalg::ParVector(rt, a.rows(), nc);
-    tq = linalg::ParVector(rt, a.rows(), nc);
-  }
-  // A 1-lane solve updates its own vectors in place; a multi-lane solve
-  // runs each lane's epilogue through this 1-lane scratch.
-  linalg::ParVector ws, zs, xs, bs, rs;
-  if (nc > 1) {
-    ws = linalg::ParVector(rt, a.rows());
-    zs = linalg::ParVector(rt, a.rows());
-    xs = linalg::ParVector(rt, a.rows());
-    bs = linalg::ParVector(rt, a.rows());
-    rs = linalg::ParVector(rt, a.rows());
-  }
+  // Room for the widest payload, the one-reduce dots of a full cycle:
+  // (restart + 1) * nc values per rank.
+  Partials partial(static_cast<std::size_t>(a.nranks()));
+  for (auto& p : partial) p.reserve((restart + 1) * nc);
 
-  // Per-lane convergence targets (hypre convention: relative to ||b||),
-  // batched into one reduction each for ||b|| and the initial residual.
-  const auto bnorms = b.norms();
+  // Per-lane convergence targets (hypre convention: relative to ||b||).
+  // The one entry residual and both norms (one batched reduction) also
+  // serve the first shared start.
   a.residual(b, x, r);
-  auto betas = r.norms();
+  const auto norms0 = paired_norms(b, r, partial);
+  std::vector<double> betas(norms0.begin() + static_cast<std::ptrdiff_t>(nc),
+                            norms0.end());
+  bool r_current = true;  // r and betas hold b - A x
 
   std::vector<LaneState> state(nc, LaneState::kWaiting);
   std::vector<Real> target(nc, 0.0);
@@ -159,7 +174,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
     const Real beta = betas[c];
     s.initial_residual = beta;
     s.final_residual = beta;
-    target[c] = opts.rel_tol * (bnorms[c] > 0.0 ? bnorms[c] : beta);
+    target[c] = opts.rel_tol * (norms0[c] > 0.0 ? norms0[c] : beta);
     if (beta <= target[c] || beta == 0.0) {
       s.converged = true;
       state[c] = LaneState::kDone;
@@ -167,10 +182,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
   }
 
   std::vector<linalg::ParVector> v;  // shared Krylov basis planes
-  std::vector<linalg::ParVector> q;  // pipelined: q_i = A M^-1 v_i
-  // Per-lane running q-recurrence error amplification (see
-  // kPipelineDriftLimit), reset at every shared restart.
-  std::vector<double> drift(nc, 1.0);
+  std::vector<linalg::ParVector> z;  // z_i = M^-1 v_i, allocated with use
   // Per-lane Hessenberg (column-major by iteration), Givens, rhs.
   std::vector<std::vector<std::vector<Real>>> h(nc);
   std::vector<std::vector<Real>> cs(nc);
@@ -179,29 +191,28 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
   std::vector<Real> hlast(nc, 0.0);
 
   // Scratch masks / per-lane coefficient vectors for the fused ops, and
-  // the coefficients of one basis update: row i holds every lane's
-  // coefficient of v_i, so one region applies all of them.
+  // the coefficients of one basis combination: row i holds every lane's
+  // coefficient of v_i (or of z_i in a finish), so one region applies
+  // all of them.
   std::vector<std::uint8_t> mask(nc, 0);
   std::vector<Real> coef(nc, 0.0);
   std::vector<Real> basis_coef(restart * nc, 0.0);
   auto row = [&](std::size_t i) {
     return std::span<const Real>(basis_coef).subspan(i * nc, nc);
   };
-  // w += sum over i <= j of row(i) * v_i (and the same combination of the
-  // q_i into tq when `also_tq`), lanes in `lanes` only: one region, each
-  // rank applying the terms in order i = 0..j, as j + 1 axpy_lanes would.
-  auto update_basis = [&](std::size_t j, std::span<const std::uint8_t> lanes,
-                          bool also_tq) {
+  // w += sum over i <= j of row(i) * v_i, lanes in `lanes` only: one
+  // region, each rank applying the terms in order i = 0..j, as j + 1
+  // axpy_lanes would.
+  auto update_basis = [&](std::size_t j, std::span<const std::uint8_t> lanes) {
     rt.parallel_for_ranks([&](RankId rk) {
       for (std::size_t i = 0; i <= j; ++i) {
         w.axpy_lanes(rk, row(i), v[i], lanes);
-        if (also_tq) tq.axpy_lanes(rk, row(i), q[i], lanes);
       }
     });
   };
 
   // True while x's halo holds a pack that no residual has consumed yet
-  // (a 1-lane epilogue packs ahead for the residual that follows it).
+  // (a finish packs ahead for the residual that follows it).
   bool x_packed = false;
   auto residual_from_packed = [&] {
     rt.parallel_for_ranks([&](RankId rk) { a.residual(rk, b, x, r); });
@@ -213,77 +224,79 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
                        [want](LaneState sc) { return sc == want; });
   };
 
-  // A lane's exit from the restart cycle: back-substitute its y,
-  // x += M^-1 (V y), and — when the Givens estimate says converged —
-  // confirm against a true residual before declaring victory. A lane
-  // that fails the confirmation goes back to kWaiting and rejoins at
-  // the next shared restart.
-  auto epilogue = [&](std::size_t c, std::size_t jcols) {
-    auto& s = out.lane[c];
-    std::vector<Real> y(jcols, 0.0);
-    for (std::size_t i = jcols; i-- > 0;) {
-      Real acc = g[c][i];
-      for (std::size_t k = i + 1; k < jcols; ++k) {
-        acc -= h[c][k][i] * y[k];
+  // Lanes leaving the restart cycle at the current step, finished
+  // together by finish().
+  std::vector<std::uint8_t> leaving(nc, 0);
+  std::vector<std::uint8_t> confirm(nc, 0);
+  // The exit of the `leaving` lanes (if any) after `jcols` iterations of
+  // the cycle: back-substitute each lane's y, x += Z y in one region, and
+  // — for lanes whose Givens estimate says converged — confirm against
+  // one fused true residual before declaring victory. A lane that fails
+  // the confirmation goes back to kWaiting and rejoins at the next
+  // shared restart.
+  auto finish = [&](std::size_t jcols) {
+    if (std::find(leaving.begin(), leaving.end(), 1) == leaving.end()) return;
+    bool any_confirm = false;
+    bool will_wait = false;  // some lane will wait for a restart it can run
+    bool stays = false;      // some lane stays in the cycle
+    for (std::size_t c = 0; c < nc; ++c) {
+      const auto& s = out.lane[c];
+      const bool budget = s.iterations < opts.max_iters;
+      confirm[c] = 0;
+      if (!leaving[c]) {
+        stays = stays || state[c] == LaneState::kIterating;
+        will_wait = will_wait || (state[c] == LaneState::kWaiting && budget);
+        continue;
       }
-      y[i] = acc / h[c][i][i];
-    }
-    rt.parallel_for_ranks([&](RankId rk) {
-      w.lane_fill(rk, c, 0.0);
-      for (std::size_t i = 0; i < jcols; ++i) {
-        w.lane_axpy(rk, c, y[i], v[i]);
-      }
-    });
-    const bool confirm = s.final_residual <= target[c];
-    if (nc == 1) {
-      // The scratch planes are the lane's own: z and r are fully
-      // rewritten before their next use. When a residual on x follows
-      // (the confirmation, or the next restart's), each rank packs its
-      // corrected rows for it in the body that adds the correction.
-      m.apply(w, z);
-      x_packed = confirm || s.iterations < opts.max_iters;
-      if (x_packed) a.halo_begin(x);
-      rt.parallel_for_ranks([&](RankId rk) {
-        x.axpy(rk, 1.0, z);
-        if (x_packed) a.halo_pack(rk, x);
-      });
-      if (confirm) {
-        residual_from_packed();
-        s.final_residual = r.norm2();
-      }
-    } else {
-      // The same through the 1-lane scratch: the body that adds lane c's
-      // correction also copies out lane c of b and packs its rows of xs
-      // for the confirmation residual.
-      w.extract_lane(c, ws);
-      m.apply(ws, zs);
-      if (confirm) a.halo_begin(xs);
-      rt.parallel_for_ranks([&](RankId rk) {
-        x.extract_lane(rk, c, xs);
-        xs.axpy(rk, 1.0, zs);
-        x.set_lane(rk, c, xs);
-        if (confirm) {
-          b.extract_lane(rk, c, bs);
-          a.halo_pack(rk, xs);
+      for (std::size_t i = jcols; i-- > 0;) {
+        Real acc = g[c][i];
+        for (std::size_t k = i + 1; k < jcols; ++k) {
+          acc -= h[c][k][i] * basis_coef[k * nc + c];
         }
-      });
-      if (confirm) {
-        rt.parallel_for_ranks([&](RankId rk) { a.residual(rk, bs, xs, rs); });
-        s.final_residual = rs.norm2();
+        basis_coef[i * nc + c] = acc / h[c][i][i];
+      }
+      if (s.final_residual <= target[c]) {
+        confirm[c] = 1;
+        any_confirm = true;
+      } else {
+        will_wait = will_wait || budget;
       }
     }
-    if (confirm &&
-        s.final_residual <= 1.5 * std::max(target[c], Real{1e-300})) {
-      s.converged = true;
-      state[c] = LaneState::kDone;
-      return;
+    // A residual on x follows at once for the confirmation, or for the
+    // next shared restart when no lane stays in the cycle; each rank
+    // packs its corrected rows for it in the body that adds them.
+    x_packed = any_confirm || (will_wait && !stays);
+    if (x_packed) a.halo_begin(x);
+    rt.parallel_for_ranks([&](RankId rk) {
+      for (std::size_t i = 0; i < jcols; ++i) {
+        x.axpy_lanes(rk, row(i), z[i], leaving);
+      }
+      if (x_packed) a.halo_pack(rk, x);
+    });
+    std::vector<double> rnorms;
+    if (any_confirm) {
+      residual_from_packed();
+      rnorms = r.norms();
     }
-    state[c] = LaneState::kWaiting;
+    for (std::size_t c = 0; c < nc; ++c) {
+      if (!leaving[c]) continue;
+      leaving[c] = 0;
+      auto& s = out.lane[c];
+      if (confirm[c]) {
+        s.final_residual = rnorms[c];
+        if (s.final_residual <= 1.5 * std::max(target[c], Real{1e-300})) {
+          s.converged = true;
+          state[c] = LaneState::kDone;
+          continue;
+        }
+      }
+      state[c] = LaneState::kWaiting;
+    }
   };
 
   while (any_state(LaneState::kWaiting)) {
     // Budget-exhausted lanes are finished (their x already holds the
-    // last epilogue's update).
+    // last finish's update).
     for (std::size_t c = 0; c < nc; ++c) {
       if (state[c] == LaneState::kWaiting &&
           out.lane[c].iterations >= opts.max_iters) {
@@ -293,12 +306,15 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
     if (!any_state(LaneState::kWaiting)) break;
 
     // --- shared (re)start for every waiting lane ------------------------
-    if (x_packed) {
-      residual_from_packed();
-    } else {
-      a.residual(b, x, r);
+    if (!r_current) {
+      if (x_packed) {
+        residual_from_packed();
+      } else {
+        a.residual(b, x, r);
+      }
+      betas = r.norms();
     }
-    betas = r.norms();
+    r_current = false;
     std::fill(mask.begin(), mask.end(), 0);
     std::fill(coef.begin(), coef.end(), 0.0);
     bool any_active = false;
@@ -330,27 +346,18 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
       v[0].copy_from(rk, r);
       v[0].scale_lanes(rk, coef, mask);
     });
-    if (pipe) {
-      // Prime the pipeline: q_0 = A M^-1 v_0, fused across lanes (dead
-      // planes are scribble space, exactly like the w planes below).
-      if (q.empty()) {
-        q.emplace_back(rt, a.rows(), nc);
-      }
-      m.apply(v[0], z);
-      a.matvec(z, q[0]);
-      std::fill(drift.begin(), drift.end(), 1.0);
-    }
 
     std::size_t j = 0;
     while (j < restart && any_state(LaneState::kIterating)) {
-      // A lane out of budget exits here, runs its epilogue with the
-      // columns it has, and is finalized at the top of the outer loop.
+      // Lanes out of budget leave here with the columns they have, and
+      // are finalized at the top of the outer loop.
       for (std::size_t c = 0; c < nc; ++c) {
         if (state[c] == LaneState::kIterating &&
             out.lane[c].iterations >= opts.max_iters) {
-          epilogue(c, j);
+          leaving[c] = 1;
         }
       }
+      finish(j);
       std::vector<std::size_t> act;
       for (std::size_t c = 0; c < nc; ++c) {
         if (state[c] == LaneState::kIterating) act.push_back(c);
@@ -362,36 +369,15 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
         out.lane[c].iterations += 1;
       }
 
-      // w = A M^-1 v_j, fused across all lanes (dead planes are scribble
-      // space: matvec's beta = 0 and apply_zero overwrite them fully).
-      // Pipelined: the candidate IS q_j — initiate the batched fused
-      // reduction on it, then run the next pipeline stage t = A M^-1 q_j
-      // while the collective is in flight.
-      // Synchronization point (see kPipelineSyncPeriod): keyed off j
-      // alone, so every lane stays bitwise-identical to its 1-lane solve.
-      const bool sync =
-          pipe &&
-          (j + 1) % static_cast<std::size_t>(kPipelineSyncPeriod) == 0;
-      std::vector<double> pdots;
-      if (pipe) {
-        pdots = fused_dots(v, j + 1, q[j], act, /*overlapped=*/!sync);
-        if (!sync) {
-          m.apply(q[j], z);
-          a.matvec(z, t);
-          tq.copy_from(t);
-        }
-        w.copy_from(q[j]);
-      } else {
-        m.apply(v[j], z);
-        a.matvec(z, w);
+      // w = A z_j with z_j = M^-1 v_j, fused across all lanes (dead
+      // planes are scribble space: matvec's beta = 0 and apply_zero
+      // overwrite them fully). z_j is kept for the finish.
+      if (z.size() <= j) {
+        z.emplace_back(rt, a.rows(), nc);
       }
+      m.apply(v[j], z[j]);
+      a.matvec(z[j], w);
 
-      // Pipelined lanes whose drift crossed kPipelineDriftLimit this
-      // iteration: their q_{j+1} is recomputed directly below instead of
-      // continuing the recurrence. Per-lane, exactly as a 1-lane solve of
-      // that lane would decide, preserving bitwise lane equivalence.
-      std::vector<std::uint8_t> rsync(nc, 0);
-      bool any_rsync = false;
       if (opts.ortho == OrthoMethod::kMgs) {
         // One batched reduction per projection + one for the norm.
         for (std::size_t i = 0; i <= j; ++i) {
@@ -408,11 +394,9 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
           h[c][j][j + 1] = norms[c];
         }
       } else {
-        // One fused reduction for every active lane: [V^T w ; ||w||^2]
-        // (already in flight — and consumed here — when pipelined).
+        // One fused reduction for every active lane: [V^T w ; ||w||^2].
         const std::size_t seg = j + 2;
-        const auto dots =
-            pipe ? std::move(pdots) : fused_dots(v, j + 1, w, act);
+        const auto dots = fused_dots(v, j + 1, w, act, partial);
         std::vector<double> w_norm2(nc, 0.0);
         std::vector<double> h_norm2(nc, 0.0);
         for (std::size_t li = 0; li < act.size(); ++li) {
@@ -429,9 +413,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
             basis_coef[i * nc + c] = -h[c][j][i];
           }
         }
-        // The q recurrence gets the same combination so that
-        // q_{j+1} = A M^-1 v_{j+1} keeps holding by linearity.
-        update_basis(j, mask, pipe && !sync);
+        update_basis(j, mask);
         // Rutishauser "twice is enough", per lane; lanes that trigger
         // share one second fused reduction.
         std::vector<std::size_t> reo;
@@ -447,7 +429,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
           }
         }
         if (!reo.empty()) {
-          const auto dots2 = fused_dots(v, j + 1, w, reo);
+          const auto dots2 = fused_dots(v, j + 1, w, reo, partial);
           std::vector<std::uint8_t> rmask(nc, 0);
           for (std::size_t c : reo) rmask[c] = 1;
           std::vector<double> c_norm2(nc, 0.0);
@@ -465,11 +447,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
               basis_coef[i * nc + reo[li]] = -dots2[li * seg + i];
             }
           }
-          // Fold the (blocking) reorthogonalization into the q
-          // recurrence too, keeping both bases consistent. (Lanes that
-          // resync below overwrite this — the fold is only live for
-          // lanes still on the recurrence.)
-          update_basis(j, rmask, pipe && !sync);
+          update_basis(j, rmask);
           for (std::size_t li = 0; li < reo.size(); ++li) {
             const std::size_t c = reo[li];
             const double w_norm2_2 = dots2[li * seg + j + 1];
@@ -481,24 +459,6 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
               hlast[c] = w.lane_norm2(c);
             }
             h[c][j][j + 1] = hlast[c];
-          }
-        }
-        if (pipe) {
-          // Drift bookkeeping: this iteration multiplied any error already
-          // in the lane's q basis by ~||q_j||/h_last.
-          for (std::size_t c : act) {
-            const double amp =
-                hlast[c] > 0.0
-                    ? std::sqrt(std::max(w_norm2[c], 0.0)) / hlast[c]
-                    : 0.0;
-            drift[c] *= std::max(amp, 1.0);
-            if (sync || drift[c] > kPipelineDriftLimit) {
-              drift[c] = 1.0;
-              if (!sync) {
-                rsync[c] = 1;
-                any_rsync = true;
-              }
-            }
           }
         }
       }
@@ -521,12 +481,12 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
       if (any_push) {
         // Copy, scale and scrub in one body per rank. The scrub zeroes
         // the scribble planes: dead-lane values cycle through A M^-1
-        // every iteration (directly in the pipelined q recurrence,
-        // via the fused w product otherwise) and the operator's norm can
-        // exceed 1, so left alone they grow geometrically until the FP32
-        // demote boundary inside a mixed-precision preconditioner
-        // overflows. Zeroing is invisible to live lanes — every fused
-        // kernel is lane-wise — and keeps the scratch planes bounded.
+        // every iteration via the fused w product, and the operator's
+        // norm can exceed 1, so left alone they grow geometrically until
+        // the FP32 demote boundary inside a mixed-precision
+        // preconditioner overflows. Zeroing is invisible to live lanes —
+        // every fused kernel is lane-wise — and keeps the scratch planes
+        // bounded.
         rt.parallel_for_ranks([&](RankId rk) {
           v[j + 1].copy_from(rk, w);
           v[j + 1].scale_lanes(rk, coef, pmask);
@@ -534,47 +494,6 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
             if (!pmask[c]) v[j + 1].lane_fill(rk, c, 0.0);
           }
         });
-      }
-      if (pipe) {
-        if (q.size() <= j + 1) {
-          q.emplace_back(rt, a.rows(), nc);
-        }
-        if (any_push) {
-          if (sync || (nc == 1 && any_rsync)) {
-            // Synchronization point (periodic, or a 1-lane drift
-            // resync): recompute q_{j+1} = A M^-1 v_{j+1} directly (the
-            // operator application this iteration skipped), discarding
-            // accumulated recurrence drift for every lane at once.
-            m.apply(v[j + 1], z);
-            a.matvec(z, q[j + 1]);
-          } else {
-            // q_{j+1} = A M^-1 v_{j+1} by linearity: the
-            // already-computed t minus the same basis combination,
-            // scaled by the same 1/hlast — no second operator
-            // application.
-            q[j + 1].copy_from(tq);
-            q[j + 1].scale_lanes(coef, pmask);
-            if (any_rsync) {
-              // Drift resync of some lanes: overwrite exactly those
-              // lanes with a direct recompute, leaving the others'
-              // recurrence values untouched (a 1-lane solve of each lane
-              // makes the identical choice).
-              std::vector<std::uint8_t> rsmask(nc, 0);
-              for (std::size_t c = 0; c < nc; ++c) {
-                if (rsync[c] && pmask[c]) rsmask[c] = 1;
-              }
-              m.apply(v[j + 1], z);
-              a.matvec(z, t);
-              q[j + 1].copy_lanes(t, rsmask);
-            }
-          }
-          // Same scribble scrub as v[j+1] above: q planes feed the
-          // preconditioner every iteration, so unbounded dead-lane
-          // values would hit the FP32 demote boundary first.
-          for (std::size_t c = 0; c < nc; ++c) {
-            if (!pmask[c]) q[j + 1].lane_fill(c, 0.0);
-          }
-        }
       }
 
       // Givens update + convergence test, per lane on the host.
@@ -587,7 +506,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
         }
         const Real denom = std::hypot(hj[j], hlast[c]);
         if (denom == 0.0) {
-          epilogue(c, j + 1);  // exact solution reached
+          leaving[c] = 1;  // exact solution reached
           continue;
         }
         cs[c][j] = hj[j] / denom;
@@ -601,18 +520,18 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
           opts.residual_trace->push_back(out.lane[c].final_residual);
         }
         if (out.lane[c].final_residual <= target[c] || hlast[c] == 0.0) {
-          epilogue(c, j + 1);
+          leaving[c] = 1;
         }
       }
       ++j;
+      finish(j);
     }
 
     // Restart exhausted: remaining lanes update x and go back to waiting.
     for (std::size_t c = 0; c < nc; ++c) {
-      if (state[c] == LaneState::kIterating) {
-        epilogue(c, j);
-      }
+      if (state[c] == LaneState::kIterating) leaving[c] = 1;
     }
+    finish(j);
   }
   return out;
 }

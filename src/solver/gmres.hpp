@@ -1,7 +1,7 @@
 #pragma once
 /// \file gmres.hpp
-/// Right-preconditioned GMRES with classical (MGS) and one-reduce
-/// orthogonalization.
+/// Right-preconditioned flexible GMRES with classical (MGS) and
+/// one-reduce orthogonalization.
 ///
 /// "The Nalu-Wind time integrator employs the one-reduce GMRES linear
 /// solver for the momentum and pressure-Poisson governing equations"
@@ -32,35 +32,7 @@ namespace exw::solver {
 enum class OrthoMethod : std::uint8_t {
   kMgs,        ///< modified Gram-Schmidt, one reduction per basis vector
   kOneReduce,  ///< fused CGS with Pythagorean norm update
-  /// Depth-1 pipelined one-reduce (Ghysels-style): the fused
-  /// [V^T w ; ||w||^2] reduction is *initiated*, then the next
-  /// SpMV + preconditioner application runs on the un-orthogonalized
-  /// candidate while the reduction is in flight — legal because
-  /// A M^-1 v_{j+1} is recovered from the auxiliary basis
-  /// q_i = A M^-1 v_i by the same linear recurrence that builds v_{j+1},
-  /// so nothing downstream blocks on the dots until the matvec is done.
-  /// Per iteration this removes the last blocking collective from the
-  /// critical path (its bandwidth is still paid; see
-  /// MachineModel::allreduce_overlapped_time); the reorthogonalization
-  /// fallback, when Rutishauser's test triggers, stays a blocking
-  /// reduce. Costs one extra basis (Q) of storage and one extra axpy
-  /// fan per iteration — the classic pipelined-GMRES trade.
-  /// Iterates agree with kOneReduce to rounding (the q recurrence
-  /// reassociates A M^-1), not bitwise. The recurrence amplifies
-  /// rounding error by ~||q_j||/h_{j+1,j} per iteration, so every
-  /// kPipelineSyncPeriod-th iteration synchronizes: the reduction
-  /// blocks and q_{j+1} is recomputed directly (residual replacement),
-  /// bounding the drift that would otherwise inflate iteration counts
-  /// under strong preconditioners.
-  kPipelined,
 };
-
-/// kPipelined: every N-th iteration of a restart cycle is a
-/// synchronization point — blocking fused reduction plus a direct
-/// recompute of q_{j+1} = A M^-1 v_{j+1} — resetting q-recurrence drift
-/// (residual replacement). Keyed off the in-cycle iteration index alone,
-/// so every lane of a multi-lane solve chooses as its 1-lane solve would.
-inline constexpr int kPipelineSyncPeriod = 8;
 
 struct GmresOptions {
   int max_iters = 200;
@@ -93,7 +65,10 @@ struct MultiSolveStats {
 };
 
 /// Solve A x_c = b_c for every lane c of `x` (x holds the initial guess)
-/// with right preconditioning. Lanes share the operator (one SpMV /
+/// with right preconditioning. Each iteration keeps its preconditioned
+/// basis vector z_j = M^-1 v_j, and a lane finishes with x += Z y
+/// (flexible GMRES): M is applied once per iteration and never after the
+/// last one. Lanes share the operator (one SpMV /
 /// preconditioner application reads the sparse structure once for all
 /// lanes) and their reduction payloads ride one batched allreduce per
 /// orthogonalization — but each lane's convergence is tracked

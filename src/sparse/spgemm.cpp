@@ -178,10 +178,14 @@ void ProductPlan::append(std::span<const std::size_t> ls,
                          std::span<const std::size_t> rs) {
   EXW_REQUIRE(ls.size() == rs.size() && !ls.empty(),
               "product-plan entry needs matching, non-empty term lists");
+  for (std::size_t t = 0; t < ls.size(); ++t) {
+    (void)checked_narrow<std::uint32_t>(ls[t]);
+    (void)checked_narrow<std::uint32_t>(rs[t]);
+  }
   if (seg_ptr.empty()) seg_ptr.push_back(0);
   lslot.insert(lslot.end(), ls.begin(), ls.end());
   rslot.insert(rslot.end(), rs.begin(), rs.end());
-  seg_ptr.push_back(lslot.size());
+  seg_ptr.push_back(checked_narrow<std::uint32_t>(lslot.size()));
 }
 
 void ProductPlan::replay(std::span<const Real> left,

@@ -59,9 +59,11 @@ double spgemm_flops(const Csr& a, const Csr& b);
 /// values. Replays do no hashing, no sorting, no searches and allocate
 /// nothing — one streaming pass over the term lists.
 struct ProductPlan {
-  std::vector<std::size_t> seg_ptr;  ///< output entry -> term range
-  std::vector<std::size_t> lslot;    ///< term -> index into `left`
-  std::vector<std::size_t> rslot;    ///< term -> index into `right`
+  // 32-bit slots and term offsets: a frozen hierarchy keeps these for
+  // every partial product, so they dominate its resident replay record.
+  std::vector<std::uint32_t> seg_ptr;  ///< output entry -> term range
+  std::vector<std::uint32_t> lslot;    ///< term -> index into `left`
+  std::vector<std::uint32_t> rslot;    ///< term -> index into `right`
   /// Cold accumulators differ in their first addend: RAP's coarse rows
   /// seed each sum with the first value, as reduce_by_key does
   /// (zero_init = false), while its AP rows fold into an explicit 0.0
@@ -75,6 +77,8 @@ struct ProductPlan {
   double flops() const { return 2.0 * static_cast<double>(terms()); }
 
   /// Append one output entry whose terms are `ls/rs` (parallel arrays).
+  /// Slots and the running term count go through checked_narrow, so one
+  /// past 2^32 - 1 throws instead of wrapping.
   void append(std::span<const std::size_t> ls, std::span<const std::size_t> rs);
 
   void replay(std::span<const Real> left, std::span<const Real> right,

@@ -1,4 +1,4 @@
-// Mixed-precision preconditioning (DESIGN.md §16) and pipelined GMRES.
+// Mixed-precision preconditioning (DESIGN.md §16).
 //
 // Pins the contracts the perf story rests on:
 //   * the demote boundary: round-trip exactness, overflow guard, FTZ of
@@ -8,10 +8,7 @@
 //   * a value refresh of a frozen FP32 hierarchy is bitwise-identical to
 //     a cold rebuild (the FP64-chain / demote-at-end replay);
 //   * the FP32 preconditioner costs at most one extra GMRES iteration on
-//     the canonical elliptic operator;
-//   * pipelined GMRES agrees with one-reduce to rounding per iteration,
-//     removes the blocking collective from the iteration body, and its
-//     fused multi-RHS lanes are bitwise-identical to scalar solves.
+//     the canonical elliptic operator.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,7 +25,6 @@ namespace exw {
 namespace {
 
 using testutil::laplace3d;
-using testutil::random_spd_ish;
 using testutil::random_vector;
 
 // ---------------------------------------------------------------- demote --
@@ -93,9 +89,7 @@ TEST(Precision, KrylovLaneOpsRejectFp32Operands) {
   EXPECT_THROW(f3.copy_lanes(x3), Error);
   EXPECT_THROW(x3.copy_lanes(f3), Error);
   EXPECT_THROW(f3.scale_lanes(alpha), Error);
-  EXPECT_THROW(f3.lane_fill(0, 1.0), Error);
-  EXPECT_THROW(f3.lane_axpy(0, 1.0, x3), Error);
-  EXPECT_THROW(x3.lane_axpy(0, 1.0, f3), Error);
+  EXPECT_THROW(f3.lane_fill(RankId{0}, 0, 1.0), Error);
   EXPECT_THROW(f3.set_lane(0, x1), Error);
   EXPECT_THROW(x3.set_lane(0, f1), Error);
   EXPECT_THROW(f3.extract_lane(0, x1), Error);
@@ -104,8 +98,7 @@ TEST(Precision, KrylovLaneOpsRejectFp32Operands) {
   // The same calls on FP64 operands run.
   EXPECT_NO_THROW(y3.copy_lanes(x3));
   EXPECT_NO_THROW(y3.scale_lanes(alpha));
-  EXPECT_NO_THROW(y3.lane_fill(0, 1.0));
-  EXPECT_NO_THROW(y3.lane_axpy(0, 1.0, x3));
+  EXPECT_NO_THROW(y3.lane_fill(RankId{0}, 0, 1.0));
   EXPECT_NO_THROW(y3.set_lane(0, x1));
   EXPECT_NO_THROW(y3.extract_lane(0, x1));
 }
@@ -230,152 +223,6 @@ TEST(MixedPrecond, AtMostOneExtraGmresIteration) {
   const int full = iters(Precision::kF64);
   const int mixed = iters(Precision::kF32);
   EXPECT_LE(mixed, full + 1);
-}
-
-// ------------------------------------------------------- pipelined GMRES --
-
-TEST(Pipelined, AgreesWithOneReducePerIteration) {
-  const auto mat = random_spd_ish(LocalIndex{300}, 6, 53);
-  auto run = [&](solver::OrthoMethod ortho, std::vector<Real>* trace,
-                 RealVector* sol) {
-    par::Runtime rt(4);
-    const auto rows =
-        par::RowPartition::even(GlobalIndex{mat.nrows().value()}, 4);
-    const auto a = linalg::ParCsr::from_serial(rt, mat, rows, rows);
-    linalg::ParVector b(rt, rows), x(rt, rows);
-    b.scatter(random_vector(static_cast<std::size_t>(mat.nrows()), 5));
-    x.fill(0.0);
-    solver::SmootherPrecond m(a, amg::SmootherType::kSgs2, 2, 2);
-    solver::GmresOptions opts;
-    opts.rel_tol = 1e-9;
-    opts.ortho = ortho;
-    opts.residual_trace = trace;
-    const auto st = solver::gmres_solve(a, b, x, m, opts);
-    EXPECT_TRUE(st.converged);
-    *sol = x.gather();
-    return st;
-  };
-  std::vector<Real> trace_one, trace_pipe;
-  RealVector sol_one, sol_pipe;
-  const auto s_one = run(solver::OrthoMethod::kOneReduce, &trace_one,
-                         &sol_one);
-  const auto s_pipe = run(solver::OrthoMethod::kPipelined, &trace_pipe,
-                          &sol_pipe);
-  // The q-basis recurrence reassociates A M^-1, so agreement is to
-  // rounding, not bitwise: per-iteration residual estimates track within
-  // a tight relative band and the solutions coincide to solver accuracy.
-  ASSERT_FALSE(trace_one.empty());
-  const std::size_t common = std::min(trace_one.size(), trace_pipe.size());
-  EXPECT_LE(trace_one.size() > trace_pipe.size()
-                ? trace_one.size() - trace_pipe.size()
-                : trace_pipe.size() - trace_one.size(),
-            std::size_t{1});
-  for (std::size_t i = 0; i < common; ++i) {
-    EXPECT_NEAR(trace_pipe[i], trace_one[i],
-                1e-6 * s_one.initial_residual + 1e-6 * trace_one[i])
-        << "residual traces diverged at iteration " << i;
-  }
-  Real diff = 0, norm = 0;
-  for (std::size_t i = 0; i < sol_one.size(); ++i) {
-    diff = std::max(diff, std::abs(sol_one[i] - sol_pipe[i]));
-    norm = std::max(norm, std::abs(sol_one[i]));
-  }
-  EXPECT_LE(diff, 1e-7 * std::max(norm, Real{1.0}));
-  EXPECT_LE(std::abs(s_pipe.iterations - s_one.iterations), 1);
-}
-
-TEST(Pipelined, RemovesBlockingCollectiveFromIterationBody) {
-  const auto mat = laplace3d(8, 0.02);
-  long blocking_one = 0, blocking_pipe = 0;
-  long overlapped_one = 0, overlapped_pipe = 0;
-  int iters_one = 0, iters_pipe = 0;
-  auto run = [&](solver::OrthoMethod ortho, long* blocking, long* overlapped,
-                 int* iters) {
-    par::Runtime rt(4);
-    const auto rows =
-        par::RowPartition::even(GlobalIndex{mat.nrows().value()}, 4);
-    const auto a = linalg::ParCsr::from_serial(rt, mat, rows, rows);
-    linalg::ParVector b(rt, rows), x(rt, rows);
-    b.scatter(random_vector(static_cast<std::size_t>(mat.nrows()), 13));
-    x.fill(0.0);
-    solver::IdentityPrecond m;
-    solver::GmresOptions opts;
-    opts.rel_tol = 1e-8;
-    opts.ortho = ortho;
-    rt.tracer().reset();
-    const auto st = solver::gmres_solve(a, b, x, m, opts);
-    EXPECT_TRUE(st.converged);
-    *blocking = rt.tracer().phase("").collectives;
-    *overlapped = rt.tracer().phase("").overlapped_collectives;
-    *iters = st.iterations;
-  };
-  run(solver::OrthoMethod::kOneReduce, &blocking_one, &overlapped_one,
-      &iters_one);
-  run(solver::OrthoMethod::kPipelined, &blocking_pipe, &overlapped_pipe,
-      &iters_pipe);
-  ASSERT_GT(iters_one, 0);
-  ASSERT_GT(iters_pipe, 0);
-  // One-reduce: >= 1 blocking reduce per iteration; pipelined moves the
-  // per-iteration reduce off the blocking ledger entirely.
-  const double per_iter_one =
-      static_cast<double>(blocking_one) / iters_one;
-  const double per_iter_pipe =
-      static_cast<double>(blocking_pipe) / iters_pipe;
-  EXPECT_LT(per_iter_pipe, per_iter_one);
-  EXPECT_EQ(overlapped_one, 0);
-  // One in-flight reduce per iteration, except at the periodic
-  // synchronization points where the reduce blocks by design.
-  EXPECT_GE(overlapped_pipe,
-            iters_pipe - iters_pipe / solver::kPipelineSyncPeriod - 1);
-}
-
-TEST(Pipelined, MultiLanesMatchScalarBitwise) {
-  // The fused multi-RHS pipelined path must reproduce the scalar
-  // pipelined iterates exactly, lane by lane (rank-ordered batched
-  // reductions + masked lane ops).
-  const auto mat = random_spd_ish(LocalIndex{240}, 5, 71);
-  const int nranks = 4;
-  constexpr std::size_t kLanes = 3;
-  par::Runtime rt(nranks);
-  const auto rows =
-      par::RowPartition::even(GlobalIndex{mat.nrows().value()}, nranks);
-  const auto a = linalg::ParCsr::from_serial(rt, mat, rows, rows);
-  solver::SmootherPrecond m(a, amg::SmootherType::kSgs2, 2, 1);
-  solver::GmresOptions opts;
-  opts.rel_tol = 1e-8;
-  opts.ortho = solver::OrthoMethod::kPipelined;
-
-  std::vector<RealVector> bd;
-  for (std::size_t c = 0; c < kLanes; ++c) {
-    bd.push_back(random_vector(static_cast<std::size_t>(mat.nrows()),
-                               100 + c));
-  }
-
-  linalg::ParVector b(rt, rows, kLanes), x(rt, rows, kLanes);
-  for (std::size_t c = 0; c < kLanes; ++c) {
-    linalg::ParVector bc(rt, rows);
-    bc.scatter(bd[c]);
-    b.set_lane(c, bc);
-  }
-  x.fill(0.0);
-  const auto multi = solver::gmres_solve_multi(a, b, x, m, opts);
-  EXPECT_TRUE(multi.all_converged());
-
-  for (std::size_t c = 0; c < kLanes; ++c) {
-    linalg::ParVector bc(rt, rows), xc(rt, rows);
-    bc.scatter(bd[c]);
-    xc.fill(0.0);
-    const auto st = solver::gmres_solve(a, bc, xc, m, opts);
-    EXPECT_TRUE(st.converged);
-    EXPECT_EQ(st.iterations, multi.lane[c].iterations) << "lane " << c;
-    linalg::ParVector xm(rt, rows);
-    x.extract_lane(c, xm);
-    const auto gm = xm.gather();
-    const auto gs = xc.gather();
-    EXPECT_EQ(std::memcmp(gm.data(), gs.data(), gm.size() * sizeof(Real)),
-              0)
-        << "lane " << c << " diverged from scalar pipelined";
-  }
 }
 
 }  // namespace
