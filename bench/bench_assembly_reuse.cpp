@@ -190,9 +190,8 @@ int run() {
   const bool warm_sorts = warm_excess != 0;
 
   // Steady state: from the second refill on, the per-refill allocation
-  // count must be flat. It reads zero: the first refill sizes the
-  // persistent channel buffers (assembly/plan.hpp), later ones allocate
-  // nothing.
+  // count must be flat. It reads zero from the first refill on: build()
+  // sizes the persistent channel buffers (assembly/plan.hpp).
   bool alloc_growth = false;
   for (std::size_t i = 2; i < allocs_per_refill.size(); ++i) {
     if (allocs_per_refill[i] > allocs_per_refill[1]) alloc_growth = true;

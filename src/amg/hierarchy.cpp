@@ -6,17 +6,23 @@
 
 #include "common/rng.hpp"
 
-#include "amg/cache.hpp"
-#include "amg/charges.hpp"
 #include "amg/coarsen.hpp"
 #include "amg/interp.hpp"
 #include "amg/rap.hpp"
 #include "common/error.hpp"
 #include "perf/purity.hpp"
+#include "perf/tracer.hpp"
 
 namespace exw::amg {
 
 namespace {
+
+/// Dense LU factorization of the n x n coarsest operator on rank 0:
+/// n^3/3 flops over the n^2 matrix.
+void charge_dense_lu(perf::Tracer& tracer, std::int64_t n) {
+  const auto dn = static_cast<double>(n);
+  tracer.kernel(RankId{0}, dn * dn * dn / 3.0, 8.0 * dn * dn);
+}
 
 /// One coarsening round: S -> PMIS -> agglomeration -> P. Returns false
 /// if coarsening stalled (no F points / empty coarse grid).
@@ -36,13 +42,10 @@ bool coarsen_once(const linalg::ParCsr& a, const AmgConfig& cfg,
 
 }  // namespace
 
-AmgHierarchy::AmgHierarchy(const linalg::ParCsr& a, AmgConfig cfg,
-                           bool freeze_replay)
-    : cfg_(cfg), frozen_(freeze_replay) {
+AmgHierarchy::AmgHierarchy(const linalg::ParCsr& a, AmgConfig cfg)
+    : cfg_(cfg) {
   setup(a);
 }
-
-AmgHierarchy::~AmgHierarchy() = default;
 
 void AmgHierarchy::setup(const linalg::ParCsr& a) {
   par::Runtime& rt = a.runtime();
@@ -62,12 +65,7 @@ void AmgHierarchy::setup(const linalg::ParCsr& a) {
     if (!coarsen_once(lvl.a, cfg_, seed, p1, n1)) {
       break;
     }
-    // When freezing, record the value-replay structure of the *final* RAP
-    // for this transition (galerkin_rap resets the record at entry, so the
-    // aggressive path's second product simply overwrites the first).
-    RapRecord record;
-    RapRecord* rec = frozen_ ? &record : nullptr;
-    linalg::ParCsr a1 = galerkin_rap(lvl.a, p1, cfg_.spgemm, rec);
+    linalg::ParCsr a1 = galerkin_rap(lvl.a, p1, cfg_.spgemm);
 
     if (aggressive && a1.global_rows() > cfg_.max_coarse_size) {
       // Second stage: coarsen the first-stage grid again and combine the
@@ -79,12 +77,8 @@ void AmgHierarchy::setup(const linalg::ParCsr& a) {
       if (coarsen_once(a1, cfg_, seed, p2, n2)) {
         p1 = par_matmat(p1, p2, cfg_.spgemm);
         truncate_interpolation(p1, cfg_.pmax);
-        a1 = galerkin_rap(lvl.a, p1, cfg_.spgemm, rec);
+        a1 = galerkin_rap(lvl.a, p1, cfg_.spgemm);
       }
-    }
-    if (frozen_) {
-      replays_.push_back(freeze_level_replay(rt, std::move(record),
-                                             a1.rows()));
     }
 
     lvl.p = std::move(p1);
@@ -95,9 +89,9 @@ void AmgHierarchy::setup(const linalg::ParCsr& a) {
 
   // Mixed-precision hierarchy (DESIGN.md §16): the whole setup above ran
   // in FP64; demote every level's operator and transfer in one pass here,
-  // so the stored hierarchy is round(FP64 Galerkin chain) — the same
-  // values refresh_values reproduces. Must happen before the smoothers
-  // are built: their diagonal splits capture the demoted values.
+  // so the stored hierarchy is round(FP64 Galerkin chain). Must happen
+  // before the smoothers are built: their diagonal splits capture the
+  // demoted values.
   if (cfg_.precision == Precision::kF32) {
     for (auto& lvl : levels_) {
       lvl.a.demote_values();
@@ -125,59 +119,7 @@ void AmgHierarchy::setup(const linalg::ParCsr& a) {
   const auto& coarsest = levels_.back().a;
   coarse_lu_ = sparse::DenseLu(coarsest.to_serial());
   coarse_rhs_.assign(static_cast<std::size_t>(coarsest.global_rows()), 0.0);
-  // Rebuild-only cost: refresh_values never re-factorizes (amg/charges.hpp).
-  detail::charge_dense_lu(rt.tracer(), coarsest.global_rows().value());
-}
-
-EXW_WARM_FN
-void AmgHierarchy::refresh_values(const linalg::ParCsr& a) {
-  EXW_PURITY_REGION("amg-refresh");
-  EXW_REQUIRE(frozen_,
-              "amg hierarchy: refresh_values requires freeze_replay setup");
-  EXW_REQUIRE(!levels_.empty(), "amg hierarchy: refresh before setup");
-  linalg::ParCsr& fine = levels_.front().a;
-  EXW_REQUIRE(a.global_rows() == fine.global_rows() &&
-                  a.nranks() == fine.nranks(),
-              "amg hierarchy plan is stale: fine matrix shape changed");
-
-  // Level 0: copy the new values into the retained fine operator (one
-  // streaming kernel per rank; structure fingerprint checked first).
-  par::Runtime& rt = a.runtime();
-  rt.parallel_for_ranks([&](RankId r) {
-    const linalg::RankBlock& src = a.block(r);
-    linalg::RankBlock& dst = fine.block_mut(r);
-    EXW_REQUIRE(src.diag.nnz() == dst.diag.nnz() &&
-                    src.offd.nnz() == dst.offd.nnz() &&
-                    src.col_map.size() == dst.col_map.size(),
-                "amg hierarchy plan is stale: fine-level structure changed");
-    const auto dspan = src.diag.vals().raw();
-    const auto ospan = src.offd.vals().raw();
-    std::copy(dspan.begin(), dspan.end(), dst.diag.vals_vec().begin());
-    std::copy(ospan.begin(), ospan.end(), dst.offd.vals_vec().begin());
-    detail::charge_value_stream(rt.tracer(), r,
-                                src.diag.nnz() + src.offd.nnz());
-  });
-
-  // Replay each transition: level l's refreshed operator feeds l+1.
-  // In mixed mode the chain runs in FP64 — replay t reads the fresh FP64
-  // values replay t-1 just wrote, not the rounded stores — and every
-  // level demotes once at the end. The FP32 storage invariant is broken
-  // only inside this call, and the result is bitwise-identical to a cold
-  // rebuild at the same values (round of the same FP64 Galerkin chain).
-  for (std::size_t t = 0; t < replays_.size(); ++t) {
-    replay_level(rt, *replays_[t], levels_[t].a, levels_[t + 1].a);
-  }
-  if (cfg_.precision == Precision::kF32) {
-    for (auto& lvl : levels_) {
-      lvl.a.demote_values();
-    }
-  }
-
-  // Re-split the smoothers against the refreshed operators. The coarse
-  // LU keeps its factorization (rebuild-only O(n^3); see class comment).
-  for (auto& lvl : levels_) {
-    lvl.smoother->refresh_values();
-  }
+  charge_dense_lu(rt.tracer(), coarsest.global_rows().value());
 }
 
 EXW_WARM_FN

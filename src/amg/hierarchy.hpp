@@ -27,8 +27,6 @@
 
 namespace exw::amg {
 
-struct LevelReplay;  // amg/cache.hpp — frozen value-replay state
-
 struct AmgLevel {
   linalg::ParCsr a;
   linalg::ParCsr p;  ///< to the next coarser level (unused on coarsest)
@@ -42,28 +40,8 @@ struct AmgLevel {
 class AmgHierarchy {
  public:
   /// Build the hierarchy for `a` (setup phase; charge via an enclosing
-  /// PhaseScope, e.g. "precond_setup"). With `freeze_replay`, setup
-  /// additionally freezes per-transition value-replay plans (amg/cache.hpp)
-  /// so refresh_values() can refill every level from new fine values.
-  AmgHierarchy(const linalg::ParCsr& a, AmgConfig cfg,
-               bool freeze_replay = false);
-  ~AmgHierarchy();  // out of line: LevelReplay is incomplete here
-
-  /// True when setup froze the replay plans (refresh_values available).
-  bool frozen() const { return frozen_; }
-
-  /// Refill every level's values in place from new values of `a`, which
-  /// must have the exact structure setup saw: level-0 values are copied,
-  /// each coarse operator is refilled by replaying the frozen Galerkin
-  /// product plans against the frozen interpolation, and the smoothers
-  /// re-split. No graph traversal, no hashing, no steady-state
-  /// allocation; bitwise-identical to rebuilding against the frozen
-  /// coarsening. The coarse direct solver keeps its factorization — the
-  /// O(n^3) charge is rebuild-only; the resulting (slight) coarse-solve
-  /// lag is bounded by the stagnation rule of HierarchyCache::update.
-  /// Throws exw::Error if the hierarchy is not frozen or the structure
-  /// changed.
-  void refresh_values(const linalg::ParCsr& a);
+  /// PhaseScope, e.g. "precond_setup").
+  AmgHierarchy(const linalg::ParCsr& a, AmgConfig cfg);
 
   /// One V-cycle for A x = b (x is both initial guess and result).
   void vcycle(const linalg::ParVector& b, linalg::ParVector& x);
@@ -104,9 +82,6 @@ class AmgHierarchy {
   std::vector<AmgLevel> levels_;
   sparse::DenseLu coarse_lu_;
   RealVector coarse_rhs_;  ///< the coarse solve's gather buffer
-  /// Frozen replay plans, one per level transition (empty unless frozen).
-  std::vector<std::unique_ptr<LevelReplay>> replays_;
-  bool frozen_ = false;
 };
 
 }  // namespace exw::amg

@@ -126,6 +126,8 @@ AssemblyPlan AssemblyPlan::build(par::Runtime& rt,
     p.rhs_recvs = recv_runs(r, rhs_sends_all);
     p.n_recv = p.mat_recvs.empty() ? 0 : p.mat_recvs.back().end;
     p.rhs_n_recv = p.rhs_recvs.empty() ? 0 : p.rhs_recvs.back().end;
+    p.stacked.assign(p.n_own + p.n_recv, 0.0);
+    p.rhs_recv.assign(p.rhs_n_recv, 0.0);
   }
 
   // Per-rank structural pass (the expensive half a cold assembly pays
@@ -228,25 +230,6 @@ AssemblyPlan AssemblyPlan::build(par::Runtime& rt,
   return plan;
 }
 
-bool AssemblyPlan::matches(std::span<const SystemView> systems) const {
-  if (systems.size() != ranks_.size()) return false;
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    const auto& p = ranks_[r];
-    const auto& sv = systems[r];
-    const std::size_t n_shared = p.mat_sends.empty() ? 0 : p.mat_sends.back().end;
-    const std::size_t n_rhs_shared =
-        p.rhs_sends.empty() ? 0 : p.rhs_sends.back().end;
-    if (sv.owned == nullptr || sv.shared == nullptr ||
-        sv.rhs_owned == nullptr || sv.rhs_shared == nullptr ||
-        sv.owned->nnz() != p.n_own || sv.shared->nnz() != n_shared ||
-        sv.rhs_owned->size() != p.rhs_n_own ||
-        sv.rhs_shared->size() != n_rhs_shared) {
-      return false;
-    }
-  }
-  return true;
-}
-
 linalg::ParCsr AssemblyPlan::create_matrix(par::Runtime& rt) const {
   EXW_REQUIRE(valid(), "assembly plan not built");
   return linalg::ParCsr(rt, rows_, cols_, structure_);
@@ -257,26 +240,6 @@ linalg::ParVector AssemblyPlan::create_vector(par::Runtime& rt) const {
   return linalg::ParVector(rt, rows_);
 }
 
-void AssemblyPlan::prime_matrix_channels() const {
-  if (mat_primed_) return;
-  EXW_PURITY_ALLOW("first-use scratch priming");
-  for (const RankPlan& p : ranks_) {
-    p.stacked.resize(  // exw-warm-ok: first-use scratch priming
-        p.n_own + p.n_recv);
-  }
-  mat_primed_ = true;
-}
-
-void AssemblyPlan::prime_vector_channels() const {
-  if (rhs_primed_) return;
-  EXW_PURITY_ALLOW("first-use scratch priming");
-  for (const RankPlan& p : ranks_) {
-    p.rhs_recv.resize(  // exw-warm-ok: first-use scratch priming
-        p.rhs_n_recv);
-  }
-  rhs_primed_ = true;
-}
-
 EXW_WARM_FN
 void AssemblyPlan::refill_matrix(par::Runtime& rt,
                                  std::span<const SystemView> systems,
@@ -284,7 +247,6 @@ void AssemblyPlan::refill_matrix(par::Runtime& rt,
   EXW_PURITY_REGION("assembly-refill-matrix");
   EXW_REQUIRE(valid(), "assembly plan not built");
   EXW_REQUIRE(systems.size() == ranks_.size(), "one system view per rank");
-  prime_matrix_channels();
   auto& tracer = rt.tracer();
 
   // Each sender copies its shared values straight into the receivers'
@@ -341,7 +303,6 @@ void AssemblyPlan::refill_vector(par::Runtime& rt,
   EXW_PURITY_REGION("assembly-refill-vector");
   EXW_REQUIRE(valid(), "assembly plan not built");
   EXW_REQUIRE(systems.size() == ranks_.size(), "one system view per rank");
-  prime_vector_channels();
   auto& tracer = rt.tracer();
 
   stamp_ = tracer.stamp();

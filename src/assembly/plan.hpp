@@ -86,12 +86,10 @@ class AssemblyPlan {
     std::size_t rhs_n_own = 0;  ///< local rows (dense owned RHS)
     std::size_t rhs_n_recv = 0;
     linalg::VectorFillPlan rhs_fill;
-    // Channel buffers, sized on the first refill and reused afterwards
-    // (AMG level plans are built but never refilled in most runs, so
-    // build() leaves them empty). Mutable because refills are const
-    // operations on the plan. A sender's body writes only its own slices
-    // of a receiver's received region; the receiver's body reads them
-    // after the region barrier.
+    // Channel buffers, sized by build() and reused by every refill.
+    // Mutable because refills are const operations on the plan. A
+    // sender's body writes only its own slices of a receiver's received
+    // region; the receiver's body reads them after the region barrier.
     mutable RealVector stacked;   ///< [owned, received] matrix values
     mutable RealVector rhs_recv;  ///< received RHS values
   };
@@ -108,12 +106,6 @@ class AssemblyPlan {
   bool valid() const { return !ranks_.empty(); }
   const par::RowPartition& rows() const { return rows_; }
   const par::RowPartition& cols() const { return cols_; }
-
-  /// True if `systems` still has the shape this plan was built for
-  /// (per-rank owned/shared sizes). A size match does not prove the
-  /// pattern is unchanged — callers that rebuild patterns must also key
-  /// the cache on EquationGraph::generation().
-  bool matches(std::span<const SystemView> systems) const;
 
   /// Materialize the frozen structure as a ParCsr with zeroed values
   /// (comm package rebuilt from the cloned structure).
@@ -134,17 +126,10 @@ class AssemblyPlan {
                      linalg::ParVector& b) const;
 
  private:
-  /// Size every rank's channel buffers on the first matrix / RHS refill
-  /// (no-op afterwards).
-  void prime_matrix_channels() const;
-  void prime_vector_channels() const;
-
   par::RowPartition rows_;
   par::RowPartition cols_;
   std::vector<RankPlan> ranks_;
   std::vector<linalg::RankBlock> structure_;  ///< values all zero
-  mutable bool mat_primed_ = false;
-  mutable bool rhs_primed_ = false;
   /// Tracer stamp of the refill in flight, taken before its send region.
   mutable perf::MessageStamp stamp_;
 };

@@ -49,11 +49,10 @@ struct SimConfig {
       .max_iters = 100, .restart = 50, .rel_tol = 1e-5,
       .ortho = solver::OrthoMethod::kOneReduce};
   /// Cache the pressure AMG hierarchy across solves (amg/cache.hpp):
-  /// reuse it untouched while the matrix values are bitwise unchanged,
-  /// refresh its values in place (frozen coarsening + Galerkin-product
-  /// replay) when they change, and rebuild setup from scratch only for a
-  /// new key (equation-graph generation, pressure_amg). Bitwise-identical
-  /// V-cycles to a rebuild at the same values. Off: rebuild every solve.
+  /// reuse it untouched while the key (equation-graph generation,
+  /// pressure_amg) matches and the matrix values are bitwise unchanged,
+  /// and rebuild it otherwise. Bitwise-identical V-cycles to a rebuild
+  /// at the same values. Off: rebuild every solve.
   bool use_amg_cache = true;
   /// Earlier pressure corrections kept per mesh block to project each
   /// pressure solve's initial guess onto (solver/projection.hpp): while

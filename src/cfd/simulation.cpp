@@ -568,10 +568,10 @@ void Simulation::solve_continuity(MeshBlock& blk) {
     a.matvec(p_old_vec, rhs, 1.0, 1.0);
   }
 
-  // Preconditioner: the hierarchy cache decides between rebuild, refresh
-  // and reuse (amg/cache.hpp); this only counts its answer. Whether the
-  // matrix changed is checked once, here, for the cache and the projector
-  // alike, and only when one of them keeps state across solves.
+  // Preconditioner: the hierarchy cache decides between rebuild and reuse
+  // (amg/cache.hpp); this only counts its answer. Whether the matrix
+  // changed is checked once, here, for the cache and the projector alike,
+  // and only when one of them keeps state across solves.
   solver::KeptAmgPrecond& pc = blk.prs_precond;
   solver::GuessProjector& proj = blk.prs_projector;
   bool changed = true;
@@ -588,9 +588,6 @@ void Simulation::solve_continuity(MeshBlock& blk) {
                       cfg_.use_amg_cache, changed)) {
       case amg::CacheAction::kRebuild:
         prs_stats_.amg_rebuilds += 1;
-        break;
-      case amg::CacheAction::kRefresh:
-        prs_stats_.amg_refreshes += 1;
         break;
       case amg::CacheAction::kReuse:
         prs_stats_.amg_reuses += 1;
@@ -617,7 +614,6 @@ void Simulation::solve_continuity(MeshBlock& blk) {
       proj.absorb(a, x, st);
     }
   }
-  pc.cache().note_solve(st.iterations);
   count_solve(prs_stats_, st);
 
   // Projection: u -= (dt / rho) grad(p_new - p_old); p := p_new.

@@ -44,11 +44,11 @@
 namespace exw::cfd {
 
 /// Solver statistics of the last time step, per equation: counters
-/// (solves, iterations, rebuilds/refreshes/reuses) accumulate over all
-/// Picard iterations and mesh blocks of the step — a 3-Picard step
-/// reports solves == 3 per single-mesh equation — while final_residual
-/// and the AMG shape fields reflect the step's last solve. For the
-/// pressure equation amg_rebuilds + amg_refreshes + amg_reuses == solves.
+/// (solves, iterations, rebuilds/reuses) accumulate over all Picard
+/// iterations and mesh blocks of the step — a 3-Picard step reports
+/// solves == 3 per single-mesh equation — while final_residual and the
+/// AMG shape fields reflect the step's last solve. For the pressure
+/// equation amg_rebuilds + amg_reuses == solves.
 struct EquationStats {
   int gmres_iterations = 0;
   int solves = 0;
@@ -59,7 +59,7 @@ struct EquationStats {
   int amg_levels = 0;
   double amg_operator_complexity = 0;
   int amg_rebuilds = 0;   ///< structural AMG setups this step
-  int amg_refreshes = 0;  ///< value-only hierarchy refreshes this step
+  int amg_refreshes = 0;  ///< always 0; perfbench/runner/main.cpp reads it
   int amg_reuses = 0;     ///< solves on the hierarchy reused untouched
   int smoother_rebuilds = 0;  ///< SGS2 L/D/U splits built this step
   int smoother_rebinds = 0;   ///< value-only smoother rebinds this step
@@ -145,7 +145,7 @@ class Simulation {
     SmootherSlot mom_smoother;
     /// Pressure AMG hierarchy kept across Picard solves and time steps,
     /// with the preconditioner bound to it; HierarchyCache::update
-    /// decides rebuild, refresh or reuse, and only a rebuild rebinds the
+    /// decides rebuild or reuse, and only a rebuild rebinds the
     /// preconditioner.
     solver::KeptAmgPrecond prs_precond;
     /// Whether prs_cache.matrix changed since the last pressure solve,

@@ -112,12 +112,6 @@ void ParCsr::set_values_from_plan(RankId r, const ValueFillPlan& plan,
                                   std::span<const Real> stacked) {
   EXW_PURITY_REGION("parcsr-value-fill");
   EXW_CONTRACT_CHECK_WRITE(r, "ParCsr::set_values_from_plan(r)");
-  // Note: a value refill writes raw FP64 values even into an FP32-tagged
-  // matrix — the AMG value replay deliberately runs the whole Galerkin
-  // chain in FP64 and demotes every level once at the end, so refresh
-  // stays bitwise-identical to a cold rebuild. A caller that refills an
-  // FP32 matrix owns the follow-up demote_values() pass before the next
-  // kernel consumes it (AmgHierarchy::refresh_values does).
   RankBlock& blk = blocks_[static_cast<std::size_t>(r)];
   EXW_REQUIRE(plan.seg_ptr.size() == plan.dest.size() + 1 &&
                   (plan.perm.empty() || plan.seg_ptr.back() == plan.perm.size()),

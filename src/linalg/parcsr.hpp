@@ -115,7 +115,7 @@ class ParCsr {
   /// value-stream pass per rank. Throws on FP32 range overflow.
   void demote_values();
 
-  /// Warm value-only refresh from an FP64 twin with identical structure:
+  /// Warm value-only copy from an FP64 twin with identical structure:
   /// demote src's values straight into this matrix's FP32 storage, no
   /// allocation, structure untouched. The mixed-precision analogue of
   /// set_values_from_plan for preconditioner rebinds.

@@ -30,7 +30,7 @@ class ValueCheck {
   /// True unless `a` carries the stored key and every rank's diag/offd
   /// values equal the stored copy bit for bit; on true the copy becomes
   /// a's values under `key`. Comparing charges one value stream per rank
-  /// and one allreduce, and refreshing the copy one more value stream per
+  /// and one allreduce, and updating the copy one more value stream per
   /// rank. The copy is sized on the first call and on a new structure,
   /// and never allocates otherwise.
   bool values_changed(const ParCsr& a, std::uint64_t key);

@@ -3,7 +3,7 @@
 /// Warm-path allocation-purity sanitizer.
 ///
 /// PRs 5-7 made the warm Picard path a pure value pipeline: assembly-plan
-/// refills, AMG hierarchy refreshes, smoother rebinds and fused momentum
+/// refills, AMG hierarchy reuse checks, smoother rebinds and fused momentum
 /// ops move values through frozen structure with no sort, no searches and
 /// no steady-state allocation. That invariant is the repo's central
 /// performance claim, and this layer makes it machine-checked the same

@@ -92,12 +92,6 @@ double PhaseStats::total_value_bytes_f64() const {
   return total_value_bytes() - total_value_bytes_f32();
 }
 
-double PhaseStats::max_kernel_flops() const {
-  double m = 0;
-  for (const auto& w : rank) m = std::max(m, w.max_kernel_flops);
-  return m;
-}
-
 Tracer::Tracer(int nranks)
     : nranks_(nranks),
       pending_(static_cast<std::size_t>(nranks > 0 ? nranks : 1) * kMaxDepth),

@@ -71,9 +71,7 @@ struct alignas(64) RankWork {
   double msg_bytes = 0;
   long msgs = 0;
   /// Largest single kernel charged (flops). Aggregates hide what kind of
-  /// work a phase did; the peak kernel exposes it — the bench/CI
-  /// invariant "a warm AMG refresh never charges the O(n^3) coarse-LU
-  /// factorization" is checked against this.
+  /// work a phase did; the peak kernel exposes it.
   double max_kernel_flops = 0;
 };
 
@@ -123,8 +121,6 @@ struct PhaseStats {
   /// Per-precision split of total_value_bytes (f32 label + complement).
   double total_value_bytes_f32() const;
   double total_value_bytes_f64() const;
-  /// Largest single kernel charged by any rank in this phase (flops).
-  double max_kernel_flops() const;
 };
 
 /// The open phase a message was sent in, handed from the send half of

@@ -183,11 +183,18 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
 
   std::vector<linalg::ParVector> v;  // shared Krylov basis planes
   std::vector<linalg::ParVector> z;  // z_i = M^-1 v_i, allocated with use
-  // Per-lane Hessenberg (column-major by iteration), Givens, rhs.
-  std::vector<std::vector<std::vector<Real>>> h(nc);
-  std::vector<std::vector<Real>> cs(nc);
-  std::vector<std::vector<Real>> sn(nc);
-  std::vector<std::vector<Real>> g(nc);
+  // Per-lane Hessenberg, Givens and rhs, sized once per solve and
+  // zero-filled at each (re)start. A lane's Hessenberg is one flat
+  // buffer of `restart` columns of restart + 1 entries: H(i, j) is at
+  // j * hcol + i, and hcolumn(c, j) is lane c's column j.
+  const std::size_t hcol = restart + 1;
+  std::vector<std::vector<Real>> h(nc, std::vector<Real>(restart * hcol));
+  std::vector<std::vector<Real>> cs(nc, std::vector<Real>(hcol));
+  std::vector<std::vector<Real>> sn(nc, std::vector<Real>(hcol));
+  std::vector<std::vector<Real>> g(nc, std::vector<Real>(hcol));
+  auto hcolumn = [&](std::size_t c, std::size_t j) {
+    return std::span<Real>(h[c]).subspan(j * hcol, hcol);
+  };
   std::vector<Real> hlast(nc, 0.0);
 
   // Scratch masks / per-lane coefficient vectors for the fused ops, and
@@ -251,9 +258,9 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
       for (std::size_t i = jcols; i-- > 0;) {
         Real acc = g[c][i];
         for (std::size_t k = i + 1; k < jcols; ++k) {
-          acc -= h[c][k][i] * basis_coef[k * nc + c];
+          acc -= hcolumn(c, k)[i] * basis_coef[k * nc + c];
         }
-        basis_coef[i * nc + c] = acc / h[c][i][i];
+        basis_coef[i * nc + c] = acc / hcolumn(c, i)[i];
       }
       if (s.final_residual <= target[c]) {
         confirm[c] = 1;
@@ -332,10 +339,9 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
       any_active = true;
       mask[c] = 1;
       coef[c] = 1.0 / beta;
-      h[c].assign(restart, std::vector<Real>(restart + 1, 0.0));
-      cs[c].assign(restart + 1, 0.0);
-      sn[c].assign(restart + 1, 0.0);
-      g[c].assign(restart + 1, 0.0);
+      for (std::vector<Real>* lane : {&h[c], &cs[c], &sn[c], &g[c]}) {
+        std::fill(lane->begin(), lane->end(), 0.0);
+      }
       g[c][0] = beta;
     }
     if (!any_active) continue;
@@ -383,7 +389,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
         for (std::size_t i = 0; i <= j; ++i) {
           const auto dots = w.dots(v[i]);
           for (std::size_t c : act) {
-            h[c][j][i] = dots[c];
+            hcolumn(c, j)[i] = dots[c];
             coef[c] = -dots[c];
           }
           w.axpy_lanes(coef, v[i], mask);
@@ -391,7 +397,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
         const auto norms = w.norms();
         for (std::size_t c : act) {
           hlast[c] = norms[c];
-          h[c][j][j + 1] = norms[c];
+          hcolumn(c, j)[j + 1] = norms[c];
         }
       } else {
         // One fused reduction for every active lane: [V^T w ; ||w||^2].
@@ -401,7 +407,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
         std::vector<double> h_norm2(nc, 0.0);
         for (std::size_t li = 0; li < act.size(); ++li) {
           const std::size_t c = act[li];
-          auto& hj = h[c][j];
+          const auto hj = hcolumn(c, j);
           for (std::size_t i = 0; i <= j; ++i) {
             hj[i] = dots[li * seg + i];
             h_norm2[c] += hj[i] * hj[i];
@@ -410,7 +416,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
         }
         for (std::size_t i = 0; i <= j; ++i) {
           for (std::size_t c : act) {
-            basis_coef[i * nc + c] = -h[c][j][i];
+            basis_coef[i * nc + c] = -hcolumn(c, j)[i];
           }
         }
         update_basis(j, mask);
@@ -425,7 +431,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
         for (std::size_t c : act) {
           if (corrected[c] > 0.5 * w_norm2[c]) {
             hlast[c] = std::sqrt(corrected[c]);
-            h[c][j][j + 1] = hlast[c];
+            hcolumn(c, j)[j + 1] = hlast[c];
           }
         }
         if (!reo.empty()) {
@@ -435,7 +441,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
           std::vector<double> c_norm2(nc, 0.0);
           for (std::size_t li = 0; li < reo.size(); ++li) {
             const std::size_t c = reo[li];
-            auto& hj = h[c][j];
+            const auto hj = hcolumn(c, j);
             for (std::size_t i = 0; i <= j; ++i) {
               const double cv = dots2[li * seg + i];
               hj[i] += cv;
@@ -458,7 +464,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
               // Happy breakdown / full cancellation: explicit norm.
               hlast[c] = w.lane_norm2(c);
             }
-            h[c][j][j + 1] = hlast[c];
+            hcolumn(c, j)[j + 1] = hlast[c];
           }
         }
       }
@@ -498,7 +504,7 @@ MultiSolveStats gmres_solve_multi(const linalg::ParCsr& a,
 
       // Givens update + convergence test, per lane on the host.
       for (std::size_t c : act) {
-        auto& hj = h[c][j];
+        const auto hj = hcolumn(c, j);
         for (std::size_t i = 0; i < j; ++i) {
           const Real tg = cs[c][i] * hj[i] + sn[c][i] * hj[i + 1];
           hj[i + 1] = -sn[c][i] * hj[i] + cs[c][i] * hj[i + 1];

@@ -81,7 +81,7 @@ class AmgPrecond final : public Preconditioner {
 /// one per mesh block): the hierarchy cache and one AmgPrecond borrowing
 /// its hierarchy. update() makes a new AmgPrecond only when the cache
 /// rebuilt — a rebuild replaces the hierarchy the old one borrows, and
-/// with it the FP32 boundary vectors; a refresh or reuse keeps both.
+/// with it the FP32 boundary vectors; a reuse keeps both.
 class KeptAmgPrecond {
  public:
   /// HierarchyCache::update, then the rebind it calls for.

@@ -174,35 +174,6 @@ Csr rap(const Csr& a, const Csr& p, SpGemmAlgo algo) {
   return spgemm(rt, ap, algo);
 }
 
-void ProductPlan::append(std::span<const std::size_t> ls,
-                         std::span<const std::size_t> rs) {
-  EXW_REQUIRE(ls.size() == rs.size() && !ls.empty(),
-              "product-plan entry needs matching, non-empty term lists");
-  for (std::size_t t = 0; t < ls.size(); ++t) {
-    (void)checked_narrow<std::uint32_t>(ls[t]);
-    (void)checked_narrow<std::uint32_t>(rs[t]);
-  }
-  if (seg_ptr.empty()) seg_ptr.push_back(0);
-  lslot.insert(lslot.end(), ls.begin(), ls.end());
-  rslot.insert(rslot.end(), rs.begin(), rs.end());
-  seg_ptr.push_back(checked_narrow<std::uint32_t>(lslot.size()));
-}
-
-void ProductPlan::replay(std::span<const Real> left,
-                         std::span<const Real> right,
-                         std::span<Real> out) const {
-  EXW_REQUIRE(out.size() == outputs(), "product-plan output size mismatch");
-  for (std::size_t e = 0; e + 1 < seg_ptr.size(); ++e) {
-    std::size_t t = seg_ptr[e];
-    Real acc = zero_init ? 0.0 : left[lslot[t]] * right[rslot[t]];
-    if (!zero_init) ++t;
-    for (; t < seg_ptr[e + 1]; ++t) {
-      acc += left[lslot[t]] * right[rslot[t]];
-    }
-    out[e] = acc;
-  }
-}
-
 double spgemm_flops(const Csr& a, const Csr& b) {
   double flops = 0;
   for (LocalIndex i{0}; i < a.nrows(); ++i) {

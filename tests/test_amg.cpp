@@ -632,24 +632,23 @@ TEST(Hierarchy, ColdSetupIsPinned) {
   // Every level's row partition, col_map, CSR structure and value bits
   // of A and P, and the setup phase's per-rank ledger, over the four
   // interpolations, both coarsening depths, agglomeration off and on,
-  // FP64 and FP32 and replay freezing off and on: one digest per input
-  // and rank count, the same on the inline executor and on the pool.
-  // Recorded before AMG setup ran on the rank pool; a changed addend
-  // order, a flipped -0.0 or a moved charge changes a digest.
+  // and FP64 and FP32: one digest per input and rank count, the same on
+  // the inline executor and on the pool. A changed addend order, a
+  // flipped -0.0 or a moved charge changes a digest.
   struct Pin {
     int input;  // 0: laplace3d(8, 0.05), 1: single-turbine pressure
     int nranks;
     std::uint64_t setup, ledger;
   };
   const Pin pins[] = {
-      {0, 1, 11858275062089086349ull, 7225744816623566266ull},
-      {0, 4, 14080387771464547973ull, 40889027234187980ull},
-      {0, 24, 16066324259981741640ull, 18126848193206893806ull},
-      {0, 96, 662479410549617248ull, 5528790453109217916ull},
-      {1, 1, 5547906799780256973ull, 8467560029405175500ull},
-      {1, 4, 18185964326083067897ull, 16302619104364998934ull},
-      {1, 24, 11792922231346569859ull, 12607232729155277112ull},
-      {1, 96, 13986610658040797734ull, 5334667144304151684ull},
+      {0, 1, 8169797608911366333ull, 8583497754368902037ull},
+      {0, 4, 7300208704519112545ull, 3986813035881977906ull},
+      {0, 24, 14363648510821626756ull, 4221431935086131631ull},
+      {0, 96, 11146409167075312664ull, 10111148491477287248ull},
+      {1, 1, 6517829015991610837ull, 1110553107312883425ull},
+      {1, 4, 3237021715195806573ull, 13076767222990648463ull},
+      {1, 24, 13037861049167017515ull, 4969774473492298125ull},
+      {1, 96, 13657581522385208482ull, 4597614292575961742ull},
   };
   const sparse::Csr inputs[] = {laplace3d(8, 0.05),
                                 setup_pin::pressure_matrix(0.2)};
@@ -666,23 +665,19 @@ TEST(Hierarchy, ColdSetupIsPinned) {
             InterpType::kMmExtI}) {
         for (const int agg : {0, 2}) {
           for (const int t : {0, 16}) {
-            // Two of the four (precision, freeze) pairs per case,
-            // alternating, so every interpolation meets all four.
-            const int pair = (static_cast<int>(interp) + agg / 2 + t / 16) % 2;
-            for (const int variant : {pair, 3 - pair}) {
+            for (const Precision precision :
+                 {Precision::kF64, Precision::kF32}) {
               AmgConfig cfg;
               cfg.interp = interp;
               cfg.pmax = interp == InterpType::kDirect ? 0 : 4;
               cfg.agg_levels = agg;
               cfg.min_coarse_rows_per_rank = t;
-              cfg.precision =
-                  variant % 2 == 0 ? Precision::kF64 : Precision::kF32;
-              const bool freeze = variant >= 2;
+              cfg.precision = precision;
               rt.tracer().reset();
               std::unique_ptr<AmgHierarchy> h;
               {
                 perf::PhaseScope scope(rt.tracer(), "setup");
-                h = std::make_unique<AmgHierarchy>(a, cfg, freeze);
+                h = std::make_unique<AmgHierarchy>(a, cfg);
               }
               setup_pin::add_hierarchy(setup, *h);
               setup_pin::add_ledger(ledger, rt.tracer().phase("setup"));

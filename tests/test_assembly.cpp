@@ -309,7 +309,6 @@ TEST_P(AssemblyRankSweep, PlanRefillIsBitwiseIdenticalToColdAssembly) {
   const auto views = system_views(graph);
   const auto span = std::span<const SystemView>(views);
   const auto plan = AssemblyPlan::build(rt, rows, rows, span);
-  EXPECT_TRUE(plan.matches(span));
   auto warm_a = plan.create_matrix(rt);
   auto warm_b = plan.create_vector(rt);
 
@@ -372,7 +371,6 @@ TEST_P(AssemblyRankSweep, PlanRejectsMismatchedSystems) {
   // silently assembled through the stale structure.
   const auto stale = system_views(other_graph);
   const auto stale_span = std::span<const SystemView>(stale);
-  EXPECT_FALSE(plan.matches(stale_span));
   EXPECT_THROW(plan.refill_matrix(rt, stale_span, a), Error);
   EXPECT_THROW(plan.refill_vector(rt, stale_span, b), Error);
 }

@@ -2,7 +2,7 @@
 // region/allow scoping and attribution, fatal-mode diagnostics naming the
 // region and its open site, propagation through par::ThreadPool workers,
 // and the zero-allocation steady-state contract of every warm cache
-// (assembly-plan refill, AMG value refresh and reuse check, smoother
+// (assembly-plan refill, AMG reuse check, smoother
 // rebind, fused momentum kernels, AMG V-cycle, guess projection) and of
 // a warm Picard iteration's physics and local assembly.
 // Everything must also compile and pass — vacuously — when
@@ -269,7 +269,9 @@ TEST(PurityWarmPath, AssemblyPlanRefillIsAllocationPure) {
   auto a = plan.create_matrix(rt);
   auto b = plan.create_vector(rt);
 
-  plan.refill_matrix(rt, span, a);  // first use sizes the channels
+  // build() sized the channel buffers; the first use registers each
+  // channel with the check layers (allowlisted allocations).
+  plan.refill_matrix(rt, span, a);
   plan.refill_vector(rt, span, b);
   purity::reset();
   FatalModeGuard guard;
@@ -309,24 +311,10 @@ TEST(PurityWarmPath, PicardPhysicsAndAssemblyAreAllocationPure) {
   }
 }
 
-TEST(PurityWarmPath, AmgValueRefreshIsAllocationPure) {
-  using namespace amg;
-  par::Runtime rt(4);
-  const auto a0 = distribute(rt, laplace3d(8, 0.0));
-  const auto a1 = distribute(rt, laplace3d(8, 0.5));
-  AmgConfig cfg;
-  AmgHierarchy h(a0, cfg, /*freeze_replay=*/true);
-
-  h.refresh_values(a1);  // prime replay scratch
-  purity::reset();
-  FatalModeGuard guard;
-  purity::set_fatal(true);
-  h.refresh_values(a0);
-  EXPECT_EQ(purity::region("amg-refresh").allocs, 0);
-  EXPECT_EQ(purity::region("amg-replay-level").allocs, 0);
-}
-
-TEST(PurityWarmPath, AmgCacheReuseCheckAndRefreshAreAllocationPure) {
+TEST(PurityWarmPath, AmgCacheReuseCheckIsAllocationPure) {
+  // The value check before every cached solve: comparing unchanged
+  // values, and storing changed ones ahead of the rebuild they trigger,
+  // allocates nothing once the first call has sized the copy.
   using namespace amg;
   par::Runtime rt(4);
   const auto a0 = distribute(rt, laplace3d(8, 0.0));
@@ -338,16 +326,15 @@ TEST(PurityWarmPath, AmgCacheReuseCheckAndRefreshAreAllocationPure) {
     return cache.update(m, cfg, 1, true, check.values_changed(m, 1));
   };
   ASSERT_EQ(update(a0), CacheAction::kRebuild);
-  ASSERT_EQ(update(a1), CacheAction::kRefresh);
+  ASSERT_EQ(update(a1), CacheAction::kRebuild);
 
   purity::reset();
   FatalModeGuard guard;
   purity::set_fatal(true);
   EXPECT_EQ(update(a1), CacheAction::kReuse);
-  EXPECT_EQ(update(a0), CacheAction::kRefresh);
+  EXPECT_EQ(update(a0), CacheAction::kRebuild);
   EXPECT_GE(purity::region("amg-reuse-check").entries, 2);
   EXPECT_EQ(purity::region("amg-reuse-check").allocs, 0);
-  EXPECT_EQ(purity::region("amg-cache-refresh").allocs, 0);
 }
 
 TEST(PurityWarmPath, SmootherRebindIsAllocationPure) {

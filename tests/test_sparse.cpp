@@ -224,18 +224,5 @@ TEST(Csr, EntryOffsetsSurvivePast32Bits) {
             std::int64_t{5});
 }
 
-#if EXW_INDEX_CHECKS_ENABLED
-TEST(ProductPlan, SlotPastThirtyTwoBitsThrows) {
-  // Slots are stored in 32 bits; one that does not fit must throw rather
-  // than wrap to a slot of another value.
-  ProductPlan plan;
-  const std::size_t big = std::size_t{1} << 32;
-  const std::vector<std::size_t> ok{big - 1}, over{big}, zero{0};
-  EXPECT_NO_THROW(plan.append(ok, zero));
-  EXPECT_THROW(plan.append(over, zero), Error);
-  EXPECT_THROW(plan.append(zero, over), Error);
-}
-#endif
-
 }  // namespace
 }  // namespace exw::sparse

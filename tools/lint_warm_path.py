@@ -72,9 +72,7 @@ WARM_MACRO = "EXW_WARM_FN"
 # call graph that is justified at runtime by an EXW_PURITY_ALLOW scope
 # (collective staging, first-refill scratch priming) — see the matching
 # comments at each site.
-WARM_ALLOWANCE = {
-    "src/amg/cache.cpp": 2,      # first-refill scratch priming (resize)
-}
+WARM_ALLOWANCE: dict[str, int] = {}
 
 
 def main() -> int:
