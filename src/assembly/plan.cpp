@@ -251,8 +251,8 @@ void AssemblyPlan::refill_matrix(par::Runtime& rt,
 
   // Each sender copies its shared values straight into the receivers'
   // stacked streams, one message per neighbor pair (structure frozen: no
-  // row/col traffic, no counts allreduce), and charges its copies and
-  // messages at once.
+  // row/col traffic, no counts allreduce), and charges its copies as one
+  // kernel with its messages at once.
   stamp_ = tracer.stamp();
   rt.parallel_for_ranks([&](RankId r) {
     const auto& p = ranks_[static_cast<std::size_t>(r)];
@@ -267,11 +267,12 @@ void AssemblyPlan::refill_matrix(par::Runtime& rt,
       std::copy_n(sh.vals.begin() + static_cast<std::ptrdiff_t>(s.begin), count,
                   dst.stacked.begin() + static_cast<std::ptrdiff_t>(
                                             dst.n_own + dst.mat_recvs[s.slot].begin));
-      tally_stream(tally, count, sizeof(Real));
       rt.channel_sent(r, s.peer, tags::kPlanMatVals, count,
                       count * sizeof(Real), tally,
                       "AssemblyPlan::refill_matrix");
     }
+    // The slices tile the shared values: one copy kernel over all of them.
+    if (!p.mat_sends.empty()) tally_stream(tally, n_shared, sizeof(Real));
     tracer.charge_sent(r, tally);
   });
 
@@ -319,11 +320,11 @@ void AssemblyPlan::refill_vector(par::Runtime& rt,
       std::copy_n(sh.vals.begin() + static_cast<std::ptrdiff_t>(s.begin), count,
                   dst.rhs_recv.begin() + static_cast<std::ptrdiff_t>(
                                              dst.rhs_recvs[s.slot].begin));
-      tally_stream(tally, count, sizeof(Real));
       rt.channel_sent(r, s.peer, tags::kPlanRhsVals, count,
                       count * sizeof(Real), tally,
                       "AssemblyPlan::refill_vector");
     }
+    if (!p.rhs_sends.empty()) tally_stream(tally, n_shared, sizeof(Real));
     tracer.charge_sent(r, tally);
   });
 

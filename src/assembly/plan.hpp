@@ -116,8 +116,9 @@ class AssemblyPlan {
   /// Warm value-only reassembly into a matrix created by create_matrix()
   /// (or cold-assembled from the same pattern): copy shared values into
   /// their receivers' stacked streams, one channel message per neighbor
-  /// pair, then segmented-sum through the frozen fill plan. Bitwise equal
-  /// to assemble_matrix(..., kSortReduce) on the same values.
+  /// pair and one copy kernel per sending rank, then segmented-sum
+  /// through the frozen fill plan. Bitwise equal to
+  /// assemble_matrix(..., kSortReduce) on the same values.
   void refill_matrix(par::Runtime& rt, std::span<const SystemView> systems,
                      linalg::ParCsr& a) const;
 

@@ -259,9 +259,12 @@ void ParCsr::halo_pack(RankId r, const ParVector& x) const {
   const std::size_t wire = f32 ? sizeof(float) : sizeof(Real);
   // The owner packs every lane's requested values straight into the
   // receiver's halo buffer at its run's offset, one message per neighbor
-  // pair for all lanes.
+  // pair for all lanes. The runs of all neighbors are one gather kernel,
+  // as hypre packs its send_map_elmts in one launch.
+  const auto& sends = comm_.sends[static_cast<std::size_t>(r)];
   perf::Tally tally;
-  for (const auto& send : comm_.sends[static_cast<std::size_t>(r)]) {
+  std::size_t packed = 0;
+  for (const auto& send : sends) {
     const std::size_t count = send.idx.size();
     auto& halo = halo_[static_cast<std::size_t>(send.dst)];
     const std::size_t m =
@@ -275,11 +278,14 @@ void ParCsr::halo_pack(RankId r, const ParVector& x) const {
         out[i] = f32 ? static_cast<Real>(static_cast<float>(v)) : v;
       }
     }
-    const double pack_bytes = 2.0 * bytes_of(x.value_precision()) *
-                              static_cast<double>(lanes * count);
-    tally.kernel(0.0, f32 ? 0.0 : pack_bytes, f32 ? pack_bytes : 0.0);
+    packed += lanes * count;
     rt_->channel_sent(r, send.dst, tags::kHaloValues, lanes * count,
                       lanes * count * wire, tally, "ParCsr::halo_pack");
+  }
+  if (!sends.empty()) {
+    const double pack_bytes = 2.0 * bytes_of(x.value_precision()) *
+                              static_cast<double>(packed);
+    tally.kernel(0.0, f32 ? 0.0 : pack_bytes, f32 ? pack_bytes : 0.0);
   }
   rt_->tracer().charge_sent(r, tally);
 }
@@ -426,10 +432,13 @@ void ParCsr::transpose_send(const ParVector& x, ParVector& y, Real alpha,
 void ParCsr::transpose_receive(RankId owner, ParVector& y) const {
   const std::size_t wire =
       prec_ == Precision::kF32 ? sizeof(float) : sizeof(Real);
-  // Owners add the contributions in comm_.sends order.
+  // Owners add the contributions in comm_.sends order, every
+  // neighbor's in one scatter-add kernel.
+  const auto& sends = comm_.sends[static_cast<std::size_t>(owner)];
   auto& yl = y.local(owner);
   perf::Tally tally;
-  for (const auto& send : comm_.sends[static_cast<std::size_t>(owner)]) {
+  std::size_t added = 0;
+  for (const auto& send : sends) {
     const std::size_t count = send.idx.size();
     rt_->channel_received(owner, send.dst, tags::kHaloValues, count,
                           count * wire, stamp_, tally,
@@ -439,12 +448,15 @@ void ParCsr::transpose_receive(RankId owner, ParVector& y) const {
     for (std::size_t i = 0; i < count; ++i) {
       yl[static_cast<std::size_t>(send.idx[i])] += in[i];
     }
+    added += count;
+  }
+  if (!sends.empty()) {
     double f64 = 0, f32 = 0;
     split_value_bytes(y.value_precision(),
                       3.0 * bytes_of(y.value_precision()) *
-                          static_cast<double>(count),
+                          static_cast<double>(added),
                       f64, f32);
-    tally.kernel(static_cast<double>(count), f64, f32);
+    tally.kernel(static_cast<double>(added), f64, f32);
   }
   if (y.value_precision() == Precision::kF32) {
     for (Real& v : yl) v = demote_value(v);

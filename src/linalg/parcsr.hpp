@@ -150,8 +150,8 @@ class ParCsr {
   /// Owner r's share of the exchange: pack every lane of the values its
   /// neighbors request straight into their buffers at its runs' offsets
   /// (an FP32-tagged vector's values round through float, as on the
-  /// wire), charging its pack kernels and one message per neighbor pair
-  /// in one batched charge. Called by r's body.
+  /// wire), charging one pack kernel for all its neighbors and one
+  /// message per neighbor pair in one batched charge. Called by r's body.
   void halo_pack(RankId r, const ParVector& x) const;
   /// halo_begin, then every owner's halo_pack in one region.
   void halo_pack(const ParVector& x) const;
@@ -203,8 +203,8 @@ class ParCsr {
   void transpose_send(const ParVector& x, ParVector& y, Real alpha = 1.0,
                       Real beta = 0.0) const;
   /// Owner r's part of the second region: receipt, then the received
-  /// contributions added into y in comm().sends order. Called by r's
-  /// body.
+  /// contributions added into y in comm().sends order, one scatter-add
+  /// kernel for all its neighbors. Called by r's body.
   void transpose_receive(RankId r, ParVector& y) const;
 
   /// Reassemble the full matrix on one "rank" (tests only).

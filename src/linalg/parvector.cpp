@@ -256,7 +256,10 @@ std::vector<double> ParVector::dots(const ParVector& other) const {
     const double nc = static_cast<double>(ncomp_) * static_cast<double>(n);
     double f64 = 0, f32 = 0;
     split_value_bytes(prec_, bytes_of(prec_) * nc, f64, f32);
-    split_value_bytes(other.prec_, bytes_of(other.prec_) * nc, f64, f32);
+    // A vector dotted with itself (norms, norm2) is streamed once.
+    if (&other != this) {
+      split_value_bytes(other.prec_, bytes_of(other.prec_) * nc, f64, f32);
+    }
     rt_->tracer().kernel_split_prec(r, 2.0 * nc, f64, f32, 0.0);
   });
   return rt_->allreduce_sum_vec(partial);
@@ -351,8 +354,7 @@ double ParVector::lane_norm2(std::size_t lane) const {
     }
     partial[static_cast<std::size_t>(r)] = s;
     double f64 = 0, f32 = 0;
-    split_value_bytes(prec_,
-                      2.0 * bytes_of(prec_) * static_cast<double>(x.size()),
+    split_value_bytes(prec_, bytes_of(prec_) * static_cast<double>(x.size()),
                       f64, f32);
     rt_->tracer().kernel_split_prec(r, 2.0 * static_cast<double>(x.size()),
                                     f64, f32, 0.0);

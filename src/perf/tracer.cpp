@@ -200,13 +200,12 @@ void Tracer::kernel_split_prec(RankId r, double flops, double value_bytes_f64,
                                double value_bytes_f32, double index_bytes) {
   EXW_ASSERT(r.value() >= 0 && r.value() < nranks_);
   EXW_CONTRACT_CHECK(par::contract::check_kernel_charge(r));
-  add_kernels(r, 1, flops, value_bytes_f64, value_bytes_f32, index_bytes,
-              flops);
+  add_kernels(r, 1, flops, value_bytes_f64, value_bytes_f32, index_bytes);
 }
 
 void Tracer::add_kernels(RankId r, long n, double flops,
                          double value_bytes_f64, double value_bytes_f32,
-                         double index_bytes, double max_flops) {
+                         double index_bytes) {
   // Rank r's slots are written only by the thread running rank r's body,
   // so plain accumulation is race-free even inside parallel regions (the
   // stack is frozen there and charges never look up or insert phases).
@@ -219,7 +218,6 @@ void Tracer::add_kernels(RankId r, long n, double flops,
     w.index_bytes += index_bytes;
     w.value_bytes_f32 += value_bytes_f32;
     w.kernels += n;
-    w.max_kernel_flops = std::max(w.max_kernel_flops, max_flops);
   }
 }
 
@@ -261,7 +259,7 @@ void Tracer::charge_kernels(RankId r, const Tally& t) {
   if (t.kernels == 0) return;
   EXW_CONTRACT_CHECK(par::contract::check_kernel_charge(r));
   add_kernels(r, t.kernels, t.flops, t.value_bytes_f64, t.value_bytes_f32,
-              t.index_bytes, t.max_kernel_flops);
+              t.index_bytes);
 }
 
 void Tracer::add_sent(RankId src, long n, double bytes) {

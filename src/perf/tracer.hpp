@@ -8,6 +8,15 @@
 ///   * message(src, dst, bytes)    — one point-to-point message
 ///   * collective(bytes)           — one allreduce-style collective
 ///
+/// A kernel is one launch, priced at one launch latency whatever it
+/// covers. One loop nest that a GPU code runs as a single kernel is
+/// charged as one, even when it serves several peers: an owner's halo
+/// pack gathers every neighbor's send elements in one kernel, as hypre's
+/// comm package packs its send_map_elmts, a transpose product's owner
+/// adds every neighbor's contributions in one scatter-add, and an
+/// assembly-plan refill copies all of a sender's slices in one kernel.
+/// Messages stay one per neighbor pair.
+///
 /// Work is accumulated per rank inside the currently open *phase* (a
 /// hierarchical name such as "continuity/precond_setup"); phase nesting
 /// charges work to every open phase. A kernel charge walks the open
@@ -30,7 +39,6 @@
 /// imbalance, which is the regime of this application (fixed partition,
 /// barrier-like collectives every few kernels).
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -70,9 +78,6 @@ struct alignas(64) RankWork {
   long kernels = 0;
   double msg_bytes = 0;
   long msgs = 0;
-  /// Largest single kernel charged (flops). Aggregates hide what kind of
-  /// work a phase did; the peak kernel exposes it.
-  double max_kernel_flops = 0;
 };
 
 /// Per-phase accumulated work over all ranks.
@@ -137,15 +142,13 @@ struct MessageStamp {
 /// open phase). Every summand is an integer-valued double (bytes, flop
 /// counts of streaming kernels), so the sums are exact and the phase
 /// totals come out bit for bit as the per-kernel and per-message charges
-/// they replace would leave them; the largest single kernel's flops are
-/// kept for max_kernel_flops.
+/// they replace would leave them.
 struct Tally {
   long kernels = 0;
   double flops = 0;
   double value_bytes_f64 = 0;
   double value_bytes_f32 = 0;
   double index_bytes = 0;
-  double max_kernel_flops = 0;
   long msgs = 0;
   double msg_bytes = 0;
 
@@ -156,7 +159,6 @@ struct Tally {
     value_bytes_f64 += f64;
     value_bytes_f32 += f32;
     index_bytes += index;
-    max_kernel_flops = std::max(max_kernel_flops, f);
   }
   /// One message's half (par::Runtime::channel_sent / channel_received
   /// add it after their per-message checks).
@@ -326,8 +328,7 @@ class Tracer {
   void charge_kernels(RankId r, const Tally& t);
   /// `n` kernels of rank r at once, in every open phase.
   void add_kernels(RankId r, long n, double flops, double value_bytes_f64,
-                   double value_bytes_f32, double index_bytes,
-                   double max_flops);
+                   double value_bytes_f32, double index_bytes);
   /// Send / receive halves of `n` messages of rank r with `bytes` in all.
   void add_sent(RankId src, long n, double bytes);
   void add_received(RankId dst, long n, double bytes, MessageStamp stamp);

@@ -98,8 +98,11 @@ class KeptAmgPrecond {
 
   amg::HierarchyCache& cache() { return cache_; }
   /// The preconditioner bound to the current hierarchy (null before the
-  /// first update()).
-  AmgPrecond* get() const { return precond_.get(); }
+  /// first update(), and after a rebuild that threw: the rebuild had
+  /// already released the hierarchy the kept one borrows).
+  AmgPrecond* get() const {
+    return cache_.valid() ? precond_.get() : nullptr;
+  }
 
  private:
   amg::HierarchyCache cache_;

@@ -542,7 +542,6 @@ void add_ledger(Digest& d, const perf::PhaseStats& ph) {
     d.add(static_cast<std::int64_t>(w.kernels));
     d.add(w.msg_bytes);
     d.add(static_cast<std::int64_t>(w.msgs));
-    d.add(w.max_kernel_flops);
   }
   d.add(static_cast<std::int64_t>(ph.messages));
   d.add(static_cast<std::int64_t>(ph.collectives));
@@ -641,14 +640,14 @@ TEST(Hierarchy, ColdSetupIsPinned) {
     std::uint64_t setup, ledger;
   };
   const Pin pins[] = {
-      {0, 1, 8169797608911366333ull, 8583497754368902037ull},
-      {0, 4, 7300208704519112545ull, 3986813035881977906ull},
-      {0, 24, 14363648510821626756ull, 4221431935086131631ull},
-      {0, 96, 11146409167075312664ull, 10111148491477287248ull},
-      {1, 1, 6517829015991610837ull, 1110553107312883425ull},
-      {1, 4, 3237021715195806573ull, 13076767222990648463ull},
-      {1, 24, 13037861049167017515ull, 4969774473492298125ull},
-      {1, 96, 13657581522385208482ull, 4597614292575961742ull},
+      {0, 1, 8169797608911366333ull, 14952473963515151861ull},
+      {0, 4, 7300208704519112545ull, 2880981206981480134ull},
+      {0, 24, 14363648510821626756ull, 9051288941638228331ull},
+      {0, 96, 11146409167075312664ull, 16009992302155999968ull},
+      {1, 1, 6517829015991610837ull, 9091297981244719713ull},
+      {1, 4, 3237021715195806573ull, 4543515655125637471ull},
+      {1, 24, 13037861049167017515ull, 11455001510737453685ull},
+      {1, 96, 13657581522385208482ull, 8139695149038331670ull},
   };
   const sparse::Csr inputs[] = {laplace3d(8, 0.05),
                                 setup_pin::pressure_matrix(0.2)};

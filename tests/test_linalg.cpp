@@ -3,6 +3,8 @@
 // 3-lane vectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "linalg/parcsr.hpp"
 #include "linalg/parvector.hpp"
@@ -381,6 +383,96 @@ TEST(ParCsr, MatvecChargesHaloMessages) {
   // A block-partitioned 3D Laplacian has neighbor couplings: messages
   // must have been charged.
   EXPECT_GT(rt.tracer().phase("").total_messages(), 0);
+}
+
+TEST(ParCsr, ExchangeChargesOneKernelPerRankAndOneMessagePerPair) {
+  // Like hypre's comm package, an owner packs all its neighbors' runs in
+  // one gather kernel and adds a transpose product's contributions in
+  // one scatter-add kernel, whatever its neighbor count; every message
+  // stays per neighbor pair. On 8 ranks of laplace3d(6), middle ranks
+  // couple to four neighbors.
+  const int nranks = 8;
+  par::Runtime rt(nranks);
+  const auto rows = par::RowPartition::even(GlobalIndex{216}, nranks);
+  const ParCsr pa = ParCsr::from_serial(rt, laplace3d(6, 0.1), rows, rows);
+  const auto& comm = pa.comm();
+  std::size_t most = 0;
+  long pairs = 0;
+  for (const auto& sends : comm.sends) {
+    most = std::max(most, sends.size());
+    pairs += static_cast<long>(sends.size());
+  }
+  ASSERT_GE(most, 3U);
+  // Values rank r packs for its neighbors and receives from them.
+  const auto sent = [&](int r) {
+    double n = 0;
+    for (const auto& s : comm.sends[static_cast<std::size_t>(r)]) {
+      n += static_cast<double>(s.idx.size());
+    }
+    return n;
+  };
+  const auto received = [&](int r) {
+    double n = 0;
+    for (const auto& v : comm.recvs[static_cast<std::size_t>(r)]) {
+      n += static_cast<double>(v.count.value());
+    }
+    return n;
+  };
+  const auto messages = [&](int r) {
+    return static_cast<long>(comm.sends[static_cast<std::size_t>(r)].size() +
+                             comm.recvs[static_cast<std::size_t>(r)].size());
+  };
+  const auto kernels = [&](int r) {
+    return comm.sends[static_cast<std::size_t>(r)].empty() ? 0L : 1L;
+  };
+  auto& tracer = rt.tracer();
+
+  for (const std::size_t lanes : kLaneCounts) {
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    ParVector x(rt, rows, lanes);
+    x.fill(1.0);
+    tracer.reset();
+    tracer.push_phase("halo");
+    pa.halo_pack(x);
+    rt.parallel_for_ranks([&](RankId r) { (void)pa.halo_receive(r, x); });
+    tracer.pop_phase();
+    const auto& ph = tracer.phase("halo");
+    EXPECT_EQ(ph.messages, pairs);
+    const auto nl = static_cast<double>(lanes);
+    for (int r = 0; r < nranks; ++r) {
+      SCOPED_TRACE(testing::Message() << "rank " << r);
+      const auto& w = ph.rank[static_cast<std::size_t>(r)];
+      EXPECT_EQ(w.kernels, kernels(r));
+      EXPECT_EQ(w.bytes, 2.0 * sizeof(Real) * nl * sent(r));
+      EXPECT_EQ(w.msgs, messages(r));
+      EXPECT_EQ(w.msg_bytes, sizeof(Real) * nl * (sent(r) + received(r)));
+    }
+  }
+
+  ParVector xt(rt, rows), yt(rt, rows);
+  xt.fill(1.0);
+  tracer.reset();
+  tracer.push_phase("transpose");
+  pa.transpose_send(xt, yt);
+  tracer.push_phase("add");
+  rt.parallel_for_ranks([&](RankId r) { pa.transpose_receive(r, yt); });
+  tracer.pop_phase();
+  tracer.pop_phase();
+  const auto& ph = tracer.phase("transpose");
+  const auto& add = tracer.phase("transpose/add");
+  EXPECT_EQ(ph.messages, pairs);
+  for (int r = 0; r < nranks; ++r) {
+    SCOPED_TRACE(testing::Message() << "rank " << r);
+    const auto& w = add.rank[static_cast<std::size_t>(r)];
+    EXPECT_EQ(w.kernels, kernels(r));
+    EXPECT_EQ(w.flops, sent(r));
+    EXPECT_EQ(w.bytes, 3.0 * sizeof(Real) * sent(r));
+    const auto& t = ph.rank[static_cast<std::size_t>(r)];
+    EXPECT_EQ(t.kernels, 1 + kernels(r));  // local products, then the adds
+    EXPECT_EQ(t.msgs, messages(r));
+    EXPECT_EQ(t.msg_bytes, sizeof(Real) * (sent(r) + received(r)));
+  }
+  EXPECT_TRUE(rt.transport().drained());
 }
 
 }  // namespace

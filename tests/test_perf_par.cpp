@@ -557,7 +557,6 @@ TEST(Tracer, BatchedChannelChargesMatchPerMessageCharges) {
       EXPECT_EQ(x.bytes, y.bytes);
       EXPECT_EQ(x.index_bytes, y.index_bytes);
       EXPECT_EQ(x.value_bytes_f32, y.value_bytes_f32);
-      EXPECT_EQ(x.max_kernel_flops, y.max_kernel_flops);
     }
   };
   for (par::Runtime* rt : {&per_msg, &batched}) rt->tracer().push_phase("a");
