@@ -123,27 +123,6 @@ void BM_LocalAssemblyFill(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalAssemblyFill)->Arg(16)->Arg(28);
 
-void BM_LocalAssemblyFillAtomic(benchmark::State& state) {
-  mesh::BackgroundParams bg;
-  bg.nx = bg.ny = bg.nz = GlobalIndex{state.range(0)};
-  const auto db = mesh::make_background_mesh(bg, "bg");
-  const auto layout =
-      assembly::make_layout(db, 1, assembly::PartitionMethod::kRcb);
-  std::vector<std::uint8_t> dirichlet(static_cast<std::size_t>(db.num_nodes()), 0);
-  assembly::EquationGraph graph(db, layout, dirichlet);
-  for (auto _ : state) {
-    graph.zero_values();
-    for (std::size_t e = 0; e < db.edges.size(); ++e) {
-      const Real g = db.edges[e].coeff;
-      graph.add_edge(e, {g, -g, -g, g}, {0.1, -0.1}, /*atomic=*/true);
-    }
-    benchmark::DoNotOptimize(graph.rank(RankId{0}).owned.vals.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(db.num_edges().value()) * 4);
-}
-BENCHMARK(BM_LocalAssemblyFillAtomic)->Arg(16)->Arg(28);
-
 void BM_TwoStageGsSweep(benchmark::State& state) {
   const auto mat = laplacian(static_cast<int>(state.range(0)));
   par::Runtime rt(1);

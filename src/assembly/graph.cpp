@@ -203,52 +203,43 @@ void EquationGraph::zero_values() {
   }
 }
 
-void EquationGraph::apply(RankId r, Slot slot, Real v, bool atomic) {
+void EquationGraph::apply(RankId r, Slot slot, Real v) {
   EXW_CONTRACT_CHECK_WRITE(r, "EquationGraph::apply");
   RankSystem& sys = ranks_[static_cast<std::size_t>(r)];
   Real& target = slot >= 0
                      ? sys.owned.vals[static_cast<std::size_t>(slot)]
                      : sys.shared.vals[static_cast<std::size_t>(-slot - 1)];
-  if (atomic) {
-    std::atomic_ref<Real>(target).fetch_add(v, std::memory_order_relaxed);
-  } else {
-    target += v;
-  }
+  target += v;
 }
 
-void EquationGraph::apply_rhs(RankId r, Slot slot, Real v, bool atomic) {
+void EquationGraph::apply_rhs(RankId r, Slot slot, Real v) {
   EXW_CONTRACT_CHECK_WRITE(r, "EquationGraph::apply_rhs");
   RankSystem& sys = ranks_[static_cast<std::size_t>(r)];
   Real& target = slot >= 0
                      ? sys.rhs_owned[static_cast<std::size_t>(slot)]
                      : sys.rhs_shared.vals[static_cast<std::size_t>(-slot - 1)];
-  if (atomic) {
-    std::atomic_ref<Real>(target).fetch_add(v, std::memory_order_relaxed);
-  } else {
-    target += v;
-  }
+  target += v;
 }
 
 void EquationGraph::add_edge(std::size_t edge_id, const std::array<Real, 4>& m,
-                             const std::array<Real, 2>& rhs, bool atomic) {
+                             const std::array<Real, 2>& rhs, bool) {
   const EdgeSlots& s = edge_slots_[edge_id];
   if (s.aa != kNoSlot) {
-    apply(s.rank, s.aa, m[0], atomic);
-    apply(s.rank, s.ab, m[1], atomic);
-    apply_rhs(s.rank, s.rhs_a, rhs[0], atomic);
+    apply(s.rank, s.aa, m[0]);
+    apply(s.rank, s.ab, m[1]);
+    apply_rhs(s.rank, s.rhs_a, rhs[0]);
   }
   if (s.bb != kNoSlot) {
-    apply(s.rank, s.ba, m[2], atomic);
-    apply(s.rank, s.bb, m[3], atomic);
-    apply_rhs(s.rank, s.rhs_b, rhs[1], atomic);
+    apply(s.rank, s.ba, m[2]);
+    apply(s.rank, s.bb, m[3]);
+    apply_rhs(s.rank, s.rhs_b, rhs[1]);
   }
 }
 
-void EquationGraph::add_node(GlobalIndex node, Real diag, Real rhs,
-                             bool atomic) {
+void EquationGraph::add_node(GlobalIndex node, Real diag, Real rhs, bool) {
   const NodeSlots& s = node_slots_[static_cast<std::size_t>(node)];
-  apply(s.rank, s.diag, diag, atomic);
-  apply_rhs(s.rank, s.rhs, rhs, atomic);
+  apply(s.rank, s.diag, diag);
+  apply_rhs(s.rank, s.rhs, rhs);
 }
 
 void EquationGraph::zero_rhs() {
@@ -258,19 +249,19 @@ void EquationGraph::zero_rhs() {
 }
 
 void EquationGraph::add_edge_rhs(std::size_t edge_id,
-                                 const std::array<Real, 2>& rhs, bool atomic) {
+                                 const std::array<Real, 2>& rhs) {
   const EdgeSlots& s = edge_slots_[edge_id];
   if (s.rhs_a != kNoSlot) {
-    apply_rhs(s.rank, s.rhs_a, rhs[0], atomic);
+    apply_rhs(s.rank, s.rhs_a, rhs[0]);
   }
   if (s.rhs_b != kNoSlot) {
-    apply_rhs(s.rank, s.rhs_b, rhs[1], atomic);
+    apply_rhs(s.rank, s.rhs_b, rhs[1]);
   }
 }
 
-void EquationGraph::add_node_rhs(GlobalIndex node, Real rhs, bool atomic) {
+void EquationGraph::add_node_rhs(GlobalIndex node, Real rhs) {
   const NodeSlots& s = node_slots_[static_cast<std::size_t>(node)];
-  apply_rhs(s.rank, s.rhs, rhs, atomic);
+  apply_rhs(s.rank, s.rhs, rhs);
 }
 
 std::vector<double> EquationGraph::pattern_nnz_per_rank() const {

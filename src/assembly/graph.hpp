@@ -88,22 +88,22 @@ class EquationGraph {
   /// its owner's. Inside a parallel rank region only that rank's body may
   /// add (contract-checked), so a body that adds its own edges in global
   /// order, then its own nodes, gives every slot the serial loop's
-  /// addend order. With `atomic`, values are added through
-  /// std::atomic_ref — the device-atomics code path of §3.2
-  /// (non-reproducible order, same sum).
+  /// addend order. The trailing bool is ignored: perfbench/runner/
+  /// layers.cpp still passes SimConfig::atomic_local_assembly.
   void add_edge(std::size_t edge_id, const std::array<Real, 4>& m,
-                const std::array<Real, 2>& rhs, bool atomic = false);
+                const std::array<Real, 2>& rhs, bool /*ignored*/ = false);
 
   /// Accumulate one node's diagonal + RHS contribution. For Dirichlet
-  /// rows this *is* the row: diag = 1, rhs = boundary value.
-  void add_node(GlobalIndex node, Real diag, Real rhs, bool atomic = false);
+  /// rows this *is* the row: diag = 1, rhs = boundary value. The
+  /// trailing bool is ignored, as add_edge's.
+  void add_node(GlobalIndex node, Real diag, Real rhs,
+                bool /*ignored*/ = false);
 
   /// RHS-only fill (used to reuse one momentum matrix for the three
   /// velocity components: matrix assembled once, three RHS passes).
   void zero_rhs();
-  void add_edge_rhs(std::size_t edge_id, const std::array<Real, 2>& rhs,
-                    bool atomic = false);
-  void add_node_rhs(GlobalIndex node, Real rhs, bool atomic = false);
+  void add_edge_rhs(std::size_t edge_id, const std::array<Real, 2>& rhs);
+  void add_node_rhs(GlobalIndex node, Real rhs);
 
   /// Graph-stage pattern statistics (for cost accounting).
   std::vector<double> pattern_nnz_per_rank() const;
@@ -119,8 +119,8 @@ class EquationGraph {
   void build_slots();
   Slot locate_matrix(RankId r, GlobalIndex row, GlobalIndex col) const;
   Slot locate_rhs(RankId r, GlobalIndex row) const;
-  void apply(RankId r, Slot slot, Real v, bool atomic);
-  void apply_rhs(RankId r, Slot slot, Real v, bool atomic);
+  void apply(RankId r, Slot slot, Real v);
+  void apply_rhs(RankId r, Slot slot, Real v);
 
   const mesh::MeshDB* db_;
   const MeshLayout* layout_;

@@ -25,6 +25,9 @@ struct SimConfig {
   assembly::PartitionMethod partition = assembly::PartitionMethod::kGraph;
   assembly::GlobalAssemblyAlgo assembly_algo =
       assembly::GlobalAssemblyAlgo::kSortReduce;
+  /// Ignored: each rank body adds its own local assembly in order.
+  /// Kept only because perfbench/runner/layers.cpp still reads it; goes
+  /// once that reader drops it.
   bool atomic_local_assembly = false;
   /// Cache the stage-3 assembly structure per equation graph and refill
   /// values in place on later Picard iterations (hypre's SetValues2 /

@@ -311,7 +311,7 @@ void Simulation::add_transport_edges(
                                 std::min(f, 0.0) - diff,
                                 std::min(-f, 0.0) - diff,
                                 std::max(-f, 0.0) + diff};
-    blk.mom_graph->add_edge(e, m, {0.0, 0.0}, cfg_.atomic_local_assembly);
+    blk.mom_graph->add_edge(e, m, {0.0, 0.0});
   }
 }
 
@@ -325,15 +325,14 @@ void Simulation::fill_momentum_rhs(MeshBlock& blk, RankId r,
     if (blk.mom_dirichlet[i]) {
       const Vec3 bc = boundary_velocity(blk, node);
       const Real val = component == 0 ? bc.x : (component == 1 ? bc.y : bc.z);
-      blk.mom_graph->add_node_rhs(node, val, cfg_.atomic_local_assembly);
+      blk.mom_graph->add_node_rhs(node, val);
     } else {
       const Real vol = db.node_volume[i];
       const Real mass = cfg_.density * vol / cfg_.dt;
       const Real uo = component == 0 ? blk.u_old[i]
                       : component == 1 ? blk.v_old[i] : blk.w_old[i];
       const Real gp = blk.node_scratch[component * n + i];
-      blk.mom_graph->add_node_rhs(node, mass * uo - vol * gp,
-                                  cfg_.atomic_local_assembly);
+      blk.mom_graph->add_node_rhs(node, mass * uo - vol * gp);
     }
   }
   charge_items(rt_->tracer(), r, nodes.size(), 8.0, 48.0);
@@ -392,7 +391,7 @@ void Simulation::solve_momentum(MeshBlock& blk) {
       for (const GlobalIndex node : nodes) {
         const auto i = static_cast<std::size_t>(node);
         if (blk.mom_dirichlet[i]) {
-          blk.mom_graph->add_node(node, 1.0, 0.0, cfg_.atomic_local_assembly);
+          blk.mom_graph->add_node(node, 1.0, 0.0);
         } else {
           // Time term plus the boundary advection closure (outflow faces
           // of the node's dual cell); together with the edge fluxes this
@@ -401,7 +400,7 @@ void Simulation::solve_momentum(MeshBlock& blk) {
           const Real fb = rho * (ui - mesh_velocity(blk, db.coords[i]))
                                     .dot(db.node_boundary_area[i]);  // exw-comm-ok: Vec3::dot, a 3-vector product
           blk.mom_graph->add_node(node, rho * db.node_volume[i] / cfg_.dt + fb,
-                                  0.0, cfg_.atomic_local_assembly);
+                                  0.0);
         }
       }
       fill_momentum_rhs(blk, r, 0);
@@ -528,8 +527,7 @@ void Simulation::solve_continuity(MeshBlock& blk) {
       const auto edges = layout.edges_of(r);
       for (const std::uint32_t e : edges) {
         const Real g = db.edges[e].coeff;
-        blk.prs_graph->add_edge(e, {g, -g, -g, g}, {0.0, 0.0},
-                                cfg_.atomic_local_assembly);
+        blk.prs_graph->add_edge(e, {g, -g, -g, g}, {0.0, 0.0});
       }
       const auto nodes = layout.nodes_of(r);
       for (const GlobalIndex node : nodes) {
@@ -541,11 +539,9 @@ void Simulation::solve_continuity(MeshBlock& blk) {
           if (db.roles[i] == NodeRole::kFringe) {
             p_bc = blk.p[i];  // donor-interpolated
           }
-          blk.prs_graph->add_node(node, 1.0, p_bc - blk.p[i],
-                                  cfg_.atomic_local_assembly);
+          blk.prs_graph->add_node(node, 1.0, p_bc - blk.p[i]);
         } else {
-          blk.prs_graph->add_node(node, 0.0, -(rho / cfg_.dt) * div[i],
-                                  cfg_.atomic_local_assembly);
+          blk.prs_graph->add_node(node, 0.0, -(rho / cfg_.dt) * div[i]);
         }
       }
       charge_items(tracer, r, edges.size(), 16.0, 120.0);
@@ -685,7 +681,7 @@ void Simulation::solve_scalar(MeshBlock& blk) {
           Real bc = cfg_.scalar_inflow;
           if (db.roles[i] == NodeRole::kFringe) bc = blk.scl[i];
           if (db.roles[i] == NodeRole::kWall || db.roles[i] == NodeRole::kHole) bc = 0.0;
-          blk.mom_graph->add_node(node, 1.0, bc, cfg_.atomic_local_assembly);
+          blk.mom_graph->add_node(node, 1.0, bc);
         } else {
           const Real vol = db.node_volume[i];
           const Real mass = rho * vol / cfg_.dt;
@@ -694,8 +690,7 @@ void Simulation::solve_scalar(MeshBlock& blk) {
                                     .dot(db.node_boundary_area[i]);  // exw-comm-ok: Vec3::dot, a 3-vector product
           // Shear-production-like source keeps the scalar field nontrivial.
           blk.mom_graph->add_node(node, mass + fb,
-                                  mass * blk.scl_old[i] + cfg_.scalar_source * vol,
-                                  cfg_.atomic_local_assembly);
+                                  mass * blk.scl_old[i] + cfg_.scalar_source * vol);
         }
       }
       charge_items(tracer, r, edges.size(), 30.0, 160.0);

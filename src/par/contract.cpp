@@ -167,8 +167,8 @@ void check_message_receipt(RankId dst, RankId src, bool sender_phase_open) {
     std::ostringstream os;
     os << "message from " << src << " to " << dst
        << " was received after the tracer phase that sent it was popped — "
-          "its roll-up to the enclosing phases is already done; receive "
-          "before the sending phase closes";
+          "its totals would miss the receive half; receive before the "
+          "sending phase closes";
     violation(os.str());
   }
 }

@@ -119,7 +119,7 @@ void check_message_charge(RankId src);
 
 /// Tracer::message_received — the receive half must be charged by the
 /// receiver's body, while the phase that sent the message is still open
-/// (`sender_phase_open`; once that phase popped, its roll-up is done).
+/// (`sender_phase_open`; once that phase popped, it would miss the half).
 void check_message_receipt(RankId dst, RankId src, bool sender_phase_open);
 
 /// Tracer phase push/pop — rejected inside a parallel region.

@@ -27,7 +27,8 @@
 /// shard, so sends from concurrent rank bodies are safe without
 /// serializing the whole transport. A message's tracer charge is split
 /// into the sender's half, taken at send, and the receiver's half, taken
-/// at receipt, so each is written by the rank that owns it.
+/// at receipt, so each is written by the rank that owns it; each half
+/// lands in every phase that was open when the message was sent.
 
 #include <cstddef>
 #include <cstring>

@@ -16,9 +16,10 @@
 ///     write rank i's side of a persistent channel (ParCsr halo, plan
 ///     refill), and charge
 ///     Tracer::kernel for rank i. A message is charged in two halves,
-///     each by the rank that owns it: the sender's body charges the src
-///     side and the count, the receiver's body the dst side when it
-///     consumes the message — so no tracer slot has two writers;
+///     each by the rank that owns it and each to every phase open at
+///     send: the sender's body charges the src side and the count, the
+///     receiver's body the dst side when it consumes the message — so no
+///     tracer slot has two writers;
 ///   * phase push/pop must stay on the orchestrator thread — the open
 ///     phase stack is frozen for the duration of the region;
 ///   * nested parallel_for() calls run inline on the calling thread,

@@ -12,10 +12,6 @@ double MachineModel::kernel_time(double flops, double bytes) const {
   return std::max(compute, traffic) + kernel_launch_s;
 }
 
-double MachineModel::stream_time(double bytes) const {
-  return bytes / (bytes_per_s * efficiency);
-}
-
 double MachineModel::message_time(double bytes) const {
   return msg_latency_s + bytes / msg_bytes_per_s;
 }

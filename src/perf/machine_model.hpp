@@ -48,13 +48,6 @@ struct MachineModel {
   /// Modeled time for one kernel moving `bytes` and doing `flops` work.
   double kernel_time(double flops, double bytes) const;
 
-  /// Modeled time to stream `bytes` through memory at sustained
-  /// bandwidth, ignoring flops and launch cost. Prices a labeled slice
-  /// of a kernel's traffic — e.g. the index-byte share reported by
-  /// PhaseStats::total_index_bytes() — on the same terms as the
-  /// bandwidth leg of kernel_time.
-  double stream_time(double bytes) const;
-
   /// Modeled time to send one message of `bytes`.
   double message_time(double bytes) const;
 

@@ -1,8 +1,6 @@
 #include "perf/tracer.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <utility>
 
 #include "common/error.hpp"
 #include "par/contract.hpp"
@@ -58,7 +56,11 @@ long PhaseStats::total_kernels() const {
   return n;
 }
 
-long PhaseStats::total_messages() const { return messages; }
+long PhaseStats::total_messages() const {
+  long n = 0;
+  for (const auto& w : rank) n += w.sent;
+  return n;
+}
 
 double PhaseStats::total_flops() const {
   double n = 0;
@@ -92,11 +94,7 @@ double PhaseStats::total_value_bytes_f64() const {
   return total_value_bytes() - total_value_bytes_f32();
 }
 
-Tracer::Tracer(int nranks)
-    : nranks_(nranks),
-      pending_(static_cast<std::size_t>(nranks > 0 ? nranks : 1) * kMaxDepth),
-      words_((static_cast<std::size_t>(nranks > 0 ? nranks : 1) + 63) / 64),
-      touched_(words_ * kMaxDepth) {
+Tracer::Tracer(int nranks) : nranks_(nranks) {
   EXW_REQUIRE(nranks >= 1, "tracer needs at least one rank");
   // Root phase: untagged work is never lost.
   frames_.push_back(Frame{&intern(""), next_serial_++, 0, 0, {}});
@@ -116,7 +114,6 @@ Tracer::Phase& Tracer::intern(const std::string& name) {
 
 void Tracer::push_phase(const std::string& name) {
   EXW_CONTRACT_CHECK(par::contract::check_phase_mutation("push_phase"));
-  EXW_REQUIRE(frames_.size() < kMaxDepth, "tracer phases nested too deeply");
   const std::string& parent = frames_.back().phase->first;
   Phase& phase = intern(parent.empty() ? name : parent + "/" + name);
   const auto t = purity::totals();
@@ -127,7 +124,6 @@ void Tracer::push_phase(const std::string& name) {
 void Tracer::pop_phase() {
   EXW_CONTRACT_CHECK(par::contract::check_phase_mutation("pop_phase"));
   EXW_REQUIRE(frames_.size() > 1, "pop_phase with no open phase");
-  const std::size_t depth = frames_.size() - 1;
   const Frame& f = frames_.back();
   PhaseStats& s = f.phase->second;
   s.wall_s +=
@@ -139,27 +135,6 @@ void Tracer::pop_phase() {
   const auto t = purity::totals();
   s.allocs += static_cast<long long>(t.allocs - f.allocs0);
   s.alloc_bytes += static_cast<double>(t.bytes - f.bytes0);
-  // Roll this opening's message charges up one level; the parent passes
-  // them on when it pops in turn. Only ranks a message touched in this
-  // opening hold charges.
-  PhaseStats& parent = frames_[depth - 1].phase->second;
-  for_each_marked(depth, [&](RankId r) {
-    Pending& c = pending(r, depth);
-    s.messages += c.unsettled;
-    auto& w = parent.rank[static_cast<std::size_t>(r)];
-    w.msgs += c.msgs;
-    w.msg_bytes += c.msg_bytes;
-    parent.messages += c.sent;
-    Pending& p = pending(r, depth - 1);
-    if (p.msgs == 0) mark(r, depth - 1);
-    p.msgs += c.msgs;
-    p.msg_bytes += c.msg_bytes;
-    p.sent += c.sent;
-    c = Pending{};
-  });
-  for (std::size_t i = 0; i < words_; ++i) {
-    touched_[depth * words_ + i].store(0, std::memory_order_relaxed);
-  }
   // The registry's key, so it outlives the pop.
   const std::string& closed = f.phase->first;
   frames_.pop_back();
@@ -167,28 +142,6 @@ void Tracer::pop_phase() {
   // throws (a failed boundary audit) leaves the phase stack consistent.
   if (pop_listener_ != nullptr) {
     pop_listener_->on_phase_pop(closed);
-  }
-}
-
-template <typename Fn>
-void Tracer::for_each_marked(std::size_t depth, Fn&& fn) const {
-  for (std::size_t i = 0; i < words_; ++i) {
-    std::uint64_t bits =
-        touched_[depth * words_ + i].load(std::memory_order_relaxed);
-    while (bits != 0) {
-      fn(RankId{static_cast<std::int64_t>(i * 64) + std::countr_zero(bits)});
-      bits &= bits - 1;
-    }
-  }
-}
-
-void Tracer::settle() const {
-  for (std::size_t d = 0; d < frames_.size(); ++d) {
-    long n = 0;
-    for_each_marked(d, [&](RankId r) {
-      n += std::exchange(pending(r, d).unsettled, 0);
-    });
-    frames_[d].phase->second.messages += n;
   }
 }
 
@@ -209,8 +162,8 @@ void Tracer::add_kernels(RankId r, long n, double flops,
   // Rank r's slots are written only by the thread running rank r's body,
   // so plain accumulation is race-free even inside parallel regions (the
   // stack is frozen there and charges never look up or insert phases).
-  // Kernel charges still walk every open phase: charge_dense_lu's n^3/3
-  // flops are not integers, so sums over ancestors would depend on order.
+  // Each charge walks every open phase: charge_dense_lu's n^3/3 flops
+  // are not integers, so sums over ancestors would depend on order.
   for (const Frame& f : frames_) {
     auto& w = f.phase->second.rank[static_cast<std::size_t>(r)];
     w.flops += flops;
@@ -230,7 +183,7 @@ MessageStamp Tracer::message_sent(RankId src, [[maybe_unused]] RankId dst,
   EXW_ASSERT(src.value() >= 0 && src.value() < nranks_ &&
              dst.value() >= 0 && dst.value() < nranks_);
   EXW_CONTRACT_CHECK(par::contract::check_message_charge(src));
-  add_sent(src, 1, bytes);
+  add_messages(src, frames_.size() - 1, 1, bytes, 1);
   return stamp();
 }
 
@@ -241,17 +194,19 @@ void Tracer::message_received(RankId dst, RankId src, double bytes,
   EXW_CONTRACT_CHECK(
       par::contract::check_message_receipt(dst, src, open(stamp)));
   if (dst == src) return;  // a self-message is charged once, at send
-  add_received(dst, 1, bytes, stamp);
+  add_messages(dst, stamp.depth, 1, bytes, 0);
 }
 
 void Tracer::charge_sent(RankId r, const Tally& t) {
   charge_kernels(r, t);
-  if (t.msgs > 0) add_sent(r, t.msgs, t.msg_bytes);
+  if (t.msgs > 0) {
+    add_messages(r, frames_.size() - 1, t.msgs, t.msg_bytes, t.msgs);
+  }
 }
 
 void Tracer::charge_received(RankId r, const Tally& t, MessageStamp stamp) {
   charge_kernels(r, t);
-  if (t.msgs > 0) add_received(r, t.msgs, t.msg_bytes, stamp);
+  if (t.msgs > 0) add_messages(r, stamp.depth, t.msgs, t.msg_bytes, 0);
 }
 
 void Tracer::charge_kernels(RankId r, const Tally& t) {
@@ -262,33 +217,17 @@ void Tracer::charge_kernels(RankId r, const Tally& t) {
               t.index_bytes);
 }
 
-void Tracer::add_sent(RankId src, long n, double bytes) {
-  const std::size_t depth = frames_.size() - 1;
-  // Byte counts are integers, exact in double, so the roll-up's sums of
-  // sums equal the per-message adds they replace bit for bit.
-  auto& w = frames_.back().phase->second.rank[static_cast<std::size_t>(src)];
-  w.msgs += n;
-  w.msg_bytes += bytes;
-  Pending& p = pending(src, depth);
-  if (p.msgs == 0) mark(src, depth);
-  p.msgs += n;
-  p.msg_bytes += bytes;
-  p.sent += n;
-  p.unsettled += n;
-}
-
-void Tracer::add_received(RankId dst, long n, double bytes,
-                          MessageStamp stamp) {
-  // Unchecked builds keep a late receipt in bounds (and misattributed).
-  const std::size_t depth =
-      std::min<std::size_t>(stamp.depth, frames_.size() - 1);
-  auto& w = frames_[depth].phase->second.rank[static_cast<std::size_t>(dst)];
-  w.msgs += n;
-  w.msg_bytes += bytes;
-  Pending& p = pending(dst, depth);
-  if (p.msgs == 0) mark(dst, depth);
-  p.msgs += n;
-  p.msg_bytes += bytes;
+void Tracer::add_messages(RankId r, std::size_t depth, long n, double bytes,
+                          long sent) {
+  // Like add_kernels: only rank r's body writes rank r's slots. Unchecked
+  // builds keep a late receipt in bounds (and misattributed).
+  const std::size_t top = std::min(depth, frames_.size() - 1);
+  for (std::size_t d = 0; d <= top; ++d) {
+    auto& w = frames_[d].phase->second.rank[static_cast<std::size_t>(r)];
+    w.msgs += n;
+    w.msg_bytes += bytes;
+    w.sent += sent;
+  }
 }
 
 void Tracer::collective(double bytes) {
@@ -305,9 +244,9 @@ double Tracer::phase_time(const std::string& name,
 }
 
 const PhaseStats& Tracer::phase(const std::string& name) const {
-  settle();
   auto it = phases_.find(name);
   EXW_REQUIRE(it != phases_.end(), "unknown phase: " + name);
+  it->second.messages = it->second.total_messages();
   return it->second;
 }
 
@@ -327,8 +266,6 @@ void Tracer::reset() {
     s.alloc_bytes = 0;
     s.wall_s = 0;
   }
-  std::fill(pending_.begin(), pending_.end(), Pending{});
-  for (auto& word : touched_) word.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace exw::perf

@@ -19,17 +19,15 @@
 ///
 /// Work is accumulated per rank inside the currently open *phase* (a
 /// hierarchical name such as "continuity/precond_setup"); phase nesting
-/// charges work to every open phase. A kernel charge walks the open
-/// phases at once. A message is charged in two halves into one phase
-/// only — the sender's body charges the src side and the count into the
-/// innermost open phase, the receiver's body the dst side into that same
-/// phase when it consumes the message — and pop_phase rolls the totals
-/// up to every ancestor, so each phase reads exactly what charging every
-/// open phase at send time would give, with each tracer slot written by
-/// the one rank that owns it. Recorded
-/// quantities are machine-independent aggregates (flops, bytes,
-/// kernel/message/collective counts), so a single simulation run can be
-/// priced under any MachineModel afterwards:
+/// charges work to every open phase, at once. A message is charged in
+/// two halves, each by the rank that owns it: the sender's body charges
+/// the src side and the count to every open phase, the receiver's body
+/// the dst side to the phase the message was sent in and its ancestors
+/// when it consumes the message. So each tracer slot has one writer, and
+/// a read at any time sees what charging both halves at send time would
+/// give. Recorded quantities are machine-independent aggregates (flops,
+/// bytes, kernel/message/collective counts), so a single simulation run
+/// can be priced under any MachineModel afterwards:
 ///
 ///   time(m) = max_r [ max(flops_r/F, bytes_r/B) + kernels_r * t_launch
 ///                     + msgs_r * alpha + msg_bytes_r / beta ]
@@ -39,12 +37,10 @@
 /// imbalance, which is the regime of this application (fixed partition,
 /// barrier-like collectives every few kernels).
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -78,6 +74,9 @@ struct alignas(64) RankWork {
   long kernels = 0;
   double msg_bytes = 0;
   long msgs = 0;
+  /// Messages this rank sent, self-messages included: the send halves
+  /// within `msgs`. PhaseStats::total_messages() sums it.
+  long sent = 0;
 };
 
 /// Per-phase accumulated work over all ranks.
@@ -90,10 +89,9 @@ struct PhaseStats {
   /// perfbench/runner/main.cpp still adds it to its collective count;
   /// goes once that reader drops it.
   long overlapped_collectives = 0;
-  /// Exact point-to-point message count. Kept separately from the
-  /// per-rank `msgs` charges: a message is charged to both endpoints
-  /// unless dst == src (self-routed triples in assembly), so halving the
-  /// per-rank sum undercounts whenever self-messages occur.
+  /// total_messages(), filled by each Tracer::phase read. Kept only
+  /// because perfbench/runner/main.cpp still reads it; goes once that
+  /// reader calls total_messages().
   long messages = 0;
   /// Heap allocations observed while this phase was open (process-wide
   /// deltas of the purity sanitizer's counters, taken at push/pop — see
@@ -117,6 +115,10 @@ struct PhaseStats {
   double comm_time(const MachineModel& m) const;
 
   long total_kernels() const;
+  /// Exact point-to-point message count, the sum of every rank's `sent`.
+  /// Halving the per-rank `msgs` sum would undercount: a message is
+  /// charged to both endpoints unless dst == src (self-routed triples in
+  /// assembly).
   long total_messages() const;
   double total_flops() const;
   double total_bytes() const;
@@ -224,15 +226,15 @@ class Tracer {
   /// dst == src).
   void message(RankId src, RankId dst, double bytes);
 
-  /// Send half of a message charge: src's msgs/msg_bytes and the phase's
-  /// message count, in the innermost open phase. Called by src's body
-  /// (contract-checked); the stamp travels with the message.
+  /// Send half of a message charge: src's msgs, msg_bytes and sent, in
+  /// every open phase. Called by src's body (contract-checked); the stamp
+  /// travels with the message.
   MessageStamp message_sent(RankId src, RankId dst, double bytes);
 
   /// Receive half: dst's msgs/msg_bytes (nothing for dst == src), in the
-  /// phase the message was sent in. Called by dst's body when it
-  /// consumes the message; that phase must still be open
-  /// (contract-checked — a later pop has already rolled it up).
+  /// phase the message was sent in and its ancestors. Called by dst's
+  /// body when it consumes the message; that phase must still be open
+  /// (contract-checked — once popped, it would miss this half).
   void message_received(RankId dst, RankId src, double bytes,
                         MessageStamp stamp);
 
@@ -250,16 +252,16 @@ class Tracer {
            frames_[stamp.depth].serial == stamp.serial;
   }
 
-  /// Rank r's tally as the sending side: its kernels in every open phase
-  /// and the send halves of its messages in the innermost one, exactly as
-  /// kernel_split_prec and message_sent per item would. Called by r's
-  /// body; the per-message contract checks are the caller's
+  /// Rank r's tally as the sending side: its kernels and the send halves
+  /// of its messages in every open phase, exactly as kernel_split_prec
+  /// and message_sent per item would. Called by r's body; the
+  /// per-message contract checks are the caller's
   /// (par::Runtime::channel_sent).
   void charge_sent(RankId r, const Tally& t);
   /// The receiving side: kernels in every open phase, receive halves in
-  /// the phase `stamp` names (the tally holds no message from r to
-  /// itself). Called by r's body, after par::Runtime::channel_received
-  /// checked each message.
+  /// the phase `stamp` names and its ancestors (the tally holds no
+  /// message from r to itself). Called by r's body, after
+  /// par::Runtime::channel_received checked each message.
   void charge_received(RankId r, const Tally& t, MessageStamp stamp);
 
   /// One allreduce-style collective with `bytes` payload per rank.
@@ -267,10 +269,8 @@ class Tracer {
 
   /// Modeled seconds of a phase ("" = whole program) on machine `m`.
   double phase_time(const std::string& name, const MachineModel& m) const;
-  /// A phase's accumulated work. Reading a phase that is still open
-  /// returns everything charged to it so far except the message charges
-  /// made inside its still-open sub-phases: those arrive when each
-  /// sub-phase pops. Reads belong to the orchestrator, between regions.
+  /// A phase's accumulated work, open sub-phases' charges included.
+  /// Reads belong to the orchestrator, between regions.
   const PhaseStats& phase(const std::string& name) const;
   bool has_phase(const std::string& name) const;
 
@@ -302,58 +302,25 @@ class Tracer {
     unsigned long long bytes0;
     std::chrono::steady_clock::time_point t0;  ///< push time (wall_s)
   };
-  /// Message charges of one rank in one open phase that its ancestors
-  /// have not seen yet (rolled up at pop). `unsettled` counts sends not
-  /// yet added to the phase's own `messages`.
-  struct Pending {
-    long msgs = 0;
-    double msg_bytes = 0;
-    long sent = 0;
-    long unsettled = 0;
-  };
-  /// Open phases at most, the root included.
-  static constexpr std::size_t kMaxDepth = 16;
-  Pending& pending(RankId r, std::size_t depth) const {
-    return pending_[static_cast<std::size_t>(r) * kMaxDepth + depth];
-  }
-  /// Mark rank r's slot at `depth` as charged in this opening. Called
-  /// by r's body on its first charge there, so one atomic OR per rank
-  /// and opening; the region barrier publishes it to the orchestrator.
-  void mark(RankId r, std::size_t depth) {
-    const auto i = static_cast<std::size_t>(r.value());
-    touched_[depth * words_ + i / 64].fetch_or(std::uint64_t{1} << (i % 64),
-                                               std::memory_order_relaxed);
-  }
   /// The kernels of a tally (none: nothing), contract-checked once.
   void charge_kernels(RankId r, const Tally& t);
   /// `n` kernels of rank r at once, in every open phase.
   void add_kernels(RankId r, long n, double flops, double value_bytes_f64,
                    double value_bytes_f32, double index_bytes);
-  /// Send / receive halves of `n` messages of rank r with `bytes` in all.
-  void add_sent(RankId src, long n, double bytes);
-  void add_received(RankId dst, long n, double bytes, MessageStamp stamp);
-  /// Call fn(r) for every rank marked at `depth`, in rank order.
-  template <typename Fn>
-  void for_each_marked(std::size_t depth, Fn&& fn) const;
-  /// Fold every open phase's unsettled send counts into its `messages`.
-  void settle() const;
+  /// `n` message halves of rank r with `bytes` in all, `sent` of them
+  /// send halves, in the open phases [0, depth].
+  void add_messages(RankId r, std::size_t depth, long n, double bytes,
+                    long sent);
 
   int nranks_;
-  std::map<std::string, PhaseStats> phases_;
+  /// Mutable only so that phase() can fill each read's `messages`.
+  mutable std::map<std::string, PhaseStats> phases_;
   std::vector<std::string> order_;
   /// Open phases, root first. Map nodes never move, so charges reach
   /// them without a lookup, and concurrent rank bodies can charge work
   /// while the orchestrator holds the stack fixed.
   std::vector<Frame> frames_;
   std::uint64_t next_serial_ = 0;
-  /// Rank-major [rank][depth] so each rank's slots are contiguous: only
-  /// rank r's body writes rank r's slots during a region.
-  mutable std::vector<Pending> pending_;
-  /// Which ranks' pending slots hold charges: one bit per rank, `words_`
-  /// words per depth. pop_phase and settle visit only marked ranks, so
-  /// their cost follows the ranks that messaged, not the rank count.
-  std::size_t words_;
-  std::vector<std::atomic<std::uint64_t>> touched_;
   PhasePopListener* pop_listener_ = nullptr;  ///< not owned; may be null
 };
 

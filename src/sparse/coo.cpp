@@ -19,14 +19,6 @@ void Coo::normalize() {
   sum_duplicates();
 }
 
-bool Coo::is_normalized() const {
-  for (std::size_t k = 1; k < nnz(); ++k) {
-    if (rows[k - 1] > rows[k]) return false;
-    if (rows[k - 1] == rows[k] && cols[k - 1] >= cols[k]) return false;
-  }
-  return true;
-}
-
 void CooVector::append(const CooVector& other) {
   rows.insert(rows.end(), other.rows.begin(), other.rows.end());
   vals.insert(vals.end(), other.vals.begin(), other.vals.end());

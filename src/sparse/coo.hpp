@@ -50,9 +50,6 @@ struct Coo {
 
   /// sort() + sum_duplicates().
   void normalize();
-
-  /// True if triples are sorted row-major with no duplicates.
-  bool is_normalized() const;
 };
 
 /// Sparse RHS contributions: (row, value) pairs with global rows.

@@ -181,14 +181,6 @@ Real Csr::at(LocalIndex i, LocalIndex j) const {
   return 0.0;
 }
 
-Real Csr::max_abs() const {
-  Real m = 0.0;
-  for (Real v : vals_) {
-    m = std::max(m, std::abs(v));
-  }
-  return m;
-}
-
 Real residual_inf_norm(const Csr& a, std::span<const Real> x,
                        std::span<const Real> b) {
   std::vector<Real> y(static_cast<std::size_t>(a.nrows()), 0.0);

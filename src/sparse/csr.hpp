@@ -98,9 +98,6 @@ class Csr {
   /// Value at (i, j) or 0; linear scan of row i.
   Real at(LocalIndex i, LocalIndex j) const;
 
-  /// Frobenius-ish sanity: largest |a_ij|.
-  Real max_abs() const;
-
  private:
   LocalIndex nrows_{0};
   LocalIndex ncols_{0};

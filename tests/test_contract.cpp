@@ -180,10 +180,10 @@ TEST(Contract, WrongRankMessageReceiptThrows) {
 }
 
 TEST(Contract, ReceiptAfterSendingPhasePoppedThrows) {
-  // A message's receive half lands in the phase that sent it; once that
-  // phase popped, its totals were already rolled up, so a late receipt
-  // would be lost to every enclosing phase. Reopening the phase by name
-  // does not make it the same opening.
+  // A message's receive half lands in the phase that sent it and that
+  // phase's ancestors; once it popped, a late receipt would miss it and
+  // land in whatever phase opened at its depth since. Reopening the phase
+  // by name does not make it the same opening.
   par::Runtime rt(2);
   rt.tracer().push_phase("send");
   rt.transport().send<int>(RankId{0}, RankId{1}, par::tags::kTestPing, {1});

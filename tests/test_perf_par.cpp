@@ -389,9 +389,9 @@ TEST(ThreadPool, ClaimProtocolSurvivesBackToBackRegions) {
 TEST(Tracer, PoolMessageHalvesMatchChargingEveryOpenPhase) {
   // Sends and receives made on pool threads inside three nested phases,
   // with self-messages and a phase reopened by name. Each phase must
-  // read what the old per-message charge to every open phase gave: for
-  // every message, both endpoints (once for a self-message) and the
-  // count, in the phase it was sent in and all of that phase's
+  // read, open or closed, what a per-message charge to every open phase
+  // gives: for every message, both endpoints (once for a self-message)
+  // and the count, in the phase it was sent in and all of that phase's
   // ancestors.
   const int nranks = 6;
   par::Runtime rt(nranks);
@@ -440,11 +440,10 @@ TEST(Tracer, PoolMessageHalvesMatchChargingEveryOpenPhase) {
   tr.push_phase("c");
   ring(1, {"", "a", "a/b", "a/b/c"});
   ring(nranks, {"", "a", "a/b", "a/b/c"});  // k = nranks: all self
-  // Reading a still-open phase: the innermost reads its own charges;
-  // an ancestor misses those of its still-open sub-phases.
+  // Reading still-open phases: each holds its open sub-phases' charges.
   EXPECT_EQ(tr.phase("a/b/c").messages, want["a/b/c"].messages);
-  EXPECT_EQ(tr.phase("a/b").messages, 2 * nranks);
-  EXPECT_EQ(tr.phase("a").messages, 2 * nranks);
+  EXPECT_EQ(tr.phase("a/b").messages, want["a/b"].messages);
+  EXPECT_EQ(tr.phase("a").messages, want["a"].messages);
   tr.pop_phase();
   EXPECT_EQ(tr.phase("a/b").messages, want["a/b"].messages);
   tr.pop_phase();
@@ -567,7 +566,7 @@ TEST(Tracer, BatchedChannelChargesMatchPerMessageCharges) {
     exchange();
     compare("a/b");
     for (par::Runtime* rt : {&per_msg, &batched}) rt->tracer().pop_phase();
-    compare("a/b");  // rolled up into "a" by the pop
+    compare("a/b");
     compare("a");
   }
   for (par::Runtime* rt : {&per_msg, &batched}) rt->tracer().pop_phase();
@@ -608,12 +607,11 @@ TEST(ThreadPool, RegionCounterCountsTopLevelRegionsOnly) {
   EXPECT_EQ(pool.regions() - before, 3u);
 }
 
-TEST(Tracer, MessageRollUpReachesRanksInEveryMaskWord) {
-  // 130 ranks span three 64-rank words of the tracer's record of which
-  // ranks charged messages in an opening. A few ranks in each word send
-  // to their right neighbour inside a nested phase, opened twice; every
-  // phase then holds exactly those charges and the other ranks none,
-  // whether read open (settled) or after the pops (rolled up).
+TEST(Tracer, MessageChargesLandOnlyOnRanksThatMessaged) {
+  // On 130 ranks, six ranks (0, 63, 64, 127, 128, 129) send to their
+  // right neighbour inside a nested phase, opened twice; every phase then
+  // holds exactly those charges and the other ranks none, whether read
+  // open or after the pops.
   const int nranks = 130;
   par::Runtime rt(nranks);
   auto& tr = rt.tracer();

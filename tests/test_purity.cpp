@@ -256,11 +256,11 @@ TEST(PurityWarmPath, AssemblyPlanRefillIsAllocationPure) {
   graph.zero_values();
   for (std::size_t e = 0; e < db.edges.size(); ++e) {
     const Real g = db.edges[e].coeff;
-    graph.add_edge(e, {g, -g, -g, g}, {0.1, -0.2}, false);
+    graph.add_edge(e, {g, -g, -g, g}, {0.1, -0.2});
   }
   for (GlobalIndex node{0}; node < db.num_nodes(); ++node) {
     graph.add_node(node, dirichlet[static_cast<std::size_t>(node)] ? 1.0 : 0.0,
-                   0.5, false);
+                   0.5);
   }
   const auto& rows = layout.numbering.rows;
   const auto views = system_views(graph);
